@@ -8,6 +8,14 @@
 
 namespace cvm {
 
+namespace {
+
+int WaterMolecules(const CatalogRequest& request) {
+  return request.size > 0 ? static_cast<int>(request.size) : 125;
+}
+
+}  // namespace
+
 const std::vector<std::string>& CatalogAppNames() {
   static const std::vector<std::string> kNames = {"fft", "sor", "tsp", "water", "lu"};
   return kNames;
@@ -49,7 +57,7 @@ std::unique_ptr<ParallelApp> MakeCatalogApp(const CatalogRequest& request) {
   }
   if (request.app == "water") {
     WaterApp::Params params;
-    params.molecules = size > 0 ? static_cast<int>(size) : 125;
+    params.molecules = WaterMolecules(request);
     params.iters = 3;
     params.fix_virial_bug = request.fix_water_bug;
     params.page_size = request.page_size;
@@ -68,6 +76,16 @@ std::unique_ptr<ParallelApp> MakeCatalogApp(const CatalogRequest& request) {
     return std::make_unique<LuApp>(params);
   }
   return nullptr;
+}
+
+int CatalogLocksNeeded(const CatalogRequest& request) {
+  if (request.app == "water") {
+    return WaterApp::LocksNeeded(WaterMolecules(request));
+  }
+  if (request.app == "tsp") {
+    return TspApp::LocksNeeded();
+  }
+  return 0;
 }
 
 }  // namespace cvm

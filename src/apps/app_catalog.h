@@ -33,6 +33,11 @@ const std::vector<std::string>& CatalogAppNames();
 // an explicit seed behave like older versions of the tools.
 std::unique_ptr<ParallelApp> MakeCatalogApp(const CatalogRequest& request);
 
+// Lock ids the requested app uses; 0 for an unknown app or one that
+// synchronizes only with barriers. Water's count grows with its molecule
+// count, so callers size DsmOptions::num_locks to at least this.
+int CatalogLocksNeeded(const CatalogRequest& request);
+
 }  // namespace cvm
 
 #endif  // CVM_APPS_APP_CATALOG_H_

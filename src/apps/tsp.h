@@ -40,6 +40,9 @@ class TspApp : public ParallelApp {
   // Address of the racy bound, for tests and the replay example.
   GlobalAddr bound_addr() const { return min_tour_.addr(); }
 
+  // Lock ids a run uses (the queue lock and the bound lock).
+  static int LocksNeeded() { return kBoundLock + 1; }
+
  private:
   static constexpr LockId kQueueLock = 0;
   static constexpr LockId kBoundLock = 1;

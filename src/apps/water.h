@@ -41,6 +41,12 @@ class WaterApp : public ParallelApp {
 
   GlobalAddr virial_addr() const { return virial_.addr(); }
 
+  // Lock ids a run over `molecules` molecules uses: the fixed locks below
+  // kForceLockBase plus one force lock per chunk of molecules.
+  static int LocksNeeded(int molecules) {
+    return kForceLockBase + (molecules + kMoleculesPerLock - 1) / kMoleculesPerLock;
+  }
+
   struct Vec3 {
     float x = 0;
     float y = 0;

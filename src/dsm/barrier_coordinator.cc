@@ -752,13 +752,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
   Bitmap interest(static_cast<uint32_t>(num_pages));
   for (PageId page = 0; page < num_pages; ++page) {
     // Interested in any page this node ever cached: a usable copy or a
-    // retained stale one (data survives invalidation). Valid copies alone
-    // are not enough — a node holding a momentarily-invalidated copy of a
-    // working-set page still needs write notices to keep its
-    // probable-owner hint fresh, or its next refetch pays extra
-    // forwarding hops. Hints alone are deliberately NOT enough: every
-    // page starts with a home hint, so keying on them would mark the
-    // whole address space interesting and gut the filter.
+    // retained stale one (data survives invalidation).
     //
     // Pages this node is HOME for are always interesting, cached or not:
     // this bitmap is a snapshot taken at barrier arrival, but the service
@@ -773,9 +767,13 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     // parked in the barrier). Homes are 1/n of the address space per
     // node, so the clause keeps the down-leg sub-quadratic. The mapping
     // mirrors CoherenceProtocol::HomeOf (page % num_nodes).
-    const PageEntry& entry = node_.pages_.entry(page);
+    //
+    // Find() never creates an entry, so the scan leaves the page table
+    // holding only the pages this node touched.
+    const PageEntry* entry = node_.pages_.Find(page);
     const bool is_home = (page % node_.opts_.num_nodes) == node_.id_;
-    if (is_home || entry.state != PageState::kInvalid || !entry.data.empty()) {
+    if (is_home ||
+        (entry != nullptr && (entry->state != PageState::kInvalid || !entry->data.empty()))) {
       interest.Set(static_cast<uint32_t>(page));
     }
   }

@@ -1,6 +1,7 @@
 #include "src/dsm/dsm.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "src/common/check.h"
@@ -10,6 +11,10 @@ namespace cvm {
 DsmSystem::DsmSystem(DsmOptions options) : options_(std::move(options)) {
   CVM_CHECK_GT(options_.num_nodes, 0);
   CVM_CHECK_GT(options_.num_locks, 0);
+  // The access shim splits addresses into page and word with a shift and a
+  // mask.
+  CVM_CHECK(std::has_single_bit(options_.page_size))
+      << "page_size " << options_.page_size << " is not a power of two";
   if (options_.write_detection == WriteDetection::kDiffs) {
     CVM_CHECK(ProtocolSupportsDiffWriteDetection(options_.protocol))
         << "diff-based write detection requires the multi-writer protocol (§6.5)";

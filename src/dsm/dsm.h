@@ -138,9 +138,9 @@ class DsmSystem {
   RunResult Run(const std::function<void(NodeContext&)>& app);
 
   // Returns the system to its just-constructed state without reallocating
-  // the heavyweight pieces (segment backing store, network fabric, tracer
-  // rings, metric objects): nodes are destroyed, inboxes and transport state
-  // cleared, the segment re-zeroed, metrics/tracer/detector counters reset,
+  // the network fabric, tracer rings or metric objects: nodes are destroyed,
+  // inboxes and transport state cleared, the segment's symbols and poked
+  // pages dropped, metrics/tracer/detector counters reset,
   // and collected reports dropped. After Reset() the system accepts Alloc()
   // and one more Run(), starting from exactly the state a fresh process
   // would see. Call only after Run() has returned (no live app threads).

@@ -1,6 +1,7 @@
 #include "src/dsm/node.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <utility>
 
@@ -33,6 +34,8 @@ Node::Node(NodeId id, DsmSystem* system)
     : system_(system),
       id_(id),
       opts_(system->options()),
+      page_shift_(static_cast<uint32_t>(std::countr_zero(opts_.page_size))),
+      page_mask_(opts_.page_size - 1),
       pages_(system->segment().num_pages(), opts_.page_size),
       vc_(opts_.num_nodes),
       log_(opts_.num_nodes),
@@ -345,14 +348,14 @@ uint64_t Node::AllocPrivateVa(uint64_t bytes) {
 uint32_t Node::ReadWord(GlobalAddr addr) {
   std::unique_lock<std::mutex> lk(mu_);
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
-  const PageId page = static_cast<PageId>(addr / opts_.page_size);
-  const uint32_t word = WordInPage(addr % opts_.page_size);
+  const PageId page = static_cast<PageId>(addr >> page_shift_);
+  const uint32_t word = WordInPage(addr & page_mask_);
   if (opts_.race_detection) {
     ChargeInstrumentationLocked();
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/false);
     CVM_CHECK(result.shared);
-    bitmaps_.RecordRead(cur_interval_, page, word);
-    if (cur_reads_.Insert(page)) {
+    // Only a page's first read in the interval can add a read notice.
+    if (bitmaps_.RecordRead(cur_interval_, page, word) && cur_reads_.Insert(page)) {
       timing_.Charge(Bucket::kCvmMods, opts_.costs.notice_setup_ns);
     }
     if (opts_.watch.has_value()) {
@@ -374,8 +377,8 @@ uint32_t Node::ReadWord(GlobalAddr addr) {
 void Node::WriteWord(GlobalAddr addr, uint32_t value) {
   std::unique_lock<std::mutex> lk(mu_);
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
-  const PageId page = static_cast<PageId>(addr / opts_.page_size);
-  const uint32_t word = WordInPage(addr % opts_.page_size);
+  const PageId page = static_cast<PageId>(addr >> page_shift_);
+  const uint32_t word = WordInPage(addr & page_mask_);
   // §6.5: under diff-derived write detection, store instructions are not
   // instrumented at all — writes are mined from diffs at release time.
   if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {

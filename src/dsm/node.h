@@ -149,6 +149,7 @@ class Node : public ProtocolHost {
   const MessageDispatcher& dispatcher() const { return dispatcher_; }
   const BarrierCoordinator& barrier_coordinator() const { return barrier_; }
   const LockManager& lock_manager() const { return lock_mgr_; }
+  const PageTable& page_table() const { return pages_; }
 
   // ---------------- Crash-tolerant epochs ----------------
   // (docs/FAULTS.md "Crash faults & recovery".)
@@ -282,6 +283,10 @@ class Node : public ProtocolHost {
   DsmSystem* const system_;
   const NodeId id_;
   const DsmOptions& opts_;
+  // opts_.page_size is a power of two (DsmSystem checks): addr >> page_shift_
+  // is the page, addr & page_mask_ the offset in it.
+  const uint32_t page_shift_;
+  const uint64_t page_mask_;
 
   std::thread service_thread_;
 

@@ -10,6 +10,7 @@
 #ifndef CVM_INSTR_ACCESS_FILTER_H_
 #define CVM_INSTR_ACCESS_FILTER_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "src/common/check.h"
@@ -27,8 +28,11 @@ inline constexpr uint64_t SharedVa(GlobalAddr addr) { return kSharedSegmentBase 
 class AccessFilter {
  public:
   AccessFilter(uint64_t page_size, uint64_t shared_bytes)
-      : page_size_(page_size), shared_limit_(kSharedSegmentBase + shared_bytes) {
-    CVM_CHECK_GT(page_size, 0u);
+      : page_shift_(static_cast<uint32_t>(std::countr_zero(page_size))),
+        page_mask_(page_size - 1),
+        shared_limit_(kSharedSegmentBase + shared_bytes) {
+    CVM_CHECK(std::has_single_bit(page_size)) << "page size " << page_size
+                                              << " is not a power of two";
   }
 
   struct Result {
@@ -55,8 +59,8 @@ class AccessFilter {
     }
     const uint64_t offset = va - kSharedSegmentBase;
     result.shared = true;
-    result.page = static_cast<PageId>(offset / page_size_);
-    result.word = WordInPage(offset % page_size_);
+    result.page = static_cast<PageId>(offset >> page_shift_);
+    result.word = WordInPage(offset & page_mask_);
     return result;
   }
 
@@ -64,7 +68,8 @@ class AccessFilter {
   void ResetCounters() { counters_ = AccessCounters{}; }
 
  private:
-  uint64_t page_size_;
+  uint32_t page_shift_;
+  uint64_t page_mask_;
   uint64_t shared_limit_;
   AccessCounters counters_;
 };

@@ -1,7 +1,5 @@
 #include "src/mem/page_table.h"
 
-#include <cstring>
-
 namespace cvm {
 
 const char* PageStateName(PageState state) {
@@ -16,27 +14,9 @@ const char* PageStateName(PageState state) {
   return "?";
 }
 
-PageTable::PageTable(int num_pages, uint64_t page_size) : page_size_(page_size) {
+PageTable::PageTable(int num_pages, uint64_t page_size)
+    : num_pages_(num_pages), page_size_(page_size), entries_(num_pages) {
   CVM_CHECK_GT(num_pages, 0);
-  entries_.resize(num_pages);
-}
-
-uint32_t PageTable::ReadWord(PageId page, uint32_t word) const {
-  const PageEntry& e = entry(page);
-  CVM_CHECK(e.state != PageState::kInvalid) << "read of invalid page " << page;
-  CVM_CHECK_EQ(e.data.size(), page_size_);
-  CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
-  uint32_t value;
-  std::memcpy(&value, e.data.data() + word * kWordSize, kWordSize);
-  return value;
-}
-
-void PageTable::WriteWord(PageId page, uint32_t word, uint32_t value) {
-  PageEntry& e = entry(page);
-  CVM_CHECK(e.state == PageState::kReadWrite) << "write to non-writable page " << page;
-  CVM_CHECK_EQ(e.data.size(), page_size_);
-  CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
-  std::memcpy(e.data.data() + word * kWordSize, &value, kWordSize);
 }
 
 void PageTable::AttachObservability(obs::Tracer* tracer, NodeId node, obs::Counter* twins,
@@ -64,7 +44,10 @@ void PageTable::Install(PageId page, std::vector<uint8_t> data, PageState state)
 }
 
 void PageTable::Invalidate(PageId page) {
-  entry(page).state = PageState::kInvalid;
+  CheckPage(page);
+  if (PageEntry* e = entries_.Find(page); e != nullptr) {
+    e->state = PageState::kInvalid;
+  }
   if constexpr (obs::kObsCompiledIn) {
     if (invalidations_counter_ != nullptr) {
       invalidations_counter_->Increment();

@@ -1,14 +1,18 @@
-// Per-node view of the shared segment: one PageEntry per page, holding the
-// node's private copy (if any), its protection state, the single-writer
-// ownership hint, and the multi-writer twin.
+// Per-node view of the shared segment: one PageEntry per page the node has
+// touched, holding the node's private copy (if any), its protection state,
+// and the multi-writer twin. Entries are created on first mutable access, so
+// the table's memory is proportional to the pages a run touches, not to the
+// segment size; an absent entry reads as an invalid page with no data.
 #ifndef CVM_MEM_PAGE_TABLE_H_
 #define CVM_MEM_PAGE_TABLE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/sparse_page_map.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tracer.h"
@@ -30,7 +34,6 @@ const char* PageStateName(PageState state);
 struct PageEntry {
   PageState state = PageState::kInvalid;
   std::vector<uint8_t> data;            // Empty until first fetched.
-  NodeId probable_owner = kNoNode;      // Single-writer ownership hint.
   std::optional<std::vector<uint8_t>> twin;  // Multi-writer twin, if write-faulted.
 };
 
@@ -38,8 +41,11 @@ class PageTable {
  public:
   PageTable(int num_pages, uint64_t page_size);
 
-  int num_pages() const { return static_cast<int>(entries_.size()); }
+  int num_pages() const { return num_pages_; }
   uint64_t page_size() const { return page_size_; }
+
+  // Number of pages holding an entry (pages this node has touched).
+  size_t num_entries() const { return entries_.size(); }
 
   // Optional observability sinks (any may be null, all owned by the caller):
   // twin creation emits a trace instant, installs/invalidations bump the
@@ -47,30 +53,55 @@ class PageTable {
   void AttachObservability(obs::Tracer* tracer, NodeId node, obs::Counter* twins,
                            obs::Counter* installs, obs::Counter* invalidations);
 
+  // The entry for `page`, created (invalid, no data) on first use.
   PageEntry& entry(PageId page) {
-    CVM_CHECK_GE(page, 0);
-    CVM_CHECK_LT(page, num_pages());
-    return entries_[page];
+    CheckPage(page);
+    return entries_.GetOrCreate(page);
   }
-  const PageEntry& entry(PageId page) const {
-    CVM_CHECK_GE(page, 0);
-    CVM_CHECK_LT(page, num_pages());
-    return entries_[page];
+  // The entry for `page`, or null if the node never touched it. Never
+  // creates an entry: whole-segment scans use this.
+  const PageEntry* Find(PageId page) const {
+    CheckPage(page);
+    return entries_.Find(page);
   }
 
-  bool Readable(PageId page) const { return entry(page).state != PageState::kInvalid; }
-  bool Writable(PageId page) const { return entry(page).state == PageState::kReadWrite; }
+  bool Readable(PageId page) const {
+    const PageEntry* e = Find(page);
+    return e != nullptr && e->state != PageState::kInvalid;
+  }
+  bool Writable(PageId page) const {
+    const PageEntry* e = Find(page);
+    return e != nullptr && e->state == PageState::kReadWrite;
+  }
 
   // Reads/writes one aligned word of the node's copy. The page must be in a
   // state permitting the access (the caller handles faults first).
-  uint32_t ReadWord(PageId page, uint32_t word) const;
-  void WriteWord(PageId page, uint32_t word, uint32_t value);
+  uint32_t ReadWord(PageId page, uint32_t word) const {
+    const PageEntry* e = Find(page);
+    CVM_CHECK(e != nullptr && e->state != PageState::kInvalid)
+        << "read of invalid page " << page;
+    CVM_CHECK_EQ(e->data.size(), page_size_);
+    CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
+    uint32_t value;
+    std::memcpy(&value, e->data.data() + word * kWordSize, kWordSize);
+    return value;
+  }
+  void WriteWord(PageId page, uint32_t word, uint32_t value) {
+    CheckPage(page);
+    PageEntry* e = entries_.Find(page);
+    CVM_CHECK(e != nullptr && e->state == PageState::kReadWrite)
+        << "write to non-writable page " << page;
+    CVM_CHECK_EQ(e->data.size(), page_size_);
+    CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
+    std::memcpy(e->data.data() + word * kWordSize, &value, kWordSize);
+  }
 
   // Installs fetched contents and sets the state.
   void Install(PageId page, std::vector<uint8_t> data, PageState state);
 
   // Invalidate per an incoming write notice. Keeps the (stale) data so tests
-  // can observe weak-memory staleness, but faults will refetch.
+  // can observe weak-memory staleness, but faults will refetch. A page the
+  // node never touched is already invalid and stays entry-free.
   void Invalidate(PageId page);
 
   // Multi-writer helpers.
@@ -78,8 +109,14 @@ class PageTable {
   void DropTwin(PageId page) { entry(page).twin.reset(); }
 
  private:
+  void CheckPage(PageId page) const {
+    CVM_CHECK_GE(page, 0);
+    CVM_CHECK_LT(page, num_pages_);
+  }
+
+  int num_pages_;
   uint64_t page_size_;
-  std::vector<PageEntry> entries_;
+  SparsePageMap<PageEntry> entries_;
 
   obs::Tracer* tracer_ = nullptr;
   NodeId obs_node_ = 0;

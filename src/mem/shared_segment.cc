@@ -11,7 +11,6 @@ SharedSegment::SharedSegment(uint64_t page_size, uint64_t max_bytes) : page_size
   CVM_CHECK_EQ(page_size % kWordSize, 0u);
   num_pages_ = (max_bytes + page_size - 1) / page_size;
   CVM_CHECK_GT(num_pages_, 0u);
-  initial_.assign(num_pages_ * page_size_, 0);
 }
 
 GlobalAddr SharedSegment::Alloc(const std::string& name, uint64_t bytes, bool page_align) {
@@ -27,24 +26,14 @@ GlobalAddr SharedSegment::Alloc(const std::string& name, uint64_t bytes, bool pa
   CVM_CHECK_LE(base + bytes, size_bytes())
       << "shared segment exhausted allocating " << name << " (" << bytes << " bytes)";
   next_free_ = base + bytes;
-  dirty_high_ = std::max(dirty_high_, next_free_);
   symbols_.push_back(Symbol{name, base, bytes});
   return base;
 }
 
 void SharedSegment::Reset() {
-  // Zero only what a run could have observed: every allocated byte plus any
-  // PokeInitial splash, rounded up to a page so InitialPage never serves a
-  // stale partial page.
-  uint64_t zero_to = dirty_high_;
-  if (zero_to % page_size_ != 0) {
-    zero_to += page_size_ - zero_to % page_size_;
-  }
-  zero_to = std::min<uint64_t>(zero_to, initial_.size());
-  std::memset(initial_.data(), 0, zero_to);
   next_free_ = 0;
-  dirty_high_ = 0;
   symbols_.clear();
+  poked_.clear();
 }
 
 std::string SharedSegment::Symbolize(GlobalAddr addr) const {
@@ -66,14 +55,23 @@ std::string SharedSegment::Symbolize(GlobalAddr addr) const {
 std::vector<uint8_t> SharedSegment::InitialPage(PageId page) const {
   CVM_CHECK_GE(page, 0);
   CVM_CHECK_LT(static_cast<uint64_t>(page), num_pages_);
-  auto begin = initial_.begin() + static_cast<int64_t>(page * page_size_);
-  return std::vector<uint8_t>(begin, begin + static_cast<int64_t>(page_size_));
+  const auto it = poked_.find(page);
+  return it != poked_.end() ? it->second : std::vector<uint8_t>(page_size_, 0);
 }
 
 void SharedSegment::PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes) {
   CVM_CHECK_LE(addr + bytes, size_bytes());
-  dirty_high_ = std::max(dirty_high_, addr + bytes);
-  std::memcpy(initial_.data() + addr, data, bytes);
+  const auto* src = static_cast<const uint8_t*>(data);
+  while (bytes > 0) {
+    const uint64_t offset = OffsetInPage(addr);
+    const uint64_t chunk = std::min(bytes, page_size_ - offset);
+    std::vector<uint8_t>& page = poked_[PageOf(addr)];
+    page.resize(page_size_, 0);
+    std::memcpy(page.data() + offset, src, chunk);
+    addr += chunk;
+    src += chunk;
+    bytes -= chunk;
+  }
 }
 
 }  // namespace cvm

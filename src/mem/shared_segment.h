@@ -5,6 +5,7 @@
 #define CVM_MEM_SHARED_SEGMENT_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,23 +51,24 @@ class SharedSegment {
   const std::vector<Symbol>& symbols() const { return symbols_; }
 
   // Initial contents of a page, served by the page's home node to first
-  // readers. All-zero unless a test poked values in.
+  // readers. All-zero unless a test poked values in. Only poked pages are
+  // stored, so the segment costs memory for what was poked, not for its
+  // size.
   std::vector<uint8_t> InitialPage(PageId page) const;
   void PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes);
 
-  // Returns the segment to its just-constructed state without reallocating
-  // the backing store: drops every symbol and re-zeroes only the bytes that
-  // were ever allocated or poked. This is what makes a warm DsmSystem reuse
-  // cheap — a fresh construction pays a full max_bytes zero-fill.
+  // Returns the segment to its just-constructed state: drops every symbol
+  // and every poked page. Construction allocates no page image either, so a
+  // fresh segment and a Reset() one cost the same.
   void Reset();
 
  private:
   uint64_t page_size_;
   uint64_t num_pages_;
   uint64_t next_free_ = 0;
-  uint64_t dirty_high_ = 0;  // Bytes Reset() must re-zero (allocs + pokes).
   std::vector<Symbol> symbols_;
-  std::vector<uint8_t> initial_;  // num_pages_ * page_size_ bytes.
+  // Poked pages only, page_size_ bytes each; every other page is all-zero.
+  std::map<PageId, std::vector<uint8_t>> poked_;
 };
 
 }  // namespace cvm

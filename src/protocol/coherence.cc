@@ -11,15 +11,7 @@
 namespace cvm {
 
 CoherenceProtocol::CoherenceProtocol(ProtocolHost& host)
-    : host_(host), home_materialized_(host.pages().num_pages(), false) {
-  // Every copy starts with the ownership hint at the page's home: the
-  // multi-writer home owns the data outright, the single-writer home is the
-  // manager that serializes ownership transfers.
-  PageTable& pages = host_.pages();
-  for (PageId p = 0; p < pages.num_pages(); ++p) {
-    pages.entry(p).probable_owner = HomeOf(p);
-  }
-}
+    : host_(host), home_materialized_(host.pages().num_pages(), false) {}
 
 CoherenceProtocol::~CoherenceProtocol() = default;
 

@@ -70,20 +70,12 @@ PageAccessBitmaps& BitmapStore::PairFor(IntervalIndex interval, PageId page, boo
   return it->second;
 }
 
-bool BitmapStore::RecordRead(IntervalIndex interval, PageId page, uint32_t word) {
-  bool created = false;
-  PageAccessBitmaps& pair = PairFor(interval, page, &created);
-  const bool first_read = pair.read.empty();
-  pair.read.Set(word);
-  return first_read || created;
-}
-
-bool BitmapStore::RecordWrite(IntervalIndex interval, PageId page, uint32_t word) {
-  bool created = false;
-  PageAccessBitmaps& pair = PairFor(interval, page, &created);
-  const bool first_write = pair.write.empty();
-  pair.write.Set(word);
-  return first_write || created;
+void BitmapStore::FillSlot(IntervalIndex interval, PageId page, Slot& slot) {
+  PageAccessBitmaps& pair = PairFor(interval, page, /*created=*/nullptr);
+  slot.interval = interval;
+  slot.read_seen = !pair.read.empty();
+  slot.write_seen = !pair.write.empty();
+  slot.pair = &pair;
 }
 
 const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) const {
@@ -99,6 +91,7 @@ const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) 
 }
 
 void BitmapStore::DiscardThrough(IntervalIndex up_to) {
+  slots_.Clear();
   while (!by_interval_.empty() && by_interval_.begin()->first <= up_to) {
     PageMap& pages = by_interval_.begin()->second;
     while (!pages.empty()) {
@@ -110,6 +103,7 @@ void BitmapStore::DiscardThrough(IntervalIndex up_to) {
 
 void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
                               const PageAccessBitmaps& pair) {
+  slots_.Clear();
   bool created = false;
   PageAccessBitmaps& slot = PairFor(interval, page, &created);
   if (created) {
@@ -119,6 +113,7 @@ void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
 }
 
 void BitmapStore::Clear() {
+  slots_.Clear();
   while (!by_interval_.empty()) {
     PageMap& pages = by_interval_.begin()->second;
     while (!pages.empty()) {

@@ -109,7 +109,8 @@ void MultiWriterHomeLrc::ApplyWriteNotices(const IntervalRecord& record) {
     if (HomeOf(page) == host_.self()) {
       continue;
     }
-    CVM_CHECK(!host_.pages().entry(page).twin.has_value())
+    const PageEntry* entry = host_.pages().Find(page);
+    CVM_CHECK(entry == nullptr || !entry->twin.has_value())
         << "write notice applied while twin outstanding";
     host_.pages().Invalidate(page);
   }

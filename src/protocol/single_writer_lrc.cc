@@ -48,7 +48,6 @@ void SingleWriterLrc::FetchForAccess(Lk& lk, PageId page, bool want_write) {
                                    want_write ? PageState::kReadWrite : PageState::kReadOnly);
   if (ownership) {
     am_owner_[page] = true;
-    host_.pages().entry(page).probable_owner = host_.self();
   }
   // Requests that chased the in-flight ownership are served by the caller
   // once its own access has completed (OnAccessComplete -> drain).
@@ -99,7 +98,6 @@ void SingleWriterLrc::ServePage(const PageRequestMsg& request) {
     reply.grants_ownership = true;
     am_owner_[request.page] = false;
     entry.state = PageState::kReadOnly;  // Keep a (stale-able) read copy.
-    entry.probable_owner = request.requester;
   }
   host_.Send(request.requester, std::move(reply));
 }

@@ -155,7 +155,16 @@ WorkloadOutcome DsmService::Serve(int worker_index, std::unique_ptr<DsmSystem>& 
     plan.crash_epoch = -1;
   }
 
-  const bool reuse = config_.warm && system != nullptr;
+  CatalogRequest catalog;
+  catalog.app = request.app;
+  catalog.size = request.size;
+  catalog.seed = request.seed;
+  catalog.page_size = config_.page_size;
+  const int num_locks = std::max(DsmOptions{}.num_locks, CatalogLocksNeeded(catalog));
+
+  // A warm fabric is reused only if it has enough locks for this workload.
+  const bool reuse =
+      config_.warm && system != nullptr && system->options().num_locks >= num_locks;
   if (reuse) {
     system->Reset();
     system->SetFaultPlan(plan);
@@ -164,6 +173,7 @@ WorkloadOutcome DsmService::Serve(int worker_index, std::unique_ptr<DsmSystem>& 
     options.num_nodes = config_.nodes;
     options.page_size = config_.page_size;
     options.max_shared_bytes = config_.max_shared_bytes;
+    options.num_locks = num_locks;
     options.protocol = config_.protocol;
     options.detection_pipeline = config_.pipeline;
     options.detect_shards = config_.detect_shards;
@@ -176,11 +186,6 @@ WorkloadOutcome DsmService::Serve(int worker_index, std::unique_ptr<DsmSystem>& 
   }
   outcome.warm_reuse = reuse;
 
-  CatalogRequest catalog;
-  catalog.app = request.app;
-  catalog.size = request.size;
-  catalog.seed = request.seed;
-  catalog.page_size = config_.page_size;
   std::unique_ptr<ParallelApp> app = MakeCatalogApp(catalog);
   CVM_CHECK(app != nullptr) << "admission let through unknown app " << request.app;
 

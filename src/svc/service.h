@@ -1,12 +1,12 @@
 // DsmService: the always-on, multi-tenant face of the simulator
 // (docs/SERVICE.md). Instead of one process per workload (build a DsmSystem,
 // run, tear down), the service keeps a small pool of *warm* fabrics — each a
-// full DsmSystem with its segment backing store, network, detector, and
-// observability already constructed — and serves an admission-controlled
-// queue of workload requests. Between requests a worker calls
-// DsmSystem::Reset(), which is cheap (re-zero only dirty segment bytes, clear
-// counters) compared to a cold construction (zero-fill the whole segment,
-// allocate everything); the service bench quantifies the difference.
+// full DsmSystem with its network, detector, and observability already
+// constructed — and serves an admission-controlled queue of workload
+// requests. Between requests a worker calls DsmSystem::Reset() instead of
+// building a fresh fabric; a fabric with fewer locks than the next workload
+// needs is rebuilt. Segment and page-table memory follow the touched pages,
+// so a cold construction is cheap too; the service bench measures both.
 //
 // Isolation model: a worker fabric serves one workload at a time, so tenants
 // never share a segment concurrently. Each completed workload's detection

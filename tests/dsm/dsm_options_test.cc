@@ -31,6 +31,13 @@ TEST(DsmOptionsDeathTest, ZeroNodesAborts) {
   EXPECT_DEATH({ DsmSystem system(options); }, "CHECK failed");
 }
 
+TEST(DsmOptionsDeathTest, PageSizeMustBeAPowerOfTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DsmOptions options = Valid();
+  options.page_size = 3072;
+  EXPECT_DEATH({ DsmSystem system(options); }, "not a power of two");
+}
+
 TEST(DsmOptionsDeathTest, SecondRunWithoutResetAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "src/apps/sor.h"
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
 
@@ -19,6 +20,55 @@ DsmOptions Options(int nodes, ProtocolKind protocol, uint64_t page_size) {
   options.protocol = protocol;
   return options;
 }
+
+// Runs 8-node SOR on a 32 MiB segment and checks every node's page table
+// holds entries only for pages it fetched or materialized as their home: a
+// small fraction of the 8192-page segment, all inside the allocated prefix,
+// each holding data.
+void ExpectSparsePageTables(bool barrier_tree) {
+  DsmOptions options;
+  options.num_nodes = 8;
+  options.page_size = 4096;
+  options.max_shared_bytes = 32ull << 20;
+  options.barrier_tree = barrier_tree;
+  options.barrier_fanout = 2;
+  SorApp::Params params;
+  params.rows = 66;
+  params.cols = 1024;  // One page per row.
+  params.iters = 2;
+  SorApp app(params);
+  DsmSystem system(options);
+  app.Setup(system);
+  system.Run([&app](NodeContext& ctx) { app.Run(ctx); });
+  ASSERT_TRUE(app.Verify());
+
+  const int used_pages = static_cast<int>(
+      (system.segment().used_bytes() + options.page_size - 1) / options.page_size);
+  ASSERT_EQ(system.segment().num_pages(), 8192);
+  for (NodeId n = 0; n < options.num_nodes; ++n) {
+    const PageTable& table = system.node(n).page_table();
+    size_t entries = 0;
+    for (PageId page = 0; page < table.num_pages(); ++page) {
+      const PageEntry* entry = table.Find(page);
+      if (entry == nullptr) {
+        continue;
+      }
+      ++entries;
+      EXPECT_LT(page, used_pages) << "node " << n;
+      // Only a fetch or a home materialization creates an entry, and both
+      // install data; an entry without data was created by a peek.
+      EXPECT_EQ(entry->data.size(), options.page_size) << "node " << n << " page " << page;
+    }
+    EXPECT_EQ(entries, table.num_entries()) << "node " << n;
+    EXPECT_GT(entries, 0u) << "node " << n;
+  }
+}
+
+TEST(DsmPageTest, PageTablesHoldOnlyTouchedPages) { ExpectSparsePageTables(false); }
+
+// The tree barrier scans every page for its interest bitmap; the scan must
+// not create entries.
+TEST(DsmPageTest, TreeBarrierInterestScanCreatesNoEntries) { ExpectSparsePageTables(true); }
 
 TEST(DsmPageTest, MultiWriterMergesConcurrentDisjointWrites) {
   // The defining multi-writer property: two nodes write DIFFERENT words of

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/mem/diff.h"
@@ -40,6 +41,57 @@ TEST(SharedSegmentTest, InitialContentsArePokeable) {
   uint32_t got;
   std::memcpy(&got, page.data() + 4, 4);
   EXPECT_EQ(got, magic);
+}
+
+TEST(SharedSegmentTest, ImageStoresOnlyPokedPages) {
+  // A 32 MiB segment: construction allocates no page image.
+  SharedSegment seg(4096, 32ull << 20);
+  EXPECT_EQ(seg.InitialPage(seg.num_pages() - 1), std::vector<uint8_t>(4096, 0));
+
+  // A poke straddling a page boundary lands in both pages.
+  const uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  seg.PokeInitial(4092, bytes, sizeof(bytes));
+  const std::vector<uint8_t> first = seg.InitialPage(0);
+  const std::vector<uint8_t> second = seg.InitialPage(1);
+  EXPECT_EQ(first[4091], 0);
+  EXPECT_EQ(first[4092], 1);
+  EXPECT_EQ(first[4095], 4);
+  EXPECT_EQ(second[0], 5);
+  EXPECT_EQ(second[3], 8);
+  EXPECT_EQ(second[4], 0);
+  // A later poke keeps the earlier bytes of the same page.
+  const uint8_t nine = 9;
+  seg.PokeInitial(4096 + 4, &nine, 1);
+  EXPECT_EQ(seg.InitialPage(1)[0], 5);
+  EXPECT_EQ(seg.InitialPage(1)[4], 9);
+  EXPECT_EQ(seg.InitialPage(2), std::vector<uint8_t>(4096, 0));
+
+  seg.Alloc("x", 64);
+  seg.Reset();
+  EXPECT_EQ(seg.used_bytes(), 0u);
+  EXPECT_TRUE(seg.symbols().empty());
+  EXPECT_EQ(seg.InitialPage(0), std::vector<uint8_t>(4096, 0));
+  EXPECT_EQ(seg.InitialPage(1), std::vector<uint8_t>(4096, 0));
+}
+
+TEST(PageTableTest, EntriesExistOnlyForTouchedPages) {
+  PageTable pt(8192, 256);
+  EXPECT_EQ(pt.num_entries(), 0u);
+  // Peeks, state queries and invalidations of untouched pages create nothing.
+  EXPECT_EQ(pt.Find(4000), nullptr);
+  EXPECT_FALSE(pt.Readable(4000));
+  EXPECT_FALSE(pt.Writable(4000));
+  pt.Invalidate(4000);
+  EXPECT_EQ(pt.num_entries(), 0u);
+
+  pt.Install(4000, std::vector<uint8_t>(256, 0), PageState::kReadOnly);
+  pt.entry(7).state = PageState::kInvalid;
+  EXPECT_EQ(pt.num_entries(), 2u);
+  ASSERT_NE(pt.Find(4000), nullptr);
+  EXPECT_EQ(pt.Find(4000)->state, PageState::kReadOnly);
+  EXPECT_EQ(pt.Find(4001), nullptr);
+  ASSERT_NE(pt.Find(7), nullptr);
+  EXPECT_TRUE(pt.Find(7)->data.empty());
 }
 
 TEST(PageTableTest, StateMachineAndWordAccess) {

@@ -81,6 +81,61 @@ TEST(BitmapStoreTest, RecordsLazilyAndFindsPairs) {
   EXPECT_EQ(store.TotalPairsRecorded(), 1u);
 }
 
+TEST(BitmapStoreTest, FirstTouchSurvivesIntervalSwitch) {
+  BitmapStore store(64);
+  EXPECT_TRUE(store.RecordRead(0, 3, 1));
+  EXPECT_FALSE(store.RecordRead(0, 3, 2));
+  EXPECT_TRUE(store.RecordRead(1, 3, 1));   // New interval: first read again.
+  EXPECT_FALSE(store.RecordRead(1, 3, 4));
+  EXPECT_FALSE(store.RecordRead(0, 3, 5));  // Back to interval 0: already read.
+  EXPECT_TRUE(store.RecordWrite(1, 3, 0));
+  EXPECT_FALSE(store.RecordWrite(1, 3, 1));
+  EXPECT_TRUE(store.RecordWrite(0, 3, 6));
+  const PageAccessBitmaps* older = store.Find(0, 3);
+  const PageAccessBitmaps* newer = store.Find(1, 3);
+  ASSERT_NE(older, nullptr);
+  ASSERT_NE(newer, nullptr);
+  EXPECT_EQ(older->read.SetBits(), (std::vector<uint32_t>{1, 2, 5}));
+  EXPECT_EQ(older->write.SetBits(), (std::vector<uint32_t>{6}));
+  EXPECT_EQ(newer->read.SetBits(), (std::vector<uint32_t>{1, 4}));
+  EXPECT_EQ(newer->write.SetBits(), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(store.TotalPairsRecorded(), 2u);
+}
+
+TEST(BitmapStoreTest, FirstTouchResetsAfterDiscardAndClear) {
+  BitmapStore store(64);
+  EXPECT_TRUE(store.RecordRead(0, 3, 1));
+  store.DiscardThrough(0);
+  // The pair is gone, so the page's next read in interval 0 is a first read
+  // again, into a fresh (recycled and zeroed) pair.
+  EXPECT_TRUE(store.RecordRead(0, 3, 2));
+  ASSERT_NE(store.Find(0, 3), nullptr);
+  EXPECT_EQ(store.Find(0, 3)->read.SetBits(), (std::vector<uint32_t>{2}));
+
+  EXPECT_TRUE(store.RecordWrite(2, 4, 7));
+  store.Clear();
+  EXPECT_EQ(store.Find(2, 4), nullptr);
+  EXPECT_TRUE(store.RecordWrite(2, 4, 8));
+  EXPECT_FALSE(store.RecordWrite(2, 4, 9));
+  EXPECT_EQ(store.Find(2, 4)->write.SetBits(), (std::vector<uint32_t>{8, 9}));
+}
+
+TEST(BitmapStoreTest, FirstTouchFollowsRestoredPair) {
+  BitmapStore store(64);
+  EXPECT_TRUE(store.RecordRead(5, 6, 1));
+  EXPECT_TRUE(store.RecordWrite(5, 6, 1));
+  // Overwrite the pair: no reads, one write. The cached flags must follow.
+  PageAccessBitmaps restored{Bitmap(64), Bitmap(64)};
+  restored.write.Set(9);
+  store.RestorePair(5, 6, restored);
+  EXPECT_TRUE(store.RecordRead(5, 6, 2));
+  EXPECT_FALSE(store.RecordWrite(5, 6, 3));
+  const PageAccessBitmaps* pair = store.Find(5, 6);
+  ASSERT_NE(pair, nullptr);
+  EXPECT_EQ(pair->read.SetBits(), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(pair->write.SetBits(), (std::vector<uint32_t>{3, 9}));
+}
+
 TEST(BitmapStoreTest, DiscardThroughDropsCheckedEpochs) {
   BitmapStore store(64);
   store.RecordRead(0, 0, 1);

@@ -70,6 +70,30 @@ TEST(ServiceTest, ServesMultipleTenantsToCompletion) {
   EXPECT_EQ(service.scheduler().stats().completed, 3u);
 }
 
+TEST(ServiceTest, SizesLocksForLargeWater) {
+  // Water takes 8 + ceil(molecules / 8) locks: 456 molecules need 65, one
+  // more than the default. A warm fabric built for a smaller run is not
+  // reused for it.
+  EXPECT_EQ(CatalogLocksNeeded(CatalogRequest{"water", 456}), 65);
+  EXPECT_EQ(CatalogLocksNeeded(CatalogRequest{"water", 448}), 64);
+  ServiceConfig config = SmallConfig();
+  config.workers = 1;
+  config.nodes = 2;
+  DsmService service(config);
+  service.Start();
+  ASSERT_NE(service.Submit(Req("alpha", "water", 64)), 0u);
+  ASSERT_NE(service.Submit(Req("alpha", "water", 456)), 0u);
+  service.Drain();
+  service.Stop();
+  const std::vector<WorkloadOutcome> outcomes = service.outcomes();
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const WorkloadOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.verified) << outcome.request.size;
+    EXPECT_FALSE(outcome.warm_reuse) << outcome.request.size;
+    EXPECT_FALSE(outcome.races.empty()) << outcome.request.size;
+  }
+}
+
 TEST(ServiceTest, RejectsUnknownAppAtAdmission) {
   DsmService service(SmallConfig());
   service.Start();

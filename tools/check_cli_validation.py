@@ -80,6 +80,9 @@ GOOD_RUN_CASES = [
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree", "--barrier-fanout=2",
      "--detect-batch=2", "--intern-bitmaps"],
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree"],
+    # Water above 448 molecules needs more than the default 64 locks; the
+    # tool sizes the lock table from the app.
+    ["--app=water", "--size=456", "--nodes=2"],
 ]
 
 BAD_SERVE_CASES = [

@@ -364,6 +364,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown or missing --app\n");
     return Usage();
   }
+  options.num_locks = std::max(options.num_locks, CatalogLocksNeeded(catalog));
 
   std::printf("running %s (%s, %s sync) on %d nodes, protocol %s, detection %s\n",
               app->name().c_str(), app->input_description().c_str(),
