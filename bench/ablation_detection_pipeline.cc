@@ -1,12 +1,11 @@
 // Ablation: the barrier-time detection pipeline (§4 step 5, §6.2).
 //
-// Three configurations of the same check, all producing the same races:
+// Two configurations of the same check, both producing the same races:
 //   serial       — the paper's prototype: master builds the check list alone,
 //                  fetches full-page bitmaps, compares after the round ends.
-//   sharded      — check-list construction sharded across a worker pool and
-//                  master-local compares overlapped with the bitmap round.
-//   distributed  — constituent nodes compare the pairs they own and ship
-//                  back reports plus compressed bitmaps (BitmapCodec).
+//   distributed  — the master's check-list build is charged as parallel
+//                  shards, and constituent nodes compare the pairs they own
+//                  and ship back reports plus compressed bitmaps (BitmapCodec).
 //
 // The comparison metric is the master's simulated time inside the barrier
 // check (PipelineStats::detect_ns) and the bitmap-round bytes — NOT total
@@ -33,7 +32,6 @@ struct ModeSpec {
 
 constexpr ModeSpec kModes[] = {
     {"serial", DetectionPipeline::kSerial, false},
-    {"sharded", DetectionPipeline::kSharded, false},
     {"distributed", DetectionPipeline::kDistributed, true},
 };
 
@@ -46,7 +44,6 @@ struct Cell {
   double detect_ns_per_epoch = 0;
   double bytes_raw_per_epoch = 0;
   double bytes_wire_per_epoch = 0;
-  double overlap_saved_ns_per_epoch = 0;
   uint64_t shards = 0;
   uint64_t remote_pairs = 0;
   uint64_t remote_reports = 0;
@@ -91,12 +88,12 @@ bool WriteDetectorJson(const std::string& path, const std::vector<Cell>& cells) 
         "  {\"app\": \"%s\", \"mode\": \"%s\", \"procs\": %d, \"compress\": %s, "
         "\"detect_epochs\": %llu, \"detect_ns_per_epoch\": %.1f, "
         "\"bitmap_bytes_raw_per_epoch\": %.1f, \"bitmap_bytes_wire_per_epoch\": %.1f, "
-        "\"overlap_saved_ns_per_epoch\": %.1f, \"shards\": %llu, "
+        "\"shards\": %llu, "
         "\"remote_pairs_compared\": %llu, \"remote_reports\": %llu, \"races\": %zu, "
         "\"reports_exact_match\": %s, \"reports_structural_match\": %s}%s\n",
         c.app.c_str(), c.mode.c_str(), c.procs, c.compress ? "true" : "false",
         static_cast<unsigned long long>(c.detect_epochs), c.detect_ns_per_epoch,
-        c.bytes_raw_per_epoch, c.bytes_wire_per_epoch, c.overlap_saved_ns_per_epoch,
+        c.bytes_raw_per_epoch, c.bytes_wire_per_epoch,
         static_cast<unsigned long long>(c.shards),
         static_cast<unsigned long long>(c.remote_pairs),
         static_cast<unsigned long long>(c.remote_reports), c.races,
@@ -139,10 +136,10 @@ int main(int argc, char** argv) {
     }
   }
   const int procs = 8;
-  std::printf("=== Ablation: detection pipeline (serial vs sharded vs distributed) ===\n");
+  std::printf("=== Ablation: detection pipeline (serial vs distributed) ===\n");
 
-  TablePrinter table({"App", "Mode", "Detect us/epoch", "Raw B/epoch", "Wire B/epoch",
-                      "Overlap us/epoch", "Races", "Reports"});
+  TablePrinter table(
+      {"App", "Mode", "Detect us/epoch", "Raw B/epoch", "Wire B/epoch", "Races", "Reports"});
   std::vector<Cell> cells;
   bool reports_ok = true;
   const std::vector<bench::NamedApp> apps = smoke ? SmokeApps() : bench::PaperApps();
@@ -153,9 +150,6 @@ int main(int argc, char** argv) {
       DsmOptions options = bench::PaperOptions(procs);
       options.detection_pipeline = mode.pipeline;
       options.compress_bitmaps = mode.compress;
-      // Pin the shard count so the charged critical path does not depend on
-      // the host's core count (the merge is order-deterministic regardless).
-      options.detect_shards = smoke ? 2 : 4;
       WorkloadResult result = RunWorkloadDetectOnly(app.factory, options);
 
       Cell cell;
@@ -169,7 +163,6 @@ int main(int argc, char** argv) {
       cell.detect_ns_per_epoch = p.detect_ns / epochs;
       cell.bytes_raw_per_epoch = static_cast<double>(p.bitmap_bytes_raw) / epochs;
       cell.bytes_wire_per_epoch = static_cast<double>(p.bitmap_bytes_wire) / epochs;
-      cell.overlap_saved_ns_per_epoch = p.overlap_saved_ns / epochs;
       cell.shards = p.shards_used;
       cell.remote_pairs = p.remote_pairs_compared;
       cell.remote_reports = p.remote_reports;
@@ -197,7 +190,6 @@ int main(int argc, char** argv) {
                     cell.mode, TablePrinter::Fixed(cell.detect_ns_per_epoch / 1e3, 1),
                     TablePrinter::Fixed(cell.bytes_raw_per_epoch, 0),
                     TablePrinter::Fixed(cell.bytes_wire_per_epoch, 0),
-                    TablePrinter::Fixed(cell.overlap_saved_ns_per_epoch / 1e3, 1),
                     std::to_string(cell.races),
                     cell.exact_match ? "exact" : (cell.structural_match ? "struct" : "DIFF")});
       cells.push_back(cell);

@@ -5,7 +5,7 @@
 //
 //   flat   the legacy single-master barrier and per-epoch detection,
 //   tree   --barrier-tree with fanout 8 (in-tree check-list aggregation),
-//   tree+  tree plus --detect-batch=2 and --intern-bitmaps.
+//   tree+  tree plus --detect-batch=2.
 //
 // The workload gives every node one page: each epoch it writes the head of
 // its own page and word kRaceWord of its right neighbor's page (a W/W race
@@ -57,7 +57,6 @@ struct ModeResult {
   double sim_ms = 0;
   double wall_s = 0;
   uint64_t races = 0;
-  uint64_t intern_hits = 0;
   // Compact identity of the full report list, order-sensitive.
   std::vector<std::string> signature;
 };
@@ -73,7 +72,6 @@ ModeResult RunOne(int nodes, const std::string& mode) {
   }
   if (mode == "tree+batch") {
     options.detect_batch = 2;
-    options.intern_bitmaps = true;
   }
 
   DsmSystem system(options);
@@ -109,7 +107,6 @@ ModeResult RunOne(int nodes, const std::string& mode) {
       static_cast<double>(result.net.bytes) / static_cast<double>(epochs);
   out.sim_ms = result.sim_time_ns / 1e6;
   out.races = result.races.size();
-  out.intern_hits = result.intern.hits;
   out.signature.reserve(result.races.size());
   for (const RaceReport& race : result.races) {
     char sig[128];
@@ -144,14 +141,12 @@ bool WriteScalingJson(const std::string& path, const std::vector<SizeRow>& rows)
                   "   \"flat_detect_ns_per_epoch\": %.1f, \"tree_detect_ns_per_epoch\": %.1f,\n"
                   "   \"batch_detect_ns_per_epoch\": %.1f,\n"
                   "   \"flat_wire_bytes_per_epoch\": %.1f, \"tree_wire_bytes_per_epoch\": %.1f,\n"
-                  "   \"batch_wire_bytes_per_epoch\": %.1f, \"intern_hits\": %llu}%s\n",
+                  "   \"batch_wire_bytes_per_epoch\": %.1f}%s\n",
                   r.nodes, static_cast<unsigned long long>(r.flat.races),
                   r.reports_match ? "true" : "false", r.flat.detect_ns_per_epoch,
                   r.tree.detect_ns_per_epoch, r.batch.detect_ns_per_epoch,
                   r.flat.wire_bytes_per_epoch, r.tree.wire_bytes_per_epoch,
-                  r.batch.wire_bytes_per_epoch,
-                  static_cast<unsigned long long>(r.batch.intern_hits),
-                  i + 1 < rows.size() ? "," : "");
+                  r.batch.wire_bytes_per_epoch, i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
   out << "]\n";
@@ -218,13 +213,13 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  TablePrinter table({"Nodes", "Mode", "Detect ms/ep", "Wire MB/ep", "Sim ms", "Intern hits"});
+  TablePrinter table({"Nodes", "Mode", "Detect ms/ep", "Wire MB/ep", "Sim ms"});
   for (const SizeRow& row : rows) {
     for (const ModeResult* m : {&row.flat, &row.tree, &row.batch}) {
       table.AddRow({std::to_string(row.nodes), m->mode,
                     TablePrinter::Fixed(m->detect_ns_per_epoch / 1e6, 3),
                     TablePrinter::Fixed(m->wire_bytes_per_epoch / 1e6, 3),
-                    TablePrinter::Fixed(m->sim_ms, 1), std::to_string(m->intern_hits)});
+                    TablePrinter::Fixed(m->sim_ms, 1)});
     }
   }
   std::printf("\n");

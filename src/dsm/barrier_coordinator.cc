@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -115,7 +114,6 @@ void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
   mh_.bitmap_bytes_raw = metrics->counter("net.bitmap.bytes_raw");
   mh_.bitmap_bytes_wire = metrics->counter("net.bitmap.bytes_wire");
   mh_.bitmap_bytes_saved = metrics->counter("net.bitmap.bytes_saved");
-  mh_.overlap_saved_ns = metrics->counter("race.overlap.saved_ns");
   mh_.remote_pairs = metrics->counter("race.remote.pairs_compared");
   mh_.remote_reports = metrics->counter("race.remote.reports");
   mh_.tree_up_bytes = metrics->counter("net.barrier.tree.up_bytes");
@@ -124,9 +122,6 @@ void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
   mh_.tree_height = metrics->counter("net.barrier.tree.height");
   mh_.batch_rounds = metrics->counter("race.batch.rounds");
   mh_.batch_epochs = metrics->counter("race.batch.batched_epochs");
-  mh_.intern_hits = metrics->counter("race.intern.hits");
-  mh_.intern_misses = metrics->counter("race.intern.misses");
-  mh_.intern_invalidations = metrics->counter("race.intern.invalidations");
   have_metrics_ = true;
 }
 
@@ -251,14 +246,6 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
   }
 }
 
-int BarrierCoordinator::DetectShardCount() const {
-  if (node_.opts_.detect_shards > 0) {
-    return node_.opts_.detect_shards;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw == 0 ? 4 : static_cast<int>(hw), 1, 8);
-}
-
 void BarrierCoordinator::PublishReports(std::vector<RaceReport> reports) {
   for (RaceReport& report : reports) {
     report.addr = static_cast<GlobalAddr>(report.page) * node_.opts_.page_size +
@@ -285,18 +272,18 @@ void BarrierCoordinator::RunRaceDetection(std::unique_lock<std::mutex>& lk, Epoc
   // Master sim time spent in the check, whatever exit path is taken — the
   // quantity the pipeline ablation compares across modes.
   DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
-  const bool overlapped = opts.detection_pipeline != DetectionPipeline::kSerial;
-  const int shards_wanted = overlapped ? DetectShardCount() : 1;
+  // The distributed master's build is modeled as detect_shards parallel
+  // shards; the serial master is the paper's single scan.
+  const int shards_wanted =
+      opts.detection_pipeline == DetectionPipeline::kDistributed ? opts.detect_shards : 1;
   std::vector<DetectorStats> per_shard;
   const std::vector<CheckPair>* pairs = nullptr;
   {
-    obs::Span overlap_span(node_.tracer_, node_.id_,
-                           overlapped ? "detector.shard" : "detector.overlap", "race", timing,
-                           epoch);
+    obs::Span overlap_span(node_.tracer_, node_.id_, "detector.overlap", "race", timing, epoch);
     pairs = &detector.BuildCheckListSharded(epoch_intervals, shards_wanted, &per_shard);
     // The parallel critical path: the most loaded shard, plus a fork/join
-    // cost per worker actually spawned. One shard degenerates to the serial
-    // charge (sum of every comparison, no fork cost).
+    // cost per modeled shard. One shard degenerates to the serial charge
+    // (sum of every comparison, no fork cost).
     double worst_shard_ns = 0;
     for (const DetectorStats& s : per_shard) {
       worst_shard_ns =
@@ -411,7 +398,6 @@ void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, E
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
-  const bool overlapped = opts.detection_pipeline != DetectionPipeline::kSerial;
 
   obs::Span bitmaps_span(node_.tracer_, node_.id_, "detector.bitmaps", "race", timing, msg_epoch);
 
@@ -443,22 +429,14 @@ void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, E
     request.entries = std::move(entries);
     node_.Send(node, std::move(request));
   }
-  double round_ns = 0;
   if (bitmap_replies_pending_ > 0) {
-    if (!overlapped) {
-      timing.Charge(Bucket::kBitmaps, 2 * opts.costs.msg_latency_ns);
-    }
+    timing.Charge(Bucket::kBitmaps, 2 * opts.costs.msg_latency_ns);
     // Detection rounds only involve nodes that arrived at this barrier, so a
     // peer death here is unexpected — the abort predicate is defensive.
     node_.cv_.wait(lk, [this] { return bitmap_replies_pending_ == 0 || node_.aborted_; });
     node_.ThrowIfAbortedLocked();
-    if (!overlapped) {
-      timing.Charge(Bucket::kBitmaps,
-                    opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_));
-    } else {
-      round_ns = 2 * opts.costs.msg_latency_ns +
-                 opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_);
-    }
+    timing.Charge(Bucket::kBitmaps,
+                  opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_));
   }
 
   const uint64_t compared_before = detector.stats().bitmap_pairs_compared;
@@ -475,22 +453,8 @@ void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, E
   }
   const uint64_t compared = detector.stats().bitmap_pairs_compared - compared_before;
   const double chunks = static_cast<double>((opts.page_size / kWordSize + 63) / 64);
-  const double compare_ns = opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(compared);
-  if (!overlapped) {
-    timing.Charge(Bucket::kBitmaps, compare_ns);
-  } else {
-    // §6.2's overlap idea: the master compares pairs whose bitmaps are
-    // already local while the retrieval round is still in flight. Perfect
-    // overlap — the epoch pays the longer of the two legs, not their sum.
-    timing.Charge(Bucket::kBitmaps, std::max(round_ns, compare_ns));
-    const double saved_ns = std::min(round_ns, compare_ns);
-    pipeline_stats_.overlap_saved_ns += saved_ns;
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_) {
-        mh_.overlap_saved_ns->Add(static_cast<uint64_t>(saved_ns));
-      }
-    }
-  }
+  timing.Charge(Bucket::kBitmaps,
+                opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(compared));
   pipeline_stats_.bitmap_bytes_wire += bitmap_round_bytes_;
   pipeline_stats_.bitmap_bytes_raw += bitmap_round_raw_bytes_;
 
@@ -811,9 +775,11 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
   // them (no pair is claimed twice, none is missed).
   DetectorStats claim_stats;
   std::vector<CheckPair> claimed;
+  size_t epoch_record_count = 0;
   if (detecting) {
     const double claim_start_ns = timing.now_ns();
     const std::vector<IntervalRecord> epoch_records = CurrentEpochRecords(epoch);
+    epoch_record_count = epoch_records.size();
     uint64_t index_entries = 0;
     obs::Span span(node_.tracer_, node_.id_, "detector.tree.claim", "race", timing, epoch);
     RaceDetector::BuildClaimedPairs(
@@ -842,7 +808,6 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     if (detecting) {
       {
         DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
-        node_.system_->detector().AccumulateBuild(claim_stats);
         // Rehydrate the subtree fragments from the merged log (every record
         // reaches the root) and interleave the root's own claims; (a.id, b.id)
         // order is exactly the flat serial scan's emission order, so the
@@ -860,6 +825,16 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
         std::sort(pairs.begin(), pairs.end(), [](const CheckPair& x, const CheckPair& y) {
           return x.a.id == y.a.id ? x.b.id < y.b.id : x.a.id < y.a.id;
         });
+        // Claims see pairs, not the whole epoch: the interval counters come
+        // from the merged list, exactly as the flat build computes them.
+        std::set<IntervalId> in_overlap;
+        for (const CheckPair& pair : pairs) {
+          in_overlap.insert(pair.a.id);
+          in_overlap.insert(pair.b.id);
+        }
+        claim_stats.intervals_total = epoch_record_count;
+        claim_stats.intervals_in_overlap = in_overlap.size();
+        node_.system_->detector().AccumulateBuild(claim_stats);
         if constexpr (obs::kObsCompiledIn) {
           if (have_metrics_) {
             mh_.check_pairs->Add(pairs.size());
@@ -1025,71 +1000,6 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   node_.cv_.notify_all();
 }
 
-EncodedBitmap BarrierCoordinator::EncodeMaybeInterned(NodeId dest, PageId page, bool is_write,
-                                                      const Bitmap& bitmap) {
-  if (!node_.opts_.intern_bitmaps) {
-    return BitmapCodec::Encode(bitmap, node_.opts_.compress_bitmaps);
-  }
-  const InternKey key{dest, page, is_write};
-  auto it = intern_out_.find(key);
-  if (it != intern_out_.end() && it->second.content == bitmap) {
-    // The destination's mirror already holds identical content: send the
-    // 'same as epoch E' token instead of the payload.
-    ++intern_stats_.hits;
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_) {
-        mh_.intern_hits->Add(1);
-      }
-    }
-    EncodedBitmap token;
-    token.encoding = BitmapEncoding::kInterned;
-    token.num_bits = bitmap.size();
-    token.generation = it->second.generation;
-    return token;
-  }
-  if (it == intern_out_.end()) {
-    ++intern_stats_.misses;
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_) {
-        mh_.intern_misses->Add(1);
-      }
-    }
-    it = intern_out_.emplace(key, InternSlot{}).first;
-  } else {
-    // The page was redirtied with a different pattern since the cached
-    // shipment: the stale slot is replaced and its generation bumped.
-    ++intern_stats_.invalidations;
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_) {
-        mh_.intern_invalidations->Add(1);
-      }
-    }
-  }
-  it->second.content = bitmap;
-  ++it->second.generation;
-  EncodedBitmap full = BitmapCodec::Encode(bitmap, node_.opts_.compress_bitmaps);
-  full.generation = it->second.generation;
-  return full;
-}
-
-Bitmap BarrierCoordinator::DecodeMaybeInterned(NodeId src, PageId page, bool is_write,
-                                               const EncodedBitmap& encoded) {
-  if (encoded.encoding == BitmapEncoding::kInterned) {
-    auto it = intern_in_.find(InternKey{src, page, is_write});
-    CVM_CHECK(it != intern_in_.end()) << "interned bitmap with no cached predecessor";
-    CVM_CHECK_EQ(it->second.generation, encoded.generation)
-        << "interning caches out of step (reordered shipment?)";
-    return it->second.content;
-  }
-  Bitmap bitmap = BitmapCodec::Decode(encoded);
-  if (node_.opts_.intern_bitmaps) {
-    InternSlot& slot = intern_in_[InternKey{src, page, is_write}];
-    slot.content = bitmap;
-    slot.generation = encoded.generation;
-  }
-  return bitmap;
-}
-
 void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
   const auto& arrive = std::get<BarrierArriveMsg>(msg.payload);
   std::lock_guard<std::mutex> guard(node_.mu_);
@@ -1127,10 +1037,10 @@ void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
     if (bitmaps == nullptr) {
       continue;
     }
-    entries.push_back(
-        BitmapReplyEntry{entry.interval, entry.page,
-                         EncodeMaybeInterned(msg.from, entry.page, false, bitmaps->read),
-                         EncodeMaybeInterned(msg.from, entry.page, true, bitmaps->write)});
+    const bool compress = node_.opts_.compress_bitmaps;
+    entries.push_back(BitmapReplyEntry{entry.interval, entry.page,
+                                       BitmapCodec::Encode(bitmaps->read, compress),
+                                       BitmapCodec::Encode(bitmaps->write, compress)});
   }
   BitmapReplyMsg reply;
   reply.epoch = request.epoch;
@@ -1148,8 +1058,7 @@ void BarrierCoordinator::OnBitmapReply(const Message& msg) {
     raw_entry_bytes += ReplyEntryRawBytes(entry);
     collected_bitmaps_.emplace(
         std::make_pair(entry.interval, entry.page),
-        PageAccessBitmaps{DecodeMaybeInterned(msg.from, entry.page, false, entry.read),
-                          DecodeMaybeInterned(msg.from, entry.page, true, entry.write)});
+        PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});
   }
   bitmap_round_bytes_ += msg.wire_bytes;
   bitmap_round_raw_bytes_ += msg.wire_bytes + (raw_entry_bytes - wire_entry_bytes);
@@ -1187,10 +1096,10 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
     if (bitmaps == nullptr) {
       continue;
     }
-    entries.push_back(
-        BitmapReplyEntry{ship.interval, ship.page,
-                         EncodeMaybeInterned(ship.dest, ship.page, false, bitmaps->read),
-                         EncodeMaybeInterned(ship.dest, ship.page, true, bitmaps->write)});
+    const bool compress = node_.opts_.compress_bitmaps;
+    entries.push_back(BitmapReplyEntry{ship.interval, ship.page,
+                                       BitmapCodec::Encode(bitmaps->read, compress),
+                                       BitmapCodec::Encode(bitmaps->write, compress)});
   }
   for (auto& [dest, entries] : by_dest) {
     for (const BitmapReplyEntry& entry : entries) {
@@ -1220,8 +1129,7 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
       master_ship_bytes_raw_ += ReplyEntryRawBytes(entry);
       collected_bitmaps_.emplace(
           std::make_pair(entry.interval, entry.page),
-          PageAccessBitmaps{DecodeMaybeInterned(msg.from, entry.page, false, entry.read),
-                            DecodeMaybeInterned(msg.from, entry.page, true, entry.write)});
+          PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});
     }
     master_ship_target_ns_ =
         std::max(master_ship_target_ns_, static_cast<double>(ship.send_time_ns) +
@@ -1242,8 +1150,7 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   for (const BitmapReplyEntry& entry : *ship.entries) {
     state.shipped.emplace(
         std::make_pair(entry.interval, entry.page),
-        PageAccessBitmaps{DecodeMaybeInterned(msg.from, entry.page, false, entry.read),
-                          DecodeMaybeInterned(msg.from, entry.page, true, entry.write)});
+        PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});
   }
   ++state.ships_received;
   TryFinishRemoteCompare(ship.epoch);

@@ -1,10 +1,9 @@
 // Barrier engine, extracted from the node monolith: barrier arrival/release
 // bookkeeping (master = node 0 collects arrivals, merges interval logs,
 // releases workers) and the orchestration of the barrier-time race-detection
-// pipeline in all three modes — serial, sharded check-list build with the
-// §6.2 bitmap-round/compare overlap, and the fully distributed compare
-// (CompareRequest / BitmapShip / CompareReply). One BarrierCoordinator per
-// node; master-side state is only exercised on node 0.
+// pipeline in both modes — the paper's serial check on the master, and the
+// distributed compare (CompareRequest / BitmapShip / CompareReply). One
+// BarrierCoordinator per node; master-side state is only exercised on node 0.
 #ifndef CVM_DSM_BARRIER_COORDINATOR_H_
 #define CVM_DSM_BARRIER_COORDINATOR_H_
 
@@ -12,7 +11,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,30 +28,19 @@ namespace cvm {
 class Node;
 
 // Detection-pipeline accounting for one run, collected on the barrier master
-// (node 0): how the check was sharded/distributed and what the compressed
+// (node 0): how the check was modeled/distributed and what the compressed
 // bitmap wire format saved. The ablation bench reports these side by side
-// for serial vs sharded vs distributed.
+// for serial vs distributed.
 struct PipelineStats {
-  uint64_t shards_used = 0;            // Workers used by the check-list build.
+  uint64_t shards_used = 0;            // Modeled shards of the check-list build.
   uint64_t detect_epochs = 0;          // Epochs with a non-empty check list.
   double detect_ns = 0;                // Master sim time inside the barrier check.
   uint64_t bitmap_bytes_raw = 0;       // Bitmap-round payloads at legacy raw size.
   uint64_t bitmap_bytes_wire = 0;      // Actual (possibly compressed) bytes.
-  double overlap_saved_ns = 0;         // Sim ns saved by overlapping round+compare.
   uint64_t remote_pairs_compared = 0;  // Bitmap pairs compared off-master.
   uint64_t remote_reports = 0;         // Race reports shipped back by peers.
   uint64_t batch_rounds = 0;           // Detection flushes run (detect_batch > 1).
   uint64_t batched_epochs = 0;         // Epochs whose check lists rode a flush.
-};
-
-// Hit/miss accounting for the bitmap-interning cache (--intern-bitmaps): a
-// hit replaces a full bitmap shipment with a 'same as before' token; an
-// invalidation is a re-shipment because the page's bitmap changed since the
-// cached epoch (page redirtied differently).
-struct InternStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t invalidations = 0;
 };
 
 class BarrierCoordinator {
@@ -78,10 +65,6 @@ class BarrierCoordinator {
 
   // Meaningful on node 0 only (the barrier master runs the pipeline).
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
-
-  // This node's sender-side interning accounting (zeros unless
-  // --intern-bitmaps; every node that ships bitmaps contributes).
-  const InternStats& intern_stats() const { return intern_stats_; }
 
   // Master-side health check (node mutex held): heartbeat-probes every node
   // that has not arrived for `epoch`. A live node acks and is left alone; a
@@ -125,23 +108,12 @@ class BarrierCoordinator {
     const std::vector<CheckPair>* pairs = nullptr;
     const std::vector<std::pair<IntervalId, PageId>>* needed = nullptr;
   };
-  // Serial/sharded step-5 tail shared by the immediate and batched paths:
-  // one combined bitmap-retrieval round over every listed epoch's needs,
-  // then the per-epoch word compares, oldest epoch first. `msg_epoch` rides
-  // the request messages (= the constituents' current barrier epoch).
+  // Serial step-5 tail shared by the immediate and batched paths: one
+  // combined bitmap-retrieval round over every listed epoch's needs, then
+  // the per-epoch word compares, oldest epoch first. `msg_epoch` rides the
+  // request messages (= the constituents' current barrier epoch).
   void CompareEpochsSerial(std::unique_lock<std::mutex>& lk, EpochId msg_epoch,
                            const std::vector<EpochCheckView>& work);
-
-  // ---- Bitmap interning (--intern-bitmaps) ----
-  // Encodes one side of a reply/ship entry through the per-destination
-  // cache: returns a kInterned token when `dest` already holds identical
-  // content, a full (cache-updating) encoding otherwise.
-  EncodedBitmap EncodeMaybeInterned(NodeId dest, PageId page, bool is_write,
-                                    const Bitmap& bitmap);
-  // Inverse: resolves kInterned tokens against the mirror of what `src`
-  // last sent us and keeps the mirror current on full shipments.
-  Bitmap DecodeMaybeInterned(NodeId src, PageId page, bool is_write,
-                             const EncodedBitmap& encoded);
 
   // kDistributed step 5: partition the check pairs over their member nodes,
   // orchestrate the ship/compare/reply round, merge remote reports back into
@@ -154,10 +126,8 @@ class BarrierCoordinator {
                                                 const std::vector<CheckPair>& pairs,
                                                 size_t checklist_entries);
   // Emits reports (addr/symbol resolution + trace) and hands them to the
-  // system. Shared tail of all three pipeline modes.
+  // system. Shared tail of both pipeline modes.
   void PublishReports(std::vector<RaceReport> reports);
-  // Worker count for the sharded check-list build (>= 1).
-  int DetectShardCount() const;
   // Constituent side of the distributed compare: runs once this node has the
   // master's CompareRequest AND all expected inbound ships for `epoch`.
   void TryFinishRemoteCompare(EpochId epoch);
@@ -211,20 +181,6 @@ class BarrierCoordinator {
   // interior nodes build concurrently, so the shared detector's arenas are
   // off limits here.
   OverlapScratch tree_scratch_;
-
-  // ---- Interning caches ----
-  // Sender side: what each destination currently holds for (page, is_write),
-  // with a generation stamp bumped on every content change. Receiver side:
-  // the mirror of what each source last sent. Both sides process entries in
-  // message order, so the caches stay in lock-step.
-  struct InternSlot {
-    Bitmap content;
-    uint32_t generation = 0;
-  };
-  using InternKey = std::tuple<NodeId, PageId, bool>;
-  std::map<InternKey, InternSlot> intern_out_;
-  std::map<InternKey, InternSlot> intern_in_;
-  InternStats intern_stats_;
 
   // Barrier master state.
   struct ArrivalInfo {
@@ -284,7 +240,6 @@ class BarrierCoordinator {
     obs::Counter* bitmap_bytes_raw = nullptr;
     obs::Counter* bitmap_bytes_wire = nullptr;
     obs::Counter* bitmap_bytes_saved = nullptr;
-    obs::Counter* overlap_saved_ns = nullptr;
     obs::Counter* remote_pairs = nullptr;
     obs::Counter* remote_reports = nullptr;
     obs::Counter* tree_up_bytes = nullptr;
@@ -293,9 +248,6 @@ class BarrierCoordinator {
     obs::Counter* tree_height = nullptr;
     obs::Counter* batch_rounds = nullptr;
     obs::Counter* batch_epochs = nullptr;
-    obs::Counter* intern_hits = nullptr;
-    obs::Counter* intern_misses = nullptr;
-    obs::Counter* intern_invalidations = nullptr;
   };
   MetricHandles mh_;
   bool have_metrics_ = false;

@@ -11,6 +11,7 @@ namespace cvm {
 DsmSystem::DsmSystem(DsmOptions options) : options_(std::move(options)) {
   CVM_CHECK_GT(options_.num_nodes, 0);
   CVM_CHECK_GT(options_.num_locks, 0);
+  CVM_CHECK_GE(options_.detect_shards, 1);
   // The access shim splits addresses into page and word with a shift and a
   // mask.
   CVM_CHECK(std::has_single_bit(options_.page_size))
@@ -247,10 +248,6 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
   for (const auto& node : nodes_) {
     result.access.Accumulate(node->access_counters());
     result.dispatch_unhandled += node->dispatcher().unhandled();
-    const InternStats& intern = node->barrier_coordinator().intern_stats();
-    result.intern.hits += intern.hits;
-    result.intern.misses += intern.misses;
-    result.intern.invalidations += intern.invalidations;
     result.intervals_total += node->intervals_created();
     result.page_faults += node->page_faults();
     result.bitmap_pairs_recorded += node->bitmap_pairs_recorded();

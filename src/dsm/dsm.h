@@ -54,13 +54,10 @@ struct RunResult {
   NetworkStats net;
   fault::FaultStats fault;  // All-zero unless a fault plan was enabled.
   DetectorStats detector;
-  // How the detection pipeline ran (sharding, bitmap-wire compression,
+  // How the detection pipeline ran (modeled shards, bitmap-wire compression,
   // distributed compares) — all-zero under the serial default with raw
   // encoding, except detect_epochs/shards_used.
   PipelineStats pipeline;
-  // Bitmap interning cache outcome, summed over all nodes' send-side caches
-  // (all-zero unless --intern-bitmaps).
-  InternStats intern;
   AccessCounters access;
   // Messages that arrived with no registered dispatch handler, summed over
   // all nodes. Nonzero means a protocol wiring bug; the service's tenant

@@ -18,7 +18,7 @@
 //   LockManager (src/dsm/)             — token locks, manager forwarding,
 //     grant-time interval shipping, record/replay ordering.
 //   BarrierCoordinator (src/dsm/)      — barrier arrival/release plus the
-//     serial/sharded/distributed race-detection pipeline.
+//     serial/distributed race-detection pipeline.
 //
 // All node state is guarded by mu_; blocking operations park the app thread
 // on cv_ while the service thread fills the corresponding reply slot.

@@ -24,13 +24,10 @@ enum class DetectionPipeline : uint8_t {
   // The paper's prototype: the whole check runs serially on the barrier
   // master, with one blocking full-bitmap retrieval round.
   kSerial,
-  // The check-list pair loop is sharded across a worker pool (deterministic
-  // merge; reports byte-identical to serial) and the master's bitmap
-  // comparisons overlap the retrieval round instead of waiting for it.
-  kSharded,
-  // Additionally distributes step 5: each check pair is assigned to one of
-  // its member nodes, which compares the bitmaps it already owns locally and
-  // ships back only race reports; cross-node bitmaps travel compressed.
+  // Distributes step 5: each check pair is assigned to one of its member
+  // nodes, which compares the bitmaps it already owns locally and ships back
+  // only race reports. On the flat barrier the master's check-list build is
+  // charged as `detect_shards` parallel shards.
   kDistributed,
 };
 
@@ -58,12 +55,13 @@ struct DsmOptions {
   bool postmortem_trace = false;
   WriteDetection write_detection = WriteDetection::kInstrumentation;
   OverlapMethod overlap_method = OverlapMethod::kPageLists;
-  // Barrier-time check execution: serial master (the paper's prototype),
-  // sharded+overlapped master, or distributed across constituent nodes.
+  // Barrier-time check execution: serial master (the paper's prototype) or
+  // distributed across constituent nodes.
   DetectionPipeline detection_pipeline = DetectionPipeline::kSerial;
-  // Worker count for the sharded check-list build (kSharded/kDistributed).
-  // 0 = derive from std::thread::hardware_concurrency(), clamped to [1, 8].
-  int detect_shards = 0;
+  // Modeled shard count of the flat distributed master's check-list build
+  // (>= 1). The rows run on the calling thread; only the simulated charge
+  // treats them as parallel. The tree barrier ignores it.
+  int detect_shards = 4;
   // Hierarchical barrier: arrivals combine up a k-ary tree (heap numbering,
   // node 0 at the root) instead of every worker sending straight to the
   // master, and releases flow back down the same tree. Interior nodes merge
@@ -82,12 +80,6 @@ struct DsmOptions {
   // paper's check-every-barrier behavior. Reports are identical to batch=1
   // and still emitted in epoch order.
   int detect_batch = 1;
-  // Generation-stamped bitmap interning: senders remember the last bitmap
-  // content shipped per (destination, page, read/write) and replace repeat
-  // shipments with a 'same-as-before' token the receiver resolves from its
-  // mirror cache. Saves wire bytes when steady-state epochs redirty the
-  // same words; invalidated the moment the content changes.
-  bool intern_bitmaps = false;
   // Encode bitmap-round payloads with the sparse/run-length codec instead of
   // shipping raw page bitmaps. Off by default so the serial baseline keeps
   // the paper's byte accounting.

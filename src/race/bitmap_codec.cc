@@ -17,8 +17,6 @@ const char* BitmapEncodingName(BitmapEncoding encoding) {
       return "sparse";
     case BitmapEncoding::kRuns:
       return "runs";
-    case BitmapEncoding::kInterned:
-      return "interned";
   }
   return "?";
 }
@@ -104,10 +102,8 @@ Bitmap BitmapCodec::Decode(const EncodedBitmap& encoded) {
       }
       return bitmap;
     }
-    case BitmapEncoding::kInterned:
-      break;  // Only the interning cache layer can resolve these.
   }
-  CVM_CHECK(false) << "bitmap encoding not decodable without cache context";
+  CVM_CHECK(false) << "unknown bitmap encoding";
   return Bitmap();
 }
 

@@ -28,12 +28,6 @@ enum class BitmapEncoding : uint8_t {
   kEmpty = 1,
   kSparse = 2,
   kRuns = 3,
-  // 'Same content as the previous shipment': a generation token instead of
-  // payload bytes. Produced by the interning cache layer (the barrier
-  // coordinator's generation-stamped per-destination cache), never by
-  // BitmapCodec::Encode itself, and resolved against the receiver's mirror
-  // cache — BitmapCodec::Decode cannot reconstruct it alone.
-  kInterned = 4,
 };
 
 const char* BitmapEncodingName(BitmapEncoding encoding);
@@ -46,14 +40,10 @@ struct EncodedBitmap {
   uint32_t num_bits = 0;
   std::vector<uint64_t> raw;      // kRaw payload.
   std::vector<uint16_t> values;   // kSparse: indices; kRuns: (start, len) pairs.
-  uint32_t generation = 0;        // kInterned: the sender cache's generation stamp.
 
   static constexpr size_t kHeaderBytes = 1 + sizeof(uint32_t);
 
   size_t WireBytes() const {
-    if (encoding == BitmapEncoding::kInterned) {
-      return kHeaderBytes + sizeof(uint32_t);  // Tag + num_bits + generation.
-    }
     return kHeaderBytes + raw.size() * sizeof(uint64_t) + values.size() * sizeof(uint16_t);
   }
 

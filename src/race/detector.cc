@@ -1,7 +1,6 @@
 #include "src/race/detector.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "src/common/bitmap.h"
@@ -46,7 +45,7 @@ void CollectConflictPages(const std::vector<PageId>& writes, const std::vector<P
 }
 
 // True (and fills scratch->overlap) if the two intervals share any page with
-// at least one writer. Free of detector state so check-list shards can probe
+// at least one writer. Free of detector state so combine-tree nodes can probe
 // concurrently, each into its own DetectorStats and OverlapScratch.
 bool PagesOverlap(OverlapMethod method, int num_pages, const IntervalRecord& a,
                   const IntervalRecord& b, OverlapScratch* scratch, DetectorStats* stats) {
@@ -89,38 +88,6 @@ bool PagesOverlap(OverlapMethod method, int num_pages, const IntervalRecord& a,
   return !overlap->empty();
 }
 
-// The inner pair loop for the rows of the triangle assigned to one shard:
-// row i is compared against every j > i. Emits row i's pairs into rows[i]
-// (in ascending-j order, as the serial loop would emit them), overwriting
-// pooled slots from earlier epochs in place where possible.
-void BuildRowsForShard(const std::vector<IntervalRecord>& intervals, OverlapMethod method,
-                       int num_pages, int shard, int num_shards,
-                       std::vector<std::vector<CheckPair>>* rows, std::vector<size_t>* row_used,
-                       OverlapScratch* scratch, DetectorStats* stats) {
-  for (size_t i = static_cast<size_t>(shard); i < intervals.size();
-       i += static_cast<size_t>(num_shards)) {
-    for (size_t j = i + 1; j < intervals.size(); ++j) {
-      const IntervalRecord& a = intervals[i];
-      const IntervalRecord& b = intervals[j];
-      if (a.id.node == b.id.node) {
-        continue;  // Program order; never concurrent.
-      }
-      ++stats->interval_comparisons;
-      if (!IntervalsConcurrent(a.id, a.vc, b.id, b.vc)) {
-        continue;
-      }
-      ++stats->concurrent_pairs;
-      if (!PagesOverlap(method, num_pages, a, b, scratch, stats)) {
-        continue;
-      }
-      ++stats->overlapping_pairs;
-      // Copy (not move) the overlap so the scratch keeps its capacity for
-      // the next pair; the CheckPair needs its own storage regardless.
-      EmitCheckPair(a, b, scratch->overlap, &(*rows)[i], &(*row_used)[i]);
-    }
-  }
-}
-
 }  // namespace
 
 const std::vector<CheckPair>& RaceDetector::BuildCheckList(
@@ -132,56 +99,49 @@ const std::vector<CheckPair>& RaceDetector::BuildCheckListSharded(
     const std::vector<IntervalRecord>& epoch_intervals, int num_shards,
     std::vector<DetectorStats>* per_shard) {
   num_shards = std::max(1, num_shards);
-  // More shards than rows would leave workers idle; cap to the row count.
+  // More shards than rows would leave shards idle; cap to the row count.
   if (static_cast<size_t>(num_shards) > epoch_intervals.size()) {
     num_shards = std::max<int>(1, static_cast<int>(epoch_intervals.size()));
   }
-  // The staging rows persist across epochs: grow to the interval count but
-  // never shrink, and reset only the used counters, so retired CheckPair
-  // slots (and their page vectors) are overwritten in place next epoch.
-  if (rows_.size() < epoch_intervals.size()) {
-    rows_.resize(epoch_intervals.size());
-    row_used_.resize(epoch_intervals.size());
-  }
-  std::fill(row_used_.begin(), row_used_.end(), size_t{0});
   std::vector<DetectorStats> shard_stats(static_cast<size_t>(num_shards));
   if (shard_scratch_.size() < static_cast<size_t>(num_shards)) {
     shard_scratch_.resize(static_cast<size_t>(num_shards));
   }
 
-  if (num_shards == 1) {
-    BuildRowsForShard(epoch_intervals, method_, num_pages_, 0, 1, &rows_, &row_used_,
-                      &shard_scratch_[0], &shard_stats[0]);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_shards));
-    for (int shard = 0; shard < num_shards; ++shard) {
-      workers.emplace_back([this, &epoch_intervals, shard, num_shards, &shard_stats] {
-        BuildRowsForShard(epoch_intervals, method_, num_pages_, shard, num_shards, &rows_,
-                          &row_used_, &shard_scratch_[static_cast<size_t>(shard)],
-                          &shard_stats[static_cast<size_t>(shard)]);
-      });
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-  }
-
-  // Deterministic merge: row order = outer-loop order of the serial scan, so
-  // the sharded check list is byte-identical to BuildCheckList's. The merged
-  // list is the pooled checklist_ arena, overwritten in place.
-  size_t merged = 0;
+  // Row i of the pair triangle (interval i against every j > i) belongs to
+  // shard i % num_shards. Rows run in order on this thread, so the list is
+  // the serial scan's; it lands in the pooled checklist_ arena, overwriting
+  // retired slots (and their page vectors) in place.
+  size_t used = 0;
   std::set<IntervalId> in_overlap;
   for (size_t i = 0; i < epoch_intervals.size(); ++i) {
-    for (size_t k = 0; k < row_used_[i]; ++k) {
-      const CheckPair& pair = rows_[i][k];
-      in_overlap.insert(pair.a.id);
-      in_overlap.insert(pair.b.id);
-      EmitCheckPair(pair.a, pair.b, pair.pages, &checklist_, &merged);
+    const size_t shard = i % static_cast<size_t>(num_shards);
+    OverlapScratch* scratch = &shard_scratch_[shard];
+    DetectorStats* stats = &shard_stats[shard];
+    const IntervalRecord& a = epoch_intervals[i];
+    for (size_t j = i + 1; j < epoch_intervals.size(); ++j) {
+      const IntervalRecord& b = epoch_intervals[j];
+      if (a.id.node == b.id.node) {
+        continue;  // Program order; never concurrent.
+      }
+      ++stats->interval_comparisons;
+      if (!IntervalsConcurrent(a.id, a.vc, b.id, b.vc)) {
+        continue;
+      }
+      ++stats->concurrent_pairs;
+      if (!PagesOverlap(method_, num_pages_, a, b, scratch, stats)) {
+        continue;
+      }
+      ++stats->overlapping_pairs;
+      in_overlap.insert(a.id);
+      in_overlap.insert(b.id);
+      // Copy (not move) the overlap so the scratch keeps its capacity for
+      // the next pair; the CheckPair needs its own storage regardless.
+      EmitCheckPair(a, b, scratch->overlap, &checklist_, &used);
     }
   }
-  if (checklist_.size() > merged) {
-    checklist_.resize(merged);  // Drop only the tail slots this epoch left unused.
+  if (checklist_.size() > used) {
+    checklist_.resize(used);  // Drop only the tail slots this epoch left unused.
   }
 
   stats_.intervals_total += epoch_intervals.size();

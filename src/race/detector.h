@@ -4,11 +4,11 @@
 // accesses (the check list), then compare word-granularity bitmaps to
 // separate false sharing from true data races.
 //
-// The check-list build (the O(n²) pair loop) can run sharded across a worker
-// pool: rows of the pair triangle are dealt round-robin to shards and the
-// per-row results merged back in row order, so the sharded check list is
-// byte-identical to the serial one (same pairs, same order) — reports stay
-// reproducible no matter how many workers ran.
+// The check-list build (the O(n²) pair loop) can be accounted as shards:
+// rows of the pair triangle are dealt round-robin to shards, each with its
+// own counters, so a caller can charge the parallel critical path. The rows
+// still run in order on the calling thread, so the check list (same pairs,
+// same order) and every report are independent of the shard count.
 #ifndef CVM_RACE_DETECTOR_H_
 #define CVM_RACE_DETECTOR_H_
 
@@ -111,12 +111,13 @@ class RaceDetector {
   const std::vector<CheckPair>& BuildCheckList(
       const std::vector<IntervalRecord>& epoch_intervals);
 
-  // Same result, same order, but the pair loop runs on `num_shards` worker
-  // threads (row i of the triangle goes to shard i % num_shards, which keeps
-  // the triangular work balanced). When `per_shard` is non-null it receives
-  // one DetectorStats per shard, so the caller can charge simulated time for
-  // the *largest* shard (the parallel critical path) rather than the sum.
-  // num_shards <= 1 degenerates to the serial loop on the calling thread.
+  // Same result, same order, with the pair loop's work split over
+  // `num_shards` modeled shards (row i of the triangle goes to shard
+  // i % num_shards, which keeps the triangular work balanced; capped at the
+  // row count). When `per_shard` is non-null it receives one DetectorStats
+  // per shard, so the caller can charge simulated time for the *largest*
+  // shard (the parallel critical path) rather than the sum. Every shard runs
+  // on the calling thread; num_shards <= 1 is the plain serial scan.
   const std::vector<CheckPair>& BuildCheckListSharded(
       const std::vector<IntervalRecord>& epoch_intervals, int num_shards,
       std::vector<DetectorStats>* per_shard = nullptr);
@@ -171,10 +172,10 @@ class RaceDetector {
   }
 
   // Folds build-side counters produced outside this detector into the run
-  // totals. The combine tree's root folds in its own claimed build; interior
-  // nodes' builds run concurrently on other threads and are deliberately not
-  // folded (the detector has no lock), so tree-mode build counters reflect
-  // the root's share only.
+  // totals. The combine tree's root folds in its own claimed build plus the
+  // epoch's interval counts; interior nodes' builds run concurrently on
+  // other threads and are deliberately not folded (the detector has no
+  // lock), so tree-mode comparison counters reflect the root's share only.
   void AccumulateBuild(const DetectorStats& build_stats) { stats_.Accumulate(build_stats); }
 
   const DetectorStats& stats() const { return stats_; }
@@ -186,23 +187,19 @@ class RaceDetector {
   DetectorStats stats_;
   // One dense-probe scratch per shard, kept across epochs so steady-state
   // check-list builds allocate nothing. Grown (never shrunk) on demand;
-  // shard i is the exclusive user of shard_scratch_[i] during a build.
+  // shard i's rows probe through shard_scratch_[i].
   std::vector<OverlapScratch> shard_scratch_;
-  // Persistent check-list arenas: rows_ stages per-row results during the
-  // (possibly sharded) pair loop, checklist_ holds the merged output that
-  // Build* returns by reference. Both grow but never shrink their element
-  // storage — row_used_ tracks the live prefix of each row, so a new epoch
-  // overwrites slots in place (IntervalRecord / page-vector assignment
-  // reuses heap capacity) instead of destroying and reallocating them.
-  std::vector<std::vector<CheckPair>> rows_;
-  std::vector<size_t> row_used_;
+  // Persistent check-list arena that Build* returns by reference. It grows
+  // but never shrinks its element storage, so a new epoch overwrites slots
+  // in place (IntervalRecord / page-vector assignment reuses heap capacity)
+  // instead of destroying and reallocating them.
   std::vector<CheckPair> checklist_;
 };
 
 // Assigns a check pair into a pooled slot: overwrites `row`[*used] in place
 // when a retired slot exists (element assignment reuses the slot's heap
-// storage), appends otherwise. Shared by the serial/sharded row loop and the
-// tree fragment builder so both benefit from the persistent arenas.
+// storage), appends otherwise. Used by the check-list build so it benefits
+// from the persistent arena.
 inline void EmitCheckPair(const IntervalRecord& a, const IntervalRecord& b,
                           const std::vector<PageId>& pages, std::vector<CheckPair>* row,
                           size_t* used) {

@@ -176,11 +176,9 @@ WorkloadOutcome DsmService::Serve(int worker_index, std::unique_ptr<DsmSystem>& 
     options.num_locks = num_locks;
     options.protocol = config_.protocol;
     options.detection_pipeline = config_.pipeline;
-    options.detect_shards = config_.detect_shards;
     options.detect_batch = config_.detect_batch;
     options.barrier_tree = config_.barrier_tree;
     options.barrier_fanout = config_.barrier_fanout;
-    options.intern_bitmaps = config_.intern_bitmaps;
     options.fault_plan = plan;
     system = std::make_unique<DsmSystem>(options);
   }

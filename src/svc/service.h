@@ -43,11 +43,9 @@ struct ServiceConfig {
   DetectionPipeline pipeline = DetectionPipeline::kSerial;
   // Detection/barrier scaling knobs, forwarded verbatim into every fabric's
   // DsmOptions (see src/dsm/options.h for semantics and defaults).
-  int detect_shards = 0;
   int detect_batch = 1;
   bool barrier_tree = false;
   int barrier_fanout = 4;
-  bool intern_bitmaps = false;
   bool warm = true;         // false: fresh DsmSystem per workload (cold baseline).
   SchedPolicy policy = SchedPolicy::kFifo;
   size_t queue_capacity = 64;

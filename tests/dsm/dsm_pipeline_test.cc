@@ -1,8 +1,8 @@
-// End-to-end equivalence of the three detection pipelines (§4 step 5,
-// §6.2): for a deterministic racy workload, the sharded and distributed
-// pipelines must report exactly the races the serial paper pipeline
-// reports — same kinds, same words, same interval pairs — under every
-// consistency protocol, with and without bitmap compression.
+// End-to-end equivalence of the two detection pipelines (§4 step 5, §6.2):
+// for a deterministic racy workload, the distributed pipeline must report
+// exactly the races the serial paper pipeline reports — same kinds, same
+// words, same interval pairs — under every consistency protocol, with and
+// without bitmap compression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,7 +57,6 @@ RunResult RunPipeline(ProtocolKind protocol, DetectionPipeline pipeline, bool co
   DsmOptions options = SmallOptions(4, protocol);
   options.detection_pipeline = pipeline;
   options.compress_bitmaps = compress;
-  options.detect_shards = 3;  // Exercise real sharding regardless of host cores.
   DsmSystem system(options);
   auto data = SharedArray<int32_t>::Alloc(system, "data", 64);
   return system.Run([&](NodeContext& ctx) { RacyApp(ctx, data); });
@@ -65,7 +64,7 @@ RunResult RunPipeline(ProtocolKind protocol, DetectionPipeline pipeline, bool co
 
 class PipelineEquivalenceTest : public ::testing::TestWithParam<ProtocolKind> {};
 
-TEST_P(PipelineEquivalenceTest, ShardedAndDistributedMatchSerial) {
+TEST_P(PipelineEquivalenceTest, DistributedMatchesSerial) {
   const RunResult serial = RunPipeline(GetParam(), DetectionPipeline::kSerial, false);
   // The workload has known true races and cleared false sharing.
   EXPECT_FALSE(serial.races.empty());
@@ -79,21 +78,11 @@ TEST_P(PipelineEquivalenceTest, ShardedAndDistributedMatchSerial) {
   EXPECT_TRUE(has_ww);
   const auto expected = ReportKey(serial);
 
-  struct Variant {
-    DetectionPipeline pipeline;
-    bool compress;
-  };
-  for (const Variant& v : {Variant{DetectionPipeline::kSharded, false},
-                           Variant{DetectionPipeline::kSharded, true},
-                           Variant{DetectionPipeline::kDistributed, false},
-                           Variant{DetectionPipeline::kDistributed, true}}) {
-    const RunResult result = RunPipeline(GetParam(), v.pipeline, v.compress);
-    EXPECT_EQ(ReportKey(result), expected)
-        << "pipeline " << static_cast<int>(v.pipeline) << " compress " << v.compress;
-    if (v.pipeline == DetectionPipeline::kDistributed) {
-      // Constituents actually did compare work on the master's behalf.
-      EXPECT_GT(result.pipeline.remote_pairs_compared, 0u);
-    }
+  for (const bool compress : {false, true}) {
+    const RunResult result = RunPipeline(GetParam(), DetectionPipeline::kDistributed, compress);
+    EXPECT_EQ(ReportKey(result), expected) << "compress " << compress;
+    // Constituents actually did compare work on the master's behalf.
+    EXPECT_GT(result.pipeline.remote_pairs_compared, 0u);
   }
 }
 
@@ -135,7 +124,6 @@ void NeighborReadApp(NodeContext& ctx, int num_nodes, uint64_t page_size) {
 NetworkStats RunNeighborRead(DetectionPipeline pipeline) {
   DsmOptions options = SmallOptions(4, ProtocolKind::kMultiWriterHomeLrc);
   options.detection_pipeline = pipeline;
-  options.detect_shards = 3;
   DsmSystem system(options);
   // One page per node, plus the falsely-shared page.
   (void)system.Alloc("pages", (options.num_nodes + 1) * options.page_size, true);
@@ -148,20 +136,6 @@ NetworkStats RunNeighborRead(DetectionPipeline pipeline) {
                 result.net.messages_by_kind.count("CompareRequest"),
             0u);
   return result.net;
-}
-
-// The refactor-invariance contract, per node: sharding only multi-threads
-// the master-local check-list build, so every message and byte — per kind
-// AND per sender — is identical to the serial pipeline.
-TEST(PipelineWireEquivalenceTest, ShardedMatchesSerialPerSenderAndKind) {
-  const NetworkStats serial = RunNeighborRead(DetectionPipeline::kSerial);
-  const NetworkStats sharded = RunNeighborRead(DetectionPipeline::kSharded);
-  EXPECT_EQ(serial.messages, sharded.messages);
-  EXPECT_EQ(serial.bytes, sharded.bytes);
-  EXPECT_EQ(serial.messages_by_kind, sharded.messages_by_kind);
-  EXPECT_EQ(serial.bytes_by_kind, sharded.bytes_by_kind);
-  EXPECT_EQ(serial.messages_by_sender, sharded.messages_by_sender);
-  EXPECT_EQ(serial.bytes_by_sender, sharded.bytes_by_sender);
 }
 
 // Distributing the compare step changes only the detection round's traffic
@@ -191,7 +165,7 @@ TEST(PipelineWireEquivalenceTest, DistributedChangesOnlyDetectionTraffic) {
 // result republishes.
 TEST(PipelineWireEquivalenceTest, BarrierCoordinatorExposesPipelineStats) {
   DsmOptions options = SmallOptions(4, ProtocolKind::kSingleWriterLrc);
-  options.detection_pipeline = DetectionPipeline::kSharded;
+  options.detection_pipeline = DetectionPipeline::kDistributed;
   options.detect_shards = 3;
   DsmSystem system(options);
   auto data = SharedArray<int32_t>::Alloc(system, "data", 64);
@@ -208,6 +182,18 @@ TEST(PipelineWireEquivalenceTest, BarrierCoordinatorExposesPipelineStats) {
     EXPECT_EQ(system.node(worker).barrier_coordinator().pipeline_stats().detect_epochs,
               0u);
   }
+}
+
+// The modeled shard count is an option, not a property of the host: a
+// default-options flat distributed run always charges four shards.
+TEST(PipelineWireEquivalenceTest, DefaultShardCountIsFourOnAnyHost) {
+  DsmOptions options = SmallOptions(4, ProtocolKind::kSingleWriterLrc);
+  options.detection_pipeline = DetectionPipeline::kDistributed;
+  DsmSystem system(options);
+  auto data = SharedArray<int32_t>::Alloc(system, "data", 64);
+  const RunResult result = system.Run([&](NodeContext& ctx) { RacyApp(ctx, data); });
+  EXPECT_GT(result.pipeline.detect_epochs, 0u);
+  EXPECT_EQ(result.pipeline.shards_used, 4u);
 }
 
 }  // namespace

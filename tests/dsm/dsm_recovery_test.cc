@@ -145,8 +145,7 @@ TEST(DsmRecoveryTest, LockHeavyAppSurvivesACrashWithoutHanging) {
 
 TEST(DsmRecoveryTest, CrashRecoveryWorksUnderEveryDetectionPipeline) {
   for (const DetectionPipeline pipeline :
-       {DetectionPipeline::kSerial, DetectionPipeline::kSharded,
-        DetectionPipeline::kDistributed}) {
+       {DetectionPipeline::kSerial, DetectionPipeline::kDistributed}) {
     const auto plan = fault::FaultPlan::FromProfile(fault::FaultProfile::kCrash, 7);
     const Outcome outcome = RunApp<SorApp>(SmallSor(), plan, 4, pipeline);
     ASSERT_TRUE(outcome.recovery.crashed) << static_cast<int>(pipeline);

@@ -2,11 +2,11 @@
 // barrier (docs/ARCHITECTURE.md "Combine-tree barrier"): for a
 // deterministic barrier-only workload the tree must produce the
 // bit-identical race-report list — same kinds, words, interval pairs and
-// provenance — at every fanout, with and without epoch batching and
-// bitmap interning, under every consistency protocol. The tree changes
-// how check lists are built and where barrier traffic flows; it must not
-// change what the detector reports or how the app-level coherence
-// traffic looks on the wire.
+// provenance — at every fanout, with and without epoch batching and the
+// distributed compressed compare, under every consistency protocol. The
+// tree changes how check lists are built and where barrier traffic flows;
+// it must not change what the detector reports or how the app-level
+// coherence traffic looks on the wire.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,7 +67,9 @@ struct BarrierVariant {
   bool tree = false;
   int fanout = 4;
   int detect_batch = 1;
-  bool intern = false;
+  // Distributed compares over compressed bitmaps; with tree + batch this is
+  // the kept scaling shape (perfbench's lu-tree configuration).
+  bool distributed = false;
 };
 
 RunResult RunHalo(int nodes, ProtocolKind protocol, const BarrierVariant& v,
@@ -76,7 +78,9 @@ RunResult RunHalo(int nodes, ProtocolKind protocol, const BarrierVariant& v,
   options.barrier_tree = v.tree;
   options.barrier_fanout = v.fanout;
   options.detect_batch = v.detect_batch;
-  options.intern_bitmaps = v.intern;
+  options.detection_pipeline =
+      v.distributed ? DetectionPipeline::kDistributed : DetectionPipeline::kSerial;
+  options.compress_bitmaps = v.distributed;
   DsmSystem system(options);
   auto data = SharedArray<int32_t>::Alloc(
       system, "halo", static_cast<size_t>(nodes) * kWordsPerPage);
@@ -98,17 +102,32 @@ TEST_P(TreeBarrierEquivalenceTest, TreeMatchesFlatBitForBit) {
         BarrierVariant{true, 3, 1, false},    // Uneven last level.
         BarrierVariant{true, 8, 1, false},    // Degenerate one-level star.
         BarrierVariant{true, 2, 2, false},    // Epoch batching.
-        BarrierVariant{true, 2, 2, true}}) {  // Batching + interning.
+        BarrierVariant{true, 2, 2, true}}) {  // The kept tree shape.
     const RunResult result = RunHalo(kNodes, GetParam(), v);
     EXPECT_EQ(ReportKey(result), expected)
-        << "fanout " << v.fanout << " batch " << v.detect_batch << " intern "
-        << v.intern;
+        << "fanout " << v.fanout << " batch " << v.detect_batch << " distributed "
+        << v.distributed;
     if (v.detect_batch > 1) {
       // Batching really coalesced epochs into fewer detection rounds.
       EXPECT_GT(result.pipeline.batched_epochs, 0u);
       EXPECT_LT(result.pipeline.batch_rounds, result.pipeline.batched_epochs);
     }
+    if (v.distributed) {
+      // Constituents compared pairs on the root's behalf.
+      EXPECT_GT(result.pipeline.remote_pairs_compared, 0u);
+    }
   }
+}
+
+// The tree root folds the epoch's interval counts into the detector the
+// way the flat build does, so the interval-usage metrics read the same.
+TEST_P(TreeBarrierEquivalenceTest, IntervalCountersMatchFlat) {
+  constexpr int kNodes = 8;
+  const RunResult flat = RunHalo(kNodes, GetParam(), BarrierVariant{});
+  const RunResult tree = RunHalo(kNodes, GetParam(), BarrierVariant{true, 2, 1, false});
+  EXPECT_GT(flat.detector.intervals_in_overlap, 0u);
+  EXPECT_EQ(tree.detector.intervals_total, flat.detector.intervals_total);
+  EXPECT_EQ(tree.detector.intervals_in_overlap, flat.detector.intervals_in_overlap);
 }
 
 // The tree reroutes barrier and check-list traffic only. Pin the per-kind
@@ -153,7 +172,8 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, TreeBarrierEquivalenceTest,
 
 // A deeper tree at a bigger cluster: 64 nodes, fanout 4 gives three interior
 // levels, exercising multi-hop fragment claiming and interest-filtered
-// release propagation. One protocol keeps the runtime modest.
+// release propagation, in the kept tree shape (batched, distributed,
+// compressed). One protocol keeps the runtime modest.
 TEST(TreeBarrierScaleTest, SixtyFourNodesThreeLevels) {
   constexpr int kNodes = 64;
   const RunResult flat =
@@ -162,6 +182,8 @@ TEST(TreeBarrierScaleTest, SixtyFourNodesThreeLevels) {
                                  BarrierVariant{true, 4, 2, true}, 2);
   EXPECT_EQ(flat.races.size(), static_cast<size_t>(kNodes) * 2);
   EXPECT_EQ(ReportKey(tree), ReportKey(flat));
+  EXPECT_GT(tree.pipeline.remote_pairs_compared, 0u);
+  EXPECT_LT(tree.pipeline.batch_rounds, tree.pipeline.batched_epochs);
   // The headline property: aggregation keeps barrier bytes well below the
   // flat all-to-master broadcast at this size.
   EXPECT_LT(tree.net.bytes, flat.net.bytes);

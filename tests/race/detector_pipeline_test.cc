@@ -1,5 +1,5 @@
-// Equivalence properties of the detection pipeline's parallel/overlap
-// machinery: the sharded check-list build must be byte-identical to the
+// Equivalence properties of the detection pipeline's check-list machinery:
+// the shard-accounted check-list build must be byte-identical to the
 // serial scan (same pairs, same order) for any shard count, and the two
 // page-overlap probes (§6.2: page lists vs dense page bitmaps) must agree
 // on randomized epochs.
@@ -68,7 +68,7 @@ TEST(DetectorPipelineTest, ShardedCheckListMatchesSerialExactly) {
             << "trial " << trial << " shards " << shards << " pair " << i;
       }
       // Per-shard stats must sum to the serial totals: every comparison is
-      // done exactly once, just on a different thread.
+      // done exactly once, just accounted to a different shard.
       DetectorStats sum;
       for (const DetectorStats& s : per_shard) {
         sum.Accumulate(s);

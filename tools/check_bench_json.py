@@ -35,7 +35,6 @@ DETECTOR_FIELDS = {
     "detect_ns_per_epoch": (int, float),
     "bitmap_bytes_raw_per_epoch": (int, float),
     "bitmap_bytes_wire_per_epoch": (int, float),
-    "overlap_saved_ns_per_epoch": (int, float),
     "shards": int,
     "remote_pairs_compared": int,
     "remote_reports": int,
@@ -117,10 +116,9 @@ SCALING_FIELDS = {
     "flat_wire_bytes_per_epoch": (int, float),
     "tree_wire_bytes_per_epoch": (int, float),
     "batch_wire_bytes_per_epoch": (int, float),
-    "intern_hits": int,
 }
 
-MODES = {"serial", "sharded", "distributed"}
+MODES = {"serial", "distributed"}
 OBS_MODES = {"off", "trace", "trace+flows"}
 SERVICE_MODES = {"cold", "warm"}
 RECOVERY_MODES = {"clean", "crash_reboot"}
@@ -173,17 +171,14 @@ def check_detector(cells):
         serial = modes["serial"]
         if not serial["reports_exact_match"]:
             return fail(f"app {app}: serial cell must self-match")
-        for mode in ("sharded", "distributed"):
-            cell = modes[mode]
-            # Deterministic apps must reproduce the serial report stream
-            # byte-for-byte; TSP's schedule-dependent search only structurally.
-            required = (
-                cell["reports_structural_match"]
-                if app == "TSP"
-                else cell["reports_exact_match"]
-            )
-            if not required:
-                return fail(f"app {app}/{mode}: reports diverge from serial")
+        cell = modes["distributed"]
+        # Deterministic apps must reproduce the serial report stream
+        # byte-for-byte; TSP's schedule-dependent search only structurally.
+        required = (
+            cell["reports_structural_match"] if app == "TSP" else cell["reports_exact_match"]
+        )
+        if not required:
+            return fail(f"app {app}/distributed: reports diverge from serial")
         if modes["distributed"]["compress"]:
             if (
                 serial["bitmap_bytes_raw_per_epoch"] > 0

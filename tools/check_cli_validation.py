@@ -19,8 +19,6 @@ TIMEOUT_S = 120
 # nonzero. Cases use a tiny app config so even a bug that lets the run start
 # finishes quickly instead of hanging the sweep.
 BAD_RUN_CASES = [
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=0"], "detect-shards"),
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=-2"], "detect-shards"),
     (["--app=sor", "--size=16", "--nodes=0"], "nodes"),
     (["--app=sor", "--size=16", "--nodes=-3"], "nodes"),
     (["--app=sor", "--size=16", "--nodes=2", "--page-size=1000"], "page-size"),
@@ -57,9 +55,12 @@ BAD_RUN_CASES = [
       "--trace-json=/dev/null"], "trace-sample"),
     (["--app=nosuchapp"], "app"),
     (["--app=sor", "--size=16", "--nodes=2", "--frobnicate"], "frobnicate"),
-    # Hierarchical-barrier / batched-detection flags: shard and fanout counts
-    # are bounded by the cluster size; a batch of zero epochs is meaningless.
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=9"], "detect-shards"),
+    # Removed detection modes and knobs are rejected, not silently ignored.
+    (["--app=sor", "--size=16", "--nodes=2", "--intern-bitmaps"], "intern-bitmaps"),
+    (["--app=sor", "--size=16", "--nodes=2", "--pipeline=sharded"], "pipeline"),
+    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=2"], "detect-shards"),
+    # Hierarchical-barrier / batched-detection flags: the fanout is bounded
+    # by the cluster size; a batch of zero epochs is meaningless.
     (["--app=sor", "--size=16", "--nodes=2", "--detect-batch=0"], "detect-batch"),
     (["--app=sor", "--size=16", "--nodes=2", "--detect-batch=-4"], "detect-batch"),
     (["--app=sor", "--size=16", "--nodes=2", "--barrier-tree",
@@ -70,15 +71,15 @@ BAD_RUN_CASES = [
 
 GOOD_RUN_CASES = [
     ["--app=sor", "--size=16", "--nodes=2"],
-    ["--app=sor", "--size=16", "--nodes=2", "--pipeline=sharded", "--detect-shards=2"],
     # A seeded crash run must complete and exit 0 — recovery, not abort.
     ["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash", "--seed=3"],
     ["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash",
      "--fault-crash-node=1", "--fault-crash-epoch=1", "--fault-crash-reboot"],
-    # The tree barrier with batching and interning on a legal fanout; the
-    # default fanout (4) must also pass at 2 nodes (degenerates to a star).
+    # The kept tree shape (tree + batch + distributed + compressed) on a
+    # legal fanout; the default fanout (4) must also pass at 2 nodes
+    # (degenerates to a star).
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree", "--barrier-fanout=2",
-     "--detect-batch=2", "--intern-bitmaps"],
+     "--detect-batch=2", "--pipeline=distributed", "--compress-bitmaps"],
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree"],
     # Water above 448 molecules needs more than the default 64 locks; the
     # tool sizes the lock table from the app.
@@ -93,8 +94,9 @@ BAD_SERVE_CASES = [
     (["--script=/dev/null", "--retry-budget=-1"], "retry-budget"),
     (["--script=/dev/null", "--retry-budget=1000"], "retry-budget"),
     (["--script=/dev/null", "--frobnicate"], "frobnicate"),
-    (["--script=/dev/null", "--nodes=2", "--detect-shards=9"], "detect-shards"),
-    (["--script=/dev/null", "--nodes=2", "--detect-shards=0"], "detect-shards"),
+    (["--script=/dev/null", "--intern-bitmaps"], "intern-bitmaps"),
+    (["--script=/dev/null", "--pipeline=sharded"], "pipeline"),
+    (["--script=/dev/null", "--nodes=2", "--detect-shards=2"], "detect-shards"),
     (["--script=/dev/null", "--nodes=2", "--detect-batch=0"], "detect-batch"),
     (["--script=/dev/null", "--nodes=2", "--barrier-tree", "--barrier-fanout=0"],
      "barrier-fanout"),
@@ -104,8 +106,9 @@ BAD_SERVE_CASES = [
 
 GOOD_SERVE_CASES = [
     ["--script=/dev/null", "--workers=1", "--nodes=2"],
+    # cvm_serve has no compression flag; this is its form of the kept shape.
     ["--script=/dev/null", "--workers=1", "--nodes=2", "--barrier-tree",
-     "--barrier-fanout=2", "--detect-batch=2", "--intern-bitmaps"],
+     "--barrier-fanout=2", "--detect-batch=2", "--pipeline=distributed"],
 ]
 
 

@@ -39,18 +39,14 @@ int Usage() {
       "  --protocol=P         lazy | multi | eager (default lazy)\n"
       "  --size=N             app problem size (app-specific scale knob)\n"
       "  --no-detect          run without race detection\n"
-      "  --pipeline=P         serial | sharded | distributed barrier-time check\n"
+      "  --pipeline=P         serial | distributed barrier-time check\n"
       "                       (docs/DETECTOR.md; default serial)\n"
-      "  --detect-shards=N    workers for the sharded check-list build, N >= 1\n"
-      "                       (default: auto-sized from the node count)\n"
       "  --detect-batch=N     run the bitmap/compare rounds once per N epochs\n"
       "                       instead of every barrier (default 1 = unbatched)\n"
       "  --barrier-tree       k-ary combine-tree barrier with in-tree check-list\n"
       "                       aggregation (docs/ARCHITECTURE.md; default: flat)\n"
       "  --barrier-fanout=K   combine-tree fanout, 1 <= K <= nodes (default 4)\n"
       "  --compress-bitmaps   sparse/run-length encode bitmap-round payloads\n"
-      "  --intern-bitmaps     cache unchanged bitmaps per (peer, page) and ship\n"
-      "                       'same-as-last-epoch' tokens instead of payloads\n"
       "  --diff-writes        §6.5: mine writes from diffs (implies --protocol=multi)\n"
       "  --first-races        §6.4: report only the earliest racy epoch\n"
       "  --fix-bug            water only: repaired virial update\n"
@@ -130,8 +126,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> accepted = {
       "app",     "nodes",  "page-size",   "protocol",  "size",        "detect",
-      "pipeline", "detect-shards", "detect-batch", "barrier-tree", "barrier-fanout",
-      "compress-bitmaps", "intern-bitmaps",
+      "pipeline", "detect-batch", "barrier-tree", "barrier-fanout", "compress-bitmaps",
       "diff-writes", "first-races", "fix-bug", "compare", "record",  "replay",
       "watch",   "watch-epoch", "postmortem", "trace-out", "trace-in", "full-report", "pages",
       "races-json", "trace-json", "metrics-out", "metrics-interval", "trace-sample",
@@ -180,31 +175,10 @@ int main(int argc, char** argv) {
   const std::string pipeline = flags.GetString("pipeline", "serial");
   if (pipeline == "serial") {
     options.detection_pipeline = DetectionPipeline::kSerial;
-  } else if (pipeline == "sharded") {
-    options.detection_pipeline = DetectionPipeline::kSharded;
   } else if (pipeline == "distributed") {
     options.detection_pipeline = DetectionPipeline::kDistributed;
   } else {
     std::fprintf(stderr, "error: unknown pipeline '%s'\n", pipeline.c_str());
-    return Usage();
-  }
-  // Omitted = auto-sized; an explicit value must be a usable worker count.
-  // --detect-shards=0 used to silently mean "auto" too, which hid typos.
-  if (flags.Has("detect-shards") && flags.GetInt("detect-shards", 0) < 1) {
-    std::fprintf(stderr,
-                 "error: --detect-shards=%lld must be at least 1 "
-                 "(omit the flag for auto-sizing)\n",
-                 static_cast<long long>(flags.GetInt("detect-shards", 0)));
-    return Usage();
-  }
-  options.detect_shards = static_cast<int>(flags.GetInt("detect-shards", 0));
-  // The pair triangle has one row per interval (a few per node per epoch);
-  // more shard workers than cluster nodes only ever adds idle threads.
-  if (options.detect_shards > options.num_nodes) {
-    std::fprintf(stderr,
-                 "error: --detect-shards=%d exceeds --nodes=%d "
-                 "(extra shard workers past the node count sit idle)\n",
-                 options.detect_shards, options.num_nodes);
     return Usage();
   }
   const int64_t detect_batch = flags.GetInt("detect-batch", 1);
@@ -226,7 +200,6 @@ int main(int argc, char** argv) {
   }
   options.barrier_fanout = static_cast<int>(fanout);
   options.compress_bitmaps = flags.GetBool("compress-bitmaps", false);
-  options.intern_bitmaps = flags.GetBool("intern-bitmaps", false);
   options.postmortem_trace = flags.GetBool("postmortem", false);
 
   options.trace.trace_enabled = flags.Has("trace-json");
