@@ -1,7 +1,7 @@
 // Control-flow signal for crash-tolerant epochs: when a node fail-stops (a
 // kCrash fault) or a survivor learns a peer is unreachable, the torn epoch is
-// abandoned by unwinding every blocked app thread with a RunAbortError. The
-// DsmSystem app-thread wrapper catches it, rolls the node back to its last
+// abandoned by unwinding every blocked node thread with a RunAbortError. The
+// DsmSystem node-thread body catches it, rolls the node back to its last
 // epoch checkpoint, and reports the crash in RunResult instead of aborting
 // the process (docs/FAULTS.md, "Crash faults & recovery").
 #ifndef CVM_COMMON_ABORT_H_

@@ -28,9 +28,10 @@ size_t ReplyEntryRawBytes(const BitmapReplyEntry& e) {
 }
 
 // Wall-clock tick of the watchful barrier waits used only when a crash plan
-// is armed: how long a waiter parks before heartbeat-probing the nodes it is
-// waiting on. Probes to live nodes are harmless (acked and ignored), so this
-// trades only a little idle-path chatter against crash-detection latency.
+// is armed: how long a waiter serves its inbox before heartbeat-probing the
+// nodes it is waiting on. Probes to live nodes are harmless (acked and
+// ignored), so this trades only a little idle-path chatter against
+// crash-detection latency.
 constexpr std::chrono::milliseconds kSuspicionInterval(25);
 
 // ---- Combine-tree topology (--barrier-tree) ----
@@ -125,9 +126,9 @@ void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
   have_metrics_ = true;
 }
 
-void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch) {
+void BarrierCoordinator::RunBarrier(EpochId epoch) {
   if (node_.opts_.barrier_tree) {
-    TreeRunBarrier(lk, epoch);
+    TreeRunBarrier(epoch);
     return;
   }
   if (node_.id_ == 0) {
@@ -135,21 +136,16 @@ void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId ep
       return arrivals_[epoch].size() == static_cast<size_t>(node_.opts_.num_nodes - 1);
     };
     if (!node_.system_->crash_armed()) {
-      node_.cv_.wait(lk, all_arrived);
+      node_.Await(all_arrived);
     } else {
-      // Watchful wait: a crashed worker never arrives, so park with a
+      // Watchful wait: a crashed worker never arrives, so wait with a
       // timeout and heartbeat-probe the missing members each tick. A probe
       // to a dead node surfaces kPeerUnreachable here and aborts the run.
-      while (!all_arrived() && !node_.aborted_) {
-        if (node_.cv_.wait_for(lk, kSuspicionInterval,
-                               [&] { return all_arrived() || node_.aborted_; })) {
-          break;
-        }
-        ProbeMissingArrivalsLocked(epoch);
+      while (!node_.AwaitFor(kSuspicionInterval, all_arrived)) {
+        ProbeMissingArrivals(epoch);
       }
-      node_.ThrowIfAbortedLocked();
     }
-    MasterRunBarrier(lk, epoch);
+    MasterRunBarrier(epoch);
     return;
   }
   BarrierArriveMsg arrive;
@@ -160,25 +156,20 @@ void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId ep
   arrive.arrive_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
   // Publish this epoch's overhead before arriving so the master's snapshot
   // (taken once every arrival is in) sees a consistent cross-node view.
-  node_.PublishOverheadLocked();
+  node_.PublishOverhead();
   node_.Send(0, std::move(arrive));
   const auto released = [this, epoch] {
     return barrier_release_.has_value() && barrier_release_->epoch == epoch;
   };
   if (!node_.system_->crash_armed()) {
-    node_.cv_.wait(lk, released);
+    node_.Await(released);
   } else {
-    while (!released() && !node_.aborted_) {
-      if (node_.cv_.wait_for(lk, kSuspicionInterval,
-                             [&] { return released() || node_.aborted_; })) {
-        break;
-      }
+    while (!node_.AwaitFor(kSuspicionInterval, released)) {
       // Stuck: ask the master to health-check the epoch (it probes its
       // missing arrivals). If the master itself is the dead node, this send
       // surfaces kPeerUnreachable and initiates the abort right here.
       node_.Send(0, PeerSuspectMsg{epoch, kNoNode});
     }
-    node_.ThrowIfAbortedLocked();
   }
   BarrierReleaseMsg release = std::move(*barrier_release_);
   barrier_release_.reset();
@@ -190,12 +181,12 @@ void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId ep
     node_.timing_.Charge(Bucket::kCvmMods,
                          node_.opts_.costs.per_byte_ns * static_cast<double>(rn_bytes));
   }
-  node_.ApplyIntervalRecordsLocked(release.intervals);
+  node_.ApplyIntervalRecords(release.intervals);
   node_.vc_.MergeWith(release.merged_vc);
-  node_.GarbageCollectLocked();
+  node_.GarbageCollect();
 }
 
-void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch) {
+void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
   std::map<NodeId, ArrivalInfo> arrivals = std::move(arrivals_[epoch]);
   arrivals_.erase(epoch);
 
@@ -207,7 +198,7 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
                            node_.opts_.costs.per_byte_ns *
                                static_cast<double>(info.read_notice_bytes));
     }
-    node_.ApplyIntervalRecordsLocked(info.records);
+    node_.ApplyIntervalRecords(info.records);
     node_.vc_.MergeWith(info.vc);
   }
 
@@ -215,10 +206,10 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
     if (node_.opts_.detect_batch > 1) {
       // Batching retains prior epochs' records in the master log (GC below
       // is skipped), so the check-list build must see only this epoch's.
-      RunRaceDetection(lk, epoch, CurrentEpochRecords(epoch));
-      MaybeFlushDetectBatch(lk, epoch);
+      RunRaceDetection(epoch, CurrentEpochRecords(epoch));
+      MaybeFlushDetectBatch(epoch);
     } else {
-      RunRaceDetection(lk, epoch, node_.log_.All());
+      RunRaceDetection(epoch, node_.log_.All());
     }
   }
 
@@ -231,13 +222,13 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
     node_.Send(node, std::move(release));
   }
   if (pending_batch_.empty()) {
-    node_.GarbageCollectLocked();
+    node_.GarbageCollect();
   }
   // else: queued epochs still need the log (report provenance) and the
   // workers' retained bitmaps; everything is collected at the flush barrier.
   if constexpr (obs::kObsCompiledIn) {
     if (node_.metrics_ != nullptr) {
-      node_.PublishOverheadLocked();
+      node_.PublishOverhead();
       const int interval = std::max(1, node_.opts_.trace.metrics_interval);
       if ((epoch + 1) % interval == 0) {
         node_.metrics_->SnapshotEpoch(epoch, node_.timing_.now_ns());
@@ -263,7 +254,7 @@ void BarrierCoordinator::PublishReports(std::vector<RaceReport> reports) {
   node_.system_->AddReports(std::move(reports));
 }
 
-void BarrierCoordinator::RunRaceDetection(std::unique_lock<std::mutex>& lk, EpochId epoch,
+void BarrierCoordinator::RunRaceDetection(EpochId epoch,
                                           const std::vector<IntervalRecord>& epoch_intervals) {
   RaceDetector& detector = node_.system_->detector();
   const DetectorStats before = detector.stats();
@@ -308,7 +299,7 @@ void BarrierCoordinator::RunRaceDetection(std::unique_lock<std::mutex>& lk, Epoc
     return;
   }
   pipeline_stats_.shards_used = std::max<uint64_t>(pipeline_stats_.shards_used, per_shard.size());
-  DispatchDetection(lk, epoch, *pairs);
+  DispatchDetection(epoch, *pairs);
 }
 
 std::vector<IntervalRecord> BarrierCoordinator::CurrentEpochRecords(EpochId epoch) const {
@@ -323,8 +314,7 @@ std::vector<IntervalRecord> BarrierCoordinator::CurrentEpochRecords(EpochId epoc
   return out;
 }
 
-void BarrierCoordinator::DispatchDetection(std::unique_lock<std::mutex>& lk, EpochId epoch,
-                                           const std::vector<CheckPair>& pairs) {
+void BarrierCoordinator::DispatchDetection(EpochId epoch, const std::vector<CheckPair>& pairs) {
   ++pipeline_stats_.detect_epochs;
   // The check list fixes the distinct (interval, page) bitmaps step 5 needs;
   // every pipeline mode accounts them once here (§4 step 3).
@@ -347,14 +337,14 @@ void BarrierCoordinator::DispatchDetection(std::unique_lock<std::mutex>& lk, Epo
     return;
   }
   if (opts.detection_pipeline == DetectionPipeline::kDistributed) {
-    PublishReports(RunDistributedCompare(lk, epoch, epoch, pairs, needed.size()));
+    PublishReports(RunDistributedCompare(epoch, epoch, pairs, needed.size()));
     return;
   }
   const std::vector<EpochCheckView> work{{epoch, &pairs, &needed}};
-  CompareEpochsSerial(lk, epoch, work);
+  CompareEpochsSerial(epoch, work);
 }
 
-void BarrierCoordinator::MaybeFlushDetectBatch(std::unique_lock<std::mutex>& lk, EpochId epoch) {
+void BarrierCoordinator::MaybeFlushDetectBatch(EpochId epoch) {
   const DsmOptions& opts = node_.opts_;
   if (opts.detect_batch <= 1 || pending_batch_.empty()) {
     return;
@@ -380,7 +370,7 @@ void BarrierCoordinator::MaybeFlushDetectBatch(std::unique_lock<std::mutex>& lk,
     // epoch the pairs came from.
     for (const PendingEpoch& pending : pending_batch_) {
       PublishReports(
-          RunDistributedCompare(lk, epoch, pending.epoch, pending.pairs, pending.needed.size()));
+          RunDistributedCompare(epoch, pending.epoch, pending.pairs, pending.needed.size()));
     }
   } else {
     std::vector<EpochCheckView> work;
@@ -388,12 +378,12 @@ void BarrierCoordinator::MaybeFlushDetectBatch(std::unique_lock<std::mutex>& lk,
     for (const PendingEpoch& pending : pending_batch_) {
       work.push_back(EpochCheckView{pending.epoch, &pending.pairs, &pending.needed});
     }
-    CompareEpochsSerial(lk, epoch, work);
+    CompareEpochsSerial(epoch, work);
   }
   pending_batch_.clear();
 }
 
-void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, EpochId msg_epoch,
+void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch,
                                              const std::vector<EpochCheckView>& work) {
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
@@ -433,8 +423,7 @@ void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, E
     timing.Charge(Bucket::kBitmaps, 2 * opts.costs.msg_latency_ns);
     // Detection rounds only involve nodes that arrived at this barrier, so a
     // peer death here is unexpected — the abort predicate is defensive.
-    node_.cv_.wait(lk, [this] { return bitmap_replies_pending_ == 0 || node_.aborted_; });
-    node_.ThrowIfAbortedLocked();
+    node_.Await([this] { return bitmap_replies_pending_ == 0; });
     timing.Charge(Bucket::kBitmaps,
                   opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_));
   }
@@ -475,8 +464,8 @@ void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, E
 }
 
 std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
-    std::unique_lock<std::mutex>& lk, EpochId msg_epoch, EpochId report_epoch,
-    const std::vector<CheckPair>& pairs, size_t checklist_entries) {
+    EpochId msg_epoch, EpochId report_epoch, const std::vector<CheckPair>& pairs,
+    size_t checklist_entries) {
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
@@ -563,8 +552,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   // side resolves from local storage. Compare as soon as the inbound ships
   // land — the remote owners' replies overlap this work (the Lamport merge
   // below takes the max of the two legs, not their sum).
-  node_.cv_.wait(lk, [this] { return master_ships_pending_ == 0 || node_.aborted_; });
-  node_.ThrowIfAbortedLocked();
+  node_.Await([this] { return master_ships_pending_ == 0; });
   if (master_ship_target_ns_ > timing.now_ns()) {
     timing.Charge(Bucket::kBitmaps, master_ship_target_ns_ - timing.now_ns());
   }
@@ -590,8 +578,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   timing.Charge(Bucket::kBitmaps,
                 opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(master_compared));
 
-  node_.cv_.wait(lk, [this] { return compare_replies_pending_ == 0 || node_.aborted_; });
-  node_.ThrowIfAbortedLocked();
+  node_.Await([this] { return compare_replies_pending_ == 0; });
   // The distributed round's cost is its critical path: the slowest node's
   // reply arrival, not the sum over nodes.
   double target_ns = timing.now_ns();
@@ -654,7 +641,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   return reports;
 }
 
-void BarrierCoordinator::ProbeMissingArrivalsLocked(EpochId epoch) {
+void BarrierCoordinator::ProbeMissingArrivals(EpochId epoch) {
   if (node_.id_ != 0 || epoch != node_.epoch_ || node_.aborted_ || node_.crashed_) {
     return;
   }
@@ -669,7 +656,7 @@ void BarrierCoordinator::ProbeMissingArrivalsLocked(EpochId epoch) {
   }
 }
 
-void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch) {
+void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
   const int fanout = opts.barrier_fanout;
@@ -682,17 +669,13 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
       return tree_arrivals_[epoch].size() == children.size();
     };
     if (!node_.system_->crash_armed()) {
-      node_.cv_.wait(lk, kids_arrived);
+      node_.Await(kids_arrived);
     } else {
       // Watchful wait, per tree edge: probe the children still missing. A
       // dead child surfaces kPeerUnreachable right here; a death elsewhere
       // is caught the same way by the dead node's own parent, whose abort
       // broadcast unblocks this wait too.
-      while (!kids_arrived() && !node_.aborted_) {
-        if (node_.cv_.wait_for(lk, kSuspicionInterval,
-                               [&] { return kids_arrived() || node_.aborted_; })) {
-          break;
-        }
+      while (!node_.AwaitFor(kSuspicionInterval, kids_arrived)) {
         const auto& arrived = tree_arrivals_[epoch];
         for (NodeId child : children) {
           if (arrived.find(child) == arrived.end()) {
@@ -703,7 +686,6 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
           }
         }
       }
-      node_.ThrowIfAbortedLocked();
     }
   }
   std::map<NodeId, TreeArrival> arrivals = std::move(tree_arrivals_[epoch]);
@@ -719,18 +701,18 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     // retained stale one (data survives invalidation).
     //
     // Pages this node is HOME for are always interesting, cached or not:
-    // this bitmap is a snapshot taken at barrier arrival, but the service
-    // thread keeps serving page requests from stragglers during the
-    // barrier, and the home is where a never-touched page can be lazily
+    // this bitmap is a snapshot taken at barrier arrival, but a node
+    // blocked in the barrier keeps serving page requests from stragglers,
+    // and the home is where a never-touched page can be lazily
     // materialized to serve such a fetch. Under single-writer, granting
     // ownership away retains a stale-able read copy — one the shipped
     // snapshot does not cover, so without the home clause its
     // invalidation gets filtered and the next epoch reads stale data.
     // Every other mid-barrier state change happens on pages the node
-    // already held data for (fetching requires the app thread, which is
-    // parked in the barrier). Homes are 1/n of the address space per
-    // node, so the clause keeps the down-leg sub-quadratic. The mapping
-    // mirrors CoherenceProtocol::HomeOf (page % num_nodes).
+    // already held data for (the node cannot fetch: it is blocked in the
+    // barrier). Homes are 1/n of the address space per node, so the clause
+    // keeps the down-leg sub-quadratic. The mapping mirrors
+    // CoherenceProtocol::HomeOf (page % num_nodes).
     //
     // Find() never creates an entry, so the scan leaves the page table
     // holding only the pages this node touched.
@@ -752,7 +734,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     }
     // Tree-hop cost: merging one child's combined log into this node's.
     timing.Charge(Bucket::kNone, opts.costs.tree_merge_ns);
-    node_.ApplyIntervalRecordsLocked(info.msg.intervals);
+    node_.ApplyIntervalRecords(info.msg.intervals);
     node_.vc_.MergeWith(info.msg.vc);
     for (int n = 0; n < min_vc.size(); ++n) {
       min_vc.Set(n, std::min(min_vc.At(n), info.msg.min_vc.At(n)));
@@ -841,19 +823,19 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
           }
         }
         if (!pairs.empty()) {
-          DispatchDetection(lk, epoch, pairs);
+          DispatchDetection(epoch, pairs);
         }
       }
       // Outside the timer: the flush charges its own detect_ns.
-      MaybeFlushDetectBatch(lk, epoch);
+      MaybeFlushDetectBatch(epoch);
     }
-    SendTreeReleasesLocked(epoch, children);
+    SendTreeReleases(epoch, children);
     if (pending_batch_.empty()) {
-      node_.GarbageCollectLocked();
+      node_.GarbageCollect();
     }
     if constexpr (obs::kObsCompiledIn) {
       if (node_.metrics_ != nullptr) {
-        node_.PublishOverheadLocked();
+        node_.PublishOverhead();
         const int interval = std::max(1, node_.opts_.trace.metrics_interval);
         if ((epoch + 1) % interval == 0) {
           node_.metrics_->SnapshotEpoch(epoch, node_.timing_.now_ns());
@@ -883,7 +865,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
   up.arrive_time_ns = static_cast<uint64_t>(timing.now_ns());
   // Publish this epoch's overhead before arriving so the root's snapshot
   // (taken once the whole tree has combined) sees a consistent view.
-  node_.PublishOverheadLocked();
+  node_.PublishOverhead();
   const NodeId parent = TreeParent(node_.id_, fanout);
   node_.Send(parent, std::move(up));
 
@@ -892,18 +874,13 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     return tree_release_.has_value() && tree_release_->msg.epoch == epoch;
   };
   if (!node_.system_->crash_armed()) {
-    node_.cv_.wait(lk, released);
+    node_.Await(released);
   } else {
-    while (!released() && !node_.aborted_) {
-      if (node_.cv_.wait_for(lk, kSuspicionInterval,
-                             [&] { return released() || node_.aborted_; })) {
-        break;
-      }
+    while (!node_.AwaitFor(kSuspicionInterval, released)) {
       // Probe the parent directly; a dead parent surfaces kPeerUnreachable
       // here and initiates the abort.
       node_.Send(parent, HeartbeatProbeMsg{epoch, ++probe_token_});
     }
-    node_.ThrowIfAbortedLocked();
   }
   TreeRelease release = std::move(*tree_release_);
   tree_release_.reset();
@@ -913,16 +890,16 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     timing.Charge(Bucket::kCvmMods,
                   opts.costs.per_byte_ns * static_cast<double>(release.read_notice_bytes));
   }
-  node_.ApplyIntervalRecordsLocked(release.msg.intervals);
+  node_.ApplyIntervalRecords(release.msg.intervals);
   node_.vc_.MergeWith(release.msg.merged_vc);
   // Re-tailor and forward down before collecting: the forwarding reads this
   // node's log, and a child's interest is a subset of this subtree's, so
   // every record a child needs is guaranteed to be here.
-  SendTreeReleasesLocked(epoch, children);
-  node_.GarbageCollectLocked();
+  SendTreeReleases(epoch, children);
+  node_.GarbageCollect();
 }
 
-void BarrierCoordinator::SendTreeReleasesLocked(EpochId epoch,
+void BarrierCoordinator::SendTreeReleases(EpochId epoch,
                                                 const std::vector<NodeId>& children) {
   for (NodeId child : children) {
     auto it = tree_child_state_.find(child);
@@ -963,7 +940,6 @@ void BarrierCoordinator::SendTreeReleasesLocked(EpochId epoch,
 
 void BarrierCoordinator::OnTreeArrive(const Message& msg) {
   const auto& arrive = std::get<BarrierTreeArriveMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (arrive.epoch < node_.epoch_) {
     return;  // This epoch's combine already ran here: stale re-delivery.
   }
@@ -978,12 +954,10 @@ void BarrierCoordinator::OnTreeArrive(const Message& msg) {
   info.wire_bytes = msg.wire_bytes;
   info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
   tree_arrivals_[arrive.epoch][arrive.node] = std::move(info);
-  node_.cv_.notify_all();
 }
 
 void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   const auto& release = std::get<BarrierTreeReleaseMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (tree_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
@@ -997,12 +971,10 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   info.wire_bytes = msg.wire_bytes;
   info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
   tree_release_ = std::move(info);
-  node_.cv_.notify_all();
 }
 
 void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
   const auto& arrive = std::get<BarrierArriveMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   CVM_CHECK_EQ(node_.id_, 0);
   if (arrive.epoch < node_.epoch_) {
     return;  // The master already ran this epoch's barrier: stale re-delivery.
@@ -1014,22 +986,18 @@ void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
   info.wire_bytes = msg.wire_bytes;
   info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
   arrivals_[arrive.epoch][arrive.node] = std::move(info);
-  node_.cv_.notify_all();
 }
 
 void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
   const auto& release = std::get<BarrierReleaseMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (barrier_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
   barrier_release_ = release;
-  node_.cv_.notify_all();
 }
 
 void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
   const auto& request = std::get<BitmapRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   std::vector<BitmapReplyEntry> entries;
   for (const CheckEntry& entry : request.entries) {
     CVM_CHECK_EQ(entry.interval.node, node_.id_);
@@ -1050,7 +1018,6 @@ void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
 
 void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   const auto& reply = std::get<BitmapReplyMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   size_t wire_entry_bytes = 0;
   size_t raw_entry_bytes = 0;
   for (const BitmapReplyEntry& entry : *reply.entries) {
@@ -1064,14 +1031,10 @@ void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   bitmap_round_raw_bytes_ += msg.wire_bytes + (raw_entry_bytes - wire_entry_bytes);
   CVM_CHECK_GT(bitmap_replies_pending_, 0);
   --bitmap_replies_pending_;
-  if (bitmap_replies_pending_ == 0) {
-    node_.cv_.notify_all();
-  }
 }
 
 void BarrierCoordinator::OnCompareRequest(const Message& msg) {
   const auto& request = std::get<CompareRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (request.epoch < node_.epoch_) {
     return;  // Stale re-delivery of a finished round.
   }
@@ -1118,7 +1081,6 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
 
 void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   const auto& ship = std::get<BitmapShipMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (node_.id_ == 0) {
     // Master side: peers shipping the bitmaps for master-owned pairs.
     if (master_ships_pending_ <= 0 || ship.epoch != node_.epoch_) {
@@ -1135,9 +1097,6 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
         std::max(master_ship_target_ns_, static_cast<double>(ship.send_time_ns) +
                                              node_.opts_.costs.MessageCost(msg.wire_bytes));
     --master_ships_pending_;
-    if (master_ships_pending_ == 0) {
-      node_.cv_.notify_all();
-    }
     return;
   }
   if (ship.epoch < node_.epoch_) {
@@ -1204,16 +1163,12 @@ void BarrierCoordinator::TryFinishRemoteCompare(EpochId epoch) {
 
 void BarrierCoordinator::OnCompareReply(const Message& msg) {
   const auto& reply = std::get<CompareReplyMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   CVM_CHECK_EQ(node_.id_, 0);
   if (compare_replies_pending_ <= 0 || reply.epoch != node_.epoch_) {
     return;  // Stale re-delivery.
   }
   compare_replies_.push_back(CompareReplyInfo{reply, msg.wire_bytes});
   --compare_replies_pending_;
-  if (compare_replies_pending_ == 0) {
-    node_.cv_.notify_all();
-  }
 }
 
 }  // namespace cvm

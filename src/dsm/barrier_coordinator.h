@@ -4,12 +4,13 @@
 // pipeline in both modes — the paper's serial check on the master, and the
 // distributed compare (CompareRequest / BitmapShip / CompareReply). One
 // BarrierCoordinator per node; master-side state is only exercised on node 0.
+// Everything runs on the node's own thread: the barrier body blocks only in
+// Node::Await/AwaitFor, which keep dispatching into the handlers below.
 #ifndef CVM_DSM_BARRIER_COORDINATOR_H_
 #define CVM_DSM_BARRIER_COORDINATOR_H_
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -50,44 +51,44 @@ class BarrierCoordinator {
   BarrierCoordinator(const BarrierCoordinator&) = delete;
   BarrierCoordinator& operator=(const BarrierCoordinator&) = delete;
 
-  // Registers barrier and detection-round handlers (service thread).
+  // Registers barrier and detection-round handlers.
   void RegisterHandlers(MessageDispatcher& dispatcher);
 
   // Resolves the coordinator's metric handles; called from the node's
   // observability init (no-op when metrics are disabled or compiled out).
   void InitObservability(obs::MetricsRegistry* metrics);
 
-  // The barrier body, called by the app thread with the node mutex held and
-  // the in-barrier interval already published. Master path: wait for every
-  // arrival, merge logs, run the detection pipeline, release workers.
-  // Worker path: send the arrival, wait for the release, apply its records.
-  void RunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch);
+  // The barrier body, called from Node::Barrier with the in-barrier interval
+  // already published. Master path: wait for every arrival, merge logs, run
+  // the detection pipeline, release workers. Worker path: send the arrival,
+  // wait for the release, apply its records. A node blocked here keeps
+  // serving its peers.
+  void RunBarrier(EpochId epoch);
 
   // Meaningful on node 0 only (the barrier master runs the pipeline).
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
-  // Master-side health check (node mutex held): heartbeat-probes every node
+  // Master-side health check: heartbeat-probes every node
   // that has not arrived for `epoch`. A live node acks and is left alone; a
   // dead one surfaces kPeerUnreachable at this sender, which initiates the
   // run abort. Called from the master's own watchful barrier wait and from
   // the PeerSuspect handler when a stuck worker asks for a health check.
-  void ProbeMissingArrivalsLocked(EpochId epoch);
+  void ProbeMissingArrivals(EpochId epoch);
 
  private:
-  void MasterRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch);
-  void RunRaceDetection(std::unique_lock<std::mutex>& lk, EpochId epoch,
-                        const std::vector<IntervalRecord>& epoch_intervals);
+  void MasterRunBarrier(EpochId epoch);
+  void RunRaceDetection(EpochId epoch, const std::vector<IntervalRecord>& epoch_intervals);
 
   // ---- Hierarchical (k-ary combine tree) barrier (--barrier-tree) ----
   // The node's barrier body in tree mode: wait for the child subtrees, merge
   // their logs / clocks / check-list fragments, build the pairs whose LCA is
   // this node, then either forward the combined arrival up (interior/leaf)
   // or run detection and start the release wave (root).
-  void TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch);
+  void TreeRunBarrier(EpochId epoch);
   // Sends each child subtree its tailored release: records unseen by the
   // subtree's min VC whose write notices intersect the subtree's page
-  // interest, read notices stripped (node mutex held, log not yet GC'd).
-  void SendTreeReleasesLocked(EpochId epoch, const std::vector<NodeId>& children);
+  // interest, read notices stripped (log not yet GC'd).
+  void SendTreeReleases(EpochId epoch, const std::vector<NodeId>& children);
 
   // ---- Epoch-batched detection (--detect-batch=N) ----
   // This epoch's records only — the detection input when prior epochs' logs
@@ -96,11 +97,10 @@ class BarrierCoordinator {
   // Shared detection tail for the flat and tree masters: computes the bitmap
   // entries the pairs need, then runs the compare round now (batch <= 1) or
   // parks the epoch's work on pending_batch_.
-  void DispatchDetection(std::unique_lock<std::mutex>& lk, EpochId epoch,
-                         const std::vector<CheckPair>& pairs);
+  void DispatchDetection(EpochId epoch, const std::vector<CheckPair>& pairs);
   // Runs queued epochs' compare rounds if `epoch` closes a batch window (or
   // is the run's final barrier); no-op otherwise. Master/root only.
-  void MaybeFlushDetectBatch(std::unique_lock<std::mutex>& lk, EpochId epoch);
+  void MaybeFlushDetectBatch(EpochId epoch);
   // Borrowed view of one epoch's detection work; the immediate path points
   // at the detector's pooled check list, the flush path at pending_batch_.
   struct EpochCheckView {
@@ -112,8 +112,7 @@ class BarrierCoordinator {
   // combined bitmap-retrieval round over every listed epoch's needs, then
   // the per-epoch word compares, oldest epoch first. `msg_epoch` rides the
   // request messages (= the constituents' current barrier epoch).
-  void CompareEpochsSerial(std::unique_lock<std::mutex>& lk, EpochId msg_epoch,
-                           const std::vector<EpochCheckView>& work);
+  void CompareEpochsSerial(EpochId msg_epoch, const std::vector<EpochCheckView>& work);
 
   // kDistributed step 5: partition the check pairs over their member nodes,
   // orchestrate the ship/compare/reply round, merge remote reports back into
@@ -121,8 +120,7 @@ class BarrierCoordinator {
   // messages (it must match the constituents' current barrier epoch);
   // `report_epoch` stamps the reports — the two differ when a batched flush
   // replays an earlier epoch's pairs.
-  std::vector<RaceReport> RunDistributedCompare(std::unique_lock<std::mutex>& lk,
-                                                EpochId msg_epoch, EpochId report_epoch,
+  std::vector<RaceReport> RunDistributedCompare(EpochId msg_epoch, EpochId report_epoch,
                                                 const std::vector<CheckPair>& pairs,
                                                 size_t checklist_entries);
   // Emits reports (addr/symbol resolution + trace) and hands them to the

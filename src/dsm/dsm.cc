@@ -1,8 +1,10 @@
 #include "src/dsm/dsm.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
+#include <thread>
 
 #include "src/common/check.h"
 
@@ -67,13 +69,8 @@ void DsmSystem::SetFaultPlan(const fault::FaultPlan& plan) {
 }
 
 void DsmSystem::Reset() {
-  // Run() has joined every app and service thread by the time it returns, so
-  // nothing is touching the engines here.
-  for (auto& node : nodes_) {
-    if (node != nullptr) {
-      node->JoinService();
-    }
-  }
+  // Run() has joined every node thread by the time it returns, so nothing is
+  // touching the engines here.
   nodes_.clear();
   network_->Reset();
   detector_->ResetStats();
@@ -97,14 +94,7 @@ void DsmSystem::Reset() {
   ran_ = false;
 }
 
-DsmSystem::~DsmSystem() {
-  network_->Close();
-  for (auto& node : nodes_) {
-    if (node != nullptr) {
-      node->JoinService();
-    }
-  }
-}
+DsmSystem::~DsmSystem() = default;
 
 GlobalAddr DsmSystem::Alloc(const std::string& name, uint64_t bytes, bool page_align) {
   CVM_CHECK(!ran_) << "allocate shared data before Run()";
@@ -173,14 +163,15 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
   for (NodeId id = 0; id < options_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<Node>(id, this));
   }
-  for (auto& node : nodes_) {
-    node->StartService();
-  }
 
-  std::vector<std::thread> app_threads;
-  app_threads.reserve(options_.num_nodes);
+  // One thread per node. It runs the body and then keeps serving its inbox
+  // for the peers still running; the last node to finish closes the fabric,
+  // which ends every node's serving loop.
+  std::atomic<int> running(options_.num_nodes);
+  std::vector<std::thread> node_threads;
+  node_threads.reserve(options_.num_nodes);
   for (NodeId id = 0; id < options_.num_nodes; ++id) {
-    app_threads.emplace_back([this, id, &app] {
+    node_threads.emplace_back([this, id, &app, &running] {
       Node& node = *nodes_[id];
       try {
         app(node);
@@ -195,15 +186,14 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
         // workload is retried is the service layer's call, not ours.
         node.RecoverAfterAbort(err);
       }
+      if (running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        network_->Close();
+      }
+      node.ServeUntilClosed();
     });
   }
-  for (std::thread& t : app_threads) {
+  for (std::thread& t : node_threads) {
     t.join();
-  }
-
-  network_->Close();
-  for (auto& node : nodes_) {
-    node->JoinService();
   }
   if constexpr (obs::kObsCompiledIn) {
     if (tracer_ != nullptr) {

@@ -140,7 +140,7 @@ class DsmSystem {
   // pages dropped, metrics/tracer/detector counters reset,
   // and collected reports dropped. After Reset() the system accepts Alloc()
   // and one more Run(), starting from exactly the state a fresh process
-  // would see. Call only after Run() has returned (no live app threads).
+  // would see. Call only after Run() has returned (no live node threads).
   void Reset();
 
   // Swaps the fault plan for the next run (the per-tenant chaos knob of the

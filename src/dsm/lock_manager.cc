@@ -41,7 +41,6 @@ void LockManager::Grant(LockId lock, NodeId requester, const VectorClock& reques
   if (requester == node_.id_) {
     ls.held = true;
     lock_granted_self_ = true;
-    node_.cv_.notify_all();
     return;
   }
   ls.token = false;
@@ -93,7 +92,7 @@ void LockManager::TryGrantPending(LockId lock) {
   Grant(lock, request.requester, request.requester_vc);
 }
 
-void LockManager::Acquire(std::unique_lock<std::mutex>& lk, LockId lock) {
+void LockManager::Acquire(LockId lock) {
   LockState& ls = locks_[lock];
   const DsmOptions& opts = node_.opts_;
   const bool fast_path =
@@ -115,12 +114,9 @@ void LockManager::Acquire(std::unique_lock<std::mutex>& lk, LockId lock) {
   request.lock = lock;
   request.requester = node_.id_;
   request.requester_vc = node_.vc_;
-  node_.ChargeMessageLocked(PayloadByteSize(Payload(request)), 0);
+  node_.ChargeMessage(PayloadByteSize(Payload(request)), 0);
   node_.Send(ManagerOf(lock), request);
-  node_.cv_.wait(lk, [this] {
-    return lock_granted_self_ || lock_grant_.has_value() || node_.aborted_;
-  });
-  node_.ThrowIfAbortedLocked();
+  node_.Await([this] { return lock_granted_self_ || lock_grant_.has_value(); });
   waiting_lock_ = -1;
   if (lock_grant_.has_value()) {
     LockGrantMsg grant = std::move(*lock_grant_);
@@ -133,7 +129,7 @@ void LockManager::Acquire(std::unique_lock<std::mutex>& lk, LockId lock) {
       node_.timing_.Charge(Bucket::kCvmMods,
                            opts.costs.per_byte_ns * static_cast<double>(rn_bytes));
     }
-    node_.ApplyIntervalRecordsLocked(grant.intervals);
+    node_.ApplyIntervalRecords(grant.intervals);
     node_.vc_.MergeWith(grant.releaser_vc);
     LockState& state = locks_[lock];
     state.token = true;
@@ -189,7 +185,6 @@ void LockManager::HandleForwardedRequest(const LockRequestMsg& request) {
 
 void LockManager::OnLockRequest(const Message& msg) {
   const auto& request = std::get<LockRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (node_.opts_.replay_schedule != nullptr) {
     // Replay routing: out-of-schedule grants break the last-requester chain
     // invariant, so requests instead chase the token along successor links
@@ -230,12 +225,10 @@ void LockManager::OnLockRequest(const Message& msg) {
 
 void LockManager::OnLockGrant(const Message& msg) {
   const auto& grant = std::get<LockGrantMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
   if (waiting_lock_ != grant.lock || lock_grant_.has_value()) {
     return;  // Matches no outstanding acquire: stale re-delivery.
   }
   lock_grant_ = grant;
-  node_.cv_.notify_all();
 }
 
 }  // namespace cvm

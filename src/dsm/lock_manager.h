@@ -2,12 +2,10 @@
 // locks with a per-lock manager (lock % num_nodes) that forwards requests
 // along the last-requester chain, happens-before-1 interval shipping on
 // grants, and the §6.1 record/replay grant ordering. One LockManager per
-// node; every method runs under the node's mutex (handlers take it
-// themselves, app-side entry points are called with it held).
+// node; every method runs on the node's own thread, the handlers included.
 #ifndef CVM_DSM_LOCK_MANAGER_H_
 #define CVM_DSM_LOCK_MANAGER_H_
 
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -27,13 +25,13 @@ class LockManager {
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
-  // Registers the lock request/grant handlers (service thread).
+  // Registers the lock request/grant handlers.
   void RegisterHandlers(MessageDispatcher& dispatcher);
 
-  // Blocking acquire, called by the app thread with the node mutex held and
-  // the pre-acquire interval already closed. On return the lock is held and
-  // the grant's interval records have been applied.
-  void Acquire(std::unique_lock<std::mutex>& lk, LockId lock);
+  // Blocking acquire, called from Node::Lock with the pre-acquire interval
+  // already closed. Serves the inbox while it waits (Node::Await). On return
+  // the lock is held and the grant's interval records have been applied.
+  void Acquire(LockId lock);
 
   // Release bookkeeping: snapshots the release vector clock/time (the grant
   // source for the next acquirer) and hands the token on if requests are
@@ -82,8 +80,8 @@ class LockManager {
   std::vector<LockState> locks_;
   std::vector<NodeId> manager_last_requester_;  // Valid where this node manages.
 
-  // Reply slot for the single outstanding acquire (the app thread is the
-  // only requester). The grant handler tolerates grants matching no
+  // Reply slot for the single outstanding acquire (a node has at most one
+  // at a time). The grant handler tolerates grants matching no
   // outstanding acquire — stale re-deliveries.
   std::optional<LockGrantMsg> lock_grant_;
   bool lock_granted_self_ = false;  // Token granted locally (no payload).

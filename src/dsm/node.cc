@@ -15,11 +15,11 @@ namespace cvm {
 
 namespace {
 
-// Per-service-thread dispatch state: the context of the message currently
-// being handled, so sends issued from inside the handler can tell "forward
-// of the same chain" (same payload kind) from "new chain caused by it".
-// Thread-local because handlers run on each node's own service thread and
-// the app thread must never see another thread's in-flight dispatch.
+// Per-thread dispatch state: the context of the message currently being
+// handled, so sends issued from inside the handler can tell "forward of the
+// same chain" (same payload kind) from "new chain caused by it". Thread-local
+// because each node's handlers run on that node's own thread; null whenever
+// the thread runs application code.
 struct DispatchFlowScope {
   obs::TraceContext ctx;
   size_t payload_kind = 0;
@@ -32,6 +32,7 @@ thread_local DispatchFlowScope* t_dispatch_flow = nullptr;
 
 Node::Node(NodeId id, DsmSystem* system)
     : system_(system),
+      net_(system->network()),
       id_(id),
       opts_(system->options()),
       page_shift_(static_cast<uint32_t>(std::countr_zero(opts_.page_size))),
@@ -48,12 +49,13 @@ Node::Node(NodeId id, DsmSystem* system)
   lock_mgr_.RegisterHandlers(dispatcher_);
   barrier_.RegisterHandlers(dispatcher_);
   // Shutdown is a transport-level nudge: nothing to do at this layer — the
-  // Recv loop exits on network close. Registered so it doesn't count as an
-  // unhandled payload.
+  // serving loop exits on network close. Registered so it doesn't count as
+  // an unhandled payload.
   dispatcher_.Register<ShutdownMsg>([](const Message&) {});
   // Crash-tolerance control plane (docs/FAULTS.md "Crash faults & recovery").
   dispatcher_.Register<HeartbeatProbeMsg>([this](const Message& msg) { OnHeartbeatProbe(msg); });
-  dispatcher_.Register<HeartbeatAckMsg>([this](const Message& msg) { OnHeartbeatAck(msg); });
+  // An ack only says the peer is alive: a watchful wait keeps waiting.
+  dispatcher_.Register<HeartbeatAckMsg>([](const Message&) {});
   dispatcher_.Register<PeerSuspectMsg>([this](const Message& msg) { OnPeerSuspect(msg); });
   dispatcher_.Register<RunAbortMsg>([this](const Message& msg) { OnRunAbort(msg); });
   dispatcher_.SetUnhandledHook([this](const Message& msg) {
@@ -64,8 +66,7 @@ Node::Node(NodeId id, DsmSystem* system)
       return;
     }
     // Identify the stray traffic fully: who sent it and what it claimed to
-    // be, by index and by name. Runs on the service thread outside any
-    // handler, so take mu_ for the epoch/clock reads.
+    // be, by index and by name.
     obs::TraceEvent event;
     event.name = "dispatch.unhandled";
     event.cat = "net";
@@ -77,16 +78,13 @@ Node::Node(NodeId id, DsmSystem* system)
     event.arg2_value = msg.payload.index();
     event.str_arg_name = "kind_name";
     event.str_arg_value = msg.KindName();
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      event.epoch = epoch_;
-      event.sim_ts_ns = timing_.now_ns();
-    }
+    event.epoch = epoch_;
+    event.sim_ts_ns = timing_.now_ns();
     tracer_->Emit(event);
   });
   InitObservability();
-  BeginIntervalLocked();  // Interval 0. Single-threaded here; no lock needed.
-  CaptureCheckpointLocked();  // Epoch-0 cut: covers a crash in the first epoch.
+  BeginInterval();  // Interval 0.
+  CaptureCheckpoint();  // Epoch-0 cut: covers a crash in the first epoch.
 }
 
 void Node::InitObservability() {
@@ -155,7 +153,7 @@ void Node::CountPageFetch() {
   }
 }
 
-void Node::PublishOverheadLocked() {
+void Node::PublishOverhead() {
   if constexpr (!obs::kObsCompiledIn) {
     return;
   }
@@ -189,40 +187,60 @@ void Node::Send(NodeId to, Payload payload) {
   // Under fault injection the reliable transport returns the simulated time
   // this sender spent in retransmission backoff and injected delay; charge it
   // to the node's clock like any other network cost. Zero on the clean path.
-  const SendOutcome outcome = system_->network().Send(std::move(msg));
+  const SendOutcome outcome = net_.Send(std::move(msg));
   if (outcome.penalty_ns > 0) {
     timing_.Charge(Bucket::kNone, outcome.penalty_ns);
   }
   if (outcome.unreachable()) {
-    OnPeerUnreachableLocked(to);
+    OnPeerUnreachable(to);
   }
 }
 
-void Node::StartService() {
-  service_thread_ = std::thread([this] { ServiceLoop(); });
+// ---------------- Inbox service ----------------
+
+void Node::Serve(const Message& msg) {
+  if (crashed_) {
+    // Fail-stop: a crashed node answers nothing, not even frames that were
+    // already in its inbox when it died.
+    return;
+  }
+  in_handler_ = true;
+  DispatchWithFlow(msg);
+  in_handler_ = false;
 }
 
-void Node::JoinService() {
-  if (service_thread_.joinable()) {
-    service_thread_.join();
+void Node::Drain() {
+  while (std::optional<Message> msg = net_.TryRecv(id_)) {
+    Serve(*msg);
   }
 }
 
-void Node::ServiceLoop() {
-  while (true) {
-    std::optional<Message> msg = system_->network().Recv(id_);
+void Node::Await(const std::function<bool()>& ready) { AwaitUntil(std::nullopt, ready); }
+
+bool Node::AwaitFor(std::chrono::milliseconds timeout, const std::function<bool()>& ready) {
+  return AwaitUntil(std::chrono::steady_clock::now() + timeout, ready);
+}
+
+bool Node::AwaitUntil(std::optional<std::chrono::steady_clock::time_point> deadline,
+                      const std::function<bool()>& ready) {
+  CVM_CHECK(!in_handler_) << "node " << id_ << ": a message handler tried to block";
+  CVM_CHECK(!net_.closed()) << "node " << id_ << " waits on a closed fabric";
+  while (!ready() && !aborted_) {
+    std::optional<Message> msg =
+        deadline.has_value() ? net_.RecvUntil(id_, *deadline) : net_.Recv(id_);
     if (!msg.has_value()) {
-      return;  // Network closed.
+      CVM_CHECK(!net_.closed()) << "node " << id_ << " waits on a closed fabric";
+      return false;  // The deadline passed.
     }
-    {
-      // Fail-stop: a crashed node answers nothing, not even frames that were
-      // already in its inbox when it died.
-      std::lock_guard<std::mutex> guard(mu_);
-      if (crashed_) {
-        continue;
-      }
-    }
-    DispatchWithFlow(*msg);
+    Serve(*msg);
+  }
+  ThrowIfAborted();
+  return true;
+}
+
+void Node::ServeUntilClosed() {
+  while (std::optional<Message> msg = net_.Recv(id_)) {
+    Serve(*msg);
   }
 }
 
@@ -291,13 +309,10 @@ void Node::DispatchWithFlow(const Message& msg) {
       event.arg_value = static_cast<uint64_t>(msg.from >= 0 ? msg.from : 0);
       event.arg2_name = "hop";
       event.arg2_value = msg.ctx.hop;
-      {
-        std::lock_guard<std::mutex> guard(mu_);
-        event.epoch = epoch_;
-        const double arrival = static_cast<double>(msg.ctx.send_sim_ns) +
-                               opts_.costs.MessageCost(msg.wire_bytes);
-        event.sim_ts_ns = std::max(timing_.now_ns(), arrival);
-      }
+      event.epoch = epoch_;
+      const double arrival = static_cast<double>(msg.ctx.send_sim_ns) +
+                             opts_.costs.MessageCost(msg.wire_bytes);
+      event.sim_ts_ns = std::max(timing_.now_ns(), arrival);
       tracer_->Emit(event);
       return;
     }
@@ -307,12 +322,12 @@ void Node::DispatchWithFlow(const Message& msg) {
 
 // ---------------- Cost helpers ----------------
 
-void Node::ChargeInstrumentationLocked() {
+void Node::ChargeInstrumentation() {
   timing_.Charge(Bucket::kProcCall, opts_.costs.proc_call_ns);
   timing_.Charge(Bucket::kAccessCheck, opts_.costs.access_check_ns);
 }
 
-void Node::ChargeMessageLocked(size_t bytes, size_t read_notice_bytes) {
+void Node::ChargeMessage(size_t bytes, size_t read_notice_bytes) {
   CVM_CHECK_GE(bytes, read_notice_bytes);
   timing_.Charge(Bucket::kNone, opts_.costs.MessageCost(bytes - read_notice_bytes));
   if (read_notice_bytes > 0) {
@@ -324,34 +339,33 @@ void Node::ChargeMessageLocked(size_t bytes, size_t read_notice_bytes) {
 // ---------------- Shared accesses ----------------
 
 void Node::Compute(uint64_t units) {
-  std::lock_guard<std::mutex> guard(mu_);
+  Poll();
   timing_.Charge(Bucket::kNone, opts_.costs.compute_unit_ns * static_cast<double>(units));
 }
 
 void Node::PrivateAccess(uint64_t va, bool is_write) {
-  std::lock_guard<std::mutex> guard(mu_);
+  Poll();
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   if (opts_.race_detection) {
-    ChargeInstrumentationLocked();
+    ChargeInstrumentation();
     AccessFilter::Result result = filter_.OnAccess(va, is_write);
     CVM_CHECK(!result.shared) << "private VA resolved as shared";
   }
 }
 
 uint64_t Node::AllocPrivateVa(uint64_t bytes) {
-  std::lock_guard<std::mutex> guard(mu_);
   const uint64_t va = private_va_next_;
   private_va_next_ += (bytes + kWordSize - 1) / kWordSize * kWordSize;
   return va;
 }
 
 uint32_t Node::ReadWord(GlobalAddr addr) {
-  std::unique_lock<std::mutex> lk(mu_);
+  Poll();
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   const PageId page = static_cast<PageId>(addr >> page_shift_);
   const uint32_t word = WordInPage(addr & page_mask_);
   if (opts_.race_detection) {
-    ChargeInstrumentationLocked();
+    ChargeInstrumentation();
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/false);
     CVM_CHECK(result.shared);
     // Only a page's first read in the interval can add a read notice.
@@ -367,7 +381,7 @@ uint32_t Node::ReadWord(GlobalAddr addr) {
     }
   }
   if (!pages_.Readable(page)) {
-    ReadFaultLocked(lk, page);
+    ReadFault(page);
   }
   const uint32_t value = pages_.ReadWord(page, word);
   protocol_->OnAccessComplete(page);
@@ -375,14 +389,14 @@ uint32_t Node::ReadWord(GlobalAddr addr) {
 }
 
 void Node::WriteWord(GlobalAddr addr, uint32_t value) {
-  std::unique_lock<std::mutex> lk(mu_);
+  Poll();
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   const PageId page = static_cast<PageId>(addr >> page_shift_);
   const uint32_t word = WordInPage(addr & page_mask_);
   // §6.5: under diff-derived write detection, store instructions are not
   // instrumented at all — writes are mined from diffs at release time.
   if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {
-    ChargeInstrumentationLocked();
+    ChargeInstrumentation();
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/true);
     CVM_CHECK(result.shared);
     bitmaps_.RecordWrite(cur_interval_, page, word);
@@ -395,13 +409,13 @@ void Node::WriteWord(GlobalAddr addr, uint32_t value) {
     }
   }
   if (!pages_.Writable(page)) {
-    WriteFaultLocked(lk, page);
+    WriteFault(page);
   }
   pages_.WriteWord(page, word, value);
   protocol_->OnAccessComplete(page);
 }
 
-void Node::ReadFaultLocked(std::unique_lock<std::mutex>& lk, PageId page) {
+void Node::ReadFault(PageId page) {
   ++page_faults_;
   obs::Span span(tracer_, id_, "page.fault.read", "mem", timing_, epoch_);
   span.SetArg("page", static_cast<uint64_t>(page));
@@ -411,10 +425,10 @@ void Node::ReadFaultLocked(std::unique_lock<std::mutex>& lk, PageId page) {
     }
   }
   timing_.Charge(Bucket::kNone, opts_.costs.page_fault_ns);
-  protocol_->OnReadFault(lk, page);
+  protocol_->OnReadFault(page);
 }
 
-void Node::WriteFaultLocked(std::unique_lock<std::mutex>& lk, PageId page) {
+void Node::WriteFault(PageId page) {
   ++page_faults_;
   obs::Span span(tracer_, id_, "page.fault.write", "mem", timing_, epoch_);
   span.SetArg("page", static_cast<uint64_t>(page));
@@ -424,23 +438,23 @@ void Node::WriteFaultLocked(std::unique_lock<std::mutex>& lk, PageId page) {
     }
   }
   timing_.Charge(Bucket::kNone, opts_.costs.page_fault_ns);
-  protocol_->OnWriteFault(lk, page);
+  protocol_->OnWriteFault(page);
 }
 
 // ---------------- Intervals ----------------
 
-void Node::BeginIntervalLocked() {
+void Node::BeginInterval() {
   cur_interval_ = vc_.Tick(id_);
   cur_reads_.Clear();
   cur_writes_.Clear();
   TraceInstant("interval.open", "protocol", "interval", static_cast<uint64_t>(cur_interval_));
 }
 
-void Node::EndIntervalLocked(std::unique_lock<std::mutex>& lk) {
+void Node::EndInterval() {
   // Protocol-specific closing action first: diff flushing (multi-writer, may
   // mine write notices into cur_writes_) or written-page downgrade
   // (single-writer family).
-  protocol_->OnIntervalEnd(lk);
+  protocol_->OnIntervalEnd();
 
   IntervalRecord record;
   record.id = IntervalId{id_, cur_interval_};
@@ -472,10 +486,10 @@ void Node::EndIntervalLocked(std::unique_lock<std::mutex>& lk) {
 
   // Post-publish action: ERC pushes the record to every node and blocks for
   // acks; the lazy protocols do nothing here.
-  protocol_->OnIntervalPublished(lk, record);
+  protocol_->OnIntervalPublished(record);
 }
 
-void Node::ApplyIntervalRecordsLocked(const std::vector<IntervalRecord>& records) {
+void Node::ApplyIntervalRecords(const std::vector<IntervalRecord>& records) {
   for (const IntervalRecord& record : records) {
     if (log_.Contains(record.id)) {
       protocol_->OnDuplicateRecord(record);
@@ -489,7 +503,7 @@ void Node::ApplyIntervalRecordsLocked(const std::vector<IntervalRecord>& records
   }
 }
 
-void Node::GarbageCollectLocked() {
+void Node::GarbageCollect() {
   log_.DiscardDominatedBy(vc_);
   protocol_->OnGarbageCollect(vc_);
   if (opts_.postmortem_trace) {
@@ -511,8 +525,8 @@ void Node::GarbageCollectLocked() {
 void Node::Lock(LockId lock) {
   CVM_CHECK_GE(lock, 0);
   CVM_CHECK_LT(lock, opts_.num_locks);
-  std::unique_lock<std::mutex> lk(mu_);
-  ThrowIfAbortedLocked();
+  Poll();
+  ThrowIfAborted();
   obs::Span span(tracer_, id_, "lock.acquire", "sync", timing_, epoch_);
   span.SetArg("lock", static_cast<uint64_t>(lock));
   if constexpr (obs::kObsCompiledIn) {
@@ -521,44 +535,41 @@ void Node::Lock(LockId lock) {
     }
   }
   timing_.Charge(Bucket::kNone, opts_.costs.lock_op_ns);
-  EndIntervalLocked(lk);
-  lock_mgr_.Acquire(lk, lock);
-  BeginIntervalLocked();
+  EndInterval();
+  lock_mgr_.Acquire(lock);
+  BeginInterval();
 }
 
 void Node::Unlock(LockId lock) {
   CVM_CHECK_GE(lock, 0);
   CVM_CHECK_LT(lock, opts_.num_locks);
-  std::unique_lock<std::mutex> lk(mu_);
-  ThrowIfAbortedLocked();
+  Poll();
+  ThrowIfAborted();
   TraceInstant("lock.release", "sync", "lock", static_cast<uint64_t>(lock));
   timing_.Charge(Bucket::kNone, opts_.costs.lock_op_ns);
   CVM_CHECK(lock_mgr_.Held(lock)) << "unlock of lock " << lock << " not held by node " << id_;
-  EndIntervalLocked(lk);
+  EndInterval();
   lock_mgr_.Release(lock);
-  BeginIntervalLocked();
+  BeginInterval();
 }
 
 // ---------------- Barriers ----------------
 
-void Node::MarkFinalBarrier() {
-  std::lock_guard<std::mutex> guard(mu_);
-  final_barrier_ = true;
-}
+void Node::MarkFinalBarrier() { final_barrier_ = true; }
 
 void Node::Barrier() {
-  std::unique_lock<std::mutex> lk(mu_);
-  ThrowIfAbortedLocked();
-  MaybeCrashAtBarrierLocked();
+  Poll();
+  ThrowIfAborted();
+  MaybeCrashAtBarrier();
   obs::Span span(tracer_, id_, "barrier", "sync", timing_, epoch_);
   span.SetArg("epoch", static_cast<uint64_t>(epoch_));
   timing_.Charge(Bucket::kNone, opts_.costs.barrier_op_ns);
-  EndIntervalLocked(lk);   // Epoch-body interval.
-  BeginIntervalLocked();   // In-barrier interval (paper: barrier = release+acquire).
-  EndIntervalLocked(lk);   // Published empty; keeps "2 intervals per barrier".
+  EndInterval();    // Epoch-body interval.
+  BeginInterval();  // In-barrier interval (paper: barrier = release+acquire).
+  EndInterval();    // Published empty; keeps "2 intervals per barrier".
   const EpochId epoch = epoch_;
 
-  barrier_.RunBarrier(lk, epoch);
+  barrier_.RunBarrier(epoch);
 
   if (opts_.race_detection) {
     // Reset of the statically-allocated access bitmaps for the new epoch —
@@ -578,13 +589,13 @@ void Node::Barrier() {
       tracer_->Drain(id_);  // Barrier = natural quiescent point for the ring.
     }
   }
-  BeginIntervalLocked();  // New epoch-body interval.
-  CaptureCheckpointLocked();
+  BeginInterval();  // New epoch-body interval.
+  CaptureCheckpoint();
 }
 
 // ---------------- Crash tolerance ----------------
 
-void Node::MaybeCrashAtBarrierLocked() {
+void Node::MaybeCrashAtBarrier() {
   const fault::FaultInjector* injector = system_->fault_injector();
   if (injector == nullptr || !injector->plan().crash_enabled() || crashed_) {
     return;
@@ -593,21 +604,20 @@ void Node::MaybeCrashAtBarrierLocked() {
     return;
   }
   // Fail-stop: mark the NIC dead first so no frame sent after this instant
-  // reaches a survivor, then unwind the app thread.
+  // reaches a survivor, then unwind the application.
   crashed_ = true;
   TraceInstant("node.crash", "fault", "epoch", static_cast<uint64_t>(epoch_));
-  system_->network().MarkNodeDead(id_);
-  cv_.notify_all();
+  net_.MarkNodeDead(id_);
   throw RunAbortError{id_, epoch_, /*self_crash=*/true};
 }
 
-void Node::ThrowIfAbortedLocked() {
+void Node::ThrowIfAborted() {
   if (aborted_) {
     throw RunAbortError{abort_dead_, abort_epoch_, /*self_crash=*/false};
   }
 }
 
-void Node::OnPeerUnreachableLocked(NodeId peer) {
+void Node::OnPeerUnreachable(NodeId peer) {
   if (aborted_ || crashed_ || peer == id_) {
     return;
   }
@@ -620,10 +630,10 @@ void Node::OnPeerUnreachableLocked(NodeId peer) {
                static_cast<uint64_t>(peer >= 0 ? peer : 0));
   // An exhausted send means the message is permanently lost, so the epoch is
   // torn whether or not the peer is still breathing: abort unconditionally.
-  InitiateAbortLocked(peer, epoch_);
+  InitiateAbort(peer, epoch_);
 }
 
-void Node::InitiateAbortLocked(NodeId dead, EpochId epoch) {
+void Node::InitiateAbort(NodeId dead, EpochId epoch) {
   if (aborted_ || crashed_) {
     return;
   }
@@ -632,7 +642,6 @@ void Node::InitiateAbortLocked(NodeId dead, EpochId epoch) {
   abort_epoch_ = epoch;
   TraceInstant("run.abort", "fault", "dead",
                static_cast<uint64_t>(dead >= 0 ? dead : 0));
-  cv_.notify_all();
   // Wake every survivor; sends to the dead node surface unreachable again
   // and are swallowed above (aborted_ is already set).
   for (NodeId n = 0; n < static_cast<NodeId>(opts_.num_nodes); ++n) {
@@ -645,23 +654,12 @@ void Node::InitiateAbortLocked(NodeId dead, EpochId epoch) {
 
 void Node::OnHeartbeatProbe(const Message& msg) {
   const auto& probe = std::get<HeartbeatProbeMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(mu_);
-  if (crashed_) {
-    return;
-  }
   Send(msg.from, HeartbeatAckMsg{probe.epoch, probe.token});
-}
-
-void Node::OnHeartbeatAck(const Message&) {
-  std::lock_guard<std::mutex> guard(mu_);
-  ++heartbeat_acks_;  // The peer is alive: parked waiters re-check and keep waiting.
-  cv_.notify_all();
 }
 
 void Node::OnPeerSuspect(const Message& msg) {
   const auto& suspect = std::get<PeerSuspectMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(mu_);
-  if (crashed_ || aborted_) {
+  if (aborted_) {
     return;
   }
   // A stuck peer asked "is someone dead?". Probing a live node is harmless
@@ -670,14 +668,13 @@ void Node::OnPeerSuspect(const Message& msg) {
   if (suspect.suspect != kNoNode && suspect.suspect != id_) {
     Send(suspect.suspect, HeartbeatProbeMsg{suspect.epoch, ++heartbeat_token_});
   } else {
-    barrier_.ProbeMissingArrivalsLocked(suspect.epoch);
+    barrier_.ProbeMissingArrivals(suspect.epoch);
   }
 }
 
 void Node::OnRunAbort(const Message& msg) {
   const auto& abort = std::get<RunAbortMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(mu_);
-  if (aborted_ || crashed_) {
+  if (aborted_) {
     return;
   }
   aborted_ = true;
@@ -685,10 +682,9 @@ void Node::OnRunAbort(const Message& msg) {
   abort_epoch_ = abort.epoch;
   TraceInstant("run.abort", "fault", "dead",
                static_cast<uint64_t>(abort.dead >= 0 ? abort.dead : 0));
-  cv_.notify_all();
 }
 
-void Node::CaptureCheckpointLocked() {
+void Node::CaptureCheckpoint() {
   if (!system_->crash_armed()) {
     return;  // Healthy runs pay nothing for crash tolerance.
   }
@@ -714,7 +710,7 @@ void Node::CaptureCheckpointLocked() {
   checkpoint_ = std::move(cp);
 }
 
-size_t Node::RollbackToCheckpointLocked() {
+size_t Node::RollbackToCheckpoint() {
   if (!checkpoint_.has_value()) {
     return 0;
   }
@@ -745,13 +741,12 @@ size_t Node::RollbackToCheckpointLocked() {
 }
 
 void Node::RecoverAfterAbort(const RunAbortError& err) {
-  std::lock_guard<std::mutex> guard(mu_);
   if (!aborted_) {
     aborted_ = true;
     abort_dead_ = err.dead;
     abort_epoch_ = err.epoch;
   }
-  const size_t recovered = RollbackToCheckpointLocked();
+  const size_t recovered = RollbackToCheckpoint();
   if constexpr (obs::kObsCompiledIn) {
     if (locks_recovered_counter_ != nullptr && recovered > 0) {
       locks_recovered_counter_->Add(recovered);
@@ -764,7 +759,6 @@ void Node::RecoverAfterAbort(const RunAbortError& err) {
 }
 
 void Node::DumpTraceBitmaps(PostMortemTrace& trace) const {
-  std::lock_guard<std::mutex> guard(mu_);
   bitmaps_.ForEachPair(id_, [&trace](const IntervalId& interval, PageId page,
                                      const PageAccessBitmaps& pair) {
     trace.AddBitmaps(interval, page, pair);

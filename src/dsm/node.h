@@ -1,8 +1,10 @@
 // One DSM node: a simulated processor with a private view of the shared
-// segment. Each node runs two OS threads — the application thread executing
-// user code against the public API below, and a service thread draining the
-// node's network inbox, standing in for CVM's interrupt-driven message
-// handlers.
+// segment. Like CVM's one processor per node, each node is one OS thread. It
+// runs the application against the public API below, and it also serves the
+// node's network inbox — at every API entry (Poll) and inside every blocking
+// wait (Await), the way CVM's SIGIO handlers interrupt the application.
+// After the application body returns, the thread keeps serving until every
+// node is done (DsmSystem::Run).
 //
 // The node itself is a thin core: shared-access instrumentation, interval
 // bookkeeping, and the simulated clock. Everything protocol-, lock-, or
@@ -13,29 +15,27 @@
 //     strategy interface only; the protocol reaches back through
 //     ProtocolHost, the narrow slice of node state it may touch.
 //   MessageDispatcher (src/net/)       — typed per-payload handler registry
-//     the service loop drains into; unhandled kinds are counted, not
-//     silently dropped.
+//     every inbound frame is dispatched through; unhandled kinds are
+//     counted, not silently dropped.
 //   LockManager (src/dsm/)             — token locks, manager forwarding,
 //     grant-time interval shipping, record/replay ordering.
 //   BarrierCoordinator (src/dsm/)      — barrier arrival/release plus the
 //     serial/distributed race-detection pipeline.
 //
-// All node state is guarded by mu_; blocking operations park the app thread
-// on cv_ while the service thread fills the corresponding reply slot.
-// Service handlers never block on the network, which makes the node graph
-// deadlock-free by construction.
+// Only the node's own thread touches node state, so none of it is locked.
+// Await/AwaitFor are the only blocking points. Message handlers never
+// block, which makes the node graph deadlock-free by construction: a node
+// waiting on a reply keeps answering everyone else's requests.
 #ifndef CVM_DSM_NODE_H_
 #define CVM_DSM_NODE_H_
 
 #include <array>
 #include <bit>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "src/common/abort.h"
@@ -48,6 +48,7 @@
 #include "src/mem/page_table.h"
 #include "src/net/dispatch.h"
 #include "src/net/message.h"
+#include "src/net/network.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tracer.h"
 #include "src/protocol/coherence.h"
@@ -103,7 +104,7 @@ class Node : public ProtocolHost {
   // Models `units` of uninstrumented computation (advances simulated time).
   void Compute(uint64_t units);
 
-  // Called by the DsmSystem app-thread wrapper just before the implicit
+  // Called by the DsmSystem node-thread body just before the implicit
   // final barrier: with epoch-batched detection (--detect-batch > 1) the
   // master must flush any still-queued check lists at that barrier even if
   // it falls mid-batch, and every node releases its deferred bitmaps.
@@ -120,11 +121,6 @@ class Node : public ProtocolHost {
   // Tags subsequent accesses with a source site, consumed by the §6.1
   // watchpoint machinery during replay runs.
   void SetSite(const char* site) { site_ = site; }
-
-  // ---------------- Lifecycle (DsmSystem only) ----------------
-
-  void StartService();
-  void JoinService();
 
   // ---------------- Post-run metric snapshots ----------------
 
@@ -179,14 +175,14 @@ class Node : public ProtocolHost {
     uint64_t encoded_bitmap_bytes = 0;
   };
 
-  // Called by the DsmSystem app-thread wrapper after a RunAbortError unwound
+  // Called by the DsmSystem node-thread body after a RunAbortError unwound
   // the app: discards the torn epoch and restores the last consistent cut.
   void RecoverAfterAbort(const RunAbortError& err);
 
-  bool crashed() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return crashed_;
-  }
+  // Serves the inbox until the fabric closes. DsmSystem::Run calls it once
+  // the body and its final barrier are done, so peers still running can be
+  // answered.
+  void ServeUntilClosed();
 
  private:
   friend class DsmSystem;
@@ -198,8 +194,6 @@ class Node : public ProtocolHost {
   uint64_t page_size() const override { return opts_.page_size; }
   const CostParams& costs() const override { return opts_.costs; }
   WriteDetection write_detection() const override { return opts_.write_detection; }
-  std::mutex& mu() override { return mu_; }
-  std::condition_variable& cv() override { return cv_; }
   PageTable& pages() override { return pages_; }
   BitmapStore& bitmaps() override { return bitmaps_; }
   IntervalLog& log() override { return log_; }
@@ -208,12 +202,9 @@ class Node : public ProtocolHost {
   EpochId current_epoch() const override { return epoch_; }
   const perf::FlatIdSet<PageId>& current_writes() const override { return cur_writes_; }
   void NoteWrite(PageId page) override { cur_writes_.Insert(page); }
-  bool run_aborted() const override { return aborted_; }
-  void ThrowIfAborted() override { ThrowIfAbortedLocked(); }
   void Send(NodeId to, Payload payload) override;
-  void ChargeMessage(size_t bytes, size_t read_notice_bytes) override {
-    ChargeMessageLocked(bytes, read_notice_bytes);
-  }
+  void ChargeMessage(size_t bytes, size_t read_notice_bytes) override;
+  void Await(const std::function<bool()>& ready) override;
   std::vector<uint8_t> InitialPageData(PageId page) override;
   obs::Tracer* tracer() override { return tracer_; }
   DiffObs* diff_obs() override { return obs::kObsCompiledIn ? &diff_obs_ : nullptr; }
@@ -221,66 +212,79 @@ class Node : public ProtocolHost {
   void TraceInstant(const char* name, const char* cat, const char* arg_name = nullptr,
                     uint64_t arg_value = 0) override;
 
-  // ---- Service thread ----
-  void ServiceLoop();
+  // ---- Inbox service ----
+  // Dispatches every frame already queued; one atomic load when the inbox is
+  // empty. Called at the top of every API entry.
+  void Poll() {
+    if (net_.HasPending(id_)) {
+      Drain();
+    }
+  }
+  void Drain();
+  // Await with a wall-clock budget, for the crash-armed watchful waits:
+  // false if `timeout` passed before ready() held.
+  bool AwaitFor(std::chrono::milliseconds timeout, const std::function<bool()>& ready);
+  // Shared body of Await/AwaitFor; no deadline waits for as long as it takes.
+  bool AwaitUntil(std::optional<std::chrono::steady_clock::time_point> deadline,
+                  const std::function<bool()>& ready);
+  // One inbound frame: dropped if this node has crashed, else dispatched.
+  void Serve(const Message& msg);
 
   // ---- Causal flow tracing ----
-  // Called by Send (mu_ held): stamps a TraceContext on the outbound message
-  // — inheriting the chain of the message being dispatched when this send
+  // Called by Send: stamps a TraceContext on the outbound message —
+  // inheriting the chain of the message being dispatched when this send
   // forwards the same payload kind, starting a fresh chain (with the inbound
   // chain as parent) otherwise — and emits the chain's 's' step.
   void StampFlowContext(Message& msg);
-  // Service-loop dispatch wrapper: runs the handler, then emits the receive
-  // step — 't' if the handler forwarded the chain onward, 'f' if it ended
-  // here. Emission is post-dispatch because the forward/terminal distinction
-  // is unknowable before the handler runs.
+  // Dispatch wrapper: runs the handler, then emits the receive step — 't'
+  // if the handler forwarded the chain onward, 'f' if it ended here.
+  // Emission is post-dispatch because the forward/terminal distinction is
+  // unknowable before the handler runs.
   void DispatchWithFlow(const Message& msg);
 
-  // ---- Shared-access internals (mu_ held) ----
-  void ReadFaultLocked(std::unique_lock<std::mutex>& lk, PageId page);
-  void WriteFaultLocked(std::unique_lock<std::mutex>& lk, PageId page);
+  // ---- Shared-access internals ----
+  void ReadFault(PageId page);
+  void WriteFault(PageId page);
 
-  // ---- Interval machinery (mu_ held) ----
-  void EndIntervalLocked(std::unique_lock<std::mutex>& lk);
-  void BeginIntervalLocked();
-  void ApplyIntervalRecordsLocked(const std::vector<IntervalRecord>& records);
-  void GarbageCollectLocked();
+  // ---- Interval machinery ----
+  void EndInterval();
+  void BeginInterval();
+  void ApplyIntervalRecords(const std::vector<IntervalRecord>& records);
+  void GarbageCollect();
 
-  // ---- Cost helpers (mu_ held) ----
-  void ChargeMessageLocked(size_t bytes, size_t read_notice_bytes);
-  void ChargeInstrumentationLocked();
+  // ---- Cost helpers ----
+  void ChargeInstrumentation();
 
-  // ---- Observability (mu_ held; no-ops when obs is off) ----
+  // ---- Observability (no-ops when obs is off) ----
   void InitObservability();
   // Adds the per-bucket overhead accumulated since the last publish to the
   // shared metric counters (called at barriers, before the epoch snapshot).
-  void PublishOverheadLocked();
+  void PublishOverhead();
 
-  // ---- Crash / abort machinery (mu_ held) ----
+  // ---- Crash / abort machinery ----
   // Fail-stop trigger: if the armed crash plan names this node and the
   // current epoch, marks the node dead in the fabric and throws.
-  void MaybeCrashAtBarrierLocked();
+  void MaybeCrashAtBarrier();
   // Throws RunAbortError if a peer crash has torn the current run.
-  void ThrowIfAbortedLocked();
-  // Send surfaced kPeerUnreachable: suspicion bookkeeping, then either
-  // reports the suspect to the master or (on the master, or when the master
-  // itself is the suspect) initiates the run abort.
-  void OnPeerUnreachableLocked(NodeId peer);
+  void ThrowIfAborted();
+  // Send surfaced kPeerUnreachable: suspicion bookkeeping, then initiates
+  // the run abort.
+  void OnPeerUnreachable(NodeId peer);
   // First detector: flips aborted_ and broadcasts RunAbortMsg to survivors.
-  void InitiateAbortLocked(NodeId dead, EpochId epoch);
+  void InitiateAbort(NodeId dead, EpochId epoch);
   // Captures the per-barrier consistent cut (crash-armed runs only).
-  void CaptureCheckpointLocked();
+  void CaptureCheckpoint();
   // Restores the last consistent cut; returns #locks whose state diverged.
-  size_t RollbackToCheckpointLocked();
-  // Service-thread handlers.
+  size_t RollbackToCheckpoint();
+  // Control-plane handlers.
   void OnHeartbeatProbe(const Message& msg);
-  void OnHeartbeatAck(const Message& msg);
   void OnPeerSuspect(const Message& msg);
   void OnRunAbort(const Message& msg);
 
   // ---------------- State ----------------
 
   DsmSystem* const system_;
+  Network& net_;
   const NodeId id_;
   const DsmOptions& opts_;
   // opts_.page_size is a power of two (DsmSystem checks): addr >> page_shift_
@@ -288,10 +292,8 @@ class Node : public ProtocolHost {
   const uint32_t page_shift_;
   const uint64_t page_mask_;
 
-  std::thread service_thread_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  // True while a handler runs: handlers must never block (Await checks).
+  bool in_handler_ = false;
 
   // Memory.
   PageTable pages_;
@@ -324,16 +326,14 @@ class Node : public ProtocolHost {
   std::array<double, kNumBuckets> overhead_published_ = {};
 
   // Crash / abort state. crashed_: this node hit its fail-stop point and its
-  // NIC is dead; the service thread drops anything still in flight to it.
-  // aborted_: some node crashed and the current epoch is torn; every blocking
-  // wait includes `|| aborted_` in its predicate and re-raises via
-  // ThrowIfAbortedLocked after waking.
+  // NIC is dead; Serve drops anything still in flight to it. aborted_: some
+  // node crashed and the current epoch is torn; every Await returns early
+  // and re-raises via ThrowIfAborted.
   bool crashed_ = false;
   bool aborted_ = false;
   NodeId abort_dead_ = kNoNode;
   EpochId abort_epoch_ = -1;
   uint64_t heartbeat_token_ = 0;
-  uint64_t heartbeat_acks_ = 0;
   // The next barrier is the run's implicit final one (see MarkFinalBarrier).
   bool final_barrier_ = false;
   std::optional<EpochCheckpoint> checkpoint_;

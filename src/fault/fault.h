@@ -92,7 +92,7 @@ struct FaultPlan {
   uint32_t max_send_attempts = 512;
 
   // Crash fault: node `crash_node` fail-stops when it reaches the entry of
-  // barrier `crash_epoch` — its app thread dies mid-epoch and the node goes
+  // barrier `crash_epoch` — its application dies mid-epoch and the node goes
   // silent (no acks, no replies). crash_epoch < 0 disarms the crash.
   // crash_node < 0 picks a seed-derived victim (FaultInjector::crash_node()).
   // crash_reboot marks the failure transient: a service-level retry of the

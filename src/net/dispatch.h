@@ -1,15 +1,14 @@
 // Typed message-dispatch registry: a handler table keyed by the Payload
-// variant alternative, replacing the service loop's hand-written if-else
-// chain. Components (coherence protocol, lock manager, barrier coordinator)
+// variant alternative, replacing a hand-written if-else chain over message
+// kinds. Components (coherence protocol, lock manager, barrier coordinator)
 // register handlers for the message kinds they own; anything that arrives
 // without a handler is counted and surfaced as a `net.dispatch.unhandled`
 // metric plus an optional hook (the node emits a trace instant) instead of
 // being dropped silently.
 //
 // The dispatcher is single-threaded by construction: Dispatch runs only on
-// the owning node's service thread, so the per-kind tallies are plain
-// integers. The optional obs counters are atomics and safe to read from
-// anywhere.
+// the owning node's one thread, so the per-kind tallies are plain integers.
+// The optional obs counters are atomics and safe to read from anywhere.
 #ifndef CVM_NET_DISPATCH_H_
 #define CVM_NET_DISPATCH_H_
 

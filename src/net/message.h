@@ -256,7 +256,7 @@ struct PeerSuspectMsg {
 };
 
 // Broadcast by whichever survivor first confirms a dead peer: every node
-// abandons epoch `epoch`, unwinds its app thread, and rolls back to its last
+// abandons epoch `epoch`, unwinds its application, and rolls back to its last
 // checkpoint. Idempotent — later copies from other detectors are ignored.
 struct RunAbortMsg {
   EpochId epoch = -1;

@@ -31,8 +31,8 @@ void Network::MarkNodeDead(NodeId node) {
   CVM_CHECK_GE(node, 0);
   CVM_CHECK_LT(node, num_nodes_);
   dead_[static_cast<size_t>(node)]->store(true, std::memory_order_release);
-  // Wake anything blocked in Recv on the dead node so its service loop can
-  // notice the condition instead of parking forever.
+  // Wake anything blocked in Recv on the dead node so its thread can notice
+  // the condition instead of parking forever.
   Inbox& inbox = *inboxes_[static_cast<size_t>(node)];
   std::lock_guard<std::mutex> lock(inbox.mu);
   inbox.cv.notify_all();
@@ -150,6 +150,7 @@ void Network::PushInbox(Message message) {
   {
     std::lock_guard<std::mutex> lock(inbox.mu);
     inbox.queue.push_back(std::move(message));
+    inbox.pending.store(inbox.queue.size(), std::memory_order_release);
   }
   inbox.cv.notify_all();
 }
@@ -389,6 +390,8 @@ void Network::OnDelivered(const Message& message) {
   if constexpr (!obs::kObsCompiledIn) {
     return;
   }
+  // net.msg_latency_ns: host wall time from send to the pop, which happens on
+  // the receiving node's own thread when it next polls or waits.
   if (msg_latency_hist_ != nullptr && message.send_wall_ns != 0) {
     const uint64_t now = WallNs();
     msg_latency_hist_->Observe(now > message.send_wall_ns ? now - message.send_wall_ns : 0);
@@ -409,22 +412,38 @@ void Network::OnDelivered(const Message& message) {
   }
 }
 
+Message Network::PopLocked(Inbox& inbox, std::unique_lock<std::mutex>& lock) {
+  Message message = std::move(inbox.queue.front());
+  inbox.queue.pop_front();
+  inbox.pending.store(inbox.queue.size(), std::memory_order_release);
+  lock.unlock();
+  OnDelivered(message);
+  return message;
+}
+
 std::optional<Message> Network::Recv(NodeId node) {
   CVM_CHECK_GE(node, 0);
   CVM_CHECK_LT(node, num_nodes_);
   Inbox& inbox = *inboxes_[node];
   std::unique_lock<std::mutex> lock(inbox.mu);
-  inbox.cv.wait(lock, [&] {
-    return !inbox.queue.empty() || closed_.load(std::memory_order_acquire);
-  });
+  inbox.cv.wait(lock, [&] { return !inbox.queue.empty() || closed(); });
   if (inbox.queue.empty()) {
     return std::nullopt;
   }
-  Message message = std::move(inbox.queue.front());
-  inbox.queue.pop_front();
-  lock.unlock();
-  OnDelivered(message);
-  return message;
+  return PopLocked(inbox, lock);
+}
+
+std::optional<Message> Network::RecvUntil(NodeId node,
+                                          std::chrono::steady_clock::time_point deadline) {
+  CVM_CHECK_GE(node, 0);
+  CVM_CHECK_LT(node, num_nodes_);
+  Inbox& inbox = *inboxes_[node];
+  std::unique_lock<std::mutex> lock(inbox.mu);
+  inbox.cv.wait_until(lock, deadline, [&] { return !inbox.queue.empty() || closed(); });
+  if (inbox.queue.empty()) {
+    return std::nullopt;
+  }
+  return PopLocked(inbox, lock);
 }
 
 std::optional<Message> Network::TryRecv(NodeId node) {
@@ -435,11 +454,7 @@ std::optional<Message> Network::TryRecv(NodeId node) {
   if (inbox.queue.empty()) {
     return std::nullopt;
   }
-  Message message = std::move(inbox.queue.front());
-  inbox.queue.pop_front();
-  lock.unlock();
-  OnDelivered(message);
-  return message;
+  return PopLocked(inbox, lock);
 }
 
 void Network::Close() {
@@ -475,6 +490,7 @@ void Network::Reset() {
   for (auto& inbox : inboxes_) {
     std::lock_guard<std::mutex> lock(inbox->mu);
     inbox->queue.clear();
+    inbox->pending.store(0, std::memory_order_release);
   }
   for (auto& dead : dead_) {
     dead->store(false, std::memory_order_release);

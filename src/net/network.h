@@ -15,6 +15,7 @@
 #define CVM_NET_NETWORK_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -103,14 +104,26 @@ class Network {
   void MarkNodeDead(NodeId node);
   bool NodeDead(NodeId node) const;
 
-  // Blocking receive for `node`; returns nullopt after Close().
+  // Blocking receive for `node`. After Close() it still returns the frames
+  // already queued, then nullopt.
   std::optional<Message> Recv(NodeId node);
+
+  // Recv that gives up at `deadline` (wall clock): nullopt if nothing was
+  // queued by then, or once the fabric is closed and drained.
+  std::optional<Message> RecvUntil(NodeId node, std::chrono::steady_clock::time_point deadline);
 
   // Non-blocking receive.
   std::optional<Message> TryRecv(NodeId node);
 
+  // True when `node`'s inbox holds at least one frame. One atomic load: the
+  // node's access path polls it on every instrumented access.
+  bool HasPending(NodeId node) const {
+    return inboxes_[static_cast<size_t>(node)]->pending.load(std::memory_order_acquire) != 0;
+  }
+
   // Wakes all blocked receivers with "closed"; later Sends are dropped.
   void Close();
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   NetworkStats stats() const;
   fault::FaultStats fault_stats() const;
@@ -129,7 +142,14 @@ class Network {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Message> queue;
+    // queue.size(), written under mu on every push and pop so HasPending
+    // can read it without taking the lock.
+    std::atomic<size_t> pending{0};
   };
+
+  // Pops the front frame (inbox.mu held by `lock`, queue non-empty), then
+  // drops the lock for the delivery observability.
+  Message PopLocked(Inbox& inbox, std::unique_lock<std::mutex>& lock);
 
   // Per-(sender, receiver) reliable-transport state, guarded by fault_mu_.
   struct PairState {

@@ -1,6 +1,6 @@
 // Structured event tracer: one fixed-capacity ring buffer per node, written
-// by that node's app/service threads under a per-ring mutex (uncontended in
-// practice — "lock-free-ish"), drained into a global store at barriers, and
+// by that node's thread under a per-ring mutex (uncontended in practice —
+// "lock-free-ish"), drained into a global store at barriers, and
 // exported as Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing.
 //

@@ -46,8 +46,7 @@ void CoherenceProtocol::MaterializeHome(PageId page) {
   }
 }
 
-bool CoherenceProtocol::FetchPage(Lk& lk, PageId page, bool want_write,
-                                  PageState install_state) {
+bool CoherenceProtocol::FetchPage(PageId page, bool want_write, PageState install_state) {
   CVM_CHECK(!page_reply_.has_value());
   CVM_CHECK_EQ(page_fetch_pending_, -1);
   page_fetch_pending_ = page;
@@ -63,8 +62,7 @@ bool CoherenceProtocol::FetchPage(Lk& lk, PageId page, bool want_write,
   // the data; the single-writer home is the manager that serializes
   // ownership transfers (two hops worst case).
   host_.Send(HomeOf(page), request);
-  host_.cv().wait(lk, [this] { return page_reply_.has_value() || host_.run_aborted(); });
-  host_.ThrowIfAborted();
+  host_.Await([this] { return page_reply_.has_value(); });
   PageReplyMsg reply = std::move(*page_reply_);
   page_reply_.reset();
   page_fetch_pending_ = -1;
@@ -85,12 +83,10 @@ bool CoherenceProtocol::FetchPage(Lk& lk, PageId page, bool want_write,
 
 void CoherenceProtocol::OnPageReply(const Message& msg) {
   const auto& reply = std::get<PageReplyMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
   if (reply.page != page_fetch_pending_ || page_reply_.has_value()) {
     return;  // Matches no outstanding fetch: stale re-delivery.
   }
   page_reply_ = reply;
-  host_.cv().notify_all();
 }
 
 }  // namespace cvm

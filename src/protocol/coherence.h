@@ -7,18 +7,17 @@
 // back through ProtocolHost, the narrow view of node state it is allowed to
 // touch.
 //
-// Threading contract: everything here runs under the host's mutex. Methods
-// taking a `Lk&` may block on the host's condition variable (page fetches,
-// flush/ack rounds); all others must not block. Message handlers (registered
-// via RegisterHandlers) run on the node's service thread and acquire the
-// host mutex themselves; they never block on the network — the property
-// that keeps the node graph deadlock-free.
+// Threading contract: everything here runs on the host node's one thread,
+// so nothing is locked. The fault, interval-end and publish hooks may block,
+// but only through ProtocolHost::Await, which keeps dispatching inbound
+// frames — this node's own handlers included — until the awaited reply
+// lands. Message handlers (registered via RegisterHandlers) never block;
+// that is the property that keeps the node graph deadlock-free.
 #ifndef CVM_PROTOCOL_COHERENCE_H_
 #define CVM_PROTOCOL_COHERENCE_H_
 
-#include <condition_variable>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
@@ -49,12 +48,6 @@ class ProtocolHost {
   virtual const CostParams& costs() const = 0;
   virtual WriteDetection write_detection() const = 0;
 
-  // Node-wide lock and its condition variable. Blocking protocol operations
-  // (fetches, flush rounds) park on the cv; handlers filling reply slots
-  // notify it.
-  virtual std::mutex& mu() = 0;
-  virtual std::condition_variable& cv() = 0;
-
   virtual PageTable& pages() = 0;
   virtual BitmapStore& bitmaps() = 0;
   virtual IntervalLog& log() = 0;
@@ -69,16 +62,13 @@ class ProtocolHost {
   // Adds `page` to the current interval's write-notice set.
   virtual void NoteWrite(PageId page) = 0;
 
-  // Crash-tolerant epochs: true once the run is being abandoned because a
-  // peer fail-stopped (src/common/abort.h). Blocking protocol waits add it
-  // to their predicates so a survivor parked on a reply from a dead node can
-  // unwind instead of waiting forever.
-  virtual bool run_aborted() const { return false; }
-  // Throws RunAbortError when run_aborted(); no-op otherwise. Call after any
-  // wait whose predicate includes run_aborted().
-  virtual void ThrowIfAborted() {}
-
   virtual void Send(NodeId to, Payload payload) = 0;
+  // The one blocking primitive: dispatches inbound frames until ready()
+  // holds (handlers fill the reply slots it tests). Throws RunAbortError
+  // (src/common/abort.h) if a peer's fail-stop tears the run first, so a
+  // survivor waiting on a dead node unwinds instead of waiting forever.
+  // Never call it from a message handler.
+  virtual void Await(const std::function<bool()>& ready) = 0;
   // Charges one message's modeled cost to the node clock, splitting off the
   // read-notice share into the paper's "CVM Mods" bucket.
   virtual void ChargeMessage(size_t bytes, size_t read_notice_bytes) = 0;
@@ -96,8 +86,6 @@ class ProtocolHost {
 
 class CoherenceProtocol {
  public:
-  using Lk = std::unique_lock<std::mutex>;
-
   static std::unique_ptr<CoherenceProtocol> Make(ProtocolKind kind, ProtocolHost& host);
 
   virtual ~CoherenceProtocol();
@@ -119,28 +107,25 @@ class CoherenceProtocol {
   // unhandled rather than silently dropped.
   virtual void RegisterHandlers(MessageDispatcher& dispatcher);
 
-  // Page-fault paths, called from the app thread with the fault prologue
+  // Page-fault paths, called from the access path with the fault prologue
   // (fault count, span, page_fault_ns) already charged. May block on fetches.
-  virtual void OnReadFault(Lk& lk, PageId page) = 0;
-  virtual void OnWriteFault(Lk& lk, PageId page) = 0;
+  virtual void OnReadFault(PageId page) = 0;
+  virtual void OnWriteFault(PageId page) = 0;
 
-  // Called by the app thread after each completed shared access, while still
-  // holding the host mutex. The single-writer family drains page requests
-  // that were parked behind an in-flight ownership transfer.
+  // Called after each completed shared access. The single-writer family
+  // drains page requests that were parked behind an in-flight ownership
+  // transfer.
   virtual void OnAccessComplete(PageId page) { (void)page; }
 
   // Interval-end hook, invoked BEFORE the interval record is built: the
   // multi-writer protocol flushes diffs here (possibly mining write notices
   // into the record), the single-writer family downgrades written pages so
   // the next interval's first write faults again.
-  virtual void OnIntervalEnd(Lk& lk) = 0;
+  virtual void OnIntervalEnd() = 0;
 
   // Invoked AFTER the record is built, logged, and charged. ERC pushes the
   // record to every node here and blocks for acknowledgements.
-  virtual void OnIntervalPublished(Lk& lk, const IntervalRecord& record) {
-    (void)lk;
-    (void)record;
-  }
+  virtual void OnIntervalPublished(const IntervalRecord& record) { (void)record; }
 
   // Applies one freshly-logged remote record's write notices (invalidation).
   virtual void ApplyWriteNotices(const IntervalRecord& record) = 0;
@@ -164,7 +149,7 @@ class CoherenceProtocol {
   // Blocking fetch through the page's home: sends the request, waits for the
   // reply slot, charges the round trip, installs with `install_state`.
   // Returns true if the reply granted single-writer ownership.
-  bool FetchPage(Lk& lk, PageId page, bool want_write, PageState install_state);
+  bool FetchPage(PageId page, bool want_write, PageState install_state);
 
   ProtocolHost& host_;
 
@@ -172,8 +157,8 @@ class CoherenceProtocol {
   void OnPageReply(const Message& msg);
 
   std::vector<bool> home_materialized_;  // Home frames lazily initialized.
-  // Reply slot for the single outstanding fetch (the app thread is the only
-  // requester). The handler tolerates replies matching no outstanding fetch.
+  // Reply slot for the single outstanding fetch (a node has at most one).
+  // The handler tolerates replies matching no outstanding fetch.
   std::optional<PageReplyMsg> page_reply_;
   PageId page_fetch_pending_ = -1;
 };

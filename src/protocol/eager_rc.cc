@@ -12,7 +12,7 @@ void EagerRcInvalidate::RegisterHandlers(MessageDispatcher& dispatcher) {
   dispatcher.Register<ErcAckMsg>([this](const Message& msg) { OnErcAck(msg); });
 }
 
-void EagerRcInvalidate::OnIntervalPublished(Lk& lk, const IntervalRecord& record) {
+void EagerRcInvalidate::OnIntervalPublished(const IntervalRecord& record) {
   // Push the notices to every node NOW and block for acks — the cost LRC's
   // central intuition avoids ("competing accesses in correct programs will
   // be separated by synchronization", so notices can ride on later
@@ -36,8 +36,7 @@ void EagerRcInvalidate::OnIntervalPublished(Lk& lk, const IntervalRecord& record
   }
   // One ack round-trip of latency (pushes proceed in parallel).
   host_.timing().Charge(Bucket::kNone, host_.costs().MessageCost(kMessageHeaderBytes + 8));
-  host_.cv().wait(lk, [this] { return tokens_outstanding_.empty() || host_.run_aborted(); });
-  host_.ThrowIfAborted();
+  host_.Await([this] { return tokens_outstanding_.empty(); });
 }
 
 void EagerRcInvalidate::OnDuplicateRecord(const IntervalRecord& record) {
@@ -60,7 +59,6 @@ void EagerRcInvalidate::OnGarbageCollect(const VectorClock& vc) {
 
 void EagerRcInvalidate::OnErcUpdate(const Message& msg) {
   const auto& update = std::get<ErcUpdateMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
   if (!host_.log().Contains(update.record.id)) {
     host_.log().Insert(update.record);
     if (update.record.id.node != host_.self()) {
@@ -76,13 +74,7 @@ void EagerRcInvalidate::OnErcUpdate(const Message& msg) {
 
 void EagerRcInvalidate::OnErcAck(const Message& msg) {
   const auto& ack = std::get<ErcAckMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
-  if (tokens_outstanding_.erase(ack.token) == 0) {
-    return;  // Stale re-delivery; already consumed.
-  }
-  if (tokens_outstanding_.empty()) {
-    host_.cv().notify_all();
-  }
+  tokens_outstanding_.erase(ack.token);  // A stale re-delivery erases nothing.
 }
 
 }  // namespace cvm

@@ -19,7 +19,7 @@ class EagerRcInvalidate : public SingleWriterLrc {
   ProtocolKind kind() const override { return ProtocolKind::kEagerRcInvalidate; }
 
   void RegisterHandlers(MessageDispatcher& dispatcher) override;
-  void OnIntervalPublished(Lk& lk, const IntervalRecord& record) override;
+  void OnIntervalPublished(const IntervalRecord& record) override;
   void OnDuplicateRecord(const IntervalRecord& record) override;
   void OnGarbageCollect(const VectorClock& vc) override;
 

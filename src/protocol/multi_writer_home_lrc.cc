@@ -17,21 +17,21 @@ void MultiWriterHomeLrc::RegisterHandlers(MessageDispatcher& dispatcher) {
   dispatcher.Register<DiffFlushAckMsg>([this](const Message& msg) { OnDiffFlushAck(msg); });
 }
 
-void MultiWriterHomeLrc::OnReadFault(Lk& lk, PageId page) {
+void MultiWriterHomeLrc::OnReadFault(PageId page) {
   if (HomeOf(page) == host_.self()) {
     MaterializeHome(page);
     return;
   }
-  FetchPage(lk, page, /*want_write=*/false, PageState::kReadOnly);
+  FetchPage(page, /*want_write=*/false, PageState::kReadOnly);
 }
 
-void MultiWriterHomeLrc::OnWriteFault(Lk& lk, PageId page) {
+void MultiWriterHomeLrc::OnWriteFault(PageId page) {
   // Any node may write after twinning its copy.
   if (!host_.pages().Readable(page)) {
     if (HomeOf(page) == host_.self()) {
       MaterializeHome(page);
     } else {
-      FetchPage(lk, page, /*want_write=*/false, PageState::kReadOnly);
+      FetchPage(page, /*want_write=*/false, PageState::kReadOnly);
     }
   }
   PageEntry& entry = host_.pages().entry(page);
@@ -45,9 +45,9 @@ void MultiWriterHomeLrc::OnWriteFault(Lk& lk, PageId page) {
   }
 }
 
-void MultiWriterHomeLrc::OnIntervalEnd(Lk& lk) { FlushDiffs(lk); }
+void MultiWriterHomeLrc::OnIntervalEnd() { FlushDiffs(); }
 
-void MultiWriterHomeLrc::FlushDiffs(Lk& lk) {
+void MultiWriterHomeLrc::FlushDiffs() {
   if (twinned_.empty()) {
     return;
   }
@@ -97,9 +97,7 @@ void MultiWriterHomeLrc::FlushDiffs(Lk& lk) {
   if (any_flush) {
     // One ack round-trip of latency (flushes proceed in parallel).
     host_.timing().Charge(Bucket::kNone, host_.costs().MessageCost(kMessageHeaderBytes + 8));
-    host_.cv().wait(lk,
-                    [this] { return flush_tokens_outstanding_.empty() || host_.run_aborted(); });
-    host_.ThrowIfAborted();
+    host_.Await([this] { return flush_tokens_outstanding_.empty(); });
   }
 }
 
@@ -118,7 +116,6 @@ void MultiWriterHomeLrc::ApplyWriteNotices(const IntervalRecord& record) {
 
 void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
   const auto request = std::get<PageRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
   CVM_CHECK_EQ(HomeOf(request.page), host_.self());
   MaterializeHome(request.page);
   PageReplyMsg reply;
@@ -129,7 +126,6 @@ void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
 
 void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
   const auto& flush = std::get<DiffFlushMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
   if constexpr (obs::kObsCompiledIn) {
     uint64_t words = 0;
     for (const Diff& diff : flush.diffs) {
@@ -167,15 +163,9 @@ void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
 
 void MultiWriterHomeLrc::OnDiffFlushAck(const Message& msg) {
   const auto& ack = std::get<DiffFlushAckMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
-  // An ack whose token is no longer outstanding is a stale re-delivery;
-  // consuming it twice would release a later flush wait early.
-  if (flush_tokens_outstanding_.erase(ack.token) == 0) {
-    return;
-  }
-  if (flush_tokens_outstanding_.empty()) {
-    host_.cv().notify_all();
-  }
+  // A stale re-delivery names no outstanding token and erases nothing, so it
+  // cannot release a later flush wait early.
+  flush_tokens_outstanding_.erase(ack.token);
 }
 
 }  // namespace cvm

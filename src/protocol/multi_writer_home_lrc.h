@@ -21,16 +21,16 @@ class MultiWriterHomeLrc : public CoherenceProtocol {
   bool single_writer_data() const override { return false; }
 
   void RegisterHandlers(MessageDispatcher& dispatcher) override;
-  void OnReadFault(Lk& lk, PageId page) override;
-  void OnWriteFault(Lk& lk, PageId page) override;
-  void OnIntervalEnd(Lk& lk) override;
+  void OnReadFault(PageId page) override;
+  void OnWriteFault(PageId page) override;
+  void OnIntervalEnd() override;
   void ApplyWriteNotices(const IntervalRecord& record) override;
 
  private:
   // Diffs every twinned page against its twin, flushes non-empty diffs to
   // their homes, and blocks for acks. With diff-based write detection the
   // flush also mines this interval's write notices out of the diffs.
-  void FlushDiffs(Lk& lk);
+  void FlushDiffs();
   void OnPageRequest(const Message& msg);
   void OnDiffFlush(const Message& msg);
   void OnDiffFlushAck(const Message& msg);

@@ -23,28 +23,28 @@ void SingleWriterLrc::RegisterHandlers(MessageDispatcher& dispatcher) {
   dispatcher.Register<PageRequestMsg>([this](const Message& msg) { OnPageRequest(msg); });
 }
 
-void SingleWriterLrc::OnReadFault(Lk& lk, PageId page) {
+void SingleWriterLrc::OnReadFault(PageId page) {
   if (am_owner_[page]) {
     MaterializeHome(page);
     return;
   }
-  FetchForAccess(lk, page, /*want_write=*/false);
+  FetchForAccess(page, /*want_write=*/false);
 }
 
-void SingleWriterLrc::OnWriteFault(Lk& lk, PageId page) {
+void SingleWriterLrc::OnWriteFault(PageId page) {
   if (am_owner_[page]) {
     if (!host_.pages().Readable(page)) {
       MaterializeHome(page);
     }
     host_.pages().entry(page).state = PageState::kReadWrite;
   } else {
-    FetchForAccess(lk, page, /*want_write=*/true);
+    FetchForAccess(page, /*want_write=*/true);
   }
   host_.NoteWrite(page);
 }
 
-void SingleWriterLrc::FetchForAccess(Lk& lk, PageId page, bool want_write) {
-  const bool ownership = FetchPage(lk, page, want_write,
+void SingleWriterLrc::FetchForAccess(PageId page, bool want_write) {
+  const bool ownership = FetchPage(page, want_write,
                                    want_write ? PageState::kReadWrite : PageState::kReadOnly);
   if (ownership) {
     am_owner_[page] = true;
@@ -59,8 +59,7 @@ void SingleWriterLrc::OnAccessComplete(PageId page) {
   }
 }
 
-void SingleWriterLrc::OnIntervalEnd(Lk& lk) {
-  (void)lk;
+void SingleWriterLrc::OnIntervalEnd() {
   // Downgrade pages written this interval so the next interval's first
   // write faults again and generates a fresh write notice.
   for (PageId page : host_.current_writes()) {
@@ -135,7 +134,6 @@ void SingleWriterLrc::DrainPendingServes(PageId page) {
 
 void SingleWriterLrc::OnPageRequest(const Message& msg) {
   const auto request = std::get<PageRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
   // The home is the manager and serializes transfers.
   if (!request.forwarded) {
     CVM_CHECK_EQ(HomeOf(request.page), host_.self());

@@ -22,10 +22,10 @@ class SingleWriterLrc : public CoherenceProtocol {
   bool single_writer_data() const override { return true; }
 
   void RegisterHandlers(MessageDispatcher& dispatcher) override;
-  void OnReadFault(Lk& lk, PageId page) override;
-  void OnWriteFault(Lk& lk, PageId page) override;
+  void OnReadFault(PageId page) override;
+  void OnWriteFault(PageId page) override;
   void OnAccessComplete(PageId page) override;
-  void OnIntervalEnd(Lk& lk) override;
+  void OnIntervalEnd() override;
   void ApplyWriteNotices(const IntervalRecord& record) override;
 
  protected:
@@ -43,7 +43,7 @@ class SingleWriterLrc : public CoherenceProtocol {
   void HandleForwardedPageRequest(const PageRequestMsg& request);
   void DrainPendingServes(PageId page);
   // Fetches for a faulting access and applies an ownership grant, if any.
-  void FetchForAccess(Lk& lk, PageId page, bool want_write);
+  void FetchForAccess(PageId page, bool want_write);
 
   std::vector<bool> am_owner_;  // This node holds the page's only writable copy.
   // Manager state (meaningful on each page's home): the authoritative

@@ -1,6 +1,11 @@
 // End-to-end smoke tests for the DSM runtime: shared memory coherence under
-// locks and barriers, interval accounting, and weak-memory staleness.
+// locks and barriers, interval accounting, weak-memory staleness, and the
+// one-thread-per-node execution model.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <iterator>
+#include <thread>
 
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
@@ -120,6 +125,33 @@ TEST_P(DsmBasicTest, UnsynchronizedReadCanBeStale) {
   EXPECT_EQ(observed, 0) << "node 1 should see the stale value";
   // And the conflicting accesses form a detectable data race.
   EXPECT_FALSE(result.races.empty());
+}
+
+long ThreadsInProcess() {
+  const std::filesystem::directory_iterator dir("/proc/self/task");
+  return static_cast<long>(std::distance(dir, std::filesystem::directory_iterator()));
+}
+
+// Each node is one OS thread that runs the body and serves its own inbox, so
+// a run adds exactly num_nodes threads to the process: num_nodes + 1 in a
+// plain build, where the caller is the only other thread. Counting from the
+// caller's own total keeps a sanitizer's helper thread out of the sum; one
+// throwaway thread first makes such a helper (started lazily, on the first
+// thread creation) part of that total.
+TEST(DsmThreadingTest, OneThreadPerNode) {
+  DsmOptions options = SmallOptions(4);
+  DsmSystem system(options);
+  std::thread([] {}).join();
+  const long before = ThreadsInProcess();
+  long during = -1;
+  system.Run([&](NodeContext& ctx) {
+    ctx.Barrier();  // Every node thread has started.
+    if (ctx.id() == 0) {
+      during = ThreadsInProcess();
+    }
+    ctx.Barrier();
+  });
+  EXPECT_EQ(during - before, options.num_nodes);
 }
 
 std::string ProtocolName(const ::testing::TestParamInfo<ProtocolKind>& param_info) {

@@ -1,9 +1,13 @@
 // Focused tests of the distributed lock manager: mutual exclusion under
 // contention, token caching, multi-lock independence, interval counting
-// around lock operations, and misuse aborts.
+// around lock operations, liveness of a node blocked in Lock, and misuse
+// aborts.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
@@ -117,6 +121,62 @@ TEST(DsmLockTest, LockPairCreatesTwoIntervals) {
   // many interval pairs from consideration."
   EXPECT_GE(with_locks.intervals_total, 2u * 10u);
 }
+
+// A node blocked in Lock must keep serving its inbox: node 0 waits for lock 0,
+// which node 1 holds, and node 1 faults on pages homed on node 0 before it
+// unlocks. If the wait parked without dispatching, node 1's fetches (and,
+// under ERC, its update acks) would never be answered and the run would hang.
+class DsmLockServingTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(DsmLockServingTest, BlockedNodeKeepsServing) {
+  DsmOptions options = Options(2);
+  options.protocol = GetParam();
+  DsmSystem system(options);
+  constexpr size_t kPages = 16;
+  const size_t words_per_page = options.page_size / kWordSize;
+  auto data = SharedArray<int32_t>::Alloc(system, "data", kPages * words_per_page);
+  // Eight of the array's pages whose home is node 0 (home = page % nodes).
+  std::vector<size_t> home0_words;
+  for (size_t p = 0; p < kPages && home0_words.size() < 8; ++p) {
+    const GlobalAddr addr = data.addr(p * words_per_page);
+    if ((addr / options.page_size) % static_cast<uint64_t>(options.num_nodes) == 0) {
+      home0_words.push_back(p * words_per_page);
+    }
+  }
+  ASSERT_EQ(home0_words.size(), 8u);
+
+  RunResult result = system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 1) {
+      ctx.Lock(0);
+    }
+    ctx.Barrier();
+    if (ctx.id() == 0) {
+      ctx.Lock(0);  // Blocks until node 1 unlocks.
+      for (size_t i = 0; i < home0_words.size(); ++i) {
+        EXPECT_EQ(data.Get(ctx, home0_words[i]), static_cast<int32_t>(100 + i));
+      }
+      ctx.Unlock(0);
+    } else {
+      // Give node 0 time to block in Lock before the faults reach it.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      for (size_t i = 0; i < home0_words.size(); ++i) {
+        data.Set(ctx, home0_words[i], static_cast<int32_t>(100 + i));
+      }
+      ctx.Unlock(0);
+    }
+  });
+  EXPECT_TRUE(result.races.empty()) << result.races.front().ToString();
+}
+
+std::string ProtocolName(const ::testing::TestParamInfo<ProtocolKind>& param_info) {
+  return ProtocolKindName(param_info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, DsmLockServingTest,
+                         ::testing::Values(ProtocolKind::kSingleWriterLrc,
+                                           ProtocolKind::kMultiWriterHomeLrc,
+                                           ProtocolKind::kEagerRcInvalidate),
+                         ProtocolName);
 
 TEST(DsmLockDeathTest, UnlockWithoutHoldAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -1,6 +1,7 @@
 // Tests for the simulated network fabric and byte-accurate accounting.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "src/net/network.h"
@@ -40,6 +41,67 @@ TEST(NetworkTest, CloseWakesBlockedReceivers) {
   });
   net.Close();
   receiver.join();
+}
+
+TEST(NetworkTest, HasPendingTracksTheInbox) {
+  Network net(2);
+  EXPECT_FALSE(net.HasPending(1));
+  net.Send(Make(0, 1, PageRequestMsg{}));
+  net.Send(Make(0, 1, PageRequestMsg{}));
+  EXPECT_TRUE(net.HasPending(1));
+  EXPECT_FALSE(net.HasPending(0));  // Per inbox.
+  ASSERT_TRUE(net.TryRecv(1).has_value());
+  EXPECT_TRUE(net.HasPending(1));  // One frame left.
+  ASSERT_TRUE(net.Recv(1).has_value());
+  EXPECT_FALSE(net.HasPending(1));
+  net.Send(Make(1, 0, PageRequestMsg{}));
+  EXPECT_TRUE(net.HasPending(0));
+  net.Reset();
+  EXPECT_FALSE(net.HasPending(0));
+  EXPECT_FALSE(net.TryRecv(0).has_value());
+}
+
+TEST(NetworkTest, RecvUntilHonoursItsDeadline) {
+  Network net(2);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(net.RecvUntil(1, start + std::chrono::milliseconds(5)).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(5));
+
+  PageRequestMsg req;
+  req.page = 3;
+  net.Send(Make(0, 1, req));
+  // A frame queued before the deadline is returned, even one already past.
+  auto msg = net.RecvUntil(1, std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 3);
+  EXPECT_FALSE(net.HasPending(1));
+}
+
+TEST(NetworkTest, CloseDrainsQueuedFramesThenEnds) {
+  Network net(2);
+  for (int i = 0; i < 3; ++i) {
+    PageRequestMsg req;
+    req.page = i;
+    net.Send(Make(0, 1, req));
+  }
+  net.Close();
+  EXPECT_TRUE(net.closed());
+  // Sends after Close are dropped; frames queued before it still drain, in
+  // order, through every receive flavour.
+  EXPECT_EQ(net.Send(Make(0, 1, PageRequestMsg{})).status, SendOutcome::Status::kClosed);
+  auto first = net.Recv(1);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(first->payload).page, 0);
+  auto second = net.TryRecv(1);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(second->payload).page, 1);
+  auto third = net.RecvUntil(1, std::chrono::steady_clock::now() + std::chrono::hours(1));
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(third->payload).page, 2);
+  EXPECT_FALSE(net.HasPending(1));
+  EXPECT_FALSE(net.Recv(1).has_value());
+  EXPECT_FALSE(net.RecvUntil(1, std::chrono::steady_clock::now() + std::chrono::hours(1))
+                   .has_value());
 }
 
 TEST(NetworkTest, CountsBytesByKind) {
