@@ -1,12 +1,11 @@
 // Crash-recovery bench (docs/FAULTS.md "Crash faults & recovery",
 // docs/SERVICE.md): what does surviving node crashes cost the always-on
-// service? Plays the same multi-tenant mix through a warm DsmService twice —
+// service? Plays the same multi-tenant mix through a DsmService twice —
 // clean (no faults) and crash_reboot (every workload's run crashes a
 // seed-chosen node at barrier epoch 1 and reboots on retry) — and reports
-// throughput, completion latency, retries, and fabric rebuilds per mode.
-// Every workload must complete verified in both modes: the crash mode pays
-// for the torn first attempt, the quarantine rebuild, and the backoff, but
-// never loses work.
+// throughput, completion latency, and retries per mode. Every workload must
+// complete verified in both modes: the crash mode pays for the torn first
+// attempt, the retry's fresh fabric, and the backoff, but never loses work.
 //
 // Writes BENCH_recovery.json (validated by tools/check_bench_json.py, which
 // asserts every crash-mode workload was retried and that recovery costs
@@ -24,7 +23,6 @@
 
 #include "src/common/table.h"
 #include "src/fault/fault.h"
-#include "src/obs/metrics.h"
 #include "src/svc/service.h"
 
 namespace {
@@ -40,7 +38,6 @@ struct ModeResult {
   uint64_t completed = 0;
   uint64_t retried = 0;
   uint64_t failed = 0;
-  uint64_t fabric_rebuilds = 0;
   double total_wall_s = 0;
   double p50_s = 0;
   double mean_s = 0;
@@ -58,7 +55,6 @@ ModeResult RunMode(bool crash, int reps, bool smoke) {
   svc::ServiceConfig config;
   config.workers = kWorkers;
   config.nodes = kNodes;
-  config.warm = true;  // Warm service: the crash mode's rebuilds are pure cost.
   config.max_shared_bytes = 64ull << 20;
   config.queue_capacity = 256;
   config.per_tenant_cap = 4;
@@ -122,13 +118,6 @@ ModeResult RunMode(bool crash, int reps, bool smoke) {
     result.mean_s += outcome.service_s;
   }
   result.retried = service.scheduler().stats().retried;
-  if constexpr (obs::kObsCompiledIn) {
-    if (service.metrics() != nullptr) {
-      result.fabric_rebuilds = service.metrics()->counter("svc.fabric.rebuilds")->value();
-    }
-  } else {
-    result.fabric_rebuilds = result.retried;  // One quarantine per requeued crash.
-  }
   if (!latencies.empty()) {
     std::sort(latencies.begin(), latencies.end());
     result.p50_s = Percentile(latencies, 0.5);
@@ -149,15 +138,13 @@ bool WriteRecoveryJson(const std::string& path, const std::vector<ModeResult>& m
     std::snprintf(buffer, sizeof(buffer),
                   "  {\"mode\": \"%s\", \"workers\": %d, \"nodes\": %d, \"requests\": %llu, "
                   "\"completed\": %llu, \"retried\": %llu, \"failed\": %llu, "
-                  "\"fabric_rebuilds\": %llu, \"workloads_per_sec\": %.3f, "
-                  "\"total_wall_s\": %.4f, \"p50_latency_s\": %.6f, "
-                  "\"mean_latency_s\": %.6f}%s\n",
+                  "\"workloads_per_sec\": %.3f, \"total_wall_s\": %.4f, "
+                  "\"p50_latency_s\": %.6f, \"mean_latency_s\": %.6f}%s\n",
                   m.mode.c_str(), kWorkers, kNodes,
                   static_cast<unsigned long long>(m.requests),
                   static_cast<unsigned long long>(m.completed),
                   static_cast<unsigned long long>(m.retried),
                   static_cast<unsigned long long>(m.failed),
-                  static_cast<unsigned long long>(m.fabric_rebuilds),
                   m.total_wall_s > 0 ? static_cast<double>(m.completed) / m.total_wall_s : 0.0,
                   m.total_wall_s, m.p50_s, m.mean_s,
                   i + 1 < modes.size() ? "," : "");
@@ -189,11 +176,10 @@ int main(int argc, char** argv) {
   modes.push_back(RunMode(/*crash=*/false, reps, smoke));
   modes.push_back(RunMode(/*crash=*/true, reps, smoke));
 
-  TablePrinter table({"Mode", "Requests", "Done", "Retried", "Rebuilds", "Wl/s",
-                      "p50 ms", "Mean ms"});
+  TablePrinter table({"Mode", "Requests", "Done", "Retried", "Wl/s", "p50 ms", "Mean ms"});
   for (const ModeResult& m : modes) {
     table.AddRow({m.mode, std::to_string(m.requests), std::to_string(m.completed),
-                  std::to_string(m.retried), std::to_string(m.fabric_rebuilds),
+                  std::to_string(m.retried),
                   TablePrinter::Fixed(m.total_wall_s > 0
                                           ? static_cast<double>(m.completed) / m.total_wall_s
                                           : 0.0, 2),

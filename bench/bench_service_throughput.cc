@@ -1,16 +1,12 @@
-// Service throughput bench (docs/SERVICE.md): the always-on case for the
-// warm DsmService. Plays the same multi-tenant request mix through the
-// service twice — cold (a fresh fabric per workload, the one-process-per-run
-// baseline) and warm (Reset()-reused fabrics) — and reports workloads/sec
-// plus p50/p99 completion latency per mode. Warm reuse saves only the
-// rebuild of the network, detector and observability objects: the shared
-// segment and the page tables cost memory and time for the pages a
-// workload touches, not for the segment size, so a cold construction is
-// cheap and warm p50 is within noise of cold p50 (docs/SERVICE.md).
+// Service throughput bench (docs/SERVICE.md): plays a multi-tenant request
+// mix through a DsmService, which builds a fresh fabric for every request,
+// and reports workloads/sec plus p50/p99 completion latency. The shared
+// segment and the page tables cost memory and time for the pages a workload
+// touches, not for the segment size, so the per-request build is cheap.
 //
 // Writes BENCH_service.json (validated by tools/check_bench_json.py, which
-// asserts every request completed and warm mode reused fabrics) and prints
-// a human-readable table.
+// asserts every request completed, none was shed, and the latency
+// percentiles are ordered) and prints a human-readable table.
 //
 // Usage: bench_service_throughput [--smoke]
 //   --smoke   smaller inputs and fewer repetitions for CI
@@ -32,16 +28,18 @@ using namespace cvm;
 constexpr int kWorkers = 1;  // Serialized: latencies compare fabrics, not host load.
 constexpr int kNodes = 4;
 
-struct ModeResult {
-  std::string mode;  // "cold" | "warm"
+struct Result {
   uint64_t requests = 0;
   uint64_t completed = 0;
   uint64_t rejected = 0;
-  uint64_t warm_reuses = 0;
   double total_wall_s = 0;
   double p50_s = 0;
   double p99_s = 0;
   double mean_s = 0;
+
+  double workloads_per_sec() const {
+    return total_wall_s > 0 ? static_cast<double>(completed) / total_wall_s : 0.0;
+  }
 };
 
 double Percentile(const std::vector<double>& sorted, double p) {
@@ -52,13 +50,12 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[index];
 }
 
-ModeResult RunMode(bool warm, int reps, bool smoke) {
+Result RunMix(int reps, bool smoke) {
   svc::ServiceConfig config;
   config.workers = kWorkers;
   config.nodes = kNodes;
-  config.warm = warm;
   // Real deployments size the segment for their largest tenant, not the
-  // current workload; a big segment checks that cold builds stay cheap.
+  // current workload; a big segment checks that per-request builds stay cheap.
   config.max_shared_bytes = 64ull << 20;
   config.queue_capacity = 256;
   config.per_tenant_cap = 4;
@@ -73,8 +70,7 @@ ModeResult RunMode(bool warm, int reps, bool smoke) {
       : std::vector<MixEntry>{{"fft", 64}, {"sor", 128}, {"water", 125}};
   const std::vector<std::string> tenants = {"alpha", "beta", "gamma"};
 
-  ModeResult result;
-  result.mode = warm ? "warm" : "cold";
+  Result result;
 
   svc::DsmService service(config);
   service.Start();
@@ -111,7 +107,6 @@ ModeResult RunMode(bool warm, int reps, bool smoke) {
       std::exit(1);
     }
     ++result.completed;
-    result.warm_reuses += outcome.warm_reuse ? 1 : 0;
     latencies.push_back(outcome.service_s);
     result.mean_s += outcome.service_s;
   }
@@ -125,32 +120,23 @@ ModeResult RunMode(bool warm, int reps, bool smoke) {
   return result;
 }
 
-bool WriteServiceJson(const std::string& path, const std::vector<ModeResult>& modes) {
+bool WriteServiceJson(const std::string& path, const Result& r) {
   std::ofstream out(path);
   if (!out) {
     return false;
   }
-  out << "[\n";
-  for (size_t i = 0; i < modes.size(); ++i) {
-    const ModeResult& m = modes[i];
-    char buffer[512];
-    std::snprintf(buffer, sizeof(buffer),
-                  "  {\"mode\": \"%s\", \"workers\": %d, \"nodes\": %d, \"requests\": %llu, "
-                  "\"completed\": %llu, \"rejected\": %llu, \"warm_reuses\": %llu, "
-                  "\"workloads_per_sec\": %.3f, \"total_wall_s\": %.4f, "
-                  "\"p50_latency_s\": %.6f, \"p99_latency_s\": %.6f, "
-                  "\"mean_latency_s\": %.6f}%s\n",
-                  m.mode.c_str(), kWorkers, kNodes,
-                  static_cast<unsigned long long>(m.requests),
-                  static_cast<unsigned long long>(m.completed),
-                  static_cast<unsigned long long>(m.rejected),
-                  static_cast<unsigned long long>(m.warm_reuses),
-                  m.total_wall_s > 0 ? static_cast<double>(m.completed) / m.total_wall_s : 0.0,
-                  m.total_wall_s, m.p50_s, m.p99_s, m.mean_s,
-                  i + 1 < modes.size() ? "," : "");
-    out << buffer;
-  }
-  out << "]\n";
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "[\n  {\"workers\": %d, \"nodes\": %d, \"requests\": %llu, "
+                "\"completed\": %llu, \"rejected\": %llu, "
+                "\"workloads_per_sec\": %.3f, \"total_wall_s\": %.4f, "
+                "\"p50_latency_s\": %.6f, \"p99_latency_s\": %.6f, "
+                "\"mean_latency_s\": %.6f}\n]\n",
+                kWorkers, kNodes, static_cast<unsigned long long>(r.requests),
+                static_cast<unsigned long long>(r.completed),
+                static_cast<unsigned long long>(r.rejected),
+                r.workloads_per_sec(), r.total_wall_s, r.p50_s, r.p99_s, r.mean_s);
+  out << buffer;
   return static_cast<bool>(out);
 }
 
@@ -167,32 +153,19 @@ int main(int argc, char** argv) {
     }
   }
   const int reps = smoke ? 4 : 8;
-  std::printf("service throughput: 3 tenants x 3 apps x %d rep(s), %d %s worker x %d nodes\n\n",
-              reps, kWorkers, "cold-vs-warm", kNodes);
+  std::printf("service throughput: 3 tenants x 3 apps x %d rep(s), %d worker x %d nodes, "
+              "fresh fabric per request\n\n",
+              reps, kWorkers, kNodes);
 
-  std::vector<ModeResult> modes;
-  modes.push_back(RunMode(/*warm=*/false, reps, smoke));
-  modes.push_back(RunMode(/*warm=*/true, reps, smoke));
+  const Result r = RunMix(reps, smoke);
 
-  TablePrinter table({"Mode", "Requests", "Done", "Warm reuses", "Wl/s", "p50 ms",
-                      "p99 ms", "Mean ms"});
-  for (const ModeResult& m : modes) {
-    table.AddRow({m.mode, std::to_string(m.requests), std::to_string(m.completed),
-                  std::to_string(m.warm_reuses),
-                  TablePrinter::Fixed(m.total_wall_s > 0
-                                          ? static_cast<double>(m.completed) / m.total_wall_s
-                                          : 0.0, 2),
-                  TablePrinter::Fixed(m.p50_s * 1e3, 2), TablePrinter::Fixed(m.p99_s * 1e3, 2),
-                  TablePrinter::Fixed(m.mean_s * 1e3, 2)});
-  }
+  TablePrinter table({"Requests", "Done", "Wl/s", "p50 ms", "p99 ms", "Mean ms"});
+  table.AddRow({std::to_string(r.requests), std::to_string(r.completed),
+                TablePrinter::Fixed(r.workloads_per_sec(), 2), TablePrinter::Fixed(r.p50_s * 1e3, 2), TablePrinter::Fixed(r.p99_s * 1e3, 2),
+                TablePrinter::Fixed(r.mean_s * 1e3, 2)});
   table.Print();
 
-  const double cold_p50 = modes[0].p50_s;
-  const double warm_p50 = modes[1].p50_s;
-  std::printf("\nwarm p50 is %.2fx cold p50 (%.2f ms vs %.2f ms)\n",
-              cold_p50 > 0 ? warm_p50 / cold_p50 : 0.0, warm_p50 * 1e3, cold_p50 * 1e3);
-
-  if (!WriteServiceJson("BENCH_service.json", modes)) {
+  if (!WriteServiceJson("BENCH_service.json", r)) {
     std::fprintf(stderr, "error: cannot write BENCH_service.json\n");
     return 1;
   }

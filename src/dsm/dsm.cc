@@ -37,67 +37,28 @@ DsmSystem::DsmSystem(DsmOptions options) : options_(std::move(options)) {
       network_->AttachObservability(tracer_.get(), metrics_.get());
     }
   }
-  ApplyFaultPlan(options_.fault_plan);
-}
-
-void DsmSystem::ApplyFaultPlan(const fault::FaultPlan& plan_in) {
-  if (!plan_in.enabled()) {
-    injector_.reset();
-    network_->AttachFaultInjector(nullptr);
-    return;
-  }
-  fault::FaultPlan plan = plan_in;
-  // Derive unset transport timings from the cost model so retransmission
-  // timeouts scale with the modeled network.
-  if (plan.rto_base_ns <= 0) {
-    plan.rto_base_ns = 2 * options_.costs.MessageCost(kMessageHeaderBytes + 256);
-  }
-  if (plan.rto_cap_ns <= 0) {
-    plan.rto_cap_ns = 32 * plan.rto_base_ns;
-  }
-  if (plan.delay_hop_ns <= 0) {
-    plan.delay_hop_ns = options_.costs.msg_latency_ns;
-  }
-  injector_ = std::make_unique<fault::FaultInjector>(plan, options_.num_nodes);
-  network_->AttachFaultInjector(injector_.get());
-}
-
-void DsmSystem::SetFaultPlan(const fault::FaultPlan& plan) {
-  CVM_CHECK(!ran_) << "SetFaultPlan is only legal before Run() (Reset() first)";
-  options_.fault_plan = plan;
-  ApplyFaultPlan(plan);
-}
-
-void DsmSystem::Reset() {
-  // Run() has joined every node thread by the time it returns, so nothing is
-  // touching the engines here.
-  nodes_.clear();
-  network_->Reset();
-  detector_->ResetStats();
-  trace_.Clear();
-  if constexpr (obs::kObsCompiledIn) {
-    if (tracer_ != nullptr) {
-      tracer_->Reset();
+  if (options_.fault_plan.enabled()) {
+    fault::FaultPlan plan = options_.fault_plan;
+    // Derive unset transport timings from the cost model so retransmission
+    // timeouts scale with the modeled network.
+    if (plan.rto_base_ns <= 0) {
+      plan.rto_base_ns = 2 * options_.costs.MessageCost(kMessageHeaderBytes + 256);
     }
-    if (metrics_ != nullptr) {
-      metrics_->Reset();
+    if (plan.rto_cap_ns <= 0) {
+      plan.rto_cap_ns = 32 * plan.rto_base_ns;
     }
+    if (plan.delay_hop_ns <= 0) {
+      plan.delay_hop_ns = options_.costs.msg_latency_ns;
+    }
+    injector_ = std::make_unique<fault::FaultInjector>(plan, options_.num_nodes);
+    network_->AttachFaultInjector(injector_.get());
   }
-  segment_->Reset();
-  {
-    std::lock_guard<std::mutex> guard(results_mu_);
-    reports_.clear();
-    watch_hits_.clear();
-    recorded_schedule_ = SyncSchedule{};
-    crash_outcome_ = CrashOutcome{};
-  }
-  ran_ = false;
 }
 
 DsmSystem::~DsmSystem() = default;
 
 GlobalAddr DsmSystem::Alloc(const std::string& name, uint64_t bytes, bool page_align) {
-  CVM_CHECK(!ran_) << "allocate shared data before Run()";
+  CVM_CHECK(!ran_) << "allocate shared data before Run(); one Run() per DsmSystem";
   return segment_->Alloc(name, bytes, page_align);
 }
 
@@ -154,7 +115,7 @@ void DsmSystem::NoteCrash(const RunAbortError& err, EpochId checkpoint_epoch,
 }
 
 RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
-  CVM_CHECK(!ran_) << "one Run() per Reset() cycle; call Reset() (or construct fresh) first";
+  CVM_CHECK(!ran_) << "one Run() per DsmSystem; construct a fresh system for the next run";
   ran_ = true;
 
   const auto wall_start = std::chrono::steady_clock::now();

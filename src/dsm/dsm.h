@@ -1,11 +1,8 @@
 // DsmSystem: owns the shared segment, the network fabric, the nodes, the
-// race detector, and the run results. One DsmSystem performs one run at a
-// time: construct, allocate shared data, Run(app), inspect the RunResult.
-// A finished system can be returned to its just-constructed state with
-// Reset() and run again — the warm path the multi-tenant service
-// (src/svc/) is built on. Back-to-back Reset() runs are bit-identical to
-// fresh constructions on every deterministic field (races, simulated time,
-// traffic, detector stats); only wall-clock jitter differs.
+// race detector, and the run results. One DsmSystem performs exactly one
+// run: construct, allocate shared data, Run(app), inspect the RunResult.
+// A second Run(), or an Alloc() after Run(), is a CHECK failure; the next
+// run builds a fresh system (construction costs only what the run touches).
 #ifndef CVM_DSM_DSM_H_
 #define CVM_DSM_DSM_H_
 
@@ -130,24 +127,8 @@ class DsmSystem {
 
   // Runs `app` on every node (the classic SPMD model all four benchmark
   // applications use), appends an implicit final barrier so the last epoch
-  // is race-checked, and returns the collected results. Call once per
-  // Reset() cycle.
+  // is race-checked, and returns the collected results. Call once.
   RunResult Run(const std::function<void(NodeContext&)>& app);
-
-  // Returns the system to its just-constructed state without reallocating
-  // the network fabric, tracer rings or metric objects: nodes are destroyed,
-  // inboxes and transport state cleared, the segment's symbols and poked
-  // pages dropped, metrics/tracer/detector counters reset,
-  // and collected reports dropped. After Reset() the system accepts Alloc()
-  // and one more Run(), starting from exactly the state a fresh process
-  // would see. Call only after Run() has returned (no live node threads).
-  void Reset();
-
-  // Swaps the fault plan for the next run (the per-tenant chaos knob of the
-  // service): replaces or removes the injector and re-derives unset
-  // transport timings from the cost model. Only legal before the first
-  // Run() or right after Reset().
-  void SetFaultPlan(const fault::FaultPlan& plan);
 
   // ---- Internal, used by Node ----
   Node& node(NodeId id);
@@ -167,11 +148,7 @@ class DsmSystem {
                  uint64_t checkpoint_bytes);
 
  private:
-  // (Re)creates the injector for `plan` — deriving unset timings from the
-  // cost model — and attaches it to the network; a disabled plan detaches.
-  void ApplyFaultPlan(const fault::FaultPlan& plan);
-
-  DsmOptions options_;
+  const DsmOptions options_;
   std::unique_ptr<SharedSegment> segment_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -30,12 +30,6 @@ GlobalAddr SharedSegment::Alloc(const std::string& name, uint64_t bytes, bool pa
   return base;
 }
 
-void SharedSegment::Reset() {
-  next_free_ = 0;
-  symbols_.clear();
-  poked_.clear();
-}
-
 std::string SharedSegment::Symbolize(GlobalAddr addr) const {
   for (const Symbol& sym : symbols_) {
     if (addr >= sym.base && addr < sym.base + sym.size) {

@@ -57,11 +57,6 @@ class SharedSegment {
   std::vector<uint8_t> InitialPage(PageId page) const;
   void PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes);
 
-  // Returns the segment to its just-constructed state: drops every symbol
-  // and every poked page. Construction allocates no page image either, so a
-  // fresh segment and a Reset() one cost the same.
-  void Reset();
-
  private:
   uint64_t page_size_;
   uint64_t num_pages_;

@@ -475,36 +475,4 @@ fault::FaultStats Network::fault_stats() const {
   return fstats_;
 }
 
-void Network::ResetStats() {
-  // Never hold both: the send path locks fault_mu_ -> stats_mu_, so nesting
-  // them here in the opposite order would invert the documented lock order.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ = NetworkStats{};
-  }
-  std::lock_guard<std::mutex> fault_lock(fault_mu_);
-  fstats_ = fault::FaultStats{};
-}
-
-void Network::Reset() {
-  for (auto& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    inbox->queue.clear();
-    inbox->pending.store(0, std::memory_order_release);
-  }
-  for (auto& dead : dead_) {
-    dead->store(false, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    // Sequence numbers, reorder buffers, and held frames all restart so the
-    // next run's injection schedule is identical to a fresh process.
-    for (auto& pair : pairs_) {
-      pair = PairState{};
-    }
-  }
-  ResetStats();
-  closed_.store(false, std::memory_order_release);
-}
-
 }  // namespace cvm

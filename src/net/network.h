@@ -100,7 +100,6 @@ class Network {
   // Fail-stop `node`: frames from it die on its NIC, frames to it are never
   // acked, so in-flight and future sends to it surface kPeerUnreachable
   // after a bounded suspicion timeout instead of retransmitting forever.
-  // Cleared by Reset().
   void MarkNodeDead(NodeId node);
   bool NodeDead(NodeId node) const;
 
@@ -127,15 +126,6 @@ class Network {
 
   NetworkStats stats() const;
   fault::FaultStats fault_stats() const;
-
-  // Zeroes the aggregate statistics (multi-run tools reusing one fabric).
-  void ResetStats();
-
-  // Returns the fabric to its just-constructed state so a warm DsmSystem can
-  // run again: reopens the network after Close(), empties every inbox, drops
-  // all reliable-transport pair state, and zeroes traffic + fault counters.
-  // Call only while no node threads are sending or receiving (between runs).
-  void Reset();
 
  private:
   struct Inbox {
@@ -193,7 +183,7 @@ class Network {
   std::vector<std::unique_ptr<Inbox>> inboxes_;
 
   // Fail-stopped nodes (crash faults). Atomic so the send hot path reads it
-  // without a lock; written only by MarkNodeDead/Reset.
+  // without a lock; written only by MarkNodeDead.
   std::vector<std::unique_ptr<std::atomic<bool>>> dead_;
 
   // Closed flag is separate from the stats lock so Recv's wait predicate

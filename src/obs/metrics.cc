@@ -14,15 +14,6 @@ void Histogram::Observe(uint64_t v) {
   buckets_[static_cast<size_t>(std::bit_width(v))].fetch_add(1, std::memory_order_relaxed);
 }
 
-void Histogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
-  }
-}
-
 MetricsRegistry::MetricsRegistry() : origin_(std::chrono::steady_clock::now()) {}
 
 Counter* MetricsRegistry::counter(const std::string& name) {
@@ -231,21 +222,6 @@ bool MetricsRegistry::WriteCsv(const std::string& path) const { return WriteFile
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
   return WriteFile(path, ToJson());
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-  rows_.clear();
-  origin_ = std::chrono::steady_clock::now();
 }
 
 }  // namespace cvm::obs

@@ -24,7 +24,6 @@ class Counter {
   void Add(uint64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -35,7 +34,6 @@ class Gauge {
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -54,7 +52,6 @@ class Histogram {
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   uint64_t bucket(int b) const { return buckets_[static_cast<size_t>(b)].load(std::memory_order_relaxed); }
-  void Reset();
 
  private:
   std::atomic<uint64_t> count_{0};
@@ -89,9 +86,6 @@ class MetricsRegistry {
   bool WriteCsv(const std::string& path) const;
   bool WriteJson(const std::string& path) const;
 
-  // Clears all metric values and snapshot rows (multi-run tools).
-  void Reset();
-
  private:
   struct HistSnap {
     uint64_t count = 0;
@@ -117,7 +111,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::vector<Row> rows_;
-  std::chrono::steady_clock::time_point origin_;
+  const std::chrono::steady_clock::time_point origin_;
 };
 
 }  // namespace cvm::obs

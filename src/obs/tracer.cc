@@ -161,25 +161,6 @@ void Tracer::DrainAll() {
   }
 }
 
-void Tracer::Reset() {
-  for (auto& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    ring->start = 0;
-    ring->count = 0;
-    ring->seq = 0;
-    ring->dropped = 0;
-    ring->sampled_out = 0;
-    ring->accepted = 0;
-    // Keep the grown slot storage: reusing it is the point of a warm reset.
-  }
-  {
-    std::lock_guard<std::mutex> lock(drained_mu_);
-    drained_.clear();
-  }
-  next_flow_id_.store(1, std::memory_order_relaxed);
-  origin_ = std::chrono::steady_clock::now();
-}
-
 size_t Tracer::RingSize(NodeId node) const {
   CVM_CHECK_GE(node, 0);
   CVM_CHECK_LT(node, static_cast<NodeId>(rings_.size()));

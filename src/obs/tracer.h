@@ -95,12 +95,6 @@ class Tracer {
   // Drains all rings and returns a copy of every collected event.
   std::vector<TraceEvent> Collected();
 
-  // Returns the tracer to its just-constructed state: every ring emptied,
-  // all drop/sample/accept counters zeroed, the drained store cleared, flow
-  // ids restarting from 1, and the wall-clock origin re-anchored to now.
-  // Call only while no node threads are emitting (between runs).
-  void Reset();
-
   // Chrome trace-event JSON ("traceEvents" array form plus metadata).
   // Events are sorted by (pid, tid, ts) so every track is monotone.
   std::string ToChromeJson();
@@ -120,7 +114,7 @@ class Tracer {
 
   TraceConfig config_;
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::chrono::steady_clock::time_point origin_;
+  const std::chrono::steady_clock::time_point origin_;
   std::atomic<uint64_t> next_flow_id_{1};
 
   mutable std::mutex drained_mu_;

@@ -63,7 +63,6 @@ class ObjectPool {
   }
 
   const PoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PoolStats{}; }
   size_t free_count() const { return free_.size(); }
 
  private:

@@ -179,7 +179,6 @@ class RaceDetector {
   void AccumulateBuild(const DetectorStats& build_stats) { stats_.Accumulate(build_stats); }
 
   const DetectorStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DetectorStats{}; }
 
  private:
   int num_pages_;

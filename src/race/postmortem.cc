@@ -25,12 +25,6 @@ size_t PostMortemTrace::NumBitmapPairs() const {
   return bitmaps_.size();
 }
 
-void PostMortemTrace::Clear() {
-  std::lock_guard<std::mutex> guard(mu_);
-  records_.clear();
-  bitmaps_.clear();
-}
-
 size_t PostMortemTrace::TraceBytes() const {
   std::lock_guard<std::mutex> guard(mu_);
   size_t bytes = 0;

@@ -28,9 +28,6 @@ class PostMortemTrace {
   size_t NumRecords() const;
   size_t NumBitmapPairs() const;
 
-  // Empties the trace (warm multi-run reuse). Thread-safe.
-  void Clear();
-
   // Total bytes a trace file would occupy.
   size_t TraceBytes() const;
 

@@ -1,5 +1,5 @@
 // Admission control and scheduling for the DSM service: a bounded queue of
-// workload requests in front of a small pool of warm fabrics. Admission
+// workload requests in front of a small pool of workers. Admission
 // rejects (rather than blocks) on a full queue, an unknown app, an invalid
 // tenant id, or a tenant table overflow — the service degrades by shedding
 // load, never by wedging. Dispatch honors a per-tenant concurrency cap and

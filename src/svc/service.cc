@@ -90,24 +90,10 @@ void DsmService::Stop() {
 }
 
 void DsmService::WorkerLoop(int worker_index) {
-  // Each worker owns one fabric; in warm mode it survives across requests
-  // (Reset() between them), in cold mode Serve() builds and tears down a
-  // fresh one per request.
-  std::unique_ptr<DsmSystem> system;
   while (std::optional<WorkloadRequest> request = scheduler_.Next()) {
     const std::string tenant = request->tenant;
-    WorkloadOutcome outcome = Serve(worker_index, system, std::move(*request));
+    WorkloadOutcome outcome = Serve(worker_index, std::move(*request));
     if (outcome.recovery.crashed) {
-      // Quarantine: a fabric that hosted a dead node is never Reset()-reused
-      // — the next workload on this worker gets a fresh build.
-      if (system != nullptr) {
-        system.reset();
-        if constexpr (obs::kObsCompiledIn) {
-          if (metrics_ != nullptr) {
-            metrics_->counter("svc.fabric.rebuilds")->Increment();
-          }
-        }
-      }
       if (static_cast<int>(outcome.request.attempt) < config_.retry_budget) {
         RecordRetry(outcome);
         WorkloadRequest retry = outcome.request;
@@ -131,8 +117,7 @@ void DsmService::WorkerLoop(int worker_index) {
   }
 }
 
-WorkloadOutcome DsmService::Serve(int worker_index, std::unique_ptr<DsmSystem>& system,
-                                  WorkloadRequest request) {
+WorkloadOutcome DsmService::Serve(int worker_index, WorkloadRequest request) {
   const auto dispatched_at = std::chrono::steady_clock::now();
 
   WorkloadOutcome outcome;
@@ -160,50 +145,35 @@ WorkloadOutcome DsmService::Serve(int worker_index, std::unique_ptr<DsmSystem>& 
   catalog.size = request.size;
   catalog.seed = request.seed;
   catalog.page_size = config_.page_size;
-  const int num_locks = std::max(DsmOptions{}.num_locks, CatalogLocksNeeded(catalog));
 
-  // A warm fabric is reused only if it has enough locks for this workload.
-  const bool reuse =
-      config_.warm && system != nullptr && system->options().num_locks >= num_locks;
-  if (reuse) {
-    system->Reset();
-    system->SetFaultPlan(plan);
-  } else {
-    DsmOptions options;
-    options.num_nodes = config_.nodes;
-    options.page_size = config_.page_size;
-    options.max_shared_bytes = config_.max_shared_bytes;
-    options.num_locks = num_locks;
-    options.protocol = config_.protocol;
-    options.detection_pipeline = config_.pipeline;
-    options.detect_batch = config_.detect_batch;
-    options.barrier_tree = config_.barrier_tree;
-    options.barrier_fanout = config_.barrier_fanout;
-    options.fault_plan = plan;
-    system = std::make_unique<DsmSystem>(options);
-  }
-  outcome.warm_reuse = reuse;
+  DsmOptions options;
+  options.num_nodes = config_.nodes;
+  options.page_size = config_.page_size;
+  options.max_shared_bytes = config_.max_shared_bytes;
+  options.num_locks = std::max(DsmOptions{}.num_locks, CatalogLocksNeeded(catalog));
+  options.protocol = config_.protocol;
+  options.detection_pipeline = config_.pipeline;
+  options.detect_batch = config_.detect_batch;
+  options.barrier_tree = config_.barrier_tree;
+  options.barrier_fanout = config_.barrier_fanout;
+  options.fault_plan = plan;
 
-  std::unique_ptr<ParallelApp> app = MakeCatalogApp(catalog);
-  CVM_CHECK(app != nullptr) << "admission let through unknown app " << request.app;
+  {
+    // This request's own fabric; its teardown is inside service_s.
+    DsmSystem system(options);
+    std::unique_ptr<ParallelApp> app = MakeCatalogApp(catalog);
+    CVM_CHECK(app != nullptr) << "admission let through unknown app " << request.app;
+    app->Setup(system);
 
-  const GlobalAddr region_base = system->segment().used_bytes();
-  app->Setup(*system);
-  outcome.region = TenantRegion(request.tenant, region_base,
-                                system->segment().used_bytes() - region_base);
+    RunResult result = system.Run([&app](NodeContext& ctx) { app->Run(ctx); });
 
-  RunResult result = system->Run([&app](NodeContext& ctx) { app->Run(ctx); });
-
-  outcome.verified = app->Verify();
-  outcome.races = outcome.region.ScopeReports(std::move(result.races));
-  outcome.dispatch_unhandled = result.dispatch_unhandled;
-  outcome.fault = result.fault;
-  outcome.recovery = result.recovery;
-  outcome.attempts = request.attempt;
-  outcome.sim_time_ns = result.sim_time_ns;
-
-  if (!config_.warm) {
-    system.reset();  // Cold baseline pays teardown inside service_s too.
+    outcome.verified = app->Verify();
+    outcome.races = std::move(result.races);
+    outcome.dispatch_unhandled = result.dispatch_unhandled;
+    outcome.fault = result.fault;
+    outcome.recovery = result.recovery;
+    outcome.attempts = request.attempt;
+    outcome.sim_time_ns = result.sim_time_ns;
   }
 
   const auto completed_at = std::chrono::steady_clock::now();
@@ -273,8 +243,6 @@ void DsmService::RecordOutcome(const WorkloadOutcome& outcome) {
       event.wall_dur_ns = dur_ns;
       event.arg_name = "races";
       event.arg_value = outcome.races.size();
-      event.arg2_name = "warm";
-      event.arg2_value = outcome.warm_reuse ? 1 : 0;
       event.str_arg_name = "app";
       event.str_arg_value = StableAppName(outcome.request.app);
       tracer_->Emit(event);

@@ -1,20 +1,16 @@
 // DsmService: the always-on, multi-tenant face of the simulator
-// (docs/SERVICE.md). Instead of one process per workload (build a DsmSystem,
-// run, tear down), the service keeps a small pool of *warm* fabrics — each a
-// full DsmSystem with its network, detector, and observability already
-// constructed — and serves an admission-controlled queue of workload
-// requests. Between requests a worker calls DsmSystem::Reset() instead of
-// building a fresh fabric; a fabric with fewer locks than the next workload
-// needs is rebuilt. Segment and page-table memory follow the touched pages,
-// so a cold construction is cheap too; the service bench measures both.
+// (docs/SERVICE.md). A small pool of worker threads serves an
+// admission-controlled queue of workload requests. Each request gets its own
+// fabric: the worker builds a fresh DsmSystem sized for the workload, runs
+// it once, and destroys it. Segment and page-table memory follow the
+// touched pages, so a construction costs only what the workload touches.
 //
-// Isolation model: a worker fabric serves one workload at a time, so tenants
-// never share a segment concurrently. Each completed workload's detection
-// output is scoped to its TenantRegion, its metrics land in the
-// tenant.<id>.* namespace, and its span lands on the tenant's trace track.
-// Because Reset() restores a fabric bit-identically, one tenant running
-// under a fault profile cannot perturb another tenant's reports — the
-// isolation chaos test asserts exactly that.
+// Isolation model: no two requests ever share a fabric, so one tenant's
+// segment, detector state, and fault plan cannot reach another's. Each
+// completed workload's metrics land in the tenant.<id>.* namespace and its
+// span lands on the tenant's trace track. A tenant running under a fault
+// profile cannot perturb another tenant's reports — the isolation chaos test
+// asserts exactly that.
 #ifndef CVM_SVC_SERVICE_H_
 #define CVM_SVC_SERVICE_H_
 
@@ -35,7 +31,7 @@
 namespace cvm::svc {
 
 struct ServiceConfig {
-  int workers = 2;          // Warm fabrics (each runs one workload at a time).
+  int workers = 2;          // Worker threads (each runs one workload at a time).
   int nodes = 4;            // DSM nodes per fabric.
   uint64_t page_size = 4096;
   uint64_t max_shared_bytes = 32ull << 20;
@@ -46,7 +42,6 @@ struct ServiceConfig {
   int detect_batch = 1;
   bool barrier_tree = false;
   int barrier_fanout = 4;
-  bool warm = true;         // false: fresh DsmSystem per workload (cold baseline).
   SchedPolicy policy = SchedPolicy::kFifo;
   size_t queue_capacity = 64;
   int per_tenant_cap = 2;
@@ -54,8 +49,7 @@ struct ServiceConfig {
   // Crash recovery (docs/FAULTS.md "Crash faults & recovery"): a workload
   // whose run ends with recovery.crashed is requeued up to retry_budget
   // times, with capped exponential backoff between attempts
-  // (min(base << attempt, cap)). The crashed fabric itself is quarantined —
-  // destroyed and rebuilt fresh — never Reset()-reused.
+  // (min(base << attempt, cap)). Every attempt runs on a fresh fabric.
   int retry_budget = 2;
   double retry_backoff_base_s = 0.001;
   double retry_backoff_cap_s = 0.050;
@@ -69,25 +63,21 @@ struct ServiceConfig {
 struct WorkloadOutcome {
   WorkloadRequest request;
   int worker = -1;
-  // False on a worker's first workload (the fabric was built for it) and
-  // always in cold mode; true when the fabric was Reset()-reused.
-  bool warm_reuse = false;
   bool verified = false;
   // Crash recovery: the final run's CrashOutcome, how many retry attempts
   // preceded it, and whether the workload was abandoned with its retry
   // budget spent. Crashed-and-requeued attempts record no outcome of their
   // own — only the final attempt lands here (retries are visible through
-  // tenant.<id>.retries / svc.fabric.rebuilds and the scheduler stats).
+  // tenant.<id>.retries and the scheduler stats).
   CrashOutcome recovery;
   uint32_t attempts = 0;  // Retries before this outcome (0 = first try).
   bool failed = false;    // Crashed with no retry budget left.
-  std::vector<RaceReport> races;  // Region-scoped.
-  TenantRegion region;
+  std::vector<RaceReport> races;
   uint64_t dispatch_unhandled = 0;
   fault::FaultStats fault;        // All-zero unless the request asked for faults.
   double sim_time_ns = 0;
   double queue_s = 0;    // Submit -> dispatch to a worker.
-  double service_s = 0;  // Dispatch -> completion (setup + run + verify + reset).
+  double service_s = 0;  // Dispatch -> completion (build + setup + run + verify + teardown).
   double total_s = 0;    // Submit -> completion.
 };
 
@@ -128,8 +118,7 @@ class DsmService {
 
  private:
   void WorkerLoop(int worker_index);
-  WorkloadOutcome Serve(int worker_index, std::unique_ptr<DsmSystem>& system,
-                        WorkloadRequest request);
+  WorkloadOutcome Serve(int worker_index, WorkloadRequest request);
   void RecordOutcome(const WorkloadOutcome& outcome);
   // Metrics + trace for one crashed-and-about-to-be-requeued attempt.
   void RecordRetry(const WorkloadOutcome& outcome);

@@ -18,15 +18,4 @@ std::string TenantMetricName(const std::string& tenant, const std::string& suffi
   return "tenant." + tenant + "." + suffix;
 }
 
-std::vector<RaceReport> TenantRegion::ScopeReports(std::vector<RaceReport> reports) const {
-  std::vector<RaceReport> scoped;
-  scoped.reserve(reports.size());
-  for (RaceReport& report : reports) {
-    if (Contains(report.addr)) {
-      scoped.push_back(std::move(report));
-    }
-  }
-  return scoped;
-}
-
 }  // namespace cvm::svc

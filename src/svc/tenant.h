@@ -1,22 +1,13 @@
 // Tenancy primitives for the always-on DSM service (docs/SERVICE.md).
 //
-// A *tenant* is a named client of the service; a *tenant region* is the
-// shared-segment slice one of its admitted workloads lived in: the byte range
-// the app's Setup() allocated on the worker fabric that served it. Race
-// reports, write notices, and check-list hits all carry global addresses, so
-// scoping detection output to a tenant is a range test — the region is the
-// unit of blame. Because every workload starts from a Reset() segment,
-// allocations begin at address 0 and a region-scoped report stream is
-// byte-identical to the one a dedicated fresh process would print, which is
-// what the isolation tests assert.
+// A *tenant* is a named client of the service. Every workload runs on its
+// own fresh fabric, so a tenant's reports name only its own allocations and
+// match what a dedicated process would print; tenants are told apart only
+// in metric names and trace tracks.
 #ifndef CVM_SVC_TENANT_H_
 #define CVM_SVC_TENANT_H_
 
 #include <string>
-#include <vector>
-
-#include "src/common/types.h"
-#include "src/race/race_report.h"
 
 namespace cvm::svc {
 
@@ -26,29 +17,6 @@ bool ValidTenantId(const std::string& id);
 
 // "tenant.<id>.<suffix>" — the per-tenant metrics namespace.
 std::string TenantMetricName(const std::string& tenant, const std::string& suffix);
-
-class TenantRegion {
- public:
-  TenantRegion() = default;
-  TenantRegion(std::string tenant, GlobalAddr base, uint64_t size)
-      : tenant_(std::move(tenant)), base_(base), size_(size) {}
-
-  const std::string& tenant() const { return tenant_; }
-  GlobalAddr base() const { return base_; }
-  uint64_t size() const { return size_; }
-
-  bool Contains(GlobalAddr addr) const { return addr >= base_ && addr < base_ + size_; }
-
-  // Keeps only the reports whose racing word lies inside the region. The
-  // service applies this to every RunResult so one tenant's reports never
-  // name another tenant's addresses.
-  std::vector<RaceReport> ScopeReports(std::vector<RaceReport> reports) const;
-
- private:
-  std::string tenant_;
-  GlobalAddr base_ = 0;
-  uint64_t size_ = 0;
-};
 
 }  // namespace cvm::svc
 

@@ -38,7 +38,7 @@ TEST(DsmOptionsDeathTest, PageSizeMustBeAPowerOfTwo) {
   EXPECT_DEATH({ DsmSystem system(options); }, "not a power of two");
 }
 
-TEST(DsmOptionsDeathTest, SecondRunWithoutResetAborts) {
+TEST(DsmOptionsDeathTest, SecondRunAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -46,7 +46,7 @@ TEST(DsmOptionsDeathTest, SecondRunWithoutResetAborts) {
         system.Run([](NodeContext&) {});
         system.Run([](NodeContext&) {});
       },
-      "one Run\\(\\) per Reset\\(\\) cycle");
+      "one Run\\(\\) per DsmSystem");
 }
 
 TEST(DsmOptionsDeathTest, AllocAfterRunAborts) {
@@ -57,7 +57,7 @@ TEST(DsmOptionsDeathTest, AllocAfterRunAborts) {
         system.Run([](NodeContext&) {});
         system.Alloc("late", 64);
       },
-      "before Run");
+      "allocate shared data before Run\\(\\); one Run\\(\\) per DsmSystem");
 }
 
 TEST(DsmOptionsDeathTest, SegmentExhaustionAborts) {

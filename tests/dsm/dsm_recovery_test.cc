@@ -2,9 +2,6 @@
 // seeded node crash must end the run as a recoverable event — no process
 // abort, no hang — with every survivor rolled back to the last consistent
 // barrier cut and the race report truncated to the fully-checked prefix.
-// A fabric that hosted a crash must also Reset() back to a bit-identical
-// clean state (the stronger property the service's quarantine-and-rebuild
-// policy does not even rely on).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -165,34 +162,6 @@ TEST(DsmRecoveryTest, DisarmedCrashPlanPerturbsNothing) {
   EXPECT_TRUE(rerun.verified);
   EXPECT_EQ(Summary(clean.races), Summary(rerun.races));
   EXPECT_EQ(clean.barriers, rerun.barriers);
-}
-
-TEST(DsmRecoveryTest, CrashedFabricResetsToACleanBitIdenticalState) {
-  // Stronger than the service needs (it quarantines crashed fabrics): even
-  // a fabric that just hosted a crash must Reset() to a state whose next
-  // clean run is indistinguishable from a fresh construction's.
-  const auto off = fault::FaultPlan::FromProfile(fault::FaultProfile::kOff, 1);
-  const Outcome fresh = RunApp<WaterApp>(SmallWater(), off, 4);
-
-  DsmOptions options;
-  options.num_nodes = 4;
-  options.fault_plan = fault::FaultPlan::FromProfile(fault::FaultProfile::kCrash, 3);
-  DsmSystem system(options);
-  auto crashed_app = std::make_unique<WaterApp>(SmallWater());
-  crashed_app->Setup(system);
-  RunResult crashed =
-      system.Run([&crashed_app](NodeContext& ctx) { crashed_app->Run(ctx); });
-  ASSERT_TRUE(crashed.recovery.crashed);
-
-  system.Reset();
-  system.SetFaultPlan(fault::FaultPlan::FromProfile(fault::FaultProfile::kOff, 1));
-  auto clean_app = std::make_unique<WaterApp>(SmallWater());
-  clean_app->Setup(system);
-  RunResult rerun = system.Run([&clean_app](NodeContext& ctx) { clean_app->Run(ctx); });
-  EXPECT_TRUE(clean_app->Verify());
-  EXPECT_FALSE(rerun.recovery.crashed);
-  EXPECT_EQ(Summary(fresh.races), Summary(rerun.races));
-  EXPECT_EQ(fresh.barriers, rerun.barriers);
 }
 
 }  // namespace

@@ -65,13 +65,6 @@ TEST(SharedSegmentTest, ImageStoresOnlyPokedPages) {
   EXPECT_EQ(seg.InitialPage(1)[0], 5);
   EXPECT_EQ(seg.InitialPage(1)[4], 9);
   EXPECT_EQ(seg.InitialPage(2), std::vector<uint8_t>(4096, 0));
-
-  seg.Alloc("x", 64);
-  seg.Reset();
-  EXPECT_EQ(seg.used_bytes(), 0u);
-  EXPECT_TRUE(seg.symbols().empty());
-  EXPECT_EQ(seg.InitialPage(0), std::vector<uint8_t>(4096, 0));
-  EXPECT_EQ(seg.InitialPage(1), std::vector<uint8_t>(4096, 0));
 }
 
 TEST(PageTableTest, EntriesExistOnlyForTouchedPages) {

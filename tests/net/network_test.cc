@@ -56,9 +56,6 @@ TEST(NetworkTest, HasPendingTracksTheInbox) {
   EXPECT_FALSE(net.HasPending(1));
   net.Send(Make(1, 0, PageRequestMsg{}));
   EXPECT_TRUE(net.HasPending(0));
-  net.Reset();
-  EXPECT_FALSE(net.HasPending(0));
-  EXPECT_FALSE(net.TryRecv(0).has_value());
 }
 
 TEST(NetworkTest, RecvUntilHonoursItsDeadline) {
@@ -165,24 +162,6 @@ TEST(NetworkTest, TotalsEqualSumOfPerKindAccounting) {
   EXPECT_EQ(stats.messages_by_kind.at("PageRequest"), 2u);
   EXPECT_EQ(stats.messages_by_kind.at("PageReply"), 1u);
   EXPECT_EQ(stats.messages_by_kind.at("LockRequest"), 1u);
-}
-
-TEST(NetworkTest, ResetStatsZeroesEverything) {
-  Network net(2);
-  PageRequestMsg req;
-  net.Send(Make(0, 1, req));
-  ASSERT_EQ(net.stats().messages, 1u);
-  net.ResetStats();
-  const NetworkStats stats = net.stats();
-  EXPECT_EQ(stats.messages, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.read_notice_bytes, 0u);
-  EXPECT_TRUE(stats.messages_by_kind.empty());
-  EXPECT_TRUE(stats.bytes_by_kind.empty());
-  // The fabric still works after a reset.
-  net.Send(Make(1, 0, req));
-  EXPECT_EQ(net.stats().messages, 1u);
-  EXPECT_TRUE(net.Recv(0).has_value());
 }
 
 TEST(NetworkTest, ObservabilityCountersMirrorStats) {

@@ -164,46 +164,5 @@ TEST(MetricsTest, JsonHasOneObjectPerEpoch) {
   EXPECT_NE(json.find("\"c\":1"), std::string::npos);
 }
 
-TEST(MetricsTest, ResetClearsValuesAndRows) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("c");
-  Histogram* h = registry.histogram("h");
-  c->Add(5);
-  h->Observe(9);
-  registry.SnapshotEpoch(0, 1);
-  registry.Reset();
-  EXPECT_EQ(registry.NumRows(), 0u);
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h->count(), 0u);
-  EXPECT_EQ(h->max(), 0u);
-  // Pointers stay valid across Reset.
-  c->Increment();
-  EXPECT_EQ(c->value(), 1u);
-}
-
-TEST(MetricsTest, ReuseAfterResetStartsAFreshSeries) {
-  // The warm-service pattern: the same registry serves run after run, and
-  // each run's export must look like a fresh process — no rows, values, or
-  // wall-clock origin carried over.
-  MetricsRegistry registry;
-  Counter* c = registry.counter("c");
-  Gauge* g = registry.gauge("g");
-  c->Add(41);
-  g->Set(-7);
-  registry.SnapshotEpoch(0, 1);
-  registry.SnapshotEpoch(1, 2);
-  ASSERT_EQ(registry.NumRows(), 2u);
-
-  registry.Reset();
-  EXPECT_EQ(g->value(), 0);
-
-  c->Add(3);
-  registry.SnapshotEpoch(0, 1);
-  ASSERT_EQ(registry.NumRows(), 1u);
-  const auto rows = ParseCsv(registry.ToCsv());
-  ASSERT_EQ(rows.size(), 2u);  // Header + the one new row.
-  EXPECT_EQ(rows[1][ColumnIndex(rows[0], "c")], "3");
-}
-
 }  // namespace
 }  // namespace cvm::obs

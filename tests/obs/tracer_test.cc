@@ -409,56 +409,5 @@ TEST(TracerTest, EventWithoutSimTimestampAppearsOnWallTrackOnly) {
   EXPECT_EQ(occurrences, 1);
 }
 
-TEST(TracerTest, ResetReturnsToJustConstructedState) {
-  Tracer tracer(2, SmallConfig(/*ring_capacity=*/4));
-  // Overflow ring 0 so the dropped counter is nonzero, leave events buffered
-  // in ring 1, drain some into the store, and burn a few flow ids.
-  for (int i = 0; i < 6; ++i) {
-    tracer.Emit(Instant(0, "a", i));
-  }
-  tracer.Emit(Instant(1, "b", 1));
-  tracer.Drain(0);
-  (void)tracer.NextFlowId();
-  (void)tracer.NextFlowId();
-  ASSERT_GT(tracer.TotalEmitted(), 0u);
-  ASSERT_GT(tracer.TotalDropped(), 0u);
-  ASSERT_GT(tracer.RingSize(1), 0u);
-
-  tracer.Reset();
-  EXPECT_EQ(tracer.TotalEmitted(), 0u);
-  EXPECT_EQ(tracer.TotalDropped(), 0u);
-  EXPECT_EQ(tracer.TotalSampledOut(), 0u);
-  EXPECT_EQ(tracer.RingSize(0), 0u);
-  EXPECT_EQ(tracer.RingSize(1), 0u);
-  EXPECT_TRUE(tracer.Collected().empty());
-  // Flow ids restart so re-runs produce identical chains.
-  EXPECT_EQ(tracer.NextFlowId(), 1u);
-}
-
-TEST(TracerTest, ResetTracerStillAcceptsAndExportsEvents) {
-  Tracer tracer(1, SmallConfig());
-  tracer.Emit(Instant(0, "before", 1));
-  tracer.Reset();
-  tracer.Emit(Instant(0, "after", 2));
-  const std::vector<TraceEvent> collected = tracer.Collected();
-  ASSERT_EQ(collected.size(), 1u);
-  EXPECT_STREQ(collected[0].name, "after");
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(tracer.ToChromeJson()).Parse(&root));
-}
-
-TEST(TracerTest, SamplingPhaseRestartsAfterReset) {
-  // With period 2 the first post-reset event must be kept, exactly like a
-  // fresh tracer — the per-ring sequence counter restarts at zero.
-  Tracer tracer(1, SmallConfig(/*ring_capacity=*/8, /*sample_period=*/2));
-  tracer.Emit(Instant(0, "kept", 1));     // seq 0: kept.
-  tracer.Emit(Instant(0, "sampled", 2));  // seq 1: sampled out.
-  ASSERT_EQ(tracer.TotalEmitted(), 1u);
-  tracer.Reset();
-  tracer.Emit(Instant(0, "kept-again", 3));
-  EXPECT_EQ(tracer.TotalEmitted(), 1u);
-  EXPECT_EQ(tracer.TotalSampledOut(), 0u);
-}
-
 }  // namespace
 }  // namespace cvm::obs

@@ -4,10 +4,9 @@
 // tenant's race reports byte-identical to its fault-free dedicated baseline,
 // with zero unhandled protocol messages anywhere in the service.
 //
-// The guarantee holds by construction (a worker fabric serves one workload
-// at a time, and Reset() restores it bit-identically), and this test is the
-// regression net around that construction.
-#include <map>
+// The guarantee holds by construction (each request gets its own fabric), and
+// this test is the regression net around that construction.
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,7 +75,7 @@ TEST_P(IsolationTest, ChaosTenantCannotPerturbOthers) {
   service.Start();
 
   // Interleave the chaos tenant's faulty workloads with the clean tenants'
-  // so faulty and clean runs genuinely alternate on the warm fabrics.
+  // so faulty and clean runs genuinely alternate on the same workers.
   for (int round = 0; round < 2; ++round) {
     ASSERT_NE(service.Submit(Req("alpha", "fft", kFftSize)), 0u);
     ASSERT_NE(service.Submit(Req("chaos", "water", kWaterSize, chaos_profile)), 0u);
@@ -107,8 +106,7 @@ TEST_P(IsolationTest, ChaosTenantCannotPerturbOthers) {
     const std::string& expected =
         outcome.request.app == "fft" ? fft_baseline : water_baseline;
     EXPECT_EQ(RaceStream(outcome.races), expected)
-        << outcome.request.tenant << "/" << outcome.request.app
-        << (outcome.warm_reuse ? " (warm)" : " (cold)");
+        << outcome.request.tenant << "/" << outcome.request.app;
   }
   // The chaos tenant's plan actually engaged (otherwise this test is vacuous).
   EXPECT_TRUE(chaos_saw_faults);
@@ -121,9 +119,24 @@ INSTANTIATE_TEST_SUITE_P(Profiles, IsolationTest,
                            return std::string(fault::ProfileName(param.param));
                          });
 
-TEST(IsolationTest, ChaosReportsStayInsideChaosRegion) {
-  // Even the faulty tenant's own reports must stay region-scoped: stress
-  // faults on water still only name water's shared addresses.
+TEST(IsolationTest, ChaosReportsNameOnlyTheirOwnAllocations) {
+  // Even the faulty tenant's own reports name only its own shared data:
+  // every report under stress faults on water is symbolized to one of
+  // water's allocations, never to a raw unsymbolized address.
+  std::set<std::string> water_symbols;
+  {
+    DsmOptions options;
+    options.num_nodes = kNodes;
+    options.max_shared_bytes = 16ull << 20;
+    DsmSystem system(options);
+    auto water = MakeCatalogApp(CatalogRequest{"water", kWaterSize});
+    water->Setup(system);
+    for (const Symbol& symbol : system.segment().symbols()) {
+      water_symbols.insert(symbol.name);
+    }
+  }
+  ASSERT_FALSE(water_symbols.empty());
+
   ServiceConfig config;
   config.workers = 1;
   config.nodes = kNodes;
@@ -140,7 +153,11 @@ TEST(IsolationTest, ChaosReportsStayInsideChaosRegion) {
   EXPECT_TRUE(outcomes[0].verified);
   EXPECT_FALSE(outcomes[0].races.empty());
   for (const RaceReport& race : outcomes[0].races) {
-    EXPECT_TRUE(outcomes[0].region.Contains(race.addr)) << race.ToString();
+    ASSERT_FALSE(race.symbol.empty()) << race.ToString();
+    // "name" or "name+offset"; an address outside every allocation would
+    // symbolize as a raw "0x..." instead.
+    const std::string name = race.symbol.substr(0, race.symbol.find('+'));
+    EXPECT_EQ(water_symbols.count(name), 1u) << race.ToString();
   }
 }
 

@@ -1,5 +1,5 @@
-// DsmService end-to-end tests: admission through worker fabrics to
-// region-scoped outcomes, per-tenant metrics, and tenant trace tracks.
+// DsmService end-to-end tests: admission through per-request fabrics to
+// outcomes, per-tenant metrics, and tenant trace tracks.
 #include <algorithm>
 #include <set>
 #include <sstream>
@@ -52,14 +52,9 @@ TEST(ServiceTest, ServesMultipleTenantsToCompletion) {
   for (const WorkloadOutcome& outcome : outcomes) {
     EXPECT_TRUE(outcome.verified) << outcome.request.app;
     EXPECT_EQ(outcome.dispatch_unhandled, 0u);
-    EXPECT_GT(outcome.region.size(), 0u);
     EXPECT_GT(outcome.sim_time_ns, 0);
     EXPECT_GE(outcome.service_s, 0);
     EXPECT_GE(outcome.total_s, outcome.service_s);
-    // Every reported race names an address inside the tenant's region.
-    for (const RaceReport& race : outcome.races) {
-      EXPECT_TRUE(outcome.region.Contains(race.addr)) << race.ToString();
-    }
     // fft and sor are race-free; water carries the intentional bug.
     if (outcome.request.app == "water") {
       EXPECT_FALSE(outcome.races.empty());
@@ -72,8 +67,7 @@ TEST(ServiceTest, ServesMultipleTenantsToCompletion) {
 
 TEST(ServiceTest, SizesLocksForLargeWater) {
   // Water takes 8 + ceil(molecules / 8) locks: 456 molecules need 65, one
-  // more than the default. A warm fabric built for a smaller run is not
-  // reused for it.
+  // more than the default. Each request's fabric is sized for it.
   EXPECT_EQ(CatalogLocksNeeded(CatalogRequest{"water", 456}), 65);
   EXPECT_EQ(CatalogLocksNeeded(CatalogRequest{"water", 448}), 64);
   ServiceConfig config = SmallConfig();
@@ -89,7 +83,6 @@ TEST(ServiceTest, SizesLocksForLargeWater) {
   ASSERT_EQ(outcomes.size(), 2u);
   for (const WorkloadOutcome& outcome : outcomes) {
     EXPECT_TRUE(outcome.verified) << outcome.request.size;
-    EXPECT_FALSE(outcome.warm_reuse) << outcome.request.size;
     EXPECT_FALSE(outcome.races.empty()) << outcome.request.size;
   }
 }
@@ -105,9 +98,9 @@ TEST(ServiceTest, RejectsUnknownAppAtAdmission) {
   EXPECT_TRUE(service.outcomes().empty());
 }
 
-TEST(ServiceTest, WarmReuseMatchesDedicatedSystem) {
-  // Two water runs through one warm worker: both must report exactly the
-  // race stream a dedicated fresh DsmSystem produces.
+TEST(ServiceTest, ServedRunsMatchDedicatedSystem) {
+  // Two water runs back to back through one worker: both must report exactly
+  // the race stream a dedicated DsmSystem produces.
   ServiceConfig config = SmallConfig();
   config.workers = 1;
   DsmService service(config);
@@ -120,8 +113,6 @@ TEST(ServiceTest, WarmReuseMatchesDedicatedSystem) {
 
   const std::vector<WorkloadOutcome> outcomes = service.outcomes();
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_FALSE(outcomes[0].warm_reuse);
-  EXPECT_TRUE(outcomes[1].warm_reuse);
 
   DsmOptions options;
   options.num_nodes = config.nodes;
@@ -138,22 +129,6 @@ TEST(ServiceTest, WarmReuseMatchesDedicatedSystem) {
   EXPECT_FALSE(expected.empty());
   EXPECT_EQ(RaceStream(outcomes[0].races), expected);
   EXPECT_EQ(RaceStream(outcomes[1].races), expected);
-}
-
-TEST(ServiceTest, ColdModeNeverReuses) {
-  ServiceConfig config = SmallConfig();
-  config.workers = 1;
-  config.warm = false;
-  DsmService service(config);
-  service.Start();
-  ASSERT_NE(service.Submit(Req("alpha", "fft", 32)), 0u);
-  ASSERT_NE(service.Submit(Req("alpha", "fft", 32)), 0u);
-  service.Drain();
-  service.Stop();
-  for (const WorkloadOutcome& outcome : service.outcomes()) {
-    EXPECT_FALSE(outcome.warm_reuse);
-    EXPECT_TRUE(outcome.verified);
-  }
 }
 
 TEST(ServiceTest, PerTenantMetricsAndTraceTracks) {

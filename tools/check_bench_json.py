@@ -74,7 +74,6 @@ RECOVERY_FIELDS = {
     "completed": int,
     "retried": int,
     "failed": int,
-    "fabric_rebuilds": int,
     "workloads_per_sec": (int, float),
     "total_wall_s": (int, float),
     "p50_latency_s": (int, float),
@@ -82,13 +81,11 @@ RECOVERY_FIELDS = {
 }
 
 SERVICE_FIELDS = {
-    "mode": str,
     "workers": int,
     "nodes": int,
     "requests": int,
     "completed": int,
     "rejected": int,
-    "warm_reuses": int,
     "workloads_per_sec": (int, float),
     "total_wall_s": (int, float),
     "p50_latency_s": (int, float),
@@ -120,7 +117,6 @@ SCALING_FIELDS = {
 
 MODES = {"serial", "distributed"}
 OBS_MODES = {"off", "trace", "trace+flows"}
-SERVICE_MODES = {"cold", "warm"}
 RECOVERY_MODES = {"clean", "crash_reboot"}
 
 # Headroom over the nominal "flow tracing <= 2x plain tracing" claim: wall
@@ -245,13 +241,10 @@ def check_obs(cells):
 def check_service(cells):
     if not cells:
         return fail("no cells")
-    by_mode = {}
     for i, cell in enumerate(cells):
         err = check_fields(cell, i, SERVICE_FIELDS)
         if err:
             return fail(err)
-        if cell["mode"] not in SERVICE_MODES:
-            return fail(f"cell {i}: unknown mode '{cell['mode']}'")
         if cell["completed"] != cell["requests"]:
             return fail(
                 f"cell {i}: completed {cell['completed']} != requests {cell['requests']}"
@@ -262,22 +255,9 @@ def check_service(cells):
             return fail(f"cell {i}: non-positive throughput/wall time")
         if not 0 < cell["p50_latency_s"] <= cell["p99_latency_s"]:
             return fail(f"cell {i}: latency percentiles out of order or non-positive")
-        by_mode[cell["mode"]] = cell
-    missing = SERVICE_MODES - set(by_mode)
-    if missing:
-        return fail(f"missing mode(s) {sorted(missing)}")
-    cold, warm = by_mode["cold"], by_mode["warm"]
-    if cold["warm_reuses"] != 0:
-        return fail("cold mode reused a fabric")
-    if warm["warm_reuses"] <= 0:
-        return fail("warm mode never reused a fabric")
-    # No latency ordering is asserted: building a fabric costs only the pages
-    # a workload touches, so warm and cold p50 are within noise of each other
-    # (docs/SERVICE.md). Reuse happening and every request completing
-    # (checked per cell above) are what hold.
     print(
-        f"OK: {len(cells)} service cells, warm p50 is "
-        f"{warm['p50_latency_s'] / cold['p50_latency_s']:.2f}x cold p50"
+        f"OK: {len(cells)} service cell(s), p50 "
+        f"{cells[0]['p50_latency_s'] * 1e3:.2f} ms, p99 {cells[0]['p99_latency_s'] * 1e3:.2f} ms"
     )
     return 0
 
@@ -308,18 +288,15 @@ def check_recovery(cells):
     if missing:
         return fail(f"missing mode(s) {sorted(missing)}")
     clean, crash = by_mode["clean"], by_mode["crash_reboot"]
-    if clean["retried"] != 0 or clean["fabric_rebuilds"] != 0:
-        return fail("clean mode retried or rebuilt a fabric")
-    # Every crash-mode workload crashes once and reboots: one retry each,
-    # each crashed attempt quarantining (and so rebuilding) its fabric.
+    if clean["retried"] != 0:
+        return fail("clean mode retried a workload")
+    # Every crash-mode workload crashes once and reboots: one retry each.
     if crash["retried"] < crash["requests"]:
         return fail(
             f"crash mode retried only {crash['retried']} of {crash['requests']} workloads"
         )
-    if crash["fabric_rebuilds"] <= 0:
-        return fail("crash mode never rebuilt a quarantined fabric")
-    # Recovery is work (a torn attempt + rebuild + backoff per workload), so
-    # it must cost strictly more wall time than the undisturbed run.
+    # Recovery is work (a torn attempt, a fresh fabric and a backoff per
+    # workload), so it must cost strictly more wall time than the clean run.
     if crash["total_wall_s"] <= clean["total_wall_s"]:
         return fail(
             f"crash-mode wall time {crash['total_wall_s']:.4f}s not above "

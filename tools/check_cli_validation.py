@@ -97,6 +97,8 @@ BAD_SERVE_CASES = [
     (["--script=/dev/null", "--intern-bitmaps"], "intern-bitmaps"),
     (["--script=/dev/null", "--pipeline=sharded"], "pipeline"),
     (["--script=/dev/null", "--nodes=2", "--detect-shards=2"], "detect-shards"),
+    # Every request runs on a fresh fabric; the cold-mode switch is gone.
+    (["--script=/dev/null", "--cold"], "cold"),
     (["--script=/dev/null", "--nodes=2", "--detect-batch=0"], "detect-batch"),
     (["--script=/dev/null", "--nodes=2", "--barrier-tree", "--barrier-fanout=0"],
      "barrier-fanout"),

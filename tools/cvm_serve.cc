@@ -1,6 +1,6 @@
 // cvm_serve: the always-on face of the simulator (docs/SERVICE.md). Starts a
-// DsmService — a pool of warm DSM fabrics behind an admission-controlled
-// queue — and feeds it workload requests read from a script file (or stdin),
+// DsmService — a pool of workers, each running one request at a time on its
+// own fresh DSM fabric, behind an admission-controlled queue — and feeds it workload requests read from a script file (or stdin),
 // one request per line:
 //
 //   submit tenant=alpha app=fft size=32
@@ -14,7 +14,6 @@
 // Examples:
 //   cvm_serve --script=requests.txt --workers=2 --policy=fair
 //   echo "submit tenant=t app=sor" | cvm_serve
-//   cvm_serve --script=r.txt --cold        # fresh fabric per workload
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +43,7 @@ int Usage() {
       "Lines starting with '#' and blank lines are ignored.\n"
       "\n"
       "options:\n"
-      "  --workers=N          warm fabrics serving the queue (default 2)\n"
+      "  --workers=N          workers serving the queue (default 2)\n"
       "  --retry-budget=N     crash-failed workload retries before giving up\n"
       "                       (default 2; docs/FAULTS.md)\n"
       "  --nodes=N            DSM nodes per fabric (default 4)\n"
@@ -57,7 +56,6 @@ int Usage() {
       "  --queue-cap=N        admission queue capacity (default 64)\n"
       "  --tenant-cap=N       per-tenant concurrent workloads (default 2)\n"
       "  --max-tenants=N      tenant table size (default 8)\n"
-      "  --cold               fresh fabric per workload (cold baseline)\n"
       "  --metrics-out=FILE   service metrics (CSV, or JSON if FILE ends .json)\n"
       "  --trace-json=FILE    per-tenant workload spans (Chrome/Perfetto JSON)\n"
       "  --outcomes-json=FILE machine-readable outcome list\n");
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> accepted = {
       "script", "workers", "nodes", "protocol", "pipeline", "policy",
       "detect-batch", "barrier-tree", "barrier-fanout", "queue-cap", "tenant-cap",
-      "max-tenants", "cold", "retry-budget", "metrics-out", "trace-json", "outcomes-json", "help"};
+      "max-tenants", "retry-budget", "metrics-out", "trace-json", "outcomes-json", "help"};
   for (const std::string& key : flags.UnknownKeys(accepted)) {
     std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
     return Usage();
@@ -154,7 +152,6 @@ int main(int argc, char** argv) {
   config.queue_capacity = static_cast<size_t>(flags.GetInt("queue-cap", 64));
   config.per_tenant_cap = static_cast<int>(flags.GetInt("tenant-cap", 2));
   config.max_tenants = static_cast<size_t>(flags.GetInt("max-tenants", 8));
-  config.warm = !flags.GetBool("cold", false);
   if (config.workers < 1 || config.nodes < 1 || config.queue_capacity < 1 ||
       config.per_tenant_cap < 1 || config.max_tenants < 1) {
     std::fprintf(stderr, "error: --workers/--nodes/--queue-cap/--tenant-cap/"
@@ -228,8 +225,8 @@ int main(int argc, char** argv) {
 
   svc::DsmService service(config);
   service.Start();
-  std::printf("cvm_serve: %d %s worker(s) x %d nodes, policy %s, protocol %s\n",
-              config.workers, config.warm ? "warm" : "cold", config.nodes,
+  std::printf("cvm_serve: %d worker(s) x %d nodes, policy %s, protocol %s\n",
+              config.workers, config.nodes,
               svc::PolicyName(config.policy), protocol.c_str());
 
   int bad_lines = 0;
@@ -276,13 +273,12 @@ int main(int argc, char** argv) {
   const svc::SchedulerStats stats = service.scheduler().stats();
 
   TablePrinter table({"Tenant", "Admitted", "Rejected", "Completed", "Retried",
-                      "Failed", "Races", "Verified", "p50 ms", "Warm"});
+                      "Failed", "Races", "Verified", "p50 ms"});
   int unverified = 0;
   int crash_failed = 0;
   uint64_t unhandled = 0;
   for (const auto& [tenant, counts] : tenants) {
     uint64_t races = 0;
-    uint64_t warm = 0;
     uint64_t failed = 0;
     bool all_verified = true;
     std::vector<double> latencies;
@@ -291,7 +287,6 @@ int main(int argc, char** argv) {
         continue;
       }
       races += outcome.races.size();
-      warm += outcome.warm_reuse ? 1 : 0;
       failed += outcome.failed ? 1 : 0;
       all_verified = all_verified && outcome.verified;
       latencies.push_back(outcome.service_s);
@@ -300,8 +295,7 @@ int main(int argc, char** argv) {
                   std::to_string(counts.completed), std::to_string(counts.retried),
                   std::to_string(failed), std::to_string(races),
                   all_verified ? "yes" : "NO",
-                  std::to_string(Percentile(latencies, 0.5) * 1e3),
-                  std::to_string(warm) + "/" + std::to_string(counts.completed)});
+                  std::to_string(Percentile(latencies, 0.5) * 1e3)});
   }
   for (const svc::WorkloadOutcome& outcome : outcomes) {
     unverified += outcome.verified ? 0 : 1;
@@ -352,13 +346,13 @@ int main(int argc, char** argv) {
       const svc::WorkloadOutcome& o = outcomes[i];
       std::fprintf(f,
                    "  {\"id\": %lu, \"tenant\": \"%s\", \"app\": \"%s\", \"worker\": %d, "
-                   "\"warm\": %s, \"verified\": %s, \"races\": %zu, "
-                   "\"attempts\": %u, \"crashed\": %s, \"failed\": %s, "
+                   "\"verified\": %s, \"races\": %zu, \"attempts\": %u, \"crashed\": %s, "
+                   "\"failed\": %s, "
                    "\"dispatch_unhandled\": %lu, \"queue_s\": %.6f, \"service_s\": %.6f, "
                    "\"total_s\": %.6f, \"sim_time_ns\": %.1f}%s\n",
                    static_cast<unsigned long>(o.request.id), o.request.tenant.c_str(),
-                   o.request.app.c_str(), o.worker, o.warm_reuse ? "true" : "false",
-                   o.verified ? "true" : "false", o.races.size(), o.attempts,
+                   o.request.app.c_str(), o.worker, o.verified ? "true" : "false",
+                   o.races.size(), o.attempts,
                    o.recovery.crashed ? "true" : "false", o.failed ? "true" : "false",
                    static_cast<unsigned long>(o.dispatch_unhandled), o.queue_s,
                    o.service_s, o.total_s, o.sim_time_ns,
