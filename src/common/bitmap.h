@@ -4,18 +4,20 @@
 #ifndef CVM_COMMON_BITMAP_H_
 #define CVM_COMMON_BITMAP_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/perf/kernels.h"
 
 namespace cvm {
 
 // A dynamically-sized bitmap with word-parallel intersection tests.
 // Bit i corresponds to word i of a page (or page i of the segment).
+// Invariant: the bits of the last word past size() are zero, so every
+// operation below is a plain loop over whole 64-bit words.
 class Bitmap {
  public:
   Bitmap() = default;
@@ -24,7 +26,12 @@ class Bitmap {
 
   uint32_t size() const { return num_bits_; }
   bool empty() const {
-    return !perf::AnyWordNonzero(words_.data(), words_.size());
+    for (uint64_t w : words_) {
+      if (w != 0) {
+        return false;
+      }
+    }
+    return true;
   }
 
   void Set(uint32_t bit) {
@@ -46,43 +53,57 @@ class Bitmap {
 
   // Number of set bits.
   uint32_t popcount() const {
-    return static_cast<uint32_t>(
-        perf::PopcountWords(words_.data(), words_.size()));
+    uint32_t total = 0;
+    for (uint64_t w : words_) {
+      total += static_cast<uint32_t>(__builtin_popcountll(w));
+    }
+    return total;
   }
 
   // True iff this and other share at least one set bit. This is the paper's
-  // constant-time (per page) bitmap comparison of §4 step 5 — the hottest
-  // detector operation, routed through the SIMD/word kernel.
+  // constant-time (per page) bitmap comparison of §4 step 5, the hottest
+  // detector operation.
   bool Intersects(const Bitmap& other) const {
     CVM_CHECK_EQ(num_bits_, other.num_bits_);
-    return perf::AnyCommonBit(words_.data(), other.words_.data(),
-                              words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) {
+      if ((words_[i] & other.words_[i]) != 0) {
+        return true;
+      }
+    }
+    return false;
   }
 
   // Bit indices present in both maps — the racing words.
   std::vector<uint32_t> IntersectionBits(const Bitmap& other) const {
     CVM_CHECK_EQ(num_bits_, other.num_bits_);
     std::vector<uint32_t> bits;
-    perf::AppendCommonBits(words_.data(), other.words_.data(), words_.size(),
-                           &bits);
+    for (size_t i = 0; i < words_.size(); ++i) {
+      AppendBitsOfWord(words_[i] & other.words_[i], i, &bits);
+    }
     return bits;
   }
 
-  // All set bit indices.
+  // All set bit indices, ascending.
   std::vector<uint32_t> SetBits() const {
     std::vector<uint32_t> bits;
-    perf::AppendSetBits(words_.data(), words_.size(), &bits);
+    for (size_t i = 0; i < words_.size(); ++i) {
+      AppendBitsOfWord(words_[i], i, &bits);
+    }
     return bits;
   }
 
   void UnionWith(const Bitmap& other) {
     CVM_CHECK_EQ(num_bits_, other.num_bits_);
-    perf::UnionWords(words_.data(), other.words_.data(), words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) {
+      words_[i] |= other.words_[i];
+    }
   }
 
   void IntersectWith(const Bitmap& other) {
     CVM_CHECK_EQ(num_bits_, other.num_bits_);
-    perf::IntersectWords(words_.data(), other.words_.data(), words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) {
+      words_[i] &= other.words_[i];
+    }
   }
 
   bool operator==(const Bitmap& other) const {
@@ -94,17 +115,36 @@ class Bitmap {
   const std::vector<uint64_t>& words() const { return words_; }
   size_t ByteSize() const { return words_.size() * sizeof(uint64_t); }
 
+  // True iff `words` is a valid wire form for a num_bits-bit map: the right
+  // word count and no bit set past num_bits.
+  static bool ValidWords(uint32_t num_bits, const std::vector<uint64_t>& words) {
+    if (words.size() != (num_bits + 63) / 64) {
+      return false;
+    }
+    const uint32_t tail = num_bits & 63;
+    return tail == 0 || (words.back() >> tail) == 0;
+  }
+
   static Bitmap FromWords(uint32_t num_bits, std::vector<uint64_t> words) {
+    CVM_CHECK(ValidWords(num_bits, words));
     Bitmap bm;
     bm.num_bits_ = num_bits;
     bm.words_ = std::move(words);
-    CVM_CHECK_EQ(bm.words_.size(), (num_bits + 63) / 64);
     return bm;
   }
 
   std::string ToString() const;
 
  private:
+  // Appends the ascending indices of w's set bits, w being word `index`.
+  static void AppendBitsOfWord(uint64_t w, size_t index, std::vector<uint32_t>* out) {
+    const uint32_t base = static_cast<uint32_t>(index * 64);
+    while (w != 0) {
+      out->push_back(base + static_cast<uint32_t>(__builtin_ctzll(w)));
+      w &= w - 1;
+    }
+  }
+
   uint32_t num_bits_ = 0;
   std::vector<uint64_t> words_;
 };

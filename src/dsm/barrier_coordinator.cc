@@ -1012,7 +1012,7 @@ void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
   }
   BitmapReplyMsg reply;
   reply.epoch = request.epoch;
-  reply.entries = std::move(entries);  // Wrapped once; shared from here on.
+  reply.entries = std::move(entries);
   node_.Send(msg.from, std::move(reply));
 }
 
@@ -1020,7 +1020,7 @@ void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   const auto& reply = std::get<BitmapReplyMsg>(msg.payload);
   size_t wire_entry_bytes = 0;
   size_t raw_entry_bytes = 0;
-  for (const BitmapReplyEntry& entry : *reply.entries) {
+  for (const BitmapReplyEntry& entry : reply.entries) {
     wire_entry_bytes += ReplyEntryWireBytes(entry);
     raw_entry_bytes += ReplyEntryRawBytes(entry);
     collected_bitmaps_.emplace(
@@ -1086,7 +1086,7 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
     if (master_ships_pending_ <= 0 || ship.epoch != node_.epoch_) {
       return;  // Stale re-delivery.
     }
-    for (const BitmapReplyEntry& entry : *ship.entries) {
+    for (const BitmapReplyEntry& entry : ship.entries) {
       master_ship_bytes_wire_ += ReplyEntryWireBytes(entry);
       master_ship_bytes_raw_ += ReplyEntryRawBytes(entry);
       collected_bitmaps_.emplace(
@@ -1106,7 +1106,7 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   RemoteCompareState& state = remote_compare_[ship.epoch];
   node_.timing_.ObserveAtLeast(static_cast<double>(ship.send_time_ns) +
                                node_.opts_.costs.MessageCost(msg.wire_bytes));
-  for (const BitmapReplyEntry& entry : *ship.entries) {
+  for (const BitmapReplyEntry& entry : ship.entries) {
     state.shipped.emplace(
         std::make_pair(entry.interval, entry.page),
         PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});

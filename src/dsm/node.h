@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/common/abort.h"
+#include "src/common/flat_id_set.h"
 #include "src/common/types.h"
 #include "src/dsm/barrier_coordinator.h"
 #include "src/dsm/lock_manager.h"
@@ -200,7 +201,7 @@ class Node : public ProtocolHost {
   NodeTiming& timing() override { return timing_; }
   IntervalIndex current_interval() const override { return cur_interval_; }
   EpochId current_epoch() const override { return epoch_; }
-  const perf::FlatIdSet<PageId>& current_writes() const override { return cur_writes_; }
+  const FlatIdSet<PageId>& current_writes() const override { return cur_writes_; }
   void NoteWrite(PageId page) override { cur_writes_.Insert(page); }
   void Send(NodeId to, Payload payload) override;
   void ChargeMessage(size_t bytes, size_t read_notice_bytes) override;
@@ -304,10 +305,10 @@ class Node : public ProtocolHost {
   EpochId epoch_ = 0;
   IntervalLog log_;
   BitmapStore bitmaps_;
-  // Flat sorted sets (src/perf/arena.h): Clear() at interval boundaries
-  // keeps their storage, so steady-state access tracking allocates nothing.
-  perf::FlatIdSet<PageId> cur_reads_;
-  perf::FlatIdSet<PageId> cur_writes_;
+  // Flat sorted sets: Clear() at interval boundaries keeps their storage, so
+  // steady-state access tracking allocates nothing.
+  FlatIdSet<PageId> cur_reads_;
+  FlatIdSet<PageId> cur_writes_;
 
   // Observability (pointers are null when tracing/metrics are disabled; the
   // whole block is dead code under -DCVM_OBS=OFF).

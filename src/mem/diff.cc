@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/common/check.h"
-#include "src/perf/kernels.h"
 
 namespace cvm {
 
@@ -14,18 +13,16 @@ Diff MakeDiff(PageId page, IntervalId interval, const std::vector<uint8_t>& twin
   Diff diff;
   diff.page = page;
   diff.interval = interval;
-  // The twin-vs-page compare runs through the SIMD/word kernel; it yields
-  // the same ascending word indices the original per-word loop produced.
-  static thread_local std::vector<uint32_t> unequal;
-  unequal.clear();
-  perf::AppendUnequalWords32(twin.data(), current.data(),
-                             twin.size() / kWordSize, &unequal);
-  diff.words.reserve(unequal.size());
-  for (uint32_t w : unequal) {
+  // Twin vs page, word by word: every changed word, ascending.
+  const size_t num_words = twin.size() / kWordSize;
+  for (size_t w = 0; w < num_words; ++w) {
+    uint32_t old_value;
     uint32_t new_value;
-    std::memcpy(&new_value, current.data() + static_cast<size_t>(w) * kWordSize,
-                kWordSize);
-    diff.words.push_back(DiffWord{w, new_value});
+    std::memcpy(&old_value, twin.data() + w * kWordSize, kWordSize);
+    std::memcpy(&new_value, current.data() + w * kWordSize, kWordSize);
+    if (old_value != new_value) {
+      diff.words.push_back(DiffWord{static_cast<uint32_t>(w), new_value});
+    }
   }
   if constexpr (obs::kObsCompiledIn) {
     if (obs != nullptr) {
@@ -53,12 +50,11 @@ Diff MakeDiff(PageId page, IntervalId interval, const std::vector<uint8_t>& twin
 }
 
 void ApplyDiff(const Diff& diff, std::vector<uint8_t>& frame, const DiffObs* obs) {
-  // The scatter kernel hoists the per-word bounds check out of the copy
-  // loop; a short count means some word index fell outside the frame.
-  const size_t applied = perf::ScatterWords32(frame.data(), frame.size(),
-                                              diff.words.data(),
-                                              diff.words.size());
-  CVM_CHECK_EQ(applied, diff.words.size());
+  const size_t num_words = frame.size() / kWordSize;
+  for (const DiffWord& dw : diff.words) {
+    CVM_CHECK_LT(dw.word, num_words);
+    std::memcpy(frame.data() + static_cast<size_t>(dw.word) * kWordSize, &dw.value, kWordSize);
+  }
   if constexpr (obs::kObsCompiledIn) {
     if (obs != nullptr) {
       if (obs->words_applied != nullptr) {

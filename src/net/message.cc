@@ -62,7 +62,7 @@ struct SizeVisitor {
     }
     return n;
   }
-  size_t operator()(const BitmapReplyMsg& m) const { return 8 + BitmapEntriesBytes(*m.entries); }
+  size_t operator()(const BitmapReplyMsg& m) const { return 8 + BitmapEntriesBytes(m.entries); }
   size_t operator()(const CompareRequestMsg& m) const {
     size_t n = 8 + sizeof(uint32_t) + sizeof(uint64_t);
     for (const ComparePairEntry& p : m.pairs) {
@@ -73,7 +73,7 @@ struct SizeVisitor {
     return n;
   }
   size_t operator()(const BitmapShipMsg& m) const {
-    return 8 + sizeof(uint64_t) + BitmapEntriesBytes(*m.entries);
+    return 8 + sizeof(uint64_t) + BitmapEntriesBytes(m.entries);
   }
   size_t operator()(const CompareReplyMsg& m) const {
     return 8 + sizeof(NodeId) + 4 * sizeof(uint64_t) +
@@ -101,20 +101,6 @@ struct SizeVisitor {
   }
   size_t operator()(const BarrierTreeReleaseMsg& m) const {
     return 16 + m.merged_vc.RleByteSize() + RleIntervalsByteSize(m.intervals);
-  }
-};
-
-struct SharedBytesVisitor {
-  size_t operator()(const PageReplyMsg& m) const { return m.data.size(); }
-  size_t operator()(const BitmapReplyMsg& m) const {
-    return SizeVisitor::BitmapEntriesBytes(*m.entries);
-  }
-  size_t operator()(const BitmapShipMsg& m) const {
-    return SizeVisitor::BitmapEntriesBytes(*m.entries);
-  }
-  template <typename T>
-  size_t operator()(const T&) const {
-    return 0;
   }
 };
 
@@ -157,10 +143,6 @@ size_t PayloadByteSize(const Payload& payload) {
 
 size_t PayloadReadNoticeBytes(const Payload& payload) {
   return std::visit(ReadNoticeVisitor{}, payload);
-}
-
-size_t PayloadSharedBytes(const Payload& payload) {
-  return std::visit(SharedBytesVisitor{}, payload);
 }
 
 const char* PayloadKindName(size_t index) {

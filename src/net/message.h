@@ -13,7 +13,6 @@
 #include "src/common/types.h"
 #include "src/mem/diff.h"
 #include "src/obs/trace_context.h"
-#include "src/perf/shared_vec.h"
 #include "src/protocol/interval.h"
 #include "src/race/bitmap_codec.h"
 #include "src/vc/vector_clock.h"
@@ -31,9 +30,7 @@ struct PageRequestMsg {
 
 struct PageReplyMsg {
   PageId page = -1;
-  // Refcounted: copying the message (retransmission holds, parked replies)
-  // shares the page bytes; the installer TakeOrCopy()s them out.
-  perf::SharedVec<uint8_t> data;
+  std::vector<uint8_t> data;
   bool grants_ownership = false;
 };
 
@@ -102,9 +99,7 @@ struct BitmapReplyEntry {
 
 struct BitmapReplyMsg {
   EpochId epoch = -1;
-  // Refcounted (see PageReplyMsg::data): the entry list is the largest
-  // payload in the barrier rounds and is only ever read after send.
-  perf::SharedVec<BitmapReplyEntry> entries;
+  std::vector<BitmapReplyEntry> entries;
 };
 
 // ---- Distributed barrier-time compare (§6.3 "distributing the check") ----
@@ -143,7 +138,7 @@ struct CompareRequestMsg {
 // Peer -> pair owner: the encoded bitmaps the owner's compare needs.
 struct BitmapShipMsg {
   EpochId epoch = -1;
-  perf::SharedVec<BitmapReplyEntry> entries;  // Refcounted, read-only.
+  std::vector<BitmapReplyEntry> entries;
   uint64_t send_time_ns = 0;  // Shipper's simulated clock at send.
 };
 
@@ -311,11 +306,6 @@ size_t PayloadByteSize(const Payload& payload);
 // Bytes attributable to read notices inside the payload's interval records —
 // the marginal bandwidth the paper's modification adds (Table 3 "Msg Ohead").
 size_t PayloadReadNoticeBytes(const Payload& payload);
-
-// Wire bytes of the payload that live in refcounted SharedVec buffers —
-// i.e. the bytes a Message copy (retransmission hold, parked reply) shares
-// instead of duplicating. Feeds NetworkStats::zero_copy_bytes_shared.
-size_t PayloadSharedBytes(const Payload& payload);
 
 }  // namespace cvm
 

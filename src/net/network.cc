@@ -208,10 +208,6 @@ SendOutcome Network::SendReliable(Message message) {
   }
   const char* kind = message.KindName();
   const size_t rn_bytes = PayloadReadNoticeBytes(message.payload);
-  // Every Message copy below (held frames, per-attempt delivery handoffs)
-  // shares this many payload bytes by refcount instead of duplicating them.
-  const uint64_t shared_bytes = PayloadSharedBytes(message.payload);
-  uint64_t message_copies = 0;
   PairState& pair =
       pairs_[static_cast<size_t>(from) * static_cast<size_t>(num_nodes_) +
              static_cast<size_t>(to)];
@@ -255,17 +251,14 @@ SendOutcome Network::SendReliable(Message message) {
       ++fstats_.delayed;
       penalty_ns += injector_->DelayNs(decision.delay_hops);
       AccountWire(message, kind, rn_bytes);
-      ++message_copies;
       pair.held.push_back(
           PairState::Held{message, seq, pair.delivery_ticks + decision.delay_hops});
     } else {
       AccountWire(message, kind, rn_bytes);
-      ++message_copies;
       acked = DeliverFrameLocked(pair, message, seq, decision.corrupt, attempt);
       if (decision.duplicate) {
         ++fstats_.dup_frames;
         AccountWire(message, kind, rn_bytes);
-        ++message_copies;
         acked = DeliverFrameLocked(pair, message, seq, false, attempt) || acked;
       }
     }
@@ -306,10 +299,6 @@ SendOutcome Network::SendReliable(Message message) {
     lock.unlock();
     std::this_thread::yield();
     lock.lock();
-  }
-  if (shared_bytes != 0 && message_copies != 0) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.zero_copy_bytes_shared += shared_bytes * message_copies;
   }
   return SendOutcome{SendOutcome::Status::kDelivered, penalty_ns, attempt + 1};
 }

@@ -49,11 +49,6 @@ struct NetworkStats {
   // down which node's behaviour changed, not just the global totals.
   std::map<NodeId, uint64_t> messages_by_sender;
   std::map<NodeId, uint64_t> bytes_by_sender;
-  // Payload bytes that Message copies on the reliable path (retransmission
-  // holds, per-attempt delivery handoffs) shared via refcounted SharedVec
-  // buffers instead of duplicating. Host-side savings only — never part of
-  // the modeled wire traffic above.
-  uint64_t zero_copy_bytes_shared = 0;
 };
 
 // Structured result of one Send. The transport never aborts the process: a

@@ -65,19 +65,30 @@ void AppendArgs(std::string& json, const TraceEvent& e) {
   };
   if (e.epoch >= 0) {
     comma();
-    json += "\"epoch\":" + std::to_string(e.epoch);
+    json += "\"epoch\":";
+    json += std::to_string(e.epoch);
   }
   if (e.arg_name != nullptr) {
     comma();
-    json += "\"" + EscapeJson(e.arg_name) + "\":" + std::to_string(e.arg_value);
+    json += "\"";
+    json += EscapeJson(e.arg_name);
+    json += "\":";
+    json += std::to_string(e.arg_value);
   }
   if (e.arg2_name != nullptr) {
     comma();
-    json += "\"" + EscapeJson(e.arg2_name) + "\":" + std::to_string(e.arg2_value);
+    json += "\"";
+    json += EscapeJson(e.arg2_name);
+    json += "\":";
+    json += std::to_string(e.arg2_value);
   }
   if (e.str_arg_name != nullptr && e.str_arg_value != nullptr) {
     comma();
-    json += "\"" + EscapeJson(e.str_arg_name) + "\":\"" + EscapeJson(e.str_arg_value) + "\"";
+    json += "\"";
+    json += EscapeJson(e.str_arg_name);
+    json += "\":\"";
+    json += EscapeJson(e.str_arg_value);
+    json += "\"";
   }
   json += "}";
 }

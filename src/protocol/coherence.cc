@@ -74,10 +74,7 @@ bool CoherenceProtocol::FetchPage(PageId page, bool want_write, PageState instal
                       0);
 
   const bool ownership = reply.grants_ownership;
-  // TakeOrCopy: moves the page bytes straight out of the shared buffer on
-  // the clean path (sole owner); copies only if retransmission state still
-  // holds a reference.
-  host_.pages().Install(page, reply.data.TakeOrCopy(), install_state);
+  host_.pages().Install(page, std::move(reply.data), install_state);
   return ownership;
 }
 

@@ -22,6 +22,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/flat_id_set.h"
 #include "src/common/types.h"
 #include "src/mem/diff.h"
 #include "src/mem/page_table.h"
@@ -57,8 +58,8 @@ class ProtocolHost {
   virtual EpochId current_epoch() const = 0;
   // Pages written in the current interval (the pending write notices),
   // ascending. A flat sorted set: Clear() keeps its storage, so steady-state
-  // intervals track writes without allocating (see src/perf/arena.h).
-  virtual const perf::FlatIdSet<PageId>& current_writes() const = 0;
+  // intervals track writes without allocating.
+  virtual const FlatIdSet<PageId>& current_writes() const = 0;
   // Adds `page` to the current interval's write-notice set.
   virtual void NoteWrite(PageId page) = 0;
 

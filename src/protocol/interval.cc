@@ -30,38 +30,11 @@ std::string IntervalRecord::ToString() const {
 }
 
 PageAccessBitmaps& BitmapStore::PairFor(IntervalIndex interval, PageId page, bool* created) {
-  auto oit = by_interval_.find(interval);
-  if (oit == by_interval_.end()) {
-    auto handle = interval_pool_.Acquire();
-    if (handle.empty()) {
-      oit = by_interval_.emplace(interval, PageMap{}).first;
-    } else {
-      handle.key() = interval;
-      oit = by_interval_.insert(std::move(handle)).position;
-    }
-  }
-  PageMap& pages = oit->second;
+  PageMap& pages = by_interval_[interval];
   auto it = pages.find(page);
   if (it == pages.end()) {
-    auto handle = pair_pool_.Acquire();
-    if (handle.empty()) {
-      it = pages.emplace(page,
-                         PageAccessBitmaps{Bitmap(words_per_page_), Bitmap(words_per_page_)})
-               .first;
-    } else {
-      // Recycled node: re-key it and zero the bitmaps in place (their word
-      // arrays keep their storage as long as the page geometry is stable).
-      handle.key() = page;
-      PageAccessBitmaps& pair = handle.mapped();
-      if (pair.read.size() != words_per_page_) {
-        pair.read = Bitmap(words_per_page_);
-        pair.write = Bitmap(words_per_page_);
-      } else {
-        pair.read.Reset();
-        pair.write.Reset();
-      }
-      it = pages.insert(std::move(handle)).position;
-    }
+    it = pages.emplace(page, PageAccessBitmaps{Bitmap(words_per_page_), Bitmap(words_per_page_)})
+             .first;
     ++total_pairs_;
     if (created != nullptr) {
       *created = true;
@@ -92,13 +65,7 @@ const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) 
 
 void BitmapStore::DiscardThrough(IntervalIndex up_to) {
   slots_.Clear();
-  while (!by_interval_.empty() && by_interval_.begin()->first <= up_to) {
-    PageMap& pages = by_interval_.begin()->second;
-    while (!pages.empty()) {
-      pair_pool_.Release(pages.extract(pages.begin()));
-    }
-    interval_pool_.Release(by_interval_.extract(by_interval_.begin()));
-  }
+  by_interval_.erase(by_interval_.begin(), by_interval_.upper_bound(up_to));
 }
 
 void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
@@ -114,13 +81,7 @@ void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
 
 void BitmapStore::Clear() {
   slots_.Clear();
-  while (!by_interval_.empty()) {
-    PageMap& pages = by_interval_.begin()->second;
-    while (!pages.empty()) {
-      pair_pool_.Release(pages.extract(pages.begin()));
-    }
-    interval_pool_.Release(by_interval_.extract(by_interval_.begin()));
-  }
+  by_interval_.clear();
 }
 
 size_t BitmapStore::RetainedPairs() const {
@@ -134,18 +95,7 @@ size_t BitmapStore::RetainedPairs() const {
 void IntervalLog::Insert(const IntervalRecord& record) {
   CVM_CHECK_GE(record.id.node, 0);
   CVM_CHECK_LT(record.id.node, static_cast<NodeId>(by_node_.size()));
-  RecordMap& node_map = by_node_[record.id.node];
-  if (node_map.find(record.id.index) != node_map.end()) {
-    return;  // Already known (emplace used to ignore the duplicate too).
-  }
-  auto handle = record_pool_.Acquire();
-  if (handle.empty()) {
-    node_map.emplace(record.id.index, record);
-    return;
-  }
-  handle.key() = record.id.index;
-  handle.mapped() = record;  // Copy-assign: page-list vectors reuse capacity.
-  node_map.insert(std::move(handle));
+  by_node_[record.id.node].try_emplace(record.id.index, record);  // Ignores a duplicate.
 }
 
 bool IntervalLog::Contains(const IntervalId& id) const { return Find(id) != nullptr; }
@@ -183,17 +133,13 @@ void IntervalLog::DiscardDominatedBy(const VectorClock& vc) {
   for (size_t p = 0; p < by_node_.size(); ++p) {
     const IntervalIndex limit = vc.At(static_cast<NodeId>(p));
     auto& node_map = by_node_[p];
-    while (!node_map.empty() && node_map.begin()->first <= limit) {
-      record_pool_.Release(node_map.extract(node_map.begin()));
-    }
+    node_map.erase(node_map.begin(), node_map.upper_bound(limit));
   }
 }
 
 void IntervalLog::Clear() {
   for (auto& node_map : by_node_) {
-    while (!node_map.empty()) {
-      record_pool_.Release(node_map.extract(node_map.begin()));
-    }
+    node_map.clear();
   }
 }
 

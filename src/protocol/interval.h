@@ -13,7 +13,6 @@
 #include "src/common/bitmap.h"
 #include "src/common/sparse_page_map.h"
 #include "src/common/types.h"
-#include "src/perf/arena.h"
 #include "src/vc/vector_clock.h"
 
 namespace cvm {
@@ -96,11 +95,6 @@ class BitmapStore {
   // Total bitmap pairs ever recorded (denominator of Table 3 "Bitmaps Used").
   uint64_t TotalPairsRecorded() const { return total_pairs_; }
 
-  // Recycling behavior of the (interval, page) bitmap-pair storage: after
-  // the first epoch of a steady-state workload, every PairFor is a pool hit
-  // (misses stay flat), i.e. access recording allocates nothing.
-  const perf::PoolStats& pair_pool_stats() const { return pair_pool_.stats(); }
-
   // Walks every retained (interval, page) bitmap pair (post-mortem dump).
   template <typename Fn>
   void ForEachPair(NodeId node, const Fn& fn) const {
@@ -118,7 +112,7 @@ class BitmapStore {
   // Per-page cache of the pair last recorded for the page and whether its
   // read/write bitmaps already hold a bit. A slot is valid only for the
   // interval it was filled in; pair pointers stay valid because map nodes
-  // do not move until DiscardThrough/Clear extract them, and both (and
+  // do not move until DiscardThrough/Clear erase them, and both (and
   // RestorePair, which rewrites bitmaps in place) drop the whole cache.
   struct Slot {
     IntervalIndex interval = -1;
@@ -141,11 +135,6 @@ class BitmapStore {
   SparsePageMap<Slot> slots_;
   IntervalMap by_interval_;
   uint64_t total_pairs_ = 0;
-  // DiscardThrough parks extracted map nodes (bitmap storage and all) here;
-  // PairFor re-keys and re-inserts them, so steady-state epochs recycle both
-  // the tree nodes and the bitmap word arrays instead of allocating.
-  perf::ObjectPool<PageMap::node_type> pair_pool_;
-  perf::ObjectPool<IntervalMap::node_type> interval_pool_;
 };
 
 // A node's knowledge of intervals across the whole system: its own and those
@@ -179,17 +168,11 @@ class IntervalLog {
 
   size_t size() const;
 
-  // Recycling behavior of record storage (see BitmapStore::pair_pool_stats).
-  const perf::PoolStats& record_pool_stats() const { return record_pool_.stats(); }
-
  private:
   using RecordMap = std::map<IntervalIndex, IntervalRecord>;
 
   // by_node_[p] maps interval index -> record, sorted by index.
   std::vector<RecordMap> by_node_;
-  // DiscardDominatedBy parks extracted nodes here; Insert re-keys them and
-  // copy-assigns the record so the page-list vectors reuse their capacity.
-  perf::ObjectPool<RecordMap::node_type> record_pool_;
 };
 
 }  // namespace cvm

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/perf/kernels.h"
 
 namespace cvm {
 
@@ -26,9 +25,8 @@ EncodedBitmap BitmapCodec::Encode(const Bitmap& bitmap, bool allow_compression) 
   encoded.num_bits = bitmap.size();
 
   // Empty bitmaps (untouched pages) dominate in steady state; decide them
-  // with one vectorized scan before materializing any set-bit list.
-  if (allow_compression &&
-      !perf::AnyWordNonzero(bitmap.words().data(), bitmap.words().size())) {
+  // with one word scan before materializing any set-bit list.
+  if (allow_compression && bitmap.empty()) {
     encoded.encoding = BitmapEncoding::kEmpty;
     return encoded;
   }

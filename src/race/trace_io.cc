@@ -57,6 +57,9 @@ bool GetBitmap(std::istream& in, Bitmap* bitmap) {
       return false;
     }
   }
+  if (!Bitmap::ValidWords(bits, words)) {
+    return false;  // A bit set past `bits` would break the bitmap invariant.
+  }
   *bitmap = Bitmap::FromWords(bits, std::move(words));
   return true;
 }

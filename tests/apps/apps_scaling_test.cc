@@ -73,7 +73,9 @@ TEST_P(NodeCountTest, WaterVerifiesAtAnyNodeCount) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, NodeCountTest, ::testing::Values(1, 2, 3, 5, 7),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           return "p" + std::to_string(param_info.param);
+                           std::string name = "p";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(NodeCountTest, MoreNodesThanWorkStillTerminates) {

@@ -89,43 +89,85 @@ TEST(BitmapTest, ToStringListsSetBits) {
   EXPECT_EQ(a.ToString(), "{3,40}");
 }
 
-// Property: IntersectionBits == brute-force set intersection, SetBits is
-// sorted and consistent with Test().
+// Property: every Bitmap operation agrees with a bit-by-bit
+// std::vector<bool> oracle, at sizes straddling the 64-bit word boundaries.
+// The word loops rely on the bits past size() staying zero; comparing
+// against a per-bit oracle catches any operation that breaks that.
+std::vector<uint32_t> OracleSetBits(const std::vector<bool>& bits) {
+  std::vector<uint32_t> out;
+  for (uint32_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
+std::vector<bool> RandomBits(Rng& rng, uint32_t n, Bitmap* bitmap) {
+  std::vector<bool> oracle(n, false);
+  // Densities from empty to full, so both all-zero and all-ones words occur.
+  const uint64_t percent = rng.Below(5) * 25;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (rng.Below(100) < percent) {
+      bitmap->Set(i);
+      oracle[i] = true;
+    }
+  }
+  return oracle;
+}
+
+void ExpectMatchesOracle(const Bitmap& bitmap, const std::vector<bool>& oracle) {
+  const std::vector<uint32_t> set = OracleSetBits(oracle);
+  EXPECT_EQ(bitmap.SetBits(), set);
+  EXPECT_EQ(bitmap.popcount(), set.size());
+  EXPECT_EQ(bitmap.empty(), set.empty());
+  for (uint32_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(bitmap.Test(i), oracle[i]) << "bit " << i;
+  }
+}
+
 TEST(BitmapTest, PropertyIntersectionMatchesBruteForce) {
   Rng rng(1234);
-  for (int trial = 0; trial < 50; ++trial) {
-    const uint32_t n = static_cast<uint32_t>(rng.Range(1, 500));
-    Bitmap a(n);
-    Bitmap b(n);
-    std::vector<bool> ra(n, false);
-    std::vector<bool> rb(n, false);
-    const int sets = static_cast<int>(rng.Range(0, 64));
-    for (int i = 0; i < sets; ++i) {
-      const uint32_t bit = static_cast<uint32_t>(rng.Below(n));
-      if (rng.Chance(0.5)) {
-        a.Set(bit);
-        ra[bit] = true;
-      } else {
-        b.Set(bit);
-        rb[bit] = true;
+  for (uint32_t n : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u, 1024u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      Bitmap a(n);
+      Bitmap b(n);
+      const std::vector<bool> ra = RandomBits(rng, n, &a);
+      const std::vector<bool> rb = RandomBits(rng, n, &b);
+      ExpectMatchesOracle(a, ra);
+      ExpectMatchesOracle(b, rb);
+
+      std::vector<bool> both(n);
+      std::vector<bool> either(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        both[i] = ra[i] && rb[i];
+        either[i] = ra[i] || rb[i];
       }
+      const std::vector<uint32_t> common = OracleSetBits(both);
+      EXPECT_EQ(a.IntersectionBits(b), common);
+      EXPECT_EQ(b.IntersectionBits(a), common);
+      EXPECT_EQ(a.Intersects(b), !common.empty());
+      EXPECT_EQ(b.Intersects(a), !common.empty());
+
+      Bitmap unioned = a;
+      unioned.UnionWith(b);
+      ExpectMatchesOracle(unioned, either);
+      Bitmap intersected = a;
+      intersected.IntersectWith(b);
+      ExpectMatchesOracle(intersected, both);
+
+      EXPECT_EQ(Bitmap::FromWords(n, a.words()), a);
     }
-    std::vector<uint32_t> expected;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (ra[i] && rb[i]) {
-        expected.push_back(i);
-      }
-    }
-    EXPECT_EQ(a.IntersectionBits(b), expected);
-    EXPECT_EQ(a.Intersects(b), !expected.empty());
-    // SetBits agrees with Test().
-    uint32_t count = 0;
-    for (uint32_t bit : a.SetBits()) {
-      EXPECT_TRUE(a.Test(bit));
-      ++count;
-    }
-    EXPECT_EQ(count, a.popcount());
   }
+}
+
+TEST(BitmapDeathTest, FromWordsRejectsBitsPastSize) {
+  EXPECT_TRUE(Bitmap::ValidWords(65, {~0ull, 1ull}));
+  EXPECT_FALSE(Bitmap::ValidWords(65, {0ull, 2ull}));  // Bit 65 of a 65-bit map.
+  EXPECT_FALSE(Bitmap::ValidWords(65, {0ull}));         // Wrong word count.
+  EXPECT_TRUE(Bitmap::ValidWords(64, {~0ull}));
+  EXPECT_DEATH(Bitmap::FromWords(100, {0ull, 1ull << 40}), "ValidWords");
 }
 
 }  // namespace

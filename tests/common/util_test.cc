@@ -1,12 +1,15 @@
 // Tests for the small common utilities: table printer, deterministic RNG,
-// and the CVM_CHECK macros.
+// the flat id set, and the CVM_CHECK macros.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/flat_id_set.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
+#include "src/common/types.h"
 
 namespace cvm {
 namespace {
@@ -78,6 +81,25 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     sum += v;
   }
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
+}
+
+TEST(FlatIdSetTest, BehavesLikeSortedSetWithoutReallocating) {
+  FlatIdSet<PageId> set;
+  EXPECT_TRUE(set.Insert(5));
+  EXPECT_TRUE(set.Insert(1));
+  EXPECT_TRUE(set.Insert(9));
+  EXPECT_FALSE(set.Insert(5));  // Duplicate.
+  EXPECT_EQ(set.Size(), 3u);
+  EXPECT_TRUE(set.Contains(1));
+  EXPECT_FALSE(set.Contains(2));
+  EXPECT_EQ(set.ids(), (std::vector<PageId>{1, 5, 9}));  // Ascending, like std::set.
+
+  const size_t capacity = set.Capacity();
+  set.Clear();
+  EXPECT_TRUE(set.Empty());
+  EXPECT_EQ(set.Capacity(), capacity);  // Clear keeps the buffer.
+  EXPECT_TRUE(set.Insert(3));
+  EXPECT_EQ(set.Capacity(), capacity);  // Steady-state insert: no realloc.
 }
 
 TEST(CheckTest, PassingCheckIsSilent) {

@@ -161,5 +161,12 @@ TEST(DiffTest, PropertyApplyReconstructsCurrent) {
   }
 }
 
+TEST(DiffDeathTest, ApplyRejectsWordPastFrame) {
+  std::vector<uint8_t> frame(64, 0);  // 16 words.
+  Diff diff;
+  diff.words = {DiffWord{0, 0x11111111u}, DiffWord{16, 0x22222222u}};
+  EXPECT_DEATH(ApplyDiff(diff, frame), "16 vs 16");
+}
+
 }  // namespace
 }  // namespace cvm

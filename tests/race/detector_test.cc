@@ -173,5 +173,20 @@ INSTANTIATE_TEST_SUITE_P(Overlap, DetectorTest,
                                                                                 : "PageBitmaps";
                          });
 
+// The dense-probe scratch of the page-bitmap overlap is built once per page
+// count and reused: repeated epochs of the same shape allocate nothing.
+TEST(DetectorScratchTest, DetectorOverlapScratchBuiltOncePerPageCount) {
+  Fixture fx(2);
+  fx.Add(0, 0, {}, {3, 7}, {});
+  fx.Add(1, 0, {}, {4, 7}, {});
+  RaceDetector detector(64, OverlapMethod::kPageBitmaps);
+  for (int run = 0; run < 5; ++run) {
+    const auto pairs = detector.BuildCheckList(fx.records());
+    ASSERT_EQ(pairs.size(), 1u);
+    EXPECT_EQ(pairs[0].pages, (std::vector<PageId>{7}));
+  }
+  EXPECT_EQ(detector.stats().overlap_scratch_builds, 1u);
+}
+
 }  // namespace
 }  // namespace cvm

@@ -1,6 +1,7 @@
 // Round-trip and corruption tests for the binary trace-file format.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -112,6 +113,32 @@ TEST(TraceIoTest, RejectsTruncatedFile) {
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 10));
+  }
+  PostMortemTrace out;
+  EXPECT_FALSE(ReadTraceFile(path, &out));
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, RejectsBitSetPastBitmapSize) {
+  const std::string path = TempPath("trailing_bit.cvmt");
+  PostMortemTrace trace;
+  // 40-bit maps: the one wire word has 24 bits that must stay zero.
+  PageAccessBitmaps pair{Bitmap(40), Bitmap(40)};
+  pair.write.Set(3);
+  trace.AddBitmaps(IntervalId{0, 1}, 2, pair);
+  ASSERT_TRUE(WriteTraceFile(trace, path));
+  PostMortemTrace clean;
+  ASSERT_TRUE(ReadTraceFile(path, &clean));
+
+  // The write bitmap's word ends the file; set its bit 63 (the top bit of
+  // the last byte, little-endian).
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  bytes.back() = static_cast<char>(static_cast<uint8_t>(bytes.back()) | 0x80u);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   PostMortemTrace out;
   EXPECT_FALSE(ReadTraceFile(path, &out));

@@ -13,7 +13,6 @@ registering (and thereby documenting) its output format here.
 
 Usage: tools/check_bench_json.py BENCH_detector.json
        tools/check_bench_json.py BENCH_fig4.json
-       tools/check_bench_json.py BENCH_hotpath.json
        tools/check_bench_json.py BENCH_obs.json
        tools/check_bench_json.py BENCH_recovery.json
        tools/check_bench_json.py BENCH_scaling.json
@@ -91,16 +90,6 @@ SERVICE_FIELDS = {
     "p50_latency_s": (int, float),
     "p99_latency_s": (int, float),
     "mean_latency_s": (int, float),
-}
-
-HOTPATH_FIELDS = {
-    "kernel": str,
-    "target": str,
-    "bytes_per_op": int,
-    "scalar_ns": (int, float),
-    "active_ns": (int, float),
-    "speedup": (int, float),
-    "identical_output": bool,
 }
 
 SCALING_FIELDS = {
@@ -309,62 +298,6 @@ def check_recovery(cells):
     return 0
 
 
-HOTPATH_TARGETS = {"sse2", "neon", "word"}
-HOTPATH_KERNELS = {"compare", "intersect_bits", "set_bits", "diff_make"}
-# Kernels that must beat the scalar reference outright: the full-scan
-# compare and the twin-vs-page diff, where the word/SIMD win is structural.
-# The extraction kernels (intersect_bits/set_bits) are ctz-bound on sparse
-# inputs — on the word target both faces run near-identical loops, so they
-# only have to not regress beyond codegen/timer noise.
-HOTPATH_MUST_WIN = {"compare", "diff_make"}
-HOTPATH_NOISE_HEADROOM = 1.25
-
-
-def check_hotpath(cells):
-    if not cells:
-        return fail("no cells")
-    seen = set()
-    for i, cell in enumerate(cells):
-        err = check_fields(cell, i, HOTPATH_FIELDS)
-        if err:
-            return fail(err)
-        if cell["kernel"] not in HOTPATH_KERNELS:
-            return fail(f"cell {i}: unknown kernel '{cell['kernel']}'")
-        if cell["target"] not in HOTPATH_TARGETS:
-            return fail(f"cell {i}: unknown target '{cell['target']}'")
-        if cell["scalar_ns"] <= 0 or cell["active_ns"] <= 0:
-            return fail(f"cell {i}: non-positive kernel time")
-        if cell["bytes_per_op"] <= 0:
-            return fail(f"cell {i}: non-positive bytes_per_op")
-        if not cell["identical_output"]:
-            return fail(
-                f"kernel {cell['kernel']}: active and scalar faces diverged "
-                "(bit-exactness is the contract the parity suites rely on)"
-            )
-        if cell["kernel"] in HOTPATH_MUST_WIN and cell["active_ns"] > cell["scalar_ns"]:
-            return fail(
-                f"kernel {cell['kernel']} ({cell['target']}): active "
-                f"{cell['active_ns']:.1f}ns is slower than scalar "
-                f"{cell['scalar_ns']:.1f}ns"
-            )
-        if cell["active_ns"] > HOTPATH_NOISE_HEADROOM * cell["scalar_ns"]:
-            return fail(
-                f"kernel {cell['kernel']}: active face regresses "
-                f"{cell['active_ns'] / cell['scalar_ns']:.2f}x over scalar"
-            )
-        seen.add(cell["kernel"])
-    missing = HOTPATH_KERNELS - seen
-    if missing:
-        return fail(f"missing kernel cell(s) {sorted(missing)}")
-    wins = {c["kernel"]: c["speedup"] for c in cells if c["kernel"] in HOTPATH_MUST_WIN}
-    print(
-        f"OK: {len(cells)} hotpath cells on target "
-        f"'{cells[0]['target']}', compare {wins['compare']:.2f}x, "
-        f"diff_make {wins['diff_make']:.2f}x over scalar"
-    )
-    return 0
-
-
 # The tentpole acceptance bar for the combine-tree barrier: sub-quadratic
 # growth. Log-log slope between consecutive swept sizes must stay below 2
 # on the tree curves (flat is O(n^2) by construction and is not held to it).
@@ -416,7 +349,6 @@ def check_scaling(cells):
 SCHEMAS = {
     "BENCH_detector.json": check_detector,
     "BENCH_fig4.json": check_fig4,
-    "BENCH_hotpath.json": check_hotpath,
     "BENCH_obs.json": check_obs,
     "BENCH_recovery.json": check_recovery,
     "BENCH_scaling.json": check_scaling,
