@@ -4,7 +4,8 @@
 // slots hold a value. Lookup is two array loads and a bit test — no hashing,
 // no tree walk — so it can sit on the per-access hot path.
 //
-// Not thread-safe; the owner's lock serializes access.
+// Not thread-safe: each map belongs to one node, and only that node's thread
+// touches it.
 #ifndef CVM_COMMON_SPARSE_PAGE_MAP_H_
 #define CVM_COMMON_SPARSE_PAGE_MAP_H_
 

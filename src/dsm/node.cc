@@ -204,6 +204,7 @@ void Node::Serve(const Message& msg) {
     // already in its inbox when it died.
     return;
   }
+  InvalidatePageCache();  // Handlers move ownership, apply notices, install pages.
   in_handler_ = true;
   DispatchWithFlow(msg);
   in_handler_ = false;
@@ -322,11 +323,6 @@ void Node::DispatchWithFlow(const Message& msg) {
 
 // ---------------- Cost helpers ----------------
 
-void Node::ChargeInstrumentation() {
-  timing_.Charge(Bucket::kProcCall, opts_.costs.proc_call_ns);
-  timing_.Charge(Bucket::kAccessCheck, opts_.costs.access_check_ns);
-}
-
 void Node::ChargeMessage(size_t bytes, size_t read_notice_bytes) {
   CVM_CHECK_GE(bytes, read_notice_bytes);
   timing_.Charge(Bucket::kNone, opts_.costs.MessageCost(bytes - read_notice_bytes));
@@ -338,38 +334,25 @@ void Node::ChargeMessage(size_t bytes, size_t read_notice_bytes) {
 
 // ---------------- Shared accesses ----------------
 
-void Node::Compute(uint64_t units) {
-  Poll();
-  timing_.Charge(Bucket::kNone, opts_.costs.compute_unit_ns * static_cast<double>(units));
-}
-
-void Node::PrivateAccess(uint64_t va, bool is_write) {
-  Poll();
-  timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
-  if (opts_.race_detection) {
-    ChargeInstrumentation();
-    AccessFilter::Result result = filter_.OnAccess(va, is_write);
-    CVM_CHECK(!result.shared) << "private VA resolved as shared";
-  }
-}
-
 uint64_t Node::AllocPrivateVa(uint64_t bytes) {
   const uint64_t va = private_va_next_;
   private_va_next_ += (bytes + kWordSize - 1) / kWordSize * kWordSize;
   return va;
 }
 
-uint32_t Node::ReadWord(GlobalAddr addr) {
-  Poll();
+uint32_t Node::ReadWordSlow(GlobalAddr addr) {
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   const PageId page = static_cast<PageId>(addr >> page_shift_);
   const uint32_t word = WordInPage(addr & page_mask_);
+  PageAccessBitmaps* bitmaps = nullptr;
   if (opts_.race_detection) {
     ChargeInstrumentation();
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/false);
     CVM_CHECK(result.shared);
-    // Only a page's first read in the interval can add a read notice.
-    if (bitmaps_.RecordRead(cur_interval_, page, word) && cur_reads_.Insert(page)) {
+    bitmaps = &bitmaps_.Record(cur_interval_, page);
+    bitmaps->read.Set(word);
+    // Only a page's first read in the interval adds a read notice.
+    if (cur_reads_.Insert(page)) {
       timing_.Charge(Bucket::kCvmMods, opts_.costs.notice_setup_ns);
     }
     if (opts_.watch.has_value()) {
@@ -385,21 +368,23 @@ uint32_t Node::ReadWord(GlobalAddr addr) {
   }
   const uint32_t value = pages_.ReadWord(page, word);
   protocol_->OnAccessComplete(page);
+  FillPageCache(page, bitmaps);
   return value;
 }
 
-void Node::WriteWord(GlobalAddr addr, uint32_t value) {
-  Poll();
+void Node::WriteWordSlow(GlobalAddr addr, uint32_t value) {
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   const PageId page = static_cast<PageId>(addr >> page_shift_);
   const uint32_t word = WordInPage(addr & page_mask_);
+  PageAccessBitmaps* bitmaps = nullptr;
   // §6.5: under diff-derived write detection, store instructions are not
   // instrumented at all — writes are mined from diffs at release time.
   if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {
     ChargeInstrumentation();
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/true);
     CVM_CHECK(result.shared);
-    bitmaps_.RecordWrite(cur_interval_, page, word);
+    bitmaps = &bitmaps_.Record(cur_interval_, page);
+    bitmaps->write.Set(word);
     if (opts_.watch.has_value()) {
       const Watchpoint& w = *opts_.watch;
       if (addr >= w.addr && addr < w.addr + w.bytes && (w.epoch == -1 || epoch_ == w.epoch)) {
@@ -413,9 +398,31 @@ void Node::WriteWord(GlobalAddr addr, uint32_t value) {
   }
   pages_.WriteWord(page, word, value);
   protocol_->OnAccessComplete(page);
+  FillPageCache(page, bitmaps);
+}
+
+void Node::FillPageCache(PageId page, PageAccessBitmaps* bitmaps) {
+  if (opts_.watch.has_value() || protocol_->AccessWorkQueued()) {
+    return;
+  }
+  PageEntry& entry = pages_.entry(page);
+  if (entry.state == PageState::kInvalid) {
+    return;
+  }
+  const bool detect = opts_.race_detection;
+  CachedPage& cached = page_cache_[CacheSlot(page)];
+  cached.page = page;
+  cached.generation = cache_generation_;
+  cached.entry = &entry;
+  cached.bitmaps = bitmaps;
+  cached.readable = !detect || (bitmaps != nullptr && cur_reads_.Contains(page));
+  cached.writable = entry.state == PageState::kReadWrite &&
+                    (!detect || opts_.write_detection == WriteDetection::kDiffs ||
+                     bitmaps != nullptr);
 }
 
 void Node::ReadFault(PageId page) {
+  InvalidatePageCache();
   ++page_faults_;
   obs::Span span(tracer_, id_, "page.fault.read", "mem", timing_, epoch_);
   span.SetArg("page", static_cast<uint64_t>(page));
@@ -429,6 +436,7 @@ void Node::ReadFault(PageId page) {
 }
 
 void Node::WriteFault(PageId page) {
+  InvalidatePageCache();
   ++page_faults_;
   obs::Span span(tracer_, id_, "page.fault.write", "mem", timing_, epoch_);
   span.SetArg("page", static_cast<uint64_t>(page));
@@ -444,6 +452,7 @@ void Node::WriteFault(PageId page) {
 // ---------------- Intervals ----------------
 
 void Node::BeginInterval() {
+  InvalidatePageCache();
   cur_interval_ = vc_.Tick(id_);
   cur_reads_.Clear();
   cur_writes_.Clear();
@@ -451,6 +460,7 @@ void Node::BeginInterval() {
 }
 
 void Node::EndInterval() {
+  InvalidatePageCache();
   // Protocol-specific closing action first: diff flushing (multi-writer, may
   // mine write notices into cur_writes_) or written-page downgrade
   // (single-writer family).
@@ -504,6 +514,7 @@ void Node::ApplyIntervalRecords(const std::vector<IntervalRecord>& records) {
 }
 
 void Node::GarbageCollect() {
+  InvalidatePageCache();
   log_.DiscardDominatedBy(vc_);
   protocol_->OnGarbageCollect(vc_);
   if (opts_.postmortem_trace) {
@@ -711,6 +722,7 @@ void Node::CaptureCheckpoint() {
 }
 
 size_t Node::RollbackToCheckpoint() {
+  InvalidatePageCache();
   if (!checkpoint_.has_value()) {
     return 0;
   }

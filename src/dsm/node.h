@@ -33,12 +33,14 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/common/abort.h"
+#include "src/common/check.h"
 #include "src/common/flat_id_set.h"
 #include "src/common/types.h"
 #include "src/dsm/barrier_coordinator.h"
@@ -75,9 +77,45 @@ class Node : public ProtocolHost {
   int num_nodes() const override;
 
   // Instrumented shared accesses at word granularity. Addresses are offsets
-  // into the global shared segment.
-  uint32_t ReadWord(GlobalAddr addr);
-  void WriteWord(GlobalAddr addr, uint32_t value);
+  // into the global shared segment. An access to a page held in the page
+  // cache (below) runs inline and does what the slow path does for a repeat
+  // access, in the same order: poll, charges, the analysis routine, one
+  // bitmap bit and the word copy. Anything else takes the slow path.
+  uint32_t ReadWord(GlobalAddr addr) {
+    Poll();
+    const PageId page = static_cast<PageId>(addr >> page_shift_);
+    const CachedPage& cached = page_cache_[CacheSlot(page)];
+    if (cached.page != page || cached.generation != cache_generation_ || !cached.readable) {
+      return ReadWordSlow(addr);
+    }
+    timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
+    const uint32_t word = WordInPage(addr & page_mask_);
+    if (opts_.race_detection) {
+      ChargeInstrumentation();
+      CVM_CHECK(filter_.OnAccess(SharedVa(addr), /*is_write=*/false).shared);
+      cached.bitmaps->read.Set(word);
+    }
+    uint32_t value;
+    std::memcpy(&value, cached.entry->data.data() + word * kWordSize, kWordSize);
+    return value;
+  }
+  void WriteWord(GlobalAddr addr, uint32_t value) {
+    Poll();
+    const PageId page = static_cast<PageId>(addr >> page_shift_);
+    const CachedPage& cached = page_cache_[CacheSlot(page)];
+    if (cached.page != page || cached.generation != cache_generation_ || !cached.writable) {
+      WriteWordSlow(addr, value);
+      return;
+    }
+    timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
+    const uint32_t word = WordInPage(addr & page_mask_);
+    if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {
+      ChargeInstrumentation();
+      CVM_CHECK(filter_.OnAccess(SharedVa(addr), /*is_write=*/true).shared);
+      cached.bitmaps->write.Set(word);
+    }
+    std::memcpy(cached.entry->data.data() + word * kWordSize, &value, kWordSize);
+  }
 
   template <typename T>
   T Read(GlobalAddr addr) {
@@ -103,7 +141,10 @@ class Node : public ProtocolHost {
   void Consolidate() { Barrier(); }
 
   // Models `units` of uninstrumented computation (advances simulated time).
-  void Compute(uint64_t units);
+  void Compute(uint64_t units) {
+    Poll();
+    timing_.Charge(Bucket::kNone, opts_.costs.compute_unit_ns * static_cast<double>(units));
+  }
 
   // Called by the DsmSystem node-thread body just before the implicit
   // final barrier: with epoch-batched detection (--detect-batch > 1) the
@@ -114,7 +155,15 @@ class Node : public ProtocolHost {
   // An instrumented access that ATOM could not prove private but that turns
   // out, at run time, to miss the shared segment (§5.1: the majority of
   // runtime calls to the analysis routine are for private data).
-  void PrivateAccess(uint64_t va, bool is_write);
+  void PrivateAccess(uint64_t va, bool is_write) {
+    Poll();
+    timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
+    if (opts_.race_detection) {
+      ChargeInstrumentation();
+      AccessFilter::Result result = filter_.OnAccess(va, is_write);
+      CVM_CHECK(!result.shared) << "private VA resolved as shared";
+    }
+  }
 
   // Simulated-VA allocator for private (LocalArray) data.
   uint64_t AllocPrivateVa(uint64_t bytes);
@@ -244,8 +293,41 @@ class Node : public ProtocolHost {
   void DispatchWithFlow(const Message& msg);
 
   // ---- Shared-access internals ----
+  // The full access bodies, for page-cache misses: they may fault, record a
+  // new bitmap pair or read notice, or log a watch hit, and then refill the
+  // page's cache entry.
+  uint32_t ReadWordSlow(GlobalAddr addr);
+  void WriteWordSlow(GlobalAddr addr, uint32_t value);
   void ReadFault(PageId page);
   void WriteFault(PageId page);
+
+  // ---- Page cache ----
+  // One resolved page: its table entry and the current interval's bitmap
+  // pair, plus whether a read or a write may take the inline path. An entry
+  // is live only while its generation equals cache_generation_.
+  struct CachedPage {
+    PageId page = -1;
+    bool readable = false;
+    bool writable = false;
+    uint64_t generation = 0;
+    PageEntry* entry = nullptr;
+    PageAccessBitmaps* bitmaps = nullptr;
+  };
+  static constexpr uint32_t kPageCacheEntries = 64;  // Direct-mapped.
+  static uint32_t CacheSlot(PageId page) {
+    return static_cast<uint32_t>(page) & (kPageCacheEntries - 1);
+  }
+  // Drops every entry at once. Called wherever page state, the interval, the
+  // read-notice set or the bitmap store may change: every served frame,
+  // interval boundaries, faults, garbage collection and rollback.
+  void InvalidatePageCache() { ++cache_generation_; }
+  // Caches `page` after a completed slow-path access that used `bitmaps`
+  // (null if it recorded nothing). With detection on, a hit must add no
+  // accounting, so reads hit only once the pair and the page's read notice
+  // exist, and instrumented writes only once the pair does. Nothing is
+  // cached while a watchpoint is set (every access must log its hit) or
+  // while the protocol has work queued for OnAccessComplete.
+  void FillPageCache(PageId page, PageAccessBitmaps* bitmaps);
 
   // ---- Interval machinery ----
   void EndInterval();
@@ -254,7 +336,10 @@ class Node : public ProtocolHost {
   void GarbageCollect();
 
   // ---- Cost helpers ----
-  void ChargeInstrumentation();
+  void ChargeInstrumentation() {
+    timing_.Charge(Bucket::kProcCall, opts_.costs.proc_call_ns);
+    timing_.Charge(Bucket::kAccessCheck, opts_.costs.access_check_ns);
+  }
 
   // ---- Observability (no-ops when obs is off) ----
   void InitObservability();
@@ -298,6 +383,8 @@ class Node : public ProtocolHost {
 
   // Memory.
   PageTable pages_;
+  std::array<CachedPage, kPageCacheEntries> page_cache_ = {};
+  uint64_t cache_generation_ = 1;  // Value-initialized entries never match.
 
   // Consistency metadata.
   VectorClock vc_;

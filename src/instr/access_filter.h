@@ -65,7 +65,6 @@ class AccessFilter {
   }
 
   const AccessCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = AccessCounters{}; }
 
  private:
   uint32_t page_shift_;

@@ -117,6 +117,9 @@ class CoherenceProtocol {
   // drains page requests that were parked behind an in-flight ownership
   // transfer.
   virtual void OnAccessComplete(PageId page) { (void)page; }
+  // True while OnAccessComplete has queued work. The node's page cache skips
+  // OnAccessComplete on a hit, so it caches a page only while this is false.
+  virtual bool AccessWorkQueued() const { return false; }
 
   // Interval-end hook, invoked BEFORE the interval record is built: the
   // multi-writer protocol flushes diffs here (possibly mining write notices

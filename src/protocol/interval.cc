@@ -29,26 +29,15 @@ std::string IntervalRecord::ToString() const {
   return out.str();
 }
 
-PageAccessBitmaps& BitmapStore::PairFor(IntervalIndex interval, PageId page, bool* created) {
+PageAccessBitmaps& BitmapStore::Record(IntervalIndex interval, PageId page) {
   PageMap& pages = by_interval_[interval];
   auto it = pages.find(page);
   if (it == pages.end()) {
     it = pages.emplace(page, PageAccessBitmaps{Bitmap(words_per_page_), Bitmap(words_per_page_)})
              .first;
     ++total_pairs_;
-    if (created != nullptr) {
-      *created = true;
-    }
   }
   return it->second;
-}
-
-void BitmapStore::FillSlot(IntervalIndex interval, PageId page, Slot& slot) {
-  PageAccessBitmaps& pair = PairFor(interval, page, /*created=*/nullptr);
-  slot.interval = interval;
-  slot.read_seen = !pair.read.empty();
-  slot.write_seen = !pair.write.empty();
-  slot.pair = &pair;
 }
 
 const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) const {
@@ -64,23 +53,15 @@ const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) 
 }
 
 void BitmapStore::DiscardThrough(IntervalIndex up_to) {
-  slots_.Clear();
   by_interval_.erase(by_interval_.begin(), by_interval_.upper_bound(up_to));
 }
 
 void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
                               const PageAccessBitmaps& pair) {
-  slots_.Clear();
-  bool created = false;
-  PageAccessBitmaps& slot = PairFor(interval, page, &created);
-  if (created) {
-    --total_pairs_;  // A restore is not a new recording.
-  }
-  slot = pair;
+  by_interval_[interval].insert_or_assign(page, pair);  // A restore is not a new recording.
 }
 
 void BitmapStore::Clear() {
-  slots_.Clear();
   by_interval_.clear();
 }
 

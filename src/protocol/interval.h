@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/bitmap.h"
-#include "src/common/sparse_page_map.h"
 #include "src/common/types.h"
 #include "src/vc/vector_clock.h"
 
@@ -54,25 +53,11 @@ class BitmapStore {
  public:
   explicit BitmapStore(uint32_t words_per_page) : words_per_page_(words_per_page) {}
 
-  // Marks one word accessed in the given local interval; creates the bitmap
-  // pair lazily. Returns true if this is the first access (read or write
-  // respectively) to the page in this interval, i.e. a new notice is due.
-  // Repeat accesses to a page in the same interval are O(1): they hit the
-  // page's cache slot instead of the interval/page maps.
-  bool RecordRead(IntervalIndex interval, PageId page, uint32_t word) {
-    Slot& slot = SlotFor(interval, page);
-    slot.pair->read.Set(word);
-    const bool first = !slot.read_seen;
-    slot.read_seen = true;
-    return first;
-  }
-  bool RecordWrite(IntervalIndex interval, PageId page, uint32_t word) {
-    Slot& slot = SlotFor(interval, page);
-    slot.pair->write.Set(word);
-    const bool first = !slot.write_seen;
-    slot.write_seen = true;
-    return first;
-  }
+  // The bitmap pair for (interval, page), created (both bitmaps empty) on
+  // the interval's first access to the page. Callers set the accessed
+  // words' bits; the node's page cache keeps the returned reference across
+  // repeat accesses (map nodes do not move until DiscardThrough/Clear).
+  PageAccessBitmaps& Record(IntervalIndex interval, PageId page);
 
   // Bitmaps for (interval, page); null if the interval never touched it.
   const PageAccessBitmaps* Find(IntervalIndex interval, PageId page) const;
@@ -109,30 +94,7 @@ class BitmapStore {
   using PageMap = std::map<PageId, PageAccessBitmaps>;
   using IntervalMap = std::map<IntervalIndex, PageMap>;
 
-  // Per-page cache of the pair last recorded for the page and whether its
-  // read/write bitmaps already hold a bit. A slot is valid only for the
-  // interval it was filled in; pair pointers stay valid because map nodes
-  // do not move until DiscardThrough/Clear erase them, and both (and
-  // RestorePair, which rewrites bitmaps in place) drop the whole cache.
-  struct Slot {
-    IntervalIndex interval = -1;
-    bool read_seen = false;
-    bool write_seen = false;
-    PageAccessBitmaps* pair = nullptr;
-  };
-
-  Slot& SlotFor(IntervalIndex interval, PageId page) {
-    Slot& slot = slots_.GetOrCreate(page);
-    if (slot.pair == nullptr || slot.interval != interval) {
-      FillSlot(interval, page, slot);
-    }
-    return slot;
-  }
-  void FillSlot(IntervalIndex interval, PageId page, Slot& slot);
-  PageAccessBitmaps& PairFor(IntervalIndex interval, PageId page, bool* created);
-
   uint32_t words_per_page_;
-  SparsePageMap<Slot> slots_;
   IntervalMap by_interval_;
   uint64_t total_pairs_ = 0;
 };

@@ -70,8 +70,9 @@ void MultiWriterHomeLrc::FlushDiffs() {
       // invisible here — the weaker guarantee the paper describes.
       if (!diff.words.empty()) {
         host_.NoteWrite(page);
+        Bitmap& written = host_.bitmaps().Record(host_.current_interval(), page).write;
         for (const DiffWord& dw : diff.words) {
-          host_.bitmaps().RecordWrite(host_.current_interval(), page, dw.word);
+          written.Set(dw.word);
         }
       }
     }

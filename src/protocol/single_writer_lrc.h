@@ -25,6 +25,7 @@ class SingleWriterLrc : public CoherenceProtocol {
   void OnReadFault(PageId page) override;
   void OnWriteFault(PageId page) override;
   void OnAccessComplete(PageId page) override;
+  bool AccessWorkQueued() const override { return !pending_serves_.empty(); }
   void OnIntervalEnd() override;
   void ApplyWriteNotices(const IntervalRecord& record) override;
 

@@ -84,8 +84,8 @@ const char* BucketName(Bucket bucket);
 // barriers; tools/trace_summary maps them back to Figure 3's buckets.
 const char* BucketMetricName(Bucket bucket);
 
-// One node's simulated clock plus per-bucket overhead accounting. Guarded
-// externally by the node's mutex.
+// One node's simulated clock plus per-bucket overhead accounting. Not
+// thread-safe: only the owning node's thread touches it.
 class NodeTiming {
  public:
   double now_ns() const { return now_ns_; }

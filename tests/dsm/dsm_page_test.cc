@@ -1,13 +1,20 @@
 // Focused tests of the page protocols: single-writer ownership transfer and
 // serving, multi-writer twin/diff merging of concurrent disjoint writes,
-// and coherence across a sweep of page sizes.
+// coherence across a sweep of page sizes, and the node's page cache (no
+// stale hit after a page changes state, no accounting lost on a hit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/apps/sor.h"
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
+#include "src/race/postmortem.h"
 
 namespace cvm {
 namespace {
@@ -156,6 +163,212 @@ TEST(DsmPageTest, ReadersGetCopiesWithoutStealingOwnership) {
   // one per access round.
   EXPECT_LE(result.page_faults, 4u * 2u + 8u);
   EXPECT_TRUE(result.races.empty());
+}
+
+// ---------------- Page cache ----------------
+
+// Spins on a host-side flag while serving the inbox: Compute polls, so the
+// node keeps answering peers without ending its interval.
+void ServeUntil(NodeContext& ctx, const std::atomic<bool>& flag) {
+  while (!flag.load()) {
+    ctx.Compute(1);
+  }
+}
+
+TEST(DsmPageCacheTest, ServedOwnershipTransferForcesTheNextWriteToFault) {
+  DsmOptions options = Options(2, ProtocolKind::kSingleWriterLrc, 256);
+  DsmSystem system(options);
+  auto arr = SharedArray<int32_t>::Alloc(system, "arr", 64);  // One page.
+  const PageId page = static_cast<PageId>(arr.addr(0) / options.page_size);
+  std::atomic<bool> node1_owns{false};
+
+  system.Run([&](NodeContext& ctx) {
+    ctx.Barrier();  // Epoch 1.
+    if (ctx.id() == 1) {
+      arr.Set(ctx, 0, 11);  // Write fault: node 1 owns the page, cached writable.
+      node1_owns = true;
+      const uint64_t faults = ctx.page_faults();
+      // Node 0's write pulls ownership away; node 1 serves it inside Poll.
+      while (ctx.page_table().Writable(page)) {
+        ctx.Compute(1);
+      }
+      arr.Set(ctx, 1, 12);  // Must fault again, not hit the stale entry.
+      EXPECT_EQ(ctx.page_faults(), faults + 1);
+    } else {
+      ServeUntil(ctx, node1_owns);
+      arr.Set(ctx, 32, 22);
+    }
+    ctx.Barrier();
+    EXPECT_EQ(arr.Get(ctx, 0), 11) << "node " << ctx.id();
+    EXPECT_EQ(arr.Get(ctx, 1), 12) << "node " << ctx.id();
+    EXPECT_EQ(arr.Get(ctx, 32), 22) << "node " << ctx.id();
+  });
+}
+
+class PageCacheNoticeTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(PageCacheNoticeTest, WriteNoticeInvalidatesACachedReadablePage) {
+  DsmOptions options = Options(2, GetParam(), 256);
+  DsmSystem system(options);
+  auto x = SharedVar<int32_t>::Alloc(system, "x");
+  std::atomic<bool> read_done{false};
+  std::atomic<bool> written{false};
+
+  system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 0) {
+      x.Set(ctx, 1);
+    }
+    ctx.Barrier();
+    if (ctx.id() == 1) {
+      EXPECT_EQ(x.Get(ctx), 1);  // Fetch: the page is cached readable.
+      EXPECT_EQ(x.Get(ctx), 1);  // A hit.
+      read_done = true;
+      ServeUntil(ctx, written);
+      ctx.Lock(0);  // Node 0's write notice arrives with the grant.
+      EXPECT_EQ(x.Get(ctx), 2);
+      ctx.Unlock(0);
+    } else {
+      ServeUntil(ctx, read_done);
+      ctx.Lock(0);
+      x.Set(ctx, 2);
+      ctx.Unlock(0);
+      written = true;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, PageCacheNoticeTest,
+                         ::testing::Values(ProtocolKind::kSingleWriterLrc,
+                                           ProtocolKind::kMultiWriterHomeLrc,
+                                           ProtocolKind::kEagerRcInvalidate),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& param_info) {
+                           return std::string(ProtocolKindName(param_info.param));
+                         });
+
+// One node writes and reads kWords words of one page in an interval, twice,
+// with an Unlock/Lock boundary between (which adds one empty interval).
+// Every access must be charged and counted as if nothing were cached, each
+// touched interval must carry exactly one read notice for the page, and
+// every touched word must have its bits.
+void ExpectExactAccessAccounting(ProtocolKind protocol, WriteDetection writes) {
+  constexpr int kWords = 48;
+  constexpr int kSides = 2;
+  DsmOptions options = Options(1, protocol, 256);
+  options.write_detection = writes;
+  options.postmortem_trace = true;  // Keeps every record and bitmap pair.
+  DsmSystem system(options);
+  auto arr = SharedArray<int32_t>::Alloc(system, "arr", 64);  // One page.
+  const PageId page = static_cast<PageId>(arr.addr(0) / options.page_size);
+  const bool instrumented_writes = writes == WriteDetection::kInstrumentation;
+
+  system.Run([&](NodeContext& ctx) {
+    ctx.Lock(0);
+    const AccessCounters before = ctx.access_counters();
+    const NodeTiming& timing = std::as_const(ctx).timing();
+    const NodeTiming timing_before = timing;
+    for (int side = 0; side < kSides; ++side) {
+      if (side > 0) {
+        ctx.Unlock(0);
+        ctx.Lock(0);
+      }
+      // Write first: a pair the write created must not let a read hit
+      // before the page's read notice exists.
+      for (int i = 0; i < kWords; ++i) {
+        arr.Set(ctx, i, (side + 1) * 100 + i);
+        EXPECT_EQ(arr.Get(ctx, i), (side + 1) * 100 + i);
+      }
+    }
+    const AccessCounters after = ctx.access_counters();
+    const uint64_t reads = kSides * kWords;
+    const uint64_t writes_counted = instrumented_writes ? kSides * kWords : 0;
+    EXPECT_EQ(after.instrumented_calls - before.instrumented_calls, reads + writes_counted);
+    EXPECT_EQ(after.shared_accesses - before.shared_accesses, reads + writes_counted);
+    EXPECT_EQ(after.shared_reads - before.shared_reads, reads);
+    EXPECT_EQ(after.shared_writes - before.shared_writes, writes_counted);
+    EXPECT_EQ(after.private_accesses, before.private_accesses);
+
+    const CostParams& costs = options.costs;
+    auto delta = [&](Bucket bucket) {
+      return timing.overhead_ns(bucket) - timing_before.overhead_ns(bucket);
+    };
+    const double calls = static_cast<double>(reads + writes_counted);
+    EXPECT_DOUBLE_EQ(delta(Bucket::kProcCall), calls * costs.proc_call_ns);
+    EXPECT_DOUBLE_EQ(delta(Bucket::kAccessCheck), calls * costs.access_check_ns);
+    // One read notice per side, plus the two interval ends of Unlock and
+    // Lock; a single node sends no messages.
+    EXPECT_DOUBLE_EQ(delta(Bucket::kCvmMods), (kSides + 2) * costs.notice_setup_ns);
+    ctx.Unlock(0);
+  });
+
+  int records_reading_page = 0;
+  system.trace().ForEachRecord([&](const IntervalRecord& record) {
+    const auto count = std::count(record.read_pages.begin(), record.read_pages.end(), page);
+    if (count > 0) {
+      EXPECT_EQ(count, 1) << record.ToString();
+      EXPECT_TRUE(record.WritesPage(page)) << record.ToString();
+      ++records_reading_page;
+    }
+  });
+  EXPECT_EQ(records_reading_page, kSides);
+
+  std::vector<uint32_t> touched(kWords);
+  for (int i = 0; i < kWords; ++i) {
+    touched[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
+  }
+  int pairs = 0;
+  system.trace().ForEachBitmapPair(
+      [&](const IntervalId& interval, PageId pair_page, const PageAccessBitmaps& pair) {
+        if (pair_page != page) {
+          return;
+        }
+        EXPECT_EQ(pair.read.SetBits(), touched) << interval.ToString();
+        EXPECT_EQ(pair.write.SetBits(), touched) << interval.ToString();
+        ++pairs;
+      });
+  EXPECT_EQ(pairs, kSides);
+}
+
+TEST(DsmPageCacheTest, HitsKeepExactAccountingWithInstrumentedWrites) {
+  ExpectExactAccessAccounting(ProtocolKind::kSingleWriterLrc, WriteDetection::kInstrumentation);
+}
+
+// §6.5: stores are not instrumented; write bits come from the diffs.
+TEST(DsmPageCacheTest, HitsKeepExactAccountingWithDiffDerivedWrites) {
+  ExpectExactAccessAccounting(ProtocolKind::kMultiWriterHomeLrc, WriteDetection::kDiffs);
+}
+
+TEST(DsmPageCacheTest, WatchpointSeesEveryAccessToAValidPage) {
+  constexpr int kRounds = 20;
+  DsmOptions options = Options(2, ProtocolKind::kSingleWriterLrc, 256);
+  DsmSystem probe(options);
+  const GlobalAddr watched =
+      SharedArray<int32_t>::Alloc(probe, "arr", 64).addr(3);  // Same layout below.
+  options.watch = Watchpoint{watched, kWordSize, -1};
+  DsmSystem system(options);
+  auto arr = SharedArray<int32_t>::Alloc(system, "arr", 64);
+  ASSERT_EQ(arr.addr(3), watched);
+  const PageId page = static_cast<PageId>(watched / options.page_size);
+
+  RunResult result = system.Run([&](NodeContext& ctx) {
+    if (ctx.id() != 0) {
+      return;
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      arr.Set(ctx, 3, round);
+      EXPECT_EQ(arr.Get(ctx, 3), round);
+      EXPECT_EQ(arr.Get(ctx, 4), 0);  // Same page, outside the watch.
+      EXPECT_TRUE(ctx.page_table().Writable(page));
+    }
+  });
+  int reads = 0;
+  int writes = 0;
+  for (const WatchHit& hit : result.watch_hits) {
+    EXPECT_EQ(hit.node, 0);
+    EXPECT_EQ(hit.addr, watched);
+    ++(hit.is_write ? writes : reads);
+  }
+  EXPECT_EQ(reads, kRounds);
+  EXPECT_EQ(writes, kRounds);
 }
 
 // Coherence sweep across page sizes and protocols: lock-ordered token

@@ -67,11 +67,12 @@ TEST(IntervalLogTest, GarbageCollectionDropsDominated) {
 
 TEST(BitmapStoreTest, RecordsLazilyAndFindsPairs) {
   BitmapStore store(256);
-  EXPECT_TRUE(store.RecordRead(0, 3, 17));   // First read of (0, page 3).
-  EXPECT_FALSE(store.RecordRead(0, 3, 18));  // Not the first anymore.
-  EXPECT_TRUE(store.RecordWrite(0, 3, 17));  // First write still reports true.
+  store.Record(0, 3).read.Set(17);
+  store.Record(0, 3).read.Set(18);
+  store.Record(0, 3).write.Set(17);
   const PageAccessBitmaps* pair = store.Find(0, 3);
   ASSERT_NE(pair, nullptr);
+  EXPECT_EQ(pair, &store.Record(0, 3));  // Get-or-create returns the same pair.
   EXPECT_TRUE(pair->read.Test(17));
   EXPECT_TRUE(pair->read.Test(18));
   EXPECT_TRUE(pair->write.Test(17));
@@ -81,16 +82,16 @@ TEST(BitmapStoreTest, RecordsLazilyAndFindsPairs) {
   EXPECT_EQ(store.TotalPairsRecorded(), 1u);
 }
 
-TEST(BitmapStoreTest, FirstTouchSurvivesIntervalSwitch) {
+TEST(BitmapStoreTest, KeepsOnePairPerInterval) {
   BitmapStore store(64);
-  EXPECT_TRUE(store.RecordRead(0, 3, 1));
-  EXPECT_FALSE(store.RecordRead(0, 3, 2));
-  EXPECT_TRUE(store.RecordRead(1, 3, 1));   // New interval: first read again.
-  EXPECT_FALSE(store.RecordRead(1, 3, 4));
-  EXPECT_FALSE(store.RecordRead(0, 3, 5));  // Back to interval 0: already read.
-  EXPECT_TRUE(store.RecordWrite(1, 3, 0));
-  EXPECT_FALSE(store.RecordWrite(1, 3, 1));
-  EXPECT_TRUE(store.RecordWrite(0, 3, 6));
+  store.Record(0, 3).read.Set(1);
+  store.Record(0, 3).read.Set(2);
+  store.Record(1, 3).read.Set(1);
+  store.Record(1, 3).read.Set(4);
+  store.Record(0, 3).read.Set(5);  // Back to interval 0: same pair as before.
+  store.Record(1, 3).write.Set(0);
+  store.Record(1, 3).write.Set(1);
+  store.Record(0, 3).write.Set(6);
   const PageAccessBitmaps* older = store.Find(0, 3);
   const PageAccessBitmaps* newer = store.Find(1, 3);
   ASSERT_NE(older, nullptr);
@@ -102,45 +103,50 @@ TEST(BitmapStoreTest, FirstTouchSurvivesIntervalSwitch) {
   EXPECT_EQ(store.TotalPairsRecorded(), 2u);
 }
 
-TEST(BitmapStoreTest, FirstTouchResetsAfterDiscardAndClear) {
+TEST(BitmapStoreTest, DiscardAndClearStartFreshPairs) {
   BitmapStore store(64);
-  EXPECT_TRUE(store.RecordRead(0, 3, 1));
+  store.Record(0, 3).read.Set(1);
   store.DiscardThrough(0);
-  // The pair is gone, so the page's next read in interval 0 is a first read
-  // again, into a fresh (recycled and zeroed) pair.
-  EXPECT_TRUE(store.RecordRead(0, 3, 2));
+  // The pair is gone, so the page's next access in interval 0 records into
+  // a fresh, empty pair.
+  store.Record(0, 3).read.Set(2);
   ASSERT_NE(store.Find(0, 3), nullptr);
   EXPECT_EQ(store.Find(0, 3)->read.SetBits(), (std::vector<uint32_t>{2}));
 
-  EXPECT_TRUE(store.RecordWrite(2, 4, 7));
+  store.Record(2, 4).write.Set(7);
   store.Clear();
   EXPECT_EQ(store.Find(2, 4), nullptr);
-  EXPECT_TRUE(store.RecordWrite(2, 4, 8));
-  EXPECT_FALSE(store.RecordWrite(2, 4, 9));
+  store.Record(2, 4).write.Set(8);
+  store.Record(2, 4).write.Set(9);
   EXPECT_EQ(store.Find(2, 4)->write.SetBits(), (std::vector<uint32_t>{8, 9}));
+  EXPECT_EQ(store.TotalPairsRecorded(), 4u);  // Re-created pairs count again.
 }
 
-TEST(BitmapStoreTest, FirstTouchFollowsRestoredPair) {
+TEST(BitmapStoreTest, RestoreOverwritesThePair) {
   BitmapStore store(64);
-  EXPECT_TRUE(store.RecordRead(5, 6, 1));
-  EXPECT_TRUE(store.RecordWrite(5, 6, 1));
-  // Overwrite the pair: no reads, one write. The cached flags must follow.
+  store.Record(5, 6).read.Set(1);
+  store.Record(5, 6).write.Set(1);
+  // Overwrite the pair: no reads, one write. Later records land in it.
   PageAccessBitmaps restored{Bitmap(64), Bitmap(64)};
   restored.write.Set(9);
   store.RestorePair(5, 6, restored);
-  EXPECT_TRUE(store.RecordRead(5, 6, 2));
-  EXPECT_FALSE(store.RecordWrite(5, 6, 3));
+  store.Record(5, 6).read.Set(2);
+  store.Record(5, 6).write.Set(3);
   const PageAccessBitmaps* pair = store.Find(5, 6);
   ASSERT_NE(pair, nullptr);
   EXPECT_EQ(pair->read.SetBits(), (std::vector<uint32_t>{2}));
   EXPECT_EQ(pair->write.SetBits(), (std::vector<uint32_t>{3, 9}));
+  // A restore, even of a pair the store lacked, is not a new recording.
+  store.RestorePair(7, 1, restored);
+  EXPECT_EQ(store.RetainedPairs(), 2u);
+  EXPECT_EQ(store.TotalPairsRecorded(), 1u);
 }
 
 TEST(BitmapStoreTest, DiscardThroughDropsCheckedEpochs) {
   BitmapStore store(64);
-  store.RecordRead(0, 0, 1);
-  store.RecordRead(1, 0, 1);
-  store.RecordRead(5, 2, 1);
+  store.Record(0, 0).read.Set(1);
+  store.Record(1, 0).read.Set(1);
+  store.Record(5, 2).read.Set(1);
   EXPECT_EQ(store.RetainedPairs(), 3u);
   store.DiscardThrough(1);
   EXPECT_EQ(store.RetainedPairs(), 1u);
@@ -152,8 +158,8 @@ TEST(BitmapStoreTest, DiscardThroughDropsCheckedEpochs) {
 
 TEST(BitmapStoreTest, ForEachPairVisitsEverything) {
   BitmapStore store(64);
-  store.RecordWrite(2, 7, 0);
-  store.RecordRead(3, 1, 5);
+  store.Record(2, 7).write.Set(0);
+  store.Record(3, 1).read.Set(5);
   int visits = 0;
   store.ForEachPair(9, [&](const IntervalId& id, PageId page, const PageAccessBitmaps&) {
     EXPECT_EQ(id.node, 9);
