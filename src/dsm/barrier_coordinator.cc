@@ -1,7 +1,6 @@
 #include "src/dsm/barrier_coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -15,24 +14,6 @@
 namespace cvm {
 
 namespace {
-
-// Payload bytes of one bitmap-round entry as actually encoded, and at the
-// legacy raw encoding — the difference is what the codec saved on the wire.
-size_t ReplyEntryWireBytes(const BitmapReplyEntry& e) {
-  return sizeof(IntervalId) + sizeof(PageId) + e.read.WireBytes() + e.write.WireBytes();
-}
-
-size_t ReplyEntryRawBytes(const BitmapReplyEntry& e) {
-  return sizeof(IntervalId) + sizeof(PageId) + EncodedBitmap::RawWireBytes(e.read.num_bits) +
-         EncodedBitmap::RawWireBytes(e.write.num_bits);
-}
-
-// Wall-clock tick of the watchful barrier waits used only when a crash plan
-// is armed: how long a waiter serves its inbox before heartbeat-probing the
-// nodes it is waiting on. Probes to live nodes are harmless (acked and
-// ignored), so this trades only a little idle-path chatter against
-// crash-detection latency.
-constexpr std::chrono::milliseconds kSuspicionInterval(25);
 
 // ---- Combine-tree topology (--barrier-tree) ----
 // Heap numbering over node ids: node 0 is the root, node i's children are
@@ -132,19 +113,11 @@ void BarrierCoordinator::RunBarrier(EpochId epoch) {
     return;
   }
   if (node_.id_ == 0) {
-    const auto all_arrived = [this, epoch] {
-      return arrivals_[epoch].size() == static_cast<size_t>(node_.opts_.num_nodes - 1);
-    };
-    if (!node_.system_->crash_armed()) {
-      node_.Await(all_arrived);
-    } else {
-      // Watchful wait: a crashed worker never arrives, so wait with a
-      // timeout and heartbeat-probe the missing members each tick. A probe
-      // to a dead node surfaces kPeerUnreachable here and aborts the run.
-      while (!node_.AwaitFor(kSuspicionInterval, all_arrived)) {
-        ProbeMissingArrivals(epoch);
-      }
-    }
+    node_.AwaitWatchful(
+        [this, epoch] {
+          return arrivals_[epoch].size() == static_cast<size_t>(node_.opts_.num_nodes - 1);
+        },
+        [this, epoch] { ProbeMissingArrivals(epoch); });
     MasterRunBarrier(epoch);
     return;
   }
@@ -158,70 +131,61 @@ void BarrierCoordinator::RunBarrier(EpochId epoch) {
   // (taken once every arrival is in) sees a consistent cross-node view.
   node_.PublishOverhead();
   node_.Send(0, std::move(arrive));
-  const auto released = [this, epoch] {
-    return barrier_release_.has_value() && barrier_release_->epoch == epoch;
-  };
-  if (!node_.system_->crash_armed()) {
-    node_.Await(released);
-  } else {
-    while (!node_.AwaitFor(kSuspicionInterval, released)) {
+  node_.AwaitWatchful(
+      [this, epoch] {
+        return barrier_release_.has_value() && barrier_release_->msg.epoch == epoch;
+      },
       // Stuck: ask the master to health-check the epoch (it probes its
       // missing arrivals). If the master itself is the dead node, this send
       // surfaces kPeerUnreachable and initiates the abort right here.
-      node_.Send(0, PeerSuspectMsg{epoch, kNoNode});
-    }
-  }
-  BarrierReleaseMsg release = std::move(*barrier_release_);
+      [this, epoch] { node_.Send(0, PeerSuspectMsg{epoch, kNoNode}); });
+  const Inbound<BarrierReleaseMsg> release = std::move(*barrier_release_);
   barrier_release_.reset();
-  const size_t bytes = PayloadByteSize(Payload(release));
-  const size_t rn_bytes = PayloadReadNoticeBytes(Payload(release));
-  node_.timing_.ObserveAtLeast(static_cast<double>(release.release_time_ns) +
-                               node_.opts_.costs.MessageCost(bytes - rn_bytes));
-  if (rn_bytes > 0) {
-    node_.timing_.Charge(Bucket::kCvmMods,
-                         node_.opts_.costs.per_byte_ns * static_cast<double>(rn_bytes));
-  }
-  node_.ApplyIntervalRecords(release.intervals);
-  node_.vc_.MergeWith(release.merged_vc);
+  Receive(release, release.msg.release_time_ns);
+  node_.ApplyIntervalRecords(release.msg.intervals);
+  node_.vc_.MergeWith(release.msg.merged_vc);
   node_.GarbageCollect();
 }
 
+template <typename M>
+void BarrierCoordinator::Receive(const Inbound<M>& in, uint64_t sent_ns) {
+  const CostParams& costs = node_.opts_.costs;
+  node_.timing_.ObserveAtLeast(static_cast<double>(sent_ns) +
+                               costs.MessageCost(in.wire_bytes - in.read_notice_bytes));
+  if (in.read_notice_bytes > 0) {
+    node_.timing_.Charge(Bucket::kCvmMods,
+                         costs.per_byte_ns * static_cast<double>(in.read_notice_bytes));
+  }
+}
+
 void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
-  std::map<NodeId, ArrivalInfo> arrivals = std::move(arrivals_[epoch]);
+  std::map<NodeId, Inbound<BarrierArriveMsg>> arrivals = std::move(arrivals_[epoch]);
   arrivals_.erase(epoch);
 
   for (auto& [node, info] : arrivals) {
-    node_.timing_.ObserveAtLeast(
-        info.time_ns + node_.opts_.costs.MessageCost(info.wire_bytes - info.read_notice_bytes));
-    if (info.read_notice_bytes > 0) {
-      node_.timing_.Charge(Bucket::kCvmMods,
-                           node_.opts_.costs.per_byte_ns *
-                               static_cast<double>(info.read_notice_bytes));
-    }
-    node_.ApplyIntervalRecords(info.records);
-    node_.vc_.MergeWith(info.vc);
+    Receive(info, info.msg.arrive_time_ns);
+    node_.ApplyIntervalRecords(info.msg.intervals);
+    node_.vc_.MergeWith(info.msg.vc);
   }
 
   if (node_.opts_.race_detection && node_.opts_.online_detection) {
-    if (node_.opts_.detect_batch > 1) {
-      // Batching retains prior epochs' records in the master log (GC below
-      // is skipped), so the check-list build must see only this epoch's.
-      RunRaceDetection(epoch, CurrentEpochRecords(epoch));
-      MaybeFlushDetectBatch(epoch);
-    } else {
-      RunRaceDetection(epoch, node_.log_.All());
-    }
+    RunRaceDetection(epoch, CurrentEpochRecords(epoch));
+    FlushDetection(epoch);
   }
 
   for (NodeId node = 1; node < node_.opts_.num_nodes; ++node) {
     BarrierReleaseMsg release;
     release.epoch = epoch;
-    release.intervals = node_.log_.UnseenBy(arrivals[node].vc);
+    release.intervals = node_.log_.UnseenBy(arrivals[node].msg.vc);
     release.merged_vc = node_.vc_;
     release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
     node_.Send(node, std::move(release));
   }
-  if (pending_batch_.empty()) {
+  FinishMasterEpoch(epoch);
+}
+
+void BarrierCoordinator::FinishMasterEpoch(EpochId epoch) {
+  if (pending_.empty()) {
     node_.GarbageCollect();
   }
   // else: queued epochs still need the log (report provenance) and the
@@ -268,10 +232,10 @@ void BarrierCoordinator::RunRaceDetection(EpochId epoch,
   const int shards_wanted =
       opts.detection_pipeline == DetectionPipeline::kDistributed ? opts.detect_shards : 1;
   std::vector<DetectorStats> per_shard;
-  const std::vector<CheckPair>* pairs = nullptr;
+  std::vector<CheckPair> pairs;
   {
     obs::Span overlap_span(node_.tracer_, node_.id_, "detector.overlap", "race", timing, epoch);
-    pairs = &detector.BuildCheckListSharded(epoch_intervals, shards_wanted, &per_shard);
+    pairs = detector.BuildCheckListSharded(epoch_intervals, shards_wanted, &per_shard);
     // The parallel critical path: the most loaded shard, plus a fork/join
     // cost per modeled shard. One shard degenerates to the serial charge
     // (sum of every comparison, no fork cost).
@@ -286,7 +250,7 @@ void BarrierCoordinator::RunRaceDetection(EpochId epoch,
       worst_shard_ns += opts.costs.shard_fork_ns * static_cast<double>(per_shard.size());
     }
     timing.Charge(Bucket::kIntervals, worst_shard_ns);
-    overlap_span.SetArg("pairs", pairs->size());
+    overlap_span.SetArg("pairs", pairs.size());
   }
   if constexpr (obs::kObsCompiledIn) {
     if (have_metrics_) {
@@ -295,11 +259,11 @@ void BarrierCoordinator::RunRaceDetection(EpochId epoch,
       mh_.shard_count->Add(per_shard.size());
     }
   }
-  if (pairs->empty()) {
+  if (pairs.empty()) {
     return;
   }
   pipeline_stats_.shards_used = std::max<uint64_t>(pipeline_stats_.shards_used, per_shard.size());
-  DispatchDetection(epoch, *pairs);
+  QueueDetection(epoch, std::move(pairs));
 }
 
 std::vector<IntervalRecord> BarrierCoordinator::CurrentEpochRecords(EpochId epoch) const {
@@ -314,7 +278,7 @@ std::vector<IntervalRecord> BarrierCoordinator::CurrentEpochRecords(EpochId epoc
   return out;
 }
 
-void BarrierCoordinator::DispatchDetection(EpochId epoch, const std::vector<CheckPair>& pairs) {
+void BarrierCoordinator::QueueDetection(EpochId epoch, std::vector<CheckPair> pairs) {
   ++pipeline_stats_.detect_epochs;
   // The check list fixes the distinct (interval, page) bitmaps step 5 needs;
   // every pipeline mode accounts them once here (§4 step 3).
@@ -324,43 +288,24 @@ void BarrierCoordinator::DispatchDetection(EpochId epoch, const std::vector<Chec
       mh_.checklist_entries->Add(needed.size());
     }
   }
-  const DsmOptions& opts = node_.opts_;
-  if (opts.detect_batch > 1) {
-    // Park this epoch's work; the compare rounds run when the batch window
-    // closes. The pairs are copied out of the detector's pooled list, which
-    // the next epoch's build will overwrite.
-    PendingEpoch pending;
-    pending.epoch = epoch;
-    pending.pairs = pairs;
-    pending.needed = std::move(needed);
-    pending_batch_.push_back(std::move(pending));
-    return;
-  }
-  if (opts.detection_pipeline == DetectionPipeline::kDistributed) {
-    PublishReports(RunDistributedCompare(epoch, epoch, pairs, needed.size()));
-    return;
-  }
-  const std::vector<EpochCheckView> work{{epoch, &pairs, &needed}};
-  CompareEpochsSerial(epoch, work);
+  pending_.push_back(PendingEpoch{epoch, std::move(pairs), std::move(needed)});
 }
 
-void BarrierCoordinator::MaybeFlushDetectBatch(EpochId epoch) {
+void BarrierCoordinator::FlushDetection(EpochId epoch) {
   const DsmOptions& opts = node_.opts_;
-  if (opts.detect_batch <= 1 || pending_batch_.empty()) {
-    return;
-  }
-  const bool boundary = (epoch + 1) % opts.detect_batch == 0;
-  if (!boundary && !node_.final_barrier_) {
+  if (pending_.empty() || ((epoch + 1) % opts.detect_batch != 0 && !node_.final_barrier_)) {
     return;
   }
   NodeTiming& timing = node_.timing_;
   DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
-  ++pipeline_stats_.batch_rounds;
-  pipeline_stats_.batched_epochs += pending_batch_.size();
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.batch_rounds->Add(1);
-      mh_.batch_epochs->Add(pending_batch_.size());
+  if (opts.detect_batch > 1) {
+    ++pipeline_stats_.batch_rounds;
+    pipeline_stats_.batched_epochs += pending_.size();
+    if constexpr (obs::kObsCompiledIn) {
+      if (have_metrics_) {
+        mh_.batch_rounds->Add(1);
+        mh_.batch_epochs->Add(pending_.size());
+      }
     }
   }
   if (opts.detection_pipeline == DetectionPipeline::kDistributed) {
@@ -368,23 +313,22 @@ void BarrierCoordinator::MaybeFlushDetectBatch(EpochId epoch) {
     // carry the flush barrier's epoch (constituents reject anything older
     // than their current barrier); only the reports are stamped with the
     // epoch the pairs came from.
-    for (const PendingEpoch& pending : pending_batch_) {
-      PublishReports(
-          RunDistributedCompare(epoch, pending.epoch, pending.pairs, pending.needed.size()));
+    for (const PendingEpoch& pending : pending_) {
+      PublishReports(RunDistributedCompare(epoch, pending));
     }
   } else {
-    std::vector<EpochCheckView> work;
-    work.reserve(pending_batch_.size());
-    for (const PendingEpoch& pending : pending_batch_) {
-      work.push_back(EpochCheckView{pending.epoch, &pending.pairs, &pending.needed});
-    }
-    CompareEpochsSerial(epoch, work);
+    CompareEpochsSerial(epoch);
   }
-  pending_batch_.clear();
+  pending_.clear();
 }
 
-void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch,
-                                             const std::vector<EpochCheckView>& work) {
+void BarrierCoordinator::ChargeCompares(uint64_t compared) {
+  const double chunks = static_cast<double>((node_.opts_.page_size / kWordSize + 63) / 64);
+  node_.timing_.Charge(Bucket::kBitmaps, node_.opts_.costs.bitmap_cmp_word_ns * chunks *
+                                             static_cast<double>(compared));
+}
+
+void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch) {
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
@@ -397,8 +341,8 @@ void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch,
   // (interval indices are globally monotonic, so entries never collide).
   collected_bitmaps_.clear();
   std::map<NodeId, std::vector<CheckEntry>> by_node;
-  for (const EpochCheckView& w : work) {
-    for (const auto& [interval, page] : *w.needed) {
+  for (const PendingEpoch& w : pending_) {
+    for (const auto& [interval, page] : w.needed) {
       if (interval.node == node_.id_) {
         const PageAccessBitmaps* local = node_.bitmaps_.Find(interval.index, page);
         if (local != nullptr) {
@@ -434,16 +378,14 @@ void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch,
     return it == collected_bitmaps_.end() ? nullptr : &it->second;
   };
   std::vector<std::vector<RaceReport>> all_reports;
-  all_reports.reserve(work.size());
+  all_reports.reserve(pending_.size());
   size_t total_reports = 0;
-  for (const EpochCheckView& w : work) {
-    all_reports.push_back(detector.CompareBitmaps(*w.pairs, lookup, w.epoch, w.needed->size()));
+  for (const PendingEpoch& w : pending_) {
+    all_reports.push_back(detector.CompareBitmaps(w.pairs, lookup, w.epoch, w.needed.size()));
     total_reports += all_reports.back().size();
   }
   const uint64_t compared = detector.stats().bitmap_pairs_compared - compared_before;
-  const double chunks = static_cast<double>((opts.page_size / kWordSize + 63) / 64);
-  timing.Charge(Bucket::kBitmaps,
-                opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(compared));
+  ChargeCompares(compared);
   pipeline_stats_.bitmap_bytes_wire += bitmap_round_bytes_;
   pipeline_stats_.bitmap_bytes_raw += bitmap_round_raw_bytes_;
 
@@ -463,9 +405,8 @@ void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch,
   collected_bitmaps_.clear();
 }
 
-std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
-    EpochId msg_epoch, EpochId report_epoch, const std::vector<CheckPair>& pairs,
-    size_t checklist_entries) {
+std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_epoch,
+                                                                  const PendingEpoch& work) {
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
@@ -493,7 +434,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
     requests[source].ships.push_back(ShipDirective{dest, interval, page});
   };
   uint32_t index = 0;
-  for (const CheckPair& pair : pairs) {
+  for (const CheckPair& pair : work.pairs) {
     const NodeId na = pair.a.id.node;
     const NodeId nb = pair.b.id.node;
     const NodeId owner = (na == node_.id_ || nb == node_.id_)
@@ -531,8 +472,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   compare_replies_.clear();
   collected_bitmaps_.clear();
   master_ship_target_ns_ = 0;
-  master_ship_bytes_wire_ = 0;
-  master_ship_bytes_raw_ = 0;
+  master_ship_bytes_ = EntryBytes{};
   {
     auto it = ship_sources.find(node_.id_);
     master_ships_pending_ = it == ship_sources.end() ? 0 : static_cast<int>(it->second.size());
@@ -569,14 +509,12 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   for (const OwnedPair& owned : master_pairs) {
     std::vector<RaceReport> pair_reports =
         RaceDetector::CompareOnePair(owned.pair->a.id, owned.pair->b.id, owned.pair->pages,
-                                     lookup, report_epoch, &master_compared);
+                                     lookup, work.epoch, &master_compared);
     for (RaceReport& report : pair_reports) {
       tagged.emplace_back(owned.index, std::move(report));
     }
   }
-  const double chunks = static_cast<double>((opts.page_size / kWordSize + 63) / 64);
-  timing.Charge(Bucket::kBitmaps,
-                opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(master_compared));
+  ChargeCompares(master_compared);
 
   node_.Await([this] { return compare_replies_pending_ == 0; });
   // The distributed round's cost is its critical path: the slowest node's
@@ -584,9 +522,9 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   double target_ns = timing.now_ns();
   uint64_t remote_compared = 0;
   uint64_t remote_report_count = 0;
-  uint64_t ship_bytes_wire = master_ship_bytes_wire_;
-  uint64_t ship_bytes_raw = master_ship_bytes_raw_;
-  for (const CompareReplyInfo& info : compare_replies_) {
+  uint64_t ship_bytes_wire = master_ship_bytes_.wire;
+  uint64_t ship_bytes_raw = master_ship_bytes_.raw;
+  for (const Inbound<CompareReplyMsg>& info : compare_replies_) {
     target_ns = std::max(target_ns, static_cast<double>(info.msg.reply_time_ns) +
                                         opts.costs.MessageCost(info.wire_bytes));
     remote_compared += info.msg.pairs_compared;
@@ -600,7 +538,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
       report.word = e.word;
       report.interval_a = e.interval_a;
       report.interval_b = e.interval_b;
-      report.epoch = report_epoch;
+      report.epoch = work.epoch;
       tagged.emplace_back(e.pair_index, std::move(report));
     }
   }
@@ -621,7 +559,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
     reports.push_back(std::move(report));
   }
 
-  detector.AccumulateCompare(checklist_entries, master_compared + remote_compared);
+  detector.AccumulateCompare(work.needed.size(), master_compared + remote_compared);
   pipeline_stats_.bitmap_bytes_wire += ship_bytes_wire;
   pipeline_stats_.bitmap_bytes_raw += ship_bytes_raw;
   pipeline_stats_.remote_pairs_compared += remote_compared;
@@ -645,8 +583,16 @@ void BarrierCoordinator::ProbeMissingArrivals(EpochId epoch) {
   if (node_.id_ != 0 || epoch != node_.epoch_ || node_.aborted_ || node_.crashed_) {
     return;
   }
-  const auto& arrived = arrivals_[epoch];
-  for (NodeId n = 1; n < node_.opts_.num_nodes; ++n) {
+  // The flat barrier's members are the master's children in a one-level
+  // tree: every other node.
+  const int num_nodes = node_.opts_.num_nodes;
+  ProbeMissing(epoch, TreeChildren(0, num_nodes - 1, num_nodes), arrivals_[epoch]);
+}
+
+template <typename Arrivals>
+void BarrierCoordinator::ProbeMissing(EpochId epoch, const std::vector<NodeId>& members,
+                                      const Arrivals& arrived) {
+  for (NodeId n : members) {
     if (arrived.find(n) == arrived.end()) {
       node_.Send(n, HeartbeatProbeMsg{epoch, ++probe_token_});
       if (node_.aborted_) {
@@ -663,32 +609,16 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   const std::vector<NodeId> children = TreeChildren(node_.id_, fanout, opts.num_nodes);
   const bool detecting = opts.race_detection && opts.online_detection;
 
-  // Combine phase: wait for every child subtree's arrival.
+  // Combine phase: wait for every child subtree's arrival. The watchful
+  // wait probes per tree edge: a dead child surfaces kPeerUnreachable right
+  // here; a death elsewhere is caught the same way by the dead node's own
+  // parent, whose abort broadcast unblocks this wait too.
   if (!children.empty()) {
-    const auto kids_arrived = [this, epoch, &children] {
-      return tree_arrivals_[epoch].size() == children.size();
-    };
-    if (!node_.system_->crash_armed()) {
-      node_.Await(kids_arrived);
-    } else {
-      // Watchful wait, per tree edge: probe the children still missing. A
-      // dead child surfaces kPeerUnreachable right here; a death elsewhere
-      // is caught the same way by the dead node's own parent, whose abort
-      // broadcast unblocks this wait too.
-      while (!node_.AwaitFor(kSuspicionInterval, kids_arrived)) {
-        const auto& arrived = tree_arrivals_[epoch];
-        for (NodeId child : children) {
-          if (arrived.find(child) == arrived.end()) {
-            node_.Send(child, HeartbeatProbeMsg{epoch, ++probe_token_});
-            if (node_.aborted_) {
-              break;
-            }
-          }
-        }
-      }
-    }
+    node_.AwaitWatchful(
+        [this, epoch, &children] { return tree_arrivals_[epoch].size() == children.size(); },
+        [this, epoch, &children] { ProbeMissing(epoch, children, tree_arrivals_[epoch]); });
   }
-  std::map<NodeId, TreeArrival> arrivals = std::move(tree_arrivals_[epoch]);
+  std::map<NodeId, Inbound<BarrierTreeArriveMsg>> arrivals = std::move(tree_arrivals_[epoch]);
   tree_arrivals_.erase(epoch);
 
   // Fold each child subtree into this node: log records, max/min clocks,
@@ -726,12 +656,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   std::vector<TreeFragmentPair> fragments;
   tree_child_state_.clear();
   for (auto& [child, info] : arrivals) {
-    timing.ObserveAtLeast(static_cast<double>(info.msg.arrive_time_ns) +
-                          opts.costs.MessageCost(info.wire_bytes - info.read_notice_bytes));
-    if (info.read_notice_bytes > 0) {
-      timing.Charge(Bucket::kCvmMods,
-                    opts.costs.per_byte_ns * static_cast<double>(info.read_notice_bytes));
-    }
+    Receive(info, info.msg.arrive_time_ns);
     // Tree-hop cost: merging one child's combined log into this node's.
     timing.Charge(Bucket::kNone, opts.costs.tree_merge_ns);
     node_.ApplyIntervalRecords(info.msg.intervals);
@@ -765,7 +690,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
     uint64_t index_entries = 0;
     obs::Span span(node_.tracer_, node_.id_, "detector.tree.claim", "race", timing, epoch);
     RaceDetector::BuildClaimedPairs(
-        epoch_records, opts.overlap_method, num_pages,
+        epoch_records, OverlapMethod::kPageLists, num_pages,
         [this, fanout](NodeId a, NodeId b) { return TreeLca(a, b, fanout) == node_.id_; },
         &tree_scratch_, &claimed, &claim_stats, &index_entries);
     timing.Charge(Bucket::kIntervals,
@@ -823,25 +748,14 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
           }
         }
         if (!pairs.empty()) {
-          DispatchDetection(epoch, pairs);
+          QueueDetection(epoch, std::move(pairs));
         }
       }
       // Outside the timer: the flush charges its own detect_ns.
-      MaybeFlushDetectBatch(epoch);
+      FlushDetection(epoch);
     }
     SendTreeReleases(epoch, children);
-    if (pending_batch_.empty()) {
-      node_.GarbageCollect();
-    }
-    if constexpr (obs::kObsCompiledIn) {
-      if (node_.metrics_ != nullptr) {
-        node_.PublishOverhead();
-        const int interval = std::max(1, node_.opts_.trace.metrics_interval);
-        if ((epoch + 1) % interval == 0) {
-          node_.metrics_->SnapshotEpoch(epoch, node_.timing_.now_ns());
-        }
-      }
-    }
+    FinishMasterEpoch(epoch);
     return;
   }
 
@@ -869,27 +783,15 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   const NodeId parent = TreeParent(node_.id_, fanout);
   node_.Send(parent, std::move(up));
 
-  // Release phase: wait for the parent's tailored release.
-  const auto released = [this, epoch] {
-    return tree_release_.has_value() && tree_release_->msg.epoch == epoch;
-  };
-  if (!node_.system_->crash_armed()) {
-    node_.Await(released);
-  } else {
-    while (!node_.AwaitFor(kSuspicionInterval, released)) {
-      // Probe the parent directly; a dead parent surfaces kPeerUnreachable
-      // here and initiates the abort.
-      node_.Send(parent, HeartbeatProbeMsg{epoch, ++probe_token_});
-    }
-  }
-  TreeRelease release = std::move(*tree_release_);
+  // Release phase: wait for the parent's tailored release, probing the
+  // parent directly; a dead parent surfaces kPeerUnreachable here and
+  // initiates the abort.
+  node_.AwaitWatchful(
+      [this, epoch] { return tree_release_.has_value() && tree_release_->msg.epoch == epoch; },
+      [this, epoch, parent] { node_.Send(parent, HeartbeatProbeMsg{epoch, ++probe_token_}); });
+  const Inbound<BarrierTreeReleaseMsg> release = std::move(*tree_release_);
   tree_release_.reset();
-  timing.ObserveAtLeast(static_cast<double>(release.msg.release_time_ns) +
-                        opts.costs.MessageCost(release.wire_bytes - release.read_notice_bytes));
-  if (release.read_notice_bytes > 0) {
-    timing.Charge(Bucket::kCvmMods,
-                  opts.costs.per_byte_ns * static_cast<double>(release.read_notice_bytes));
-  }
+  Receive(release, release.msg.release_time_ns);
   node_.ApplyIntervalRecords(release.msg.intervals);
   node_.vc_.MergeWith(release.msg.merged_vc);
   // Re-tailor and forward down before collecting: the forwarding reads this
@@ -949,11 +851,7 @@ void BarrierCoordinator::OnTreeArrive(const Message& msg) {
       mh_.tree_fragments->Add(arrive.fragments.size());
     }
   }
-  TreeArrival info;
-  info.msg = arrive;
-  info.wire_bytes = msg.wire_bytes;
-  info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
-  tree_arrivals_[arrive.epoch][arrive.node] = std::move(info);
+  tree_arrivals_[arrive.epoch][arrive.node] = Inbound<BarrierTreeArriveMsg>::Of(msg);
 }
 
 void BarrierCoordinator::OnTreeRelease(const Message& msg) {
@@ -966,11 +864,7 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
       mh_.tree_down_bytes->Add(msg.wire_bytes);
     }
   }
-  TreeRelease info;
-  info.msg = release;
-  info.wire_bytes = msg.wire_bytes;
-  info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
-  tree_release_ = std::move(info);
+  tree_release_ = Inbound<BarrierTreeReleaseMsg>::Of(msg);
 }
 
 void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
@@ -979,13 +873,7 @@ void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
   if (arrive.epoch < node_.epoch_) {
     return;  // The master already ran this epoch's barrier: stale re-delivery.
   }
-  ArrivalInfo info;
-  info.records = arrive.intervals;
-  info.vc = arrive.vc;
-  info.time_ns = static_cast<double>(arrive.arrive_time_ns);
-  info.wire_bytes = msg.wire_bytes;
-  info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
-  arrivals_[arrive.epoch][arrive.node] = std::move(info);
+  arrivals_[arrive.epoch][arrive.node] = Inbound<BarrierArriveMsg>::Of(msg);
 }
 
 void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
@@ -993,42 +881,54 @@ void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
   if (barrier_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
-  barrier_release_ = release;
+  barrier_release_ = Inbound<BarrierReleaseMsg>::Of(msg);
 }
 
 void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
   const auto& request = std::get<BitmapRequestMsg>(msg.payload);
-  std::vector<BitmapReplyEntry> entries;
-  for (const CheckEntry& entry : request.entries) {
-    CVM_CHECK_EQ(entry.interval.node, node_.id_);
-    const PageAccessBitmaps* bitmaps = node_.bitmaps_.Find(entry.interval.index, entry.page);
-    if (bitmaps == nullptr) {
-      continue;
-    }
-    const bool compress = node_.opts_.compress_bitmaps;
-    entries.push_back(BitmapReplyEntry{entry.interval, entry.page,
-                                       BitmapCodec::Encode(bitmaps->read, compress),
-                                       BitmapCodec::Encode(bitmaps->write, compress)});
-  }
   BitmapReplyMsg reply;
   reply.epoch = request.epoch;
-  reply.entries = std::move(entries);
+  for (const CheckEntry& entry : request.entries) {
+    EncodeEntry(entry.interval, entry.page, &reply.entries);
+  }
   node_.Send(msg.from, std::move(reply));
+}
+
+void BarrierCoordinator::EntryBytes::Add(const BitmapReplyEntry& entry) {
+  wire += sizeof(IntervalId) + sizeof(PageId) + entry.read.WireBytes() + entry.write.WireBytes();
+  raw += sizeof(IntervalId) + sizeof(PageId) + EncodedBitmap::RawWireBytes(entry.read.num_bits) +
+         EncodedBitmap::RawWireBytes(entry.write.num_bits);
+}
+
+void BarrierCoordinator::EncodeEntry(const IntervalId& interval, PageId page,
+                                     std::vector<BitmapReplyEntry>* out) const {
+  CVM_CHECK_EQ(interval.node, node_.id_);
+  const PageAccessBitmaps* bitmaps = node_.bitmaps_.Find(interval.index, page);
+  if (bitmaps == nullptr) {
+    return;
+  }
+  const bool compress = node_.opts_.compress_bitmaps;
+  out->push_back(BitmapReplyEntry{interval, page, BitmapCodec::Encode(bitmaps->read, compress),
+                                  BitmapCodec::Encode(bitmaps->write, compress)});
+}
+
+BarrierCoordinator::EntryBytes BarrierCoordinator::DecodeEntries(
+    const std::vector<BitmapReplyEntry>& entries, BitmapMap* out) {
+  EntryBytes bytes;
+  for (const BitmapReplyEntry& entry : entries) {
+    bytes.Add(entry);
+    out->emplace(std::make_pair(entry.interval, entry.page),
+                 PageAccessBitmaps{BitmapCodec::Decode(entry.read),
+                                   BitmapCodec::Decode(entry.write)});
+  }
+  return bytes;
 }
 
 void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   const auto& reply = std::get<BitmapReplyMsg>(msg.payload);
-  size_t wire_entry_bytes = 0;
-  size_t raw_entry_bytes = 0;
-  for (const BitmapReplyEntry& entry : reply.entries) {
-    wire_entry_bytes += ReplyEntryWireBytes(entry);
-    raw_entry_bytes += ReplyEntryRawBytes(entry);
-    collected_bitmaps_.emplace(
-        std::make_pair(entry.interval, entry.page),
-        PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});
-  }
+  const EntryBytes entry_bytes = DecodeEntries(reply.entries, &collected_bitmaps_);
   bitmap_round_bytes_ += msg.wire_bytes;
-  bitmap_round_raw_bytes_ += msg.wire_bytes + (raw_entry_bytes - wire_entry_bytes);
+  bitmap_round_raw_bytes_ += msg.wire_bytes + (entry_bytes.raw - entry_bytes.wire);
   CVM_CHECK_GT(bitmap_replies_pending_, 0);
   --bitmap_replies_pending_;
 }
@@ -1053,21 +953,11 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
   // can count messages rather than entries.
   std::map<NodeId, std::vector<BitmapReplyEntry>> by_dest;
   for (const ShipDirective& ship : request.ships) {
-    CVM_CHECK_EQ(ship.interval.node, node_.id_);
-    std::vector<BitmapReplyEntry>& entries = by_dest[ship.dest];
-    const PageAccessBitmaps* bitmaps = node_.bitmaps_.Find(ship.interval.index, ship.page);
-    if (bitmaps == nullptr) {
-      continue;
-    }
-    const bool compress = node_.opts_.compress_bitmaps;
-    entries.push_back(BitmapReplyEntry{ship.interval, ship.page,
-                                       BitmapCodec::Encode(bitmaps->read, compress),
-                                       BitmapCodec::Encode(bitmaps->write, compress)});
+    EncodeEntry(ship.interval, ship.page, &by_dest[ship.dest]);
   }
   for (auto& [dest, entries] : by_dest) {
     for (const BitmapReplyEntry& entry : entries) {
-      state.ship_bytes_wire += ReplyEntryWireBytes(entry);
-      state.ship_bytes_raw += ReplyEntryRawBytes(entry);
+      state.ship_bytes.Add(entry);
     }
     BitmapShipMsg out;
     out.epoch = request.epoch;
@@ -1086,13 +976,9 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
     if (master_ships_pending_ <= 0 || ship.epoch != node_.epoch_) {
       return;  // Stale re-delivery.
     }
-    for (const BitmapReplyEntry& entry : ship.entries) {
-      master_ship_bytes_wire_ += ReplyEntryWireBytes(entry);
-      master_ship_bytes_raw_ += ReplyEntryRawBytes(entry);
-      collected_bitmaps_.emplace(
-          std::make_pair(entry.interval, entry.page),
-          PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});
-    }
+    const EntryBytes entry_bytes = DecodeEntries(ship.entries, &collected_bitmaps_);
+    master_ship_bytes_.wire += entry_bytes.wire;
+    master_ship_bytes_.raw += entry_bytes.raw;
     master_ship_target_ns_ =
         std::max(master_ship_target_ns_, static_cast<double>(ship.send_time_ns) +
                                              node_.opts_.costs.MessageCost(msg.wire_bytes));
@@ -1106,11 +992,7 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   RemoteCompareState& state = remote_compare_[ship.epoch];
   node_.timing_.ObserveAtLeast(static_cast<double>(ship.send_time_ns) +
                                node_.opts_.costs.MessageCost(msg.wire_bytes));
-  for (const BitmapReplyEntry& entry : ship.entries) {
-    state.shipped.emplace(
-        std::make_pair(entry.interval, entry.page),
-        PageAccessBitmaps{BitmapCodec::Decode(entry.read), BitmapCodec::Decode(entry.write)});
-  }
+  DecodeEntries(ship.entries, &state.shipped);
   ++state.ships_received;
   TryFinishRemoteCompare(ship.epoch);
 }
@@ -1149,13 +1031,11 @@ void BarrierCoordinator::TryFinishRemoteCompare(EpochId epoch) {
                                                 report.interval_b});
     }
   }
-  const double chunks = static_cast<double>((node_.opts_.page_size / kWordSize + 63) / 64);
-  node_.timing_.Charge(Bucket::kBitmaps, node_.opts_.costs.bitmap_cmp_word_ns * chunks *
-                                             static_cast<double>(compared));
+  ChargeCompares(compared);
   span.SetArg("pairs", compared);
   reply.pairs_compared = compared;
-  reply.ship_bytes_wire = state.ship_bytes_wire;
-  reply.ship_bytes_raw = state.ship_bytes_raw;
+  reply.ship_bytes_wire = state.ship_bytes.wire;
+  reply.ship_bytes_raw = state.ship_bytes.raw;
   reply.reply_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
   remote_compare_.erase(it);
   node_.Send(0, std::move(reply));
@@ -1167,7 +1047,7 @@ void BarrierCoordinator::OnCompareReply(const Message& msg) {
   if (compare_replies_pending_ <= 0 || reply.epoch != node_.epoch_) {
     return;  // Stale re-delivery.
   }
-  compare_replies_.push_back(CompareReplyInfo{reply, msg.wire_bytes});
+  compare_replies_.push_back(Inbound<CompareReplyMsg>::Of(msg));
   --compare_replies_pending_;
 }
 

@@ -5,14 +5,16 @@
 // distributed compare (CompareRequest / BitmapShip / CompareReply). One
 // BarrierCoordinator per node; master-side state is only exercised on node 0.
 // Everything runs on the node's own thread: the barrier body blocks only in
-// Node::Await/AwaitFor, which keep dispatching into the handlers below.
+// Node::Await/AwaitWatchful, which keep dispatching into the handlers below.
 #ifndef CVM_DSM_BARRIER_COORDINATOR_H_
 #define CVM_DSM_BARRIER_COORDINATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/bitmap.h"
@@ -40,7 +42,7 @@ struct PipelineStats {
   uint64_t bitmap_bytes_wire = 0;      // Actual (possibly compressed) bytes.
   uint64_t remote_pairs_compared = 0;  // Bitmap pairs compared off-master.
   uint64_t remote_reports = 0;         // Race reports shipped back by peers.
-  uint64_t batch_rounds = 0;           // Detection flushes run (detect_batch > 1).
+  uint64_t batch_rounds = 0;           // Detection flushes run (detect_batch > 1 only).
   uint64_t batched_epochs = 0;         // Epochs whose check lists rode a flush.
 };
 
@@ -68,16 +70,43 @@ class BarrierCoordinator {
   // Meaningful on node 0 only (the barrier master runs the pipeline).
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
-  // Master-side health check: heartbeat-probes every node
-  // that has not arrived for `epoch`. A live node acks and is left alone; a
-  // dead one surfaces kPeerUnreachable at this sender, which initiates the
-  // run abort. Called from the master's own watchful barrier wait and from
-  // the PeerSuspect handler when a stuck worker asks for a health check.
+  // Flat master-side health check: heartbeat-probes every worker that has
+  // not arrived for `epoch`. Called from the master's own watchful barrier
+  // wait and from the PeerSuspect handler when a stuck worker asks for a
+  // health check.
   void ProbeMissingArrivals(EpochId epoch);
 
  private:
+  // A received barrier-protocol message with the byte counts its receive is
+  // charged by: the modeled wire size (flow-context header included) and the
+  // read-notice share of it.
+  template <typename M>
+  struct Inbound {
+    M msg;
+    size_t wire_bytes = 0;
+    size_t read_notice_bytes = 0;
+    static Inbound Of(const Message& message) {
+      return Inbound{std::get<M>(message.payload), message.wire_bytes,
+                     PayloadReadNoticeBytes(message.payload)};
+    }
+  };
+  // Lamport-observes the arrival of `in`, sent at sim time `sent_ns`, and
+  // charges its read-notice bytes to the CVM-modifications bucket.
+  template <typename M>
+  void Receive(const Inbound<M>& in, uint64_t sent_ns);
+  // Heartbeat-probes every node of `members` missing from `arrived`. A live
+  // node acks and is left alone; a dead one surfaces kPeerUnreachable at
+  // this sender, which initiates the run abort.
+  template <typename Arrivals>
+  void ProbeMissing(EpochId epoch, const std::vector<NodeId>& members, const Arrivals& arrived);
+
   void MasterRunBarrier(EpochId epoch);
+  // Steps 2-3 on the flat master: builds the epoch's check list and queues it.
   void RunRaceDetection(EpochId epoch, const std::vector<IntervalRecord>& epoch_intervals);
+  // The master's (or tree root's) end of a barrier, after the releases are
+  // out: garbage-collects unless detection work is still queued, and takes
+  // the per-epoch metrics snapshot.
+  void FinishMasterEpoch(EpochId epoch);
 
   // ---- Hierarchical (k-ary combine tree) barrier (--barrier-tree) ----
   // The node's barrier body in tree mode: wait for the child subtrees, merge
@@ -90,39 +119,56 @@ class BarrierCoordinator {
   // interest, read notices stripped (log not yet GC'd).
   void SendTreeReleases(EpochId epoch, const std::vector<NodeId>& children);
 
-  // ---- Epoch-batched detection (--detect-batch=N) ----
-  // This epoch's records only — the detection input when prior epochs' logs
-  // are intentionally retained (batching) or merged (tree).
-  std::vector<IntervalRecord> CurrentEpochRecords(EpochId epoch) const;
-  // Shared detection tail for the flat and tree masters: computes the bitmap
-  // entries the pairs need, then runs the compare round now (batch <= 1) or
-  // parks the epoch's work on pending_batch_.
-  void DispatchDetection(EpochId epoch, const std::vector<CheckPair>& pairs);
-  // Runs queued epochs' compare rounds if `epoch` closes a batch window (or
-  // is the run's final barrier); no-op otherwise. Master/root only.
-  void MaybeFlushDetectBatch(EpochId epoch);
-  // Borrowed view of one epoch's detection work; the immediate path points
-  // at the detector's pooled check list, the flush path at pending_batch_.
-  struct EpochCheckView {
+  // ---- The detection queue (--detect-batch=N; 1 flushes every barrier) ----
+  // One epoch's queued detection work: its check pairs and the distinct
+  // (interval, page) bitmaps they need.
+  struct PendingEpoch {
     EpochId epoch = -1;
-    const std::vector<CheckPair>* pairs = nullptr;
-    const std::vector<std::pair<IntervalId, PageId>>* needed = nullptr;
+    std::vector<CheckPair> pairs;
+    std::vector<std::pair<IntervalId, PageId>> needed;
   };
-  // Serial step-5 tail shared by the immediate and batched paths: one
-  // combined bitmap-retrieval round over every listed epoch's needs, then
-  // the per-epoch word compares, oldest epoch first. `msg_epoch` rides the
-  // request messages (= the constituents' current barrier epoch).
-  void CompareEpochsSerial(EpochId msg_epoch, const std::vector<EpochCheckView>& work);
+  // This epoch's records only — the detection input, since queued epochs'
+  // records stay in the master log until their flush, and the tree merges.
+  std::vector<IntervalRecord> CurrentEpochRecords(EpochId epoch) const;
+  // Shared tail of the flat and tree masters' step 3: computes the bitmap
+  // entries the pairs need and queues the epoch's work on pending_.
+  void QueueDetection(EpochId epoch, std::vector<CheckPair> pairs);
+  // Runs the queued epochs' compare rounds if `epoch` closes a batch window
+  // ((epoch + 1) % detect_batch == 0) or is the run's final barrier; no-op
+  // otherwise. Master/root only.
+  void FlushDetection(EpochId epoch);
+  // Serial step 5 over pending_: one combined bitmap-retrieval round over
+  // every queued epoch's needs, then the per-epoch word compares, oldest
+  // epoch first. `msg_epoch` rides the request messages (= the
+  // constituents' current barrier epoch).
+  void CompareEpochsSerial(EpochId msg_epoch);
 
-  // kDistributed step 5: partition the check pairs over their member nodes,
-  // orchestrate the ship/compare/reply round, merge remote reports back into
-  // serial order. Returns the merged, ordered reports. `msg_epoch` rides the
-  // messages (it must match the constituents' current barrier epoch);
-  // `report_epoch` stamps the reports — the two differ when a batched flush
-  // replays an earlier epoch's pairs.
-  std::vector<RaceReport> RunDistributedCompare(EpochId msg_epoch, EpochId report_epoch,
-                                                const std::vector<CheckPair>& pairs,
-                                                size_t checklist_entries);
+  // kDistributed step 5 for one queued epoch: partition the check pairs over
+  // their member nodes, orchestrate the ship/compare/reply round, merge
+  // remote reports back into serial order. Returns the merged, ordered
+  // reports, stamped with work.epoch. `msg_epoch` rides the messages (it
+  // must match the constituents' current barrier epoch); the two differ
+  // when a batched flush replays an earlier epoch's pairs.
+  std::vector<RaceReport> RunDistributedCompare(EpochId msg_epoch, const PendingEpoch& work);
+  // Charges `compared` word-bitmap pair compares to the bitmaps bucket.
+  void ChargeCompares(uint64_t compared);
+
+  // ---- Bitmap-round entries (BitmapReply / BitmapShip payloads) ----
+  // Word bitmaps gathered for a detection round, keyed by (interval, page).
+  using BitmapMap = std::map<std::pair<IntervalId, PageId>, PageAccessBitmaps>;
+  // Payload bytes of entries as actually encoded, and at the legacy raw
+  // encoding; the difference is what the codec saved on the wire.
+  struct EntryBytes {
+    uint64_t wire = 0;
+    uint64_t raw = 0;
+    void Add(const BitmapReplyEntry& entry);
+  };
+  // Appends this node's bitmaps for (interval, page), encoded as the run is
+  // configured, to `out`; nothing if the interval never touched the page.
+  void EncodeEntry(const IntervalId& interval, PageId page,
+                   std::vector<BitmapReplyEntry>* out) const;
+  // Decodes `entries` into `out` and returns their byte counts.
+  static EntryBytes DecodeEntries(const std::vector<BitmapReplyEntry>& entries, BitmapMap* out);
   // Emits reports (addr/symbol resolution + trace) and hands them to the
   // system. Shared tail of both pipeline modes.
   void PublishReports(std::vector<RaceReport> reports);
@@ -143,22 +189,12 @@ class BarrierCoordinator {
   Node& node_;
 
   // Worker-side release slot.
-  std::optional<BarrierReleaseMsg> barrier_release_;
+  std::optional<Inbound<BarrierReleaseMsg>> barrier_release_;
 
   // ---- Combine-tree state ----
-  struct TreeArrival {
-    BarrierTreeArriveMsg msg;
-    size_t wire_bytes = 0;
-    size_t read_notice_bytes = 0;
-  };
-  std::map<EpochId, std::map<NodeId, TreeArrival>> tree_arrivals_;
+  std::map<EpochId, std::map<NodeId, Inbound<BarrierTreeArriveMsg>>> tree_arrivals_;
   // Non-root release slot (parent -> this subtree).
-  struct TreeRelease {
-    BarrierTreeReleaseMsg msg;
-    size_t wire_bytes = 0;
-    size_t read_notice_bytes = 0;
-  };
-  std::optional<TreeRelease> tree_release_;
+  std::optional<Inbound<BarrierTreeReleaseMsg>> tree_release_;
   // Per-child release-tailoring state for the barrier in flight: the child
   // subtree's min VC and page-interest set, captured from its arrival.
   struct TreeChildState {
@@ -167,31 +203,19 @@ class BarrierCoordinator {
   };
   std::map<NodeId, TreeChildState> tree_child_state_;
 
-  // ---- Batched-detection state (master/root only) ----
-  struct PendingEpoch {
-    EpochId epoch = -1;
-    std::vector<CheckPair> pairs;
-    std::vector<std::pair<IntervalId, PageId>> needed;
-  };
-  std::vector<PendingEpoch> pending_batch_;
+  // Queued detection work, oldest epoch first (master/root only).
+  std::vector<PendingEpoch> pending_;
 
-  // Dense-probe scratch for this node's claimed-pair builds (tree mode);
-  // interior nodes build concurrently, so the shared detector's arenas are
-  // off limits here.
+  // Overlap-probe scratch for this node's claimed-pair builds (tree mode);
+  // interior nodes build concurrently, so the shared detector's is off
+  // limits here.
   OverlapScratch tree_scratch_;
 
   // Barrier master state.
-  struct ArrivalInfo {
-    std::vector<IntervalRecord> records;
-    VectorClock vc;
-    double time_ns = 0;
-    size_t wire_bytes = 0;
-    size_t read_notice_bytes = 0;
-  };
-  std::map<EpochId, std::map<NodeId, ArrivalInfo>> arrivals_;
+  std::map<EpochId, std::map<NodeId, Inbound<BarrierArriveMsg>>> arrivals_;
 
   // Master-side bitmap collection for the current detection round.
-  std::map<std::pair<IntervalId, PageId>, PageAccessBitmaps> collected_bitmaps_;
+  BitmapMap collected_bitmaps_;
   int bitmap_replies_pending_ = 0;
   uint64_t bitmap_round_bytes_ = 0;
   // What the round's messages would have cost at the legacy raw encoding
@@ -199,16 +223,11 @@ class BarrierCoordinator {
   uint64_t bitmap_round_raw_bytes_ = 0;
 
   // Master-side state for the distributed compare round (kDistributed).
-  struct CompareReplyInfo {
-    CompareReplyMsg msg;
-    size_t wire_bytes = 0;
-  };
-  std::vector<CompareReplyInfo> compare_replies_;
+  std::vector<Inbound<CompareReplyMsg>> compare_replies_;
   int compare_replies_pending_ = 0;
   int master_ships_pending_ = 0;          // BitmapShipMsg rounds inbound to master.
   double master_ship_target_ns_ = 0;      // Latest modeled ship-arrival time.
-  uint64_t master_ship_bytes_wire_ = 0;
-  uint64_t master_ship_bytes_raw_ = 0;
+  EntryBytes master_ship_bytes_;
 
   // Constituent-node state for the distributed compare, keyed by epoch:
   // ships can arrive before the master's CompareRequest (sources race each
@@ -217,9 +236,8 @@ class BarrierCoordinator {
     bool have_request = false;
     CompareRequestMsg request;
     uint32_t ships_received = 0;
-    std::map<std::pair<IntervalId, PageId>, PageAccessBitmaps> shipped;
-    uint64_t ship_bytes_wire = 0;  // Entry bytes this node shipped out.
-    uint64_t ship_bytes_raw = 0;
+    BitmapMap shipped;
+    EntryBytes ship_bytes;  // Entry bytes this node shipped out.
   };
   std::map<EpochId, RemoteCompareState> remote_compare_;
 

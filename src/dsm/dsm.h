@@ -144,8 +144,8 @@ class DsmSystem {
   // CrashOutcome.
   size_t ReportCount();
   void TruncateReports(size_t count);
-  void NoteCrash(const RunAbortError& err, EpochId checkpoint_epoch, size_t locks_recovered,
-                 uint64_t checkpoint_bytes);
+  void NoteCrash(const RunAbortError& err, NodeId node, EpochId checkpoint_epoch,
+                 size_t locks_recovered, uint64_t checkpoint_bytes);
 
  private:
   const DsmOptions options_;

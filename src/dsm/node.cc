@@ -218,8 +218,19 @@ void Node::Drain() {
 
 void Node::Await(const std::function<bool()>& ready) { AwaitUntil(std::nullopt, ready); }
 
-bool Node::AwaitFor(std::chrono::milliseconds timeout, const std::function<bool()>& ready) {
-  return AwaitUntil(std::chrono::steady_clock::now() + timeout, ready);
+void Node::AwaitWatchful(const std::function<bool()>& ready,
+                         const std::function<void()>& probe) {
+  if (!system_->crash_armed()) {
+    Await(ready);
+    return;
+  }
+  // How long a waiter serves its inbox before probing the nodes it waits
+  // on. Probes to live nodes are harmless (acked and ignored), so this
+  // trades only a little idle-path chatter against crash-detection latency.
+  constexpr std::chrono::milliseconds kSuspicionInterval(25);
+  while (!AwaitUntil(std::chrono::steady_clock::now() + kSuspicionInterval, ready)) {
+    probe();
+  }
 }
 
 bool Node::AwaitUntil(std::optional<std::chrono::steady_clock::time_point> deadline,
@@ -520,12 +531,12 @@ void Node::GarbageCollect() {
   if (opts_.postmortem_trace) {
     return;  // The post-run trace dump needs every retained bitmap.
   }
-  // Epoch-batched detection: epochs whose check lists are still queued at
-  // the master have not been compared yet, so their word bitmaps must
-  // survive until the batch flush (the flush's bitmap round reads them).
-  const bool batching =
-      opts_.race_detection && opts_.online_detection && opts_.detect_batch > 1;
-  if (batching && !final_barrier_ && (epoch_ + 1) % opts_.detect_batch != 0) {
+  // Epochs whose check lists are still queued at the master have not been
+  // compared yet, so their word bitmaps must survive until the detection
+  // flush (its bitmap round reads them). With detect_batch = 1 every
+  // barrier flushes.
+  const bool detecting = opts_.race_detection && opts_.online_detection;
+  if (detecting && !final_barrier_ && (epoch_ + 1) % opts_.detect_batch != 0) {
     return;
   }
   bitmaps_.DiscardThrough(cur_interval_);  // Epoch checked; trace data can go.
@@ -766,7 +777,7 @@ void Node::RecoverAfterAbort(const RunAbortError& err) {
   }
   TraceInstant("epoch.rollback", "fault", "epoch",
                checkpoint_.has_value() ? static_cast<uint64_t>(checkpoint_->epoch) : 0);
-  system_->NoteCrash(err, checkpoint_.has_value() ? checkpoint_->epoch : 0, recovered,
+  system_->NoteCrash(err, id_, checkpoint_.has_value() ? checkpoint_->epoch : 0, recovered,
                      checkpoint_.has_value() ? checkpoint_->encoded_bitmap_bytes : 0);
 }
 

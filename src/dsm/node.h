@@ -23,7 +23,7 @@
 //     serial/distributed race-detection pipeline.
 //
 // Only the node's own thread touches node state, so none of it is locked.
-// Await/AwaitFor are the only blocking points. Message handlers never
+// Await/AwaitWatchful are the only blocking points. Message handlers never
 // block, which makes the node graph deadlock-free by construction: a node
 // waiting on a reply keeps answering everyone else's requests.
 #ifndef CVM_DSM_NODE_H_
@@ -271,10 +271,14 @@ class Node : public ProtocolHost {
     }
   }
   void Drain();
-  // Await with a wall-clock budget, for the crash-armed watchful waits:
-  // false if `timeout` passed before ready() held.
-  bool AwaitFor(std::chrono::milliseconds timeout, const std::function<bool()>& ready);
-  // Shared body of Await/AwaitFor; no deadline waits for as long as it takes.
+  // Await for the barrier waits on peers that may have crashed. With a
+  // crash plan armed, a dead peer never answers, so the wait serves the
+  // inbox in short wall-clock ticks and runs `probe` after every tick that
+  // ends unready; a probe that reaches a dead node surfaces kPeerUnreachable
+  // and aborts the run. Without a crash plan it is a plain Await.
+  void AwaitWatchful(const std::function<bool()>& ready, const std::function<void()>& probe);
+  // Shared body of Await/AwaitWatchful; no deadline waits for as long as it
+  // takes, else false if the deadline passed before ready() held.
   bool AwaitUntil(std::optional<std::chrono::steady_clock::time_point> deadline,
                   const std::function<bool()>& ready);
   // One inbound frame: dropped if this node has crashed, else dispatched.

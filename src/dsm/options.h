@@ -54,7 +54,6 @@ struct DsmOptions {
   // analyzed post-mortem (Adve et al.'s scheme). Storage grows with the run.
   bool postmortem_trace = false;
   WriteDetection write_detection = WriteDetection::kInstrumentation;
-  OverlapMethod overlap_method = OverlapMethod::kPageLists;
   // Barrier-time check execution: serial master (the paper's prototype) or
   // distributed across constituent nodes.
   DetectionPipeline detection_pipeline = DetectionPipeline::kSerial;

@@ -57,7 +57,7 @@ bool PagesOverlap(OverlapMethod method, int num_pages, const IntervalRecord& a,
   } else {
     // Dense page bitmaps: O(pages) regardless of list length (§6.2).
     // conflict = (a.writes & b.access) | (b.writes & a.access). The bitmaps
-    // live in the per-shard scratch, zero-filled (not reallocated) per pair.
+    // live in the scratch, zero-filled (not reallocated) per pair.
     scratch->Prepare(num_pages, stats);
     for (PageId p : a.write_pages) {
       scratch->a_writes.Set(static_cast<uint32_t>(p));
@@ -90,12 +90,12 @@ bool PagesOverlap(OverlapMethod method, int num_pages, const IntervalRecord& a,
 
 }  // namespace
 
-const std::vector<CheckPair>& RaceDetector::BuildCheckList(
+std::vector<CheckPair> RaceDetector::BuildCheckList(
     const std::vector<IntervalRecord>& epoch_intervals) {
   return BuildCheckListSharded(epoch_intervals, 1, nullptr);
 }
 
-const std::vector<CheckPair>& RaceDetector::BuildCheckListSharded(
+std::vector<CheckPair> RaceDetector::BuildCheckListSharded(
     const std::vector<IntervalRecord>& epoch_intervals, int num_shards,
     std::vector<DetectorStats>* per_shard) {
   num_shards = std::max(1, num_shards);
@@ -104,20 +104,14 @@ const std::vector<CheckPair>& RaceDetector::BuildCheckListSharded(
     num_shards = std::max<int>(1, static_cast<int>(epoch_intervals.size()));
   }
   std::vector<DetectorStats> shard_stats(static_cast<size_t>(num_shards));
-  if (shard_scratch_.size() < static_cast<size_t>(num_shards)) {
-    shard_scratch_.resize(static_cast<size_t>(num_shards));
-  }
 
   // Row i of the pair triangle (interval i against every j > i) belongs to
   // shard i % num_shards. Rows run in order on this thread, so the list is
-  // the serial scan's; it lands in the pooled checklist_ arena, overwriting
-  // retired slots (and their page vectors) in place.
-  size_t used = 0;
+  // the serial scan's.
+  std::vector<CheckPair> pairs;
   std::set<IntervalId> in_overlap;
   for (size_t i = 0; i < epoch_intervals.size(); ++i) {
-    const size_t shard = i % static_cast<size_t>(num_shards);
-    OverlapScratch* scratch = &shard_scratch_[shard];
-    DetectorStats* stats = &shard_stats[shard];
+    DetectorStats* stats = &shard_stats[i % static_cast<size_t>(num_shards)];
     const IntervalRecord& a = epoch_intervals[i];
     for (size_t j = i + 1; j < epoch_intervals.size(); ++j) {
       const IntervalRecord& b = epoch_intervals[j];
@@ -129,19 +123,16 @@ const std::vector<CheckPair>& RaceDetector::BuildCheckListSharded(
         continue;
       }
       ++stats->concurrent_pairs;
-      if (!PagesOverlap(method_, num_pages_, a, b, scratch, stats)) {
+      if (!PagesOverlap(method_, num_pages_, a, b, &scratch_, stats)) {
         continue;
       }
       ++stats->overlapping_pairs;
       in_overlap.insert(a.id);
       in_overlap.insert(b.id);
       // Copy (not move) the overlap so the scratch keeps its capacity for
-      // the next pair; the CheckPair needs its own storage regardless.
-      EmitCheckPair(a, b, scratch->overlap, &checklist_, &used);
+      // the next pair.
+      pairs.push_back(CheckPair{a, b, scratch_.overlap});
     }
-  }
-  if (checklist_.size() > used) {
-    checklist_.resize(used);  // Drop only the tail slots this epoch left unused.
   }
 
   stats_.intervals_total += epoch_intervals.size();
@@ -156,7 +147,7 @@ const std::vector<CheckPair>& RaceDetector::BuildCheckListSharded(
   if (per_shard != nullptr) {
     *per_shard = std::move(shard_stats);
   }
-  return checklist_;
+  return pairs;
 }
 
 void RaceDetector::BuildClaimedPairs(const std::vector<IntervalRecord>& intervals,

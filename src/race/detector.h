@@ -47,11 +47,11 @@ struct DetectorStats {
   void Accumulate(const DetectorStats& other);
 };
 
-// Reusable working state for the dense-bitmap overlap probe. One scratch per
-// shard lives inside the RaceDetector across epochs, so a steady-state epoch
-// probes every pair without allocating: Prepare() only builds the bitmaps
-// when the page count changes (stats->overlap_scratch_builds counts those),
-// otherwise it zero-fills in place.
+// Reusable working state for the overlap probe. One scratch lives inside the
+// RaceDetector across epochs, so a steady-state epoch probes every pair
+// without allocating: Prepare() only builds the dense bitmaps when the page
+// count changes (stats->overlap_scratch_builds counts those), otherwise it
+// zero-fills in place.
 struct OverlapScratch {
   Bitmap a_writes;
   Bitmap a_access;
@@ -102,14 +102,7 @@ class RaceDetector {
   // keep those whose page accesses overlap in a W/W or R/W fashion.
   // Intervals on the same node are never compared (program order), and the
   // vector-timestamp test prunes synchronized pairs in constant time.
-  //
-  // The returned reference points at detector-owned scratch (the check list
-  // and its per-row staging vectors persist across epochs, so steady-state
-  // builds reuse every element's heap storage instead of reallocating). It
-  // is valid until the next Build* call; callers that keep pairs across
-  // epochs (e.g. the batched master) must copy.
-  const std::vector<CheckPair>& BuildCheckList(
-      const std::vector<IntervalRecord>& epoch_intervals);
+  std::vector<CheckPair> BuildCheckList(const std::vector<IntervalRecord>& epoch_intervals);
 
   // Same result, same order, with the pair loop's work split over
   // `num_shards` modeled shards (row i of the triangle goes to shard
@@ -118,9 +111,9 @@ class RaceDetector {
   // per shard, so the caller can charge simulated time for the *largest*
   // shard (the parallel critical path) rather than the sum. Every shard runs
   // on the calling thread; num_shards <= 1 is the plain serial scan.
-  const std::vector<CheckPair>& BuildCheckListSharded(
-      const std::vector<IntervalRecord>& epoch_intervals, int num_shards,
-      std::vector<DetectorStats>* per_shard = nullptr);
+  std::vector<CheckPair> BuildCheckListSharded(const std::vector<IntervalRecord>& epoch_intervals,
+                                               int num_shards,
+                                               std::vector<DetectorStats>* per_shard = nullptr);
 
   // Check-list pairs among `intervals` that `claim` accepts, built via a
   // page -> accessing-intervals index instead of the all-pairs scan: only
@@ -184,34 +177,10 @@ class RaceDetector {
   int num_pages_;
   OverlapMethod method_;
   DetectorStats stats_;
-  // One dense-probe scratch per shard, kept across epochs so steady-state
-  // check-list builds allocate nothing. Grown (never shrunk) on demand;
-  // shard i's rows probe through shard_scratch_[i].
-  std::vector<OverlapScratch> shard_scratch_;
-  // Persistent check-list arena that Build* returns by reference. It grows
-  // but never shrinks its element storage, so a new epoch overwrites slots
-  // in place (IntervalRecord / page-vector assignment reuses heap capacity)
-  // instead of destroying and reallocating them.
-  std::vector<CheckPair> checklist_;
+  // The overlap-probe scratch every row of every build probes through,
+  // kept across epochs so steady-state builds allocate no probe state.
+  OverlapScratch scratch_;
 };
-
-// Assigns a check pair into a pooled slot: overwrites `row`[*used] in place
-// when a retired slot exists (element assignment reuses the slot's heap
-// storage), appends otherwise. Used by the check-list build so it benefits
-// from the persistent arena.
-inline void EmitCheckPair(const IntervalRecord& a, const IntervalRecord& b,
-                          const std::vector<PageId>& pages, std::vector<CheckPair>* row,
-                          size_t* used) {
-  if (*used < row->size()) {
-    CheckPair& slot = (*row)[*used];
-    slot.a = a;
-    slot.b = b;
-    slot.pages = pages;
-  } else {
-    row->push_back(CheckPair{a, b, pages});
-  }
-  ++*used;
-}
 
 }  // namespace cvm
 

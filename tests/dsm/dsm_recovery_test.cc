@@ -40,13 +40,23 @@ struct Outcome {
   uint64_t barriers = 0;
 };
 
+// Barrier shapes under test: the flat master barrier, or the kept scaling
+// shape (fanout-2 combine tree, distributed compares, two-epoch batches).
+enum class Shape { kFlat, kTree };
+
 template <typename App>
 Outcome RunApp(typename App::Params params, const fault::FaultPlan& plan, int nodes,
-               DetectionPipeline pipeline = DetectionPipeline::kSerial) {
+               DetectionPipeline pipeline = DetectionPipeline::kSerial,
+               Shape shape = Shape::kFlat) {
   DsmOptions options;
   options.num_nodes = nodes;
   options.fault_plan = plan;
   options.detection_pipeline = pipeline;
+  if (shape == Shape::kTree) {
+    options.barrier_tree = true;
+    options.barrier_fanout = 2;
+    options.detect_batch = 2;
+  }
   auto app = std::make_unique<App>(params);
   DsmSystem system(options);
   app->Setup(system);
@@ -148,6 +158,40 @@ TEST(DsmRecoveryTest, CrashRecoveryWorksUnderEveryDetectionPipeline) {
     ASSERT_TRUE(outcome.recovery.crashed) << static_cast<int>(pipeline);
     EXPECT_EQ(outcome.recovery.last_consistent_epoch, 0) << static_cast<int>(pipeline);
   }
+}
+
+// Crashes a node at epoch 1 of an 8-node tree run: the root (node 0), an
+// interior node (1) and a leaf (7). The tree's watchful waits must find the
+// dead node — a parent probes its missing children, a child its parent —
+// and the survivors must keep exactly the reports of the consistent cut.
+template <typename App>
+void ExpectTreeCrashRecovery(const typename App::Params& params) {
+  constexpr int kNodes = 8;
+  const auto off = fault::FaultPlan::FromProfile(fault::FaultProfile::kOff, 1);
+  const Outcome clean =
+      RunApp<App>(params, off, kNodes, DetectionPipeline::kDistributed, Shape::kTree);
+  ASSERT_TRUE(clean.verified);
+  for (const NodeId victim : {0, 1, 7}) {
+    fault::FaultPlan plan = fault::FaultPlan::FromProfile(fault::FaultProfile::kCrash, 1);
+    plan.crash_node = victim;
+    plan.crash_epoch = 1;
+    const Outcome crashed =
+        RunApp<App>(params, plan, kNodes, DetectionPipeline::kDistributed, Shape::kTree);
+    ASSERT_TRUE(crashed.recovery.crashed) << "victim " << victim;
+    EXPECT_EQ(crashed.recovery.crash_node, victim);
+    EXPECT_EQ(crashed.recovery.last_consistent_epoch, 0) << "victim " << victim;
+    EXPECT_EQ(Summary(crashed.races),
+              Summary(ReportsThrough(clean.races, crashed.recovery.last_consistent_epoch)))
+        << "victim " << victim;
+  }
+}
+
+TEST(DsmRecoveryTest, TreeBarrierSorRecoversFromRootInteriorAndLeafCrashes) {
+  ExpectTreeCrashRecovery<SorApp>(SmallSor());
+}
+
+TEST(DsmRecoveryTest, TreeBarrierWaterRecoversFromRootInteriorAndLeafCrashes) {
+  ExpectTreeCrashRecovery<WaterApp>(SmallWater());
 }
 
 TEST(DsmRecoveryTest, DisarmedCrashPlanPerturbsNothing) {

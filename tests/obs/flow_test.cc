@@ -220,6 +220,40 @@ TEST(FlowTest, FlowWireCostIsDeterministic) {
   EXPECT_GE(sim_ns[1], sim_ns[0]);
 }
 
+TEST(FlowTest, BarrierReceivesChargeTheFlowContextOnEveryBarrierShape) {
+  // Every barrier's arrival and release sit on a barrier-only run's
+  // critical path, and flow tracing grows each by the context bytes, so
+  // turning flows on must add exactly 2 x barriers x per_byte_ns x
+  // kTraceContextWireBytes of simulated time — flat or tree alike.
+  if (!obs::kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (CVM_OBS=OFF)";
+  }
+  for (const bool tree : {false, true}) {
+    double sim_ns[2] = {0, 0};
+    uint64_t barriers = 0;
+    for (int flows = 0; flows < 2; ++flows) {
+      DsmOptions options;
+      options.num_nodes = 2;
+      options.barrier_tree = tree;
+      options.barrier_fanout = 1;
+      options.trace.trace_enabled = true;
+      options.trace.flow_events = flows == 1;
+      const RunResult result = RunDsmApp(options, nullptr, [](NodeContext& ctx) {
+        for (int i = 0; i < 3; ++i) {
+          ctx.Compute(1000);
+          ctx.Barrier();
+        }
+      });
+      sim_ns[flows] = result.sim_time_ns;
+      barriers = result.barriers;
+    }
+    const CostParams costs;
+    EXPECT_EQ(sim_ns[1] - sim_ns[0], 2.0 * static_cast<double>(barriers) * costs.per_byte_ns *
+                                         static_cast<double>(obs::kTraceContextWireBytes))
+        << (tree ? "tree" : "flat");
+  }
+}
+
 TEST(FlowTest, RawNetworkSendsGetFallbackChains) {
   // Messages injected below the Node layer still chain: the fabric stamps a
   // fallback context at send and the wire grows by the context bytes.

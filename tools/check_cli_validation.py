@@ -67,8 +67,15 @@ BAD_RUN_CASES = [
       "--barrier-fanout=0"], "barrier-fanout"),
     (["--app=sor", "--size=16", "--nodes=2", "--barrier-tree",
       "--barrier-fanout=9"], "barrier-fanout"),
+    # Diff-mined writes need the multi-writer protocol; an explicit other
+    # protocol is an error, not silently overridden.
+    (["--app=sor", "--size=16", "--nodes=2", "--diff-writes", "--protocol=lazy"],
+     "diff-writes"),
+    (["--app=sor", "--size=16", "--nodes=2", "--diff-writes", "--protocol=eager"],
+     "diff-writes"),
 ]
 
+# Legal invocations; a (argv, text) pair must also print `text` on stdout.
 GOOD_RUN_CASES = [
     ["--app=sor", "--size=16", "--nodes=2"],
     # A seeded crash run must complete and exit 0 — recovery, not abort.
@@ -84,6 +91,10 @@ GOOD_RUN_CASES = [
     # Water above 448 molecules needs more than the default 64 locks; the
     # tool sizes the lock table from the app.
     ["--app=water", "--size=456", "--nodes=2"],
+    # --diff-writes runs multi-writer, and the banner names that protocol.
+    (["--app=sor", "--size=16", "--nodes=2", "--diff-writes"], "protocol multi,"),
+    (["--app=sor", "--size=16", "--nodes=2", "--diff-writes", "--protocol=multi"],
+     "protocol multi,"),
 ]
 
 BAD_SERVE_CASES = [
@@ -139,12 +150,20 @@ def sweep(binary, bad_cases, good_cases):
                 file=sys.stderr,
             )
             failures += 1
-    for argv in good_cases:
+    for case in good_cases:
+        argv, text = case if isinstance(case, tuple) else (case, "")
         proc = run(binary, argv)
         if proc.returncode != 0:
             print(
                 f"FAIL: {' '.join(argv)}: legal invocation rejected "
                 f"(exit {proc.returncode}):\n{(proc.stdout + proc.stderr).strip()}",
+                file=sys.stderr,
+            )
+            failures += 1
+        elif text not in proc.stdout:
+            print(
+                f"FAIL: {' '.join(argv)}: output does not mention '{text}':\n"
+                f"{proc.stdout.strip()}",
                 file=sys.stderr,
             )
             failures += 1

@@ -47,7 +47,7 @@ int Usage() {
       "                       aggregation (docs/ARCHITECTURE.md; default: flat)\n"
       "  --barrier-fanout=K   combine-tree fanout, 1 <= K <= nodes (default 4)\n"
       "  --compress-bitmaps   sparse/run-length encode bitmap-round payloads\n"
-      "  --diff-writes        §6.5: mine writes from diffs (implies --protocol=multi)\n"
+      "  --diff-writes        §6.5: mine writes from diffs (needs --protocol=multi, its default)\n"
       "  --first-races        §6.4: report only the earliest racy epoch\n"
       "  --fix-bug            water only: repaired virial update\n"
       "  --compare            also run uninstrumented and report the slowdown\n"
@@ -234,7 +234,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string protocol = flags.GetString("protocol", "lazy");
+  // §6.5 write mining reads the multi-writer protocol's diffs, so
+  // --diff-writes runs multi-writer by default and rejects any other.
+  const bool diff_writes = flags.GetBool("diff-writes", false);
+  const std::string protocol = flags.GetString("protocol", diff_writes ? "multi" : "lazy");
   if (protocol == "lazy") {
     options.protocol = ProtocolKind::kSingleWriterLrc;
   } else if (protocol == "multi") {
@@ -245,8 +248,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown protocol '%s'\n", protocol.c_str());
     return Usage();
   }
-  if (flags.GetBool("diff-writes", false)) {
-    options.protocol = ProtocolKind::kMultiWriterHomeLrc;
+  if (diff_writes) {
+    if (!ProtocolSupportsDiffWriteDetection(options.protocol)) {
+      std::fprintf(stderr,
+                   "error: --diff-writes mines writes from multi-writer diffs; "
+                   "it cannot run with --protocol=%s\n",
+                   protocol.c_str());
+      return Usage();
+    }
     options.write_detection = WriteDetection::kDiffs;
   }
   options.record_sync_order = flags.Has("record");
