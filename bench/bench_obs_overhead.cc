@@ -8,8 +8,12 @@
 // Writes BENCH_obs.json (validated by tools/check_bench_json.py) and prints
 // a human-readable table.
 //
+// Each repetition runs the three modes in turn and every mode keeps its best
+// wall time. The full run is FFT 512x512, so one tracing-off run lasts a few
+// tenths of a second and host noise stays small against it.
+//
 // Usage: bench_obs_overhead [--smoke]
-//   --smoke   small FFT input for CI (seconds, not minutes)
+//   --smoke   FFT 64x64 for CI (seconds, not minutes)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -39,49 +43,47 @@ struct ModeResult {
 constexpr int kNodes = 8;
 constexpr int kReps = 3;
 
-ModeResult RunMode(const std::string& mode, int fft_rows) {
+// One FFT run in `result.mode`, folded into `result`: the wall time keeps the
+// minimum over the repetitions, the other fields are the latest run's.
+void RunOnce(int fft_rows, int rep, ModeResult& result) {
   DsmOptions options = bench::PaperOptions(kNodes);
-  options.trace.trace_enabled = mode != "off";
-  options.trace.flow_events = mode == "trace+flows";
+  options.trace.trace_enabled = result.mode != "off";
+  options.trace.flow_events = result.mode == "trace+flows";
   // Rings must hold a full epoch of an 8-node FFT without overwriting,
   // otherwise the drop path distorts the comparison between modes.
   options.trace.ring_capacity = 1u << 18;
 
-  ModeResult result;
-  result.mode = mode;
-  for (int rep = 0; rep < kReps; ++rep) {
-    FftApp::Params params;
-    params.rows = fft_rows;
-    params.cols = fft_rows;
-    auto app = std::make_unique<FftApp>(params);
-    DsmSystem system(options);
-    app->Setup(system);
-    const auto start = std::chrono::steady_clock::now();
-    RunResult run = system.Run([&app](NodeContext& ctx) { app->Run(ctx); });
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (!app->Verify()) {
-      std::fprintf(stderr, "error: FFT result failed verification in mode %s\n", mode.c_str());
-      std::exit(1);
-    }
-    // Min across reps: the least-interfered-with run is the honest cost of
-    // the work itself; anything above it is host noise.
-    if (rep == 0 || wall_s < result.wall_s) {
-      result.wall_s = wall_s;
-    }
-    result.sim_ms = run.sim_time_ns / 1e6;
-    if (system.tracer() != nullptr) {
-      result.trace_events = system.tracer()->TotalEmitted();
-      uint64_t flow = 0;
-      for (const obs::TraceEvent& e : system.tracer()->Collected()) {
-        if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
-          ++flow;
-        }
-      }
-      result.flow_events = flow;
-    }
+  FftApp::Params params;
+  params.rows = fft_rows;
+  params.cols = fft_rows;
+  auto app = std::make_unique<FftApp>(params);
+  DsmSystem system(options);
+  app->Setup(system);
+  const auto start = std::chrono::steady_clock::now();
+  RunResult run = system.Run([&app](NodeContext& ctx) { app->Run(ctx); });
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  if (!app->Verify()) {
+    std::fprintf(stderr, "error: FFT result failed verification in mode %s\n",
+                 result.mode.c_str());
+    std::exit(1);
   }
-  return result;
+  // Min across reps: the least-interfered-with run is the honest cost of
+  // the work itself; anything above it is host noise.
+  if (rep == 0 || wall_s < result.wall_s) {
+    result.wall_s = wall_s;
+  }
+  result.sim_ms = run.sim_time_ns / 1e6;
+  if (system.tracer() != nullptr) {
+    result.trace_events = system.tracer()->TotalEmitted();
+    uint64_t flow = 0;
+    for (const obs::TraceEvent& e : system.tracer()->Collected()) {
+      if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
+        ++flow;
+      }
+    }
+    result.flow_events = flow;
+  }
 }
 
 bool WriteObsJson(const std::string& path, const std::vector<ModeResult>& modes,
@@ -122,13 +124,20 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const int fft_rows = smoke ? 64 : 128;
+  const int fft_rows = smoke ? 64 : 512;
   std::printf("observability overhead: FFT %dx%d on %d nodes, best of %d rep(s)\n\n", fft_rows,
               fft_rows, kNodes, kReps);
 
   std::vector<ModeResult> modes;
   for (const char* mode : {"off", "trace", "trace+flows"}) {
-    modes.push_back(RunMode(mode, fft_rows));
+    modes.push_back(ModeResult{mode});
+  }
+  // Rep-major: each repetition cycles all three modes, so warm-up and host
+  // drift land on every mode alike rather than on whichever runs first.
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (ModeResult& mode : modes) {
+      RunOnce(fft_rows, rep, mode);
+    }
   }
   const double off_wall_s = modes[0].wall_s;
   const double trace_wall_s = modes[1].wall_s;

@@ -82,9 +82,6 @@ void BarrierCoordinator::RegisterHandlers(MessageDispatcher& dispatcher) {
 }
 
 void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   if (metrics == nullptr) {
     return;
   }
@@ -168,36 +165,48 @@ void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
     node_.vc_.MergeWith(info.msg.vc);
   }
 
-  if (node_.opts_.race_detection && node_.opts_.online_detection) {
+  if (node_.opts_.race_detection) {
     RunRaceDetection(epoch, CurrentEpochRecords(epoch));
     FlushDetection(epoch);
   }
 
-  for (NodeId node = 1; node < node_.opts_.num_nodes; ++node) {
-    BarrierReleaseMsg release;
-    release.epoch = epoch;
-    release.intervals = node_.log_.UnseenBy(arrivals[node].msg.vc);
-    release.merged_vc = node_.vc_;
-    release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
-    node_.Send(node, std::move(release));
-  }
-  FinishMasterEpoch(epoch);
+  FinishMasterEpoch(epoch, [&] {
+    for (NodeId node = 1; node < node_.opts_.num_nodes; ++node) {
+      BarrierReleaseMsg release;
+      release.epoch = epoch;
+      release.intervals = node_.log_.UnseenBy(arrivals[node].msg.vc);
+      release.merged_vc = node_.vc_;
+      release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
+      node_.Send(node, std::move(release));
+    }
+  });
 }
 
-void BarrierCoordinator::FinishMasterEpoch(EpochId epoch) {
+void BarrierCoordinator::FinishMasterEpoch(EpochId epoch,
+                                           const std::function<void()>& send_releases) {
+  const bool final_barrier = node_.final_barrier_;
+  if (!final_barrier) {
+    SnapshotMetrics(epoch);
+  }
+  send_releases();
   if (pending_.empty()) {
     node_.GarbageCollect();
   }
   // else: queued epochs still need the log (report provenance) and the
   // workers' retained bitmaps; everything is collected at the flush barrier.
-  if constexpr (obs::kObsCompiledIn) {
-    if (node_.metrics_ != nullptr) {
-      node_.PublishOverhead();
-      const int interval = std::max(1, node_.opts_.trace.metrics_interval);
-      if ((epoch + 1) % interval == 0) {
-        node_.metrics_->SnapshotEpoch(epoch, node_.timing_.now_ns());
-      }
-    }
+  if (final_barrier) {
+    SnapshotMetrics(epoch);
+  }
+}
+
+void BarrierCoordinator::SnapshotMetrics(EpochId epoch) {
+  if (node_.metrics_ == nullptr) {
+    return;
+  }
+  node_.PublishOverhead();
+  const int interval = std::max(1, node_.opts_.trace.metrics_interval);
+  if ((epoch + 1) % interval == 0 || node_.final_barrier_) {
+    node_.metrics_->SnapshotEpoch(epoch, node_.timing_.now_ns());
   }
 }
 
@@ -252,12 +261,10 @@ void BarrierCoordinator::RunRaceDetection(EpochId epoch,
     timing.Charge(Bucket::kIntervals, worst_shard_ns);
     overlap_span.SetArg("pairs", pairs.size());
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      const DetectorStats& after = detector.stats();
-      mh_.check_pairs->Add(after.overlapping_pairs - before.overlapping_pairs);
-      mh_.shard_count->Add(per_shard.size());
-    }
+  if (have_metrics_) {
+    const DetectorStats& after = detector.stats();
+    mh_.check_pairs->Add(after.overlapping_pairs - before.overlapping_pairs);
+    mh_.shard_count->Add(per_shard.size());
   }
   if (pairs.empty()) {
     return;
@@ -283,10 +290,8 @@ void BarrierCoordinator::QueueDetection(EpochId epoch, std::vector<CheckPair> pa
   // The check list fixes the distinct (interval, page) bitmaps step 5 needs;
   // every pipeline mode accounts them once here (§4 step 3).
   std::vector<std::pair<IntervalId, PageId>> needed = RaceDetector::BitmapsNeeded(pairs);
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.checklist_entries->Add(needed.size());
-    }
+  if (have_metrics_) {
+    mh_.checklist_entries->Add(needed.size());
   }
   pending_.push_back(PendingEpoch{epoch, std::move(pairs), std::move(needed)});
 }
@@ -301,11 +306,9 @@ void BarrierCoordinator::FlushDetection(EpochId epoch) {
   if (opts.detect_batch > 1) {
     ++pipeline_stats_.batch_rounds;
     pipeline_stats_.batched_epochs += pending_.size();
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_) {
-        mh_.batch_rounds->Add(1);
-        mh_.batch_epochs->Add(pending_.size());
-      }
+    if (have_metrics_) {
+      mh_.batch_rounds->Add(1);
+      mh_.batch_epochs->Add(pending_.size());
     }
   }
   if (opts.detection_pipeline == DetectionPipeline::kDistributed) {
@@ -390,14 +393,12 @@ void BarrierCoordinator::CompareEpochsSerial(EpochId msg_epoch) {
   pipeline_stats_.bitmap_bytes_raw += bitmap_round_raw_bytes_;
 
   bitmaps_span.SetArg("compared", compared);
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.bitmap_pairs_compared->Add(compared);
-      mh_.races_reported->Add(total_reports);
-      mh_.bitmap_bytes_wire->Add(bitmap_round_bytes_);
-      mh_.bitmap_bytes_raw->Add(bitmap_round_raw_bytes_);
-      mh_.bitmap_bytes_saved->Add(bitmap_round_raw_bytes_ - bitmap_round_bytes_);
-    }
+  if (have_metrics_) {
+    mh_.bitmap_pairs_compared->Add(compared);
+    mh_.races_reported->Add(total_reports);
+    mh_.bitmap_bytes_wire->Add(bitmap_round_bytes_);
+    mh_.bitmap_bytes_raw->Add(bitmap_round_raw_bytes_);
+    mh_.bitmap_bytes_saved->Add(bitmap_round_raw_bytes_ - bitmap_round_bytes_);
   }
   for (std::vector<RaceReport>& reports : all_reports) {
     PublishReports(std::move(reports));
@@ -565,16 +566,14 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
   pipeline_stats_.remote_pairs_compared += remote_compared;
   pipeline_stats_.remote_reports += remote_report_count;
   span.SetArg("remote_pairs", remote_compared);
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.bitmap_pairs_compared->Add(master_compared + remote_compared);
-      mh_.races_reported->Add(reports.size());
-      mh_.bitmap_bytes_wire->Add(ship_bytes_wire);
-      mh_.bitmap_bytes_raw->Add(ship_bytes_raw);
-      mh_.bitmap_bytes_saved->Add(ship_bytes_raw - ship_bytes_wire);
-      mh_.remote_pairs->Add(remote_compared);
-      mh_.remote_reports->Add(remote_report_count);
-    }
+  if (have_metrics_) {
+    mh_.bitmap_pairs_compared->Add(master_compared + remote_compared);
+    mh_.races_reported->Add(reports.size());
+    mh_.bitmap_bytes_wire->Add(ship_bytes_wire);
+    mh_.bitmap_bytes_raw->Add(ship_bytes_raw);
+    mh_.bitmap_bytes_saved->Add(ship_bytes_raw - ship_bytes_wire);
+    mh_.remote_pairs->Add(remote_compared);
+    mh_.remote_reports->Add(remote_report_count);
   }
   return reports;
 }
@@ -607,7 +606,6 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   NodeTiming& timing = node_.timing_;
   const int fanout = opts.barrier_fanout;
   const std::vector<NodeId> children = TreeChildren(node_.id_, fanout, opts.num_nodes);
-  const bool detecting = opts.race_detection && opts.online_detection;
 
   // Combine phase: wait for every child subtree's arrival. The watchful
   // wait probes per tree edge: a dead child surfaces kPeerUnreachable right
@@ -683,7 +681,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   DetectorStats claim_stats;
   std::vector<CheckPair> claimed;
   size_t epoch_record_count = 0;
-  if (detecting) {
+  if (opts.race_detection) {
     const double claim_start_ns = timing.now_ns();
     const std::vector<IntervalRecord> epoch_records = CurrentEpochRecords(epoch);
     epoch_record_count = epoch_records.size();
@@ -707,12 +705,10 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   }
 
   if (node_.id_ == 0) {
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_ && epoch == 0) {
-        mh_.tree_height->Add(static_cast<uint64_t>(TreeHeightOf(opts.num_nodes, fanout)));
-      }
+    if (have_metrics_ && epoch == 0) {
+      mh_.tree_height->Add(static_cast<uint64_t>(TreeHeightOf(opts.num_nodes, fanout)));
     }
-    if (detecting) {
+    if (opts.race_detection) {
       {
         DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
         // Rehydrate the subtree fragments from the merged log (every record
@@ -742,10 +738,8 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
         claim_stats.intervals_total = epoch_record_count;
         claim_stats.intervals_in_overlap = in_overlap.size();
         node_.system_->detector().AccumulateBuild(claim_stats);
-        if constexpr (obs::kObsCompiledIn) {
-          if (have_metrics_) {
-            mh_.check_pairs->Add(pairs.size());
-          }
+        if (have_metrics_) {
+          mh_.check_pairs->Add(pairs.size());
         }
         if (!pairs.empty()) {
           QueueDetection(epoch, std::move(pairs));
@@ -754,8 +748,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
       // Outside the timer: the flush charges its own detect_ns.
       FlushDetection(epoch);
     }
-    SendTreeReleases(epoch, children);
-    FinishMasterEpoch(epoch);
+    FinishMasterEpoch(epoch, [&] { SendTreeReleases(epoch, children); });
     return;
   }
 
@@ -767,7 +760,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   up.vc = node_.vc_;
   up.min_vc = std::move(min_vc);
   up.fragments = std::move(fragments);
-  if (detecting) {
+  if (opts.race_detection) {
     up.fragments.reserve(up.fragments.size() + claimed.size());
     for (CheckPair& pair : claimed) {
       up.fragments.push_back(TreeFragmentPair{pair.a.id, pair.b.id, std::move(pair.pages)});
@@ -845,11 +838,9 @@ void BarrierCoordinator::OnTreeArrive(const Message& msg) {
   if (arrive.epoch < node_.epoch_) {
     return;  // This epoch's combine already ran here: stale re-delivery.
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.tree_up_bytes->Add(msg.wire_bytes);
-      mh_.tree_fragments->Add(arrive.fragments.size());
-    }
+  if (have_metrics_) {
+    mh_.tree_up_bytes->Add(msg.wire_bytes);
+    mh_.tree_fragments->Add(arrive.fragments.size());
   }
   tree_arrivals_[arrive.epoch][arrive.node] = Inbound<BarrierTreeArriveMsg>::Of(msg);
 }
@@ -859,10 +850,8 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   if (tree_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.tree_down_bytes->Add(msg.wire_bytes);
-    }
+  if (have_metrics_) {
+    mh_.tree_down_bytes->Add(msg.wire_bytes);
   }
   tree_release_ = Inbound<BarrierTreeReleaseMsg>::Of(msg);
 }

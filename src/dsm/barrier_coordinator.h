@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <utility>
@@ -57,7 +58,7 @@ class BarrierCoordinator {
   void RegisterHandlers(MessageDispatcher& dispatcher);
 
   // Resolves the coordinator's metric handles; called from the node's
-  // observability init (no-op when metrics are disabled or compiled out).
+  // observability init (no-op when metrics are disabled).
   void InitObservability(obs::MetricsRegistry* metrics);
 
   // The barrier body, called from Node::Barrier with the in-barrier interval
@@ -103,10 +104,16 @@ class BarrierCoordinator {
   void MasterRunBarrier(EpochId epoch);
   // Steps 2-3 on the flat master: builds the epoch's check list and queues it.
   void RunRaceDetection(EpochId epoch, const std::vector<IntervalRecord>& epoch_intervals);
-  // The master's (or tree root's) end of a barrier, after the releases are
-  // out: garbage-collects unless detection work is still queued, and takes
-  // the per-epoch metrics snapshot.
-  void FinishMasterEpoch(EpochId epoch);
+  // The master's (or tree root's) end of a barrier: runs `send_releases`,
+  // garbage-collects unless detection work is still queued, and takes the
+  // per-epoch metrics snapshot. The snapshot precedes the releases, because
+  // a node enters its next barrier only after its release, so row e counts
+  // exactly the entries of barrier e. The final barrier has no next entry;
+  // its snapshot follows the releases so the last row holds every message.
+  void FinishMasterEpoch(EpochId epoch, const std::function<void()>& send_releases);
+  // Publishes the master's overhead and snapshots the metrics registry on
+  // every metrics_interval-th epoch and at the final barrier.
+  void SnapshotMetrics(EpochId epoch);
 
   // ---- Hierarchical (k-ary combine tree) barrier (--barrier-tree) ----
   // The node's barrier body in tree mode: wait for the child subtrees, merge
@@ -245,8 +252,7 @@ class BarrierCoordinator {
 
   uint64_t probe_token_ = 0;  // Distinguishes heartbeat probes in traces.
 
-  // Detection metric handles (null when metrics are disabled; the whole
-  // block is dead code under -DCVM_OBS=OFF).
+  // Detection metric handles (null when metrics are disabled).
   struct MetricHandles {
     obs::Counter* check_pairs = nullptr;
     obs::Counter* checklist_entries = nullptr;

@@ -26,16 +26,14 @@ DsmSystem::DsmSystem(DsmOptions options) : options_(std::move(options)) {
   segment_ = std::make_unique<SharedSegment>(options_.page_size, options_.max_shared_bytes);
   network_ = std::make_unique<Network>(options_.num_nodes);
   detector_ = std::make_unique<RaceDetector>(segment_->num_pages());
-  if constexpr (obs::kObsCompiledIn) {
-    if (options_.trace.trace_enabled) {
-      tracer_ = std::make_unique<obs::Tracer>(options_.num_nodes, options_.trace);
-    }
-    if (options_.trace.metrics_enabled) {
-      metrics_ = std::make_unique<obs::MetricsRegistry>();
-    }
-    if (options_.trace.enabled()) {
-      network_->AttachObservability(tracer_.get(), metrics_.get());
-    }
+  if (options_.trace.trace_enabled) {
+    tracer_ = std::make_unique<obs::Tracer>(options_.num_nodes, options_.trace);
+  }
+  if (options_.trace.metrics_enabled) {
+    metrics_ = std::make_unique<obs::MetricsRegistry>();
+  }
+  if (options_.trace.enabled()) {
+    network_->AttachObservability(tracer_.get(), metrics_.get());
   }
   if (options_.fault_plan.enabled()) {
     fault::FaultPlan plan = options_.fault_plan;
@@ -158,10 +156,8 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
   for (std::thread& t : node_threads) {
     t.join();
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (tracer_ != nullptr) {
-      tracer_->DrainAll();  // Events emitted after the last barrier.
-    }
+  if (tracer_ != nullptr) {
+    tracer_->DrainAll();  // Events emitted after the last barrier.
   }
   if (options_.race_detection && options_.postmortem_trace) {
     for (const auto& node : nodes_) {

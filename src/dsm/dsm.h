@@ -106,8 +106,7 @@ class DsmSystem {
   SharedSegment& segment() { return *segment_; }
   Network& network() { return *network_; }
 
-  // Observability (null when the corresponding TraceConfig switch is off or
-  // the layer is compiled out).
+  // Observability (null when the corresponding TraceConfig switch is off).
   obs::Tracer* tracer() { return tracer_.get(); }
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
 

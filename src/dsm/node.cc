@@ -48,10 +48,6 @@ Node::Node(NodeId id, DsmSystem* system)
   protocol_->RegisterHandlers(dispatcher_);
   lock_mgr_.RegisterHandlers(dispatcher_);
   barrier_.RegisterHandlers(dispatcher_);
-  // Shutdown is a transport-level nudge: nothing to do at this layer — the
-  // serving loop exits on network close. Registered so it doesn't count as
-  // an unhandled payload.
-  dispatcher_.Register<ShutdownMsg>([](const Message&) {});
   // Crash-tolerance control plane (docs/FAULTS.md "Crash faults & recovery").
   dispatcher_.Register<HeartbeatProbeMsg>([this](const Message& msg) { OnHeartbeatProbe(msg); });
   // An ack only says the peer is alive: a watchful wait keeps waiting.
@@ -59,9 +55,6 @@ Node::Node(NodeId id, DsmSystem* system)
   dispatcher_.Register<PeerSuspectMsg>([this](const Message& msg) { OnPeerSuspect(msg); });
   dispatcher_.Register<RunAbortMsg>([this](const Message& msg) { OnRunAbort(msg); });
   dispatcher_.SetUnhandledHook([this](const Message& msg) {
-    if constexpr (!obs::kObsCompiledIn) {
-      return;
-    }
     if (tracer_ == nullptr) {
       return;
     }
@@ -88,9 +81,6 @@ Node::Node(NodeId id, DsmSystem* system)
 }
 
 void Node::InitObservability() {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   tracer_ = system_->tracer();
   metrics_ = system_->metrics();
   diff_obs_.tracer = tracer_;
@@ -126,9 +116,6 @@ void Node::InitObservability() {
 
 void Node::TraceInstant(const char* name, const char* cat, const char* arg_name,
                         uint64_t arg_value) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   if (tracer_ == nullptr) {
     return;
   }
@@ -145,18 +132,12 @@ void Node::TraceInstant(const char* name, const char* cat, const char* arg_name,
 }
 
 void Node::CountPageFetch() {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   if (mh_.page_fetches != nullptr) {
     mh_.page_fetches->Increment();
   }
 }
 
 void Node::PublishOverhead() {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   if (metrics_ == nullptr) {
     return;
   }
@@ -257,9 +238,6 @@ void Node::ServeUntilClosed() {
 }
 
 void Node::StampFlowContext(Message& msg) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   if (tracer_ == nullptr || !tracer_->flows_enabled()) {
     return;
   }
@@ -298,36 +276,34 @@ void Node::StampFlowContext(Message& msg) {
 }
 
 void Node::DispatchWithFlow(const Message& msg) {
-  if constexpr (obs::kObsCompiledIn) {
-    if (tracer_ != nullptr && tracer_->flows_enabled() && msg.ctx.stamped()) {
-      DispatchFlowScope scope;
-      scope.ctx = msg.ctx;
-      scope.payload_kind = msg.payload.index();
-      t_dispatch_flow = &scope;
-      dispatcher_.Dispatch(msg);
-      t_dispatch_flow = nullptr;
-      // Receive step, after the handler so we know whether the chain went on
-      // ('t') or terminated here ('f'). The timestamp is the modeled arrival:
-      // at least one message cost after the send, and never before this
-      // node's own clock — per-node clocks only synchronize at sync points,
-      // and a backwards arrow would be a lie about causality.
-      obs::TraceEvent event;
-      event.name = PayloadKindName(msg.payload.index());
-      event.cat = "flow";
-      event.phase = scope.extended ? 't' : 'f';
-      event.node = id_;
-      event.flow_id = msg.ctx.causal_id;
-      event.arg_name = "from";
-      event.arg_value = static_cast<uint64_t>(msg.from >= 0 ? msg.from : 0);
-      event.arg2_name = "hop";
-      event.arg2_value = msg.ctx.hop;
-      event.epoch = epoch_;
-      const double arrival = static_cast<double>(msg.ctx.send_sim_ns) +
-                             opts_.costs.MessageCost(msg.wire_bytes);
-      event.sim_ts_ns = std::max(timing_.now_ns(), arrival);
-      tracer_->Emit(event);
-      return;
-    }
+  if (tracer_ != nullptr && tracer_->flows_enabled() && msg.ctx.stamped()) {
+    DispatchFlowScope scope;
+    scope.ctx = msg.ctx;
+    scope.payload_kind = msg.payload.index();
+    t_dispatch_flow = &scope;
+    dispatcher_.Dispatch(msg);
+    t_dispatch_flow = nullptr;
+    // Receive step, after the handler so we know whether the chain went on
+    // ('t') or terminated here ('f'). The timestamp is the modeled arrival:
+    // at least one message cost after the send, and never before this
+    // node's own clock — per-node clocks only synchronize at sync points,
+    // and a backwards arrow would be a lie about causality.
+    obs::TraceEvent event;
+    event.name = PayloadKindName(msg.payload.index());
+    event.cat = "flow";
+    event.phase = scope.extended ? 't' : 'f';
+    event.node = id_;
+    event.flow_id = msg.ctx.causal_id;
+    event.arg_name = "from";
+    event.arg_value = static_cast<uint64_t>(msg.from >= 0 ? msg.from : 0);
+    event.arg2_name = "hop";
+    event.arg2_value = msg.ctx.hop;
+    event.epoch = epoch_;
+    const double arrival = static_cast<double>(msg.ctx.send_sim_ns) +
+                           opts_.costs.MessageCost(msg.wire_bytes);
+    event.sim_ts_ns = std::max(timing_.now_ns(), arrival);
+    tracer_->Emit(event);
+    return;
   }
   dispatcher_.Dispatch(msg);
 }
@@ -437,10 +413,8 @@ void Node::ReadFault(PageId page) {
   ++page_faults_;
   obs::Span span(tracer_, id_, "page.fault.read", "mem", timing_, epoch_);
   span.SetArg("page", static_cast<uint64_t>(page));
-  if constexpr (obs::kObsCompiledIn) {
-    if (mh_.page_faults != nullptr) {
-      mh_.page_faults->Increment();
-    }
+  if (mh_.page_faults != nullptr) {
+    mh_.page_faults->Increment();
   }
   timing_.Charge(Bucket::kNone, opts_.costs.page_fault_ns);
   protocol_->OnReadFault(page);
@@ -451,10 +425,8 @@ void Node::WriteFault(PageId page) {
   ++page_faults_;
   obs::Span span(tracer_, id_, "page.fault.write", "mem", timing_, epoch_);
   span.SetArg("page", static_cast<uint64_t>(page));
-  if constexpr (obs::kObsCompiledIn) {
-    if (mh_.page_faults != nullptr) {
-      mh_.page_faults->Increment();
-    }
+  if (mh_.page_faults != nullptr) {
+    mh_.page_faults->Increment();
   }
   timing_.Charge(Bucket::kNone, opts_.costs.page_fault_ns);
   protocol_->OnWriteFault(page);
@@ -491,10 +463,8 @@ void Node::EndInterval() {
   max_retained_pairs_ = std::max(max_retained_pairs_, bitmaps_.RetainedPairs());
   ++intervals_created_;
   TraceInstant("interval.close", "protocol", "interval", static_cast<uint64_t>(cur_interval_));
-  if constexpr (obs::kObsCompiledIn) {
-    if (mh_.intervals != nullptr) {
-      mh_.intervals->Increment();
-    }
+  if (mh_.intervals != nullptr) {
+    mh_.intervals->Increment();
   }
   timing_.Charge(Bucket::kNone, opts_.costs.interval_setup_ns);
   if (opts_.race_detection) {
@@ -535,8 +505,7 @@ void Node::GarbageCollect() {
   // compared yet, so their word bitmaps must survive until the detection
   // flush (its bitmap round reads them). With detect_batch = 1 every
   // barrier flushes.
-  const bool detecting = opts_.race_detection && opts_.online_detection;
-  if (detecting && !final_barrier_ && (epoch_ + 1) % opts_.detect_batch != 0) {
+  if (opts_.race_detection && !final_barrier_ && (epoch_ + 1) % opts_.detect_batch != 0) {
     return;
   }
   bitmaps_.DiscardThrough(cur_interval_);  // Epoch checked; trace data can go.
@@ -551,10 +520,8 @@ void Node::Lock(LockId lock) {
   ThrowIfAborted();
   obs::Span span(tracer_, id_, "lock.acquire", "sync", timing_, epoch_);
   span.SetArg("lock", static_cast<uint64_t>(lock));
-  if constexpr (obs::kObsCompiledIn) {
-    if (mh_.locks_acquired != nullptr) {
-      mh_.locks_acquired->Increment();
-    }
+  if (mh_.locks_acquired != nullptr) {
+    mh_.locks_acquired->Increment();
   }
   timing_.Charge(Bucket::kNone, opts_.costs.lock_op_ns);
   EndInterval();
@@ -583,6 +550,12 @@ void Node::Barrier() {
   Poll();
   ThrowIfAborted();
   MaybeCrashAtBarrier();
+  // Counted at entry: every node's entry happens-before the master's (or
+  // tree root's) snapshot of this epoch, so each metrics row holds one
+  // entry per node.
+  if (mh_.barriers != nullptr) {
+    mh_.barriers->Increment();
+  }
   obs::Span span(tracer_, id_, "barrier", "sync", timing_, epoch_);
   span.SetArg("epoch", static_cast<uint64_t>(epoch_));
   timing_.Charge(Bucket::kNone, opts_.costs.barrier_op_ns);
@@ -603,13 +576,8 @@ void Node::Barrier() {
   }
   ++epoch_;
   ++barriers_;
-  if constexpr (obs::kObsCompiledIn) {
-    if (mh_.barriers != nullptr) {
-      mh_.barriers->Increment();
-    }
-    if (tracer_ != nullptr) {
-      tracer_->Drain(id_);  // Barrier = natural quiescent point for the ring.
-    }
+  if (tracer_ != nullptr) {
+    tracer_->Drain(id_);  // Barrier = natural quiescent point for the ring.
   }
   BeginInterval();  // New epoch-body interval.
   CaptureCheckpoint();
@@ -643,10 +611,8 @@ void Node::OnPeerUnreachable(NodeId peer) {
   if (aborted_ || crashed_ || peer == id_) {
     return;
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (peer_suspected_counter_ != nullptr) {
-      peer_suspected_counter_->Increment();
-    }
+  if (peer_suspected_counter_ != nullptr) {
+    peer_suspected_counter_->Increment();
   }
   TraceInstant("peer.suspect", "fault", "peer",
                static_cast<uint64_t>(peer >= 0 ? peer : 0));
@@ -770,10 +736,8 @@ void Node::RecoverAfterAbort(const RunAbortError& err) {
     abort_epoch_ = err.epoch;
   }
   const size_t recovered = RollbackToCheckpoint();
-  if constexpr (obs::kObsCompiledIn) {
-    if (locks_recovered_counter_ != nullptr && recovered > 0) {
-      locks_recovered_counter_->Add(recovered);
-    }
+  if (locks_recovered_counter_ != nullptr && recovered > 0) {
+    locks_recovered_counter_->Add(recovered);
   }
   TraceInstant("epoch.rollback", "fault", "epoch",
                checkpoint_.has_value() ? static_cast<uint64_t>(checkpoint_->epoch) : 0);

@@ -257,7 +257,7 @@ class Node : public ProtocolHost {
   void Await(const std::function<bool()>& ready) override;
   std::vector<uint8_t> InitialPageData(PageId page) override;
   obs::Tracer* tracer() override { return tracer_; }
-  DiffObs* diff_obs() override { return obs::kObsCompiledIn ? &diff_obs_ : nullptr; }
+  DiffObs* diff_obs() override { return &diff_obs_; }
   void CountPageFetch() override;
   void TraceInstant(const char* name, const char* cat, const char* arg_name = nullptr,
                     uint64_t arg_value = 0) override;
@@ -401,8 +401,7 @@ class Node : public ProtocolHost {
   FlatIdSet<PageId> cur_reads_;
   FlatIdSet<PageId> cur_writes_;
 
-  // Observability (pointers are null when tracing/metrics are disabled; the
-  // whole block is dead code under -DCVM_OBS=OFF).
+  // Observability (pointers are null when tracing/metrics are disabled).
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   struct MetricHandles {

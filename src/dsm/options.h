@@ -48,10 +48,9 @@ struct DsmOptions {
 
   ProtocolKind protocol = ProtocolKind::kSingleWriterLrc;
   bool race_detection = true;   // Master switch: access instrumentation.
-  bool online_detection = true; // Barrier-time checking (the paper's scheme).
-  // §7 baseline: keep instrumentation on but skip the online barrier-time
-  // checks; instead log every interval record and bitmap to a trace that is
-  // analyzed post-mortem (Adve et al.'s scheme). Storage grows with the run.
+  // §7 baseline: besides the online barrier-time checks, log every interval
+  // record and bitmap to a trace that is analyzed post-mortem (Adve et al.'s
+  // scheme). Storage grows with the run.
   bool postmortem_trace = false;
   WriteDetection write_detection = WriteDetection::kInstrumentation;
   // Barrier-time check execution: serial master (the paper's prototype) or
@@ -89,8 +88,7 @@ struct DsmOptions {
   CostParams costs;
 
   // Observability: event tracing + per-epoch metrics (src/obs/). Off by
-  // default; near-zero-cost when off and compiled out entirely with
-  // -DCVM_OBS=OFF.
+  // default; each hook costs one null-pointer check when off.
   obs::TraceConfig trace;
 
   // Fault injection (src/fault/): a non-off profile routes every send through

@@ -24,26 +24,24 @@ Diff MakeDiff(PageId page, IntervalId interval, const std::vector<uint8_t>& twin
       diff.words.push_back(DiffWord{static_cast<uint32_t>(w), new_value});
     }
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs != nullptr) {
-      if (obs->diffs_created != nullptr) {
-        obs->diffs_created->Increment();
-      }
-      if (obs->diff_size_words != nullptr) {
-        obs->diff_size_words->Observe(diff.words.size());
-      }
-      if (obs->tracer != nullptr) {
-        obs::TraceEvent event;
-        event.name = "diff.create";
-        event.cat = "mem";
-        event.phase = 'i';
-        event.node = obs->node;
-        event.arg_name = "words";
-        event.arg_value = diff.words.size();
-        event.arg2_name = "page";
-        event.arg2_value = static_cast<uint64_t>(page);
-        obs->tracer->Emit(event);
-      }
+  if (obs != nullptr) {
+    if (obs->diffs_created != nullptr) {
+      obs->diffs_created->Increment();
+    }
+    if (obs->diff_size_words != nullptr) {
+      obs->diff_size_words->Observe(diff.words.size());
+    }
+    if (obs->tracer != nullptr) {
+      obs::TraceEvent event;
+      event.name = "diff.create";
+      event.cat = "mem";
+      event.phase = 'i';
+      event.node = obs->node;
+      event.arg_name = "words";
+      event.arg_value = diff.words.size();
+      event.arg2_name = "page";
+      event.arg2_value = static_cast<uint64_t>(page);
+      obs->tracer->Emit(event);
     }
   }
   return diff;
@@ -55,23 +53,21 @@ void ApplyDiff(const Diff& diff, std::vector<uint8_t>& frame, const DiffObs* obs
     CVM_CHECK_LT(dw.word, num_words);
     std::memcpy(frame.data() + static_cast<size_t>(dw.word) * kWordSize, &dw.value, kWordSize);
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (obs != nullptr) {
-      if (obs->words_applied != nullptr) {
-        obs->words_applied->Add(diff.words.size());
-      }
-      if (obs->tracer != nullptr) {
-        obs::TraceEvent event;
-        event.name = "diff.apply";
-        event.cat = "mem";
-        event.phase = 'i';
-        event.node = obs->node;
-        event.arg_name = "words";
-        event.arg_value = diff.words.size();
-        event.arg2_name = "page";
-        event.arg2_value = static_cast<uint64_t>(diff.page);
-        obs->tracer->Emit(event);
-      }
+  if (obs != nullptr) {
+    if (obs->words_applied != nullptr) {
+      obs->words_applied->Add(diff.words.size());
+    }
+    if (obs->tracer != nullptr) {
+      obs::TraceEvent event;
+      event.name = "diff.apply";
+      event.cat = "mem";
+      event.phase = 'i';
+      event.node = obs->node;
+      event.arg_name = "words";
+      event.arg_value = diff.words.size();
+      event.arg2_name = "page";
+      event.arg2_value = static_cast<uint64_t>(diff.page);
+      obs->tracer->Emit(event);
     }
   }
 }

@@ -21,9 +21,6 @@ PageTable::PageTable(int num_pages, uint64_t page_size)
 
 void PageTable::AttachObservability(obs::Tracer* tracer, NodeId node, obs::Counter* twins,
                                     obs::Counter* installs, obs::Counter* invalidations) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   tracer_ = tracer;
   obs_node_ = node;
   twins_counter_ = twins;
@@ -36,10 +33,8 @@ void PageTable::Install(PageId page, std::vector<uint8_t> data, PageState state)
   PageEntry& e = entry(page);
   e.data = std::move(data);
   e.state = state;
-  if constexpr (obs::kObsCompiledIn) {
-    if (installs_counter_ != nullptr) {
-      installs_counter_->Increment();
-    }
+  if (installs_counter_ != nullptr) {
+    installs_counter_->Increment();
   }
 }
 
@@ -48,10 +43,8 @@ void PageTable::Invalidate(PageId page) {
   if (PageEntry* e = entries_.Find(page); e != nullptr) {
     e->state = PageState::kInvalid;
   }
-  if constexpr (obs::kObsCompiledIn) {
-    if (invalidations_counter_ != nullptr) {
-      invalidations_counter_->Increment();
-    }
+  if (invalidations_counter_ != nullptr) {
+    invalidations_counter_->Increment();
   }
 }
 
@@ -60,20 +53,18 @@ void PageTable::MakeTwin(PageId page) {
   CVM_CHECK(e.state != PageState::kInvalid);
   CVM_CHECK(!e.twin.has_value()) << "twin already exists for page " << page;
   e.twin = e.data;
-  if constexpr (obs::kObsCompiledIn) {
-    if (twins_counter_ != nullptr) {
-      twins_counter_->Increment();
-    }
-    if (tracer_ != nullptr) {
-      obs::TraceEvent event;
-      event.name = "twin.create";
-      event.cat = "mem";
-      event.phase = 'i';
-      event.node = obs_node_;
-      event.arg_name = "page";
-      event.arg_value = static_cast<uint64_t>(page);
-      tracer_->Emit(event);
-    }
+  if (twins_counter_ != nullptr) {
+    twins_counter_->Increment();
+  }
+  if (tracer_ != nullptr) {
+    obs::TraceEvent event;
+    event.name = "twin.create";
+    event.cat = "mem";
+    event.phase = 'i';
+    event.node = obs_node_;
+    event.arg_name = "page";
+    event.arg_value = static_cast<uint64_t>(page);
+    tracer_->Emit(event);
   }
 }
 

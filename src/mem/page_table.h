@@ -49,7 +49,7 @@ class PageTable {
 
   // Optional observability sinks (any may be null, all owned by the caller):
   // twin creation emits a trace instant, installs/invalidations bump the
-  // counters. Compiled to nothing under -DCVM_OBS=OFF.
+  // counters.
   void AttachObservability(obs::Tracer* tracer, NodeId node, obs::Counter* twins,
                            obs::Counter* installs, obs::Counter* invalidations);
 

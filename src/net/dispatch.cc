@@ -14,9 +14,6 @@ void MessageDispatcher::RegisterIndex(size_t index, Handler handler) {
 }
 
 void MessageDispatcher::AttachMetrics(obs::MetricsRegistry* metrics) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   if (metrics == nullptr) {
     return;
   }
@@ -33,10 +30,8 @@ bool MessageDispatcher::Dispatch(const Message& msg) {
   const Handler& handler = handlers_[index];
   if (handler == nullptr) {
     ++unhandled_;
-    if constexpr (obs::kObsCompiledIn) {
-      if (unhandled_counter_ != nullptr) {
-        unhandled_counter_->Increment();
-      }
+    if (unhandled_counter_ != nullptr) {
+      unhandled_counter_->Increment();
     }
     if (unhandled_hook_) {
       unhandled_hook_(msg);
@@ -44,10 +39,8 @@ bool MessageDispatcher::Dispatch(const Message& msg) {
     return false;
   }
   ++dispatched_[index];
-  if constexpr (obs::kObsCompiledIn) {
-    if (kind_counters_[index] != nullptr) {
-      kind_counters_[index]->Increment();
-    }
+  if (kind_counters_[index] != nullptr) {
+    kind_counters_[index]->Increment();
   }
   handler(msg);
   return true;

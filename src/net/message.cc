@@ -89,7 +89,6 @@ struct SizeVisitor {
   size_t operator()(const HeartbeatAckMsg&) const { return 12; }
   size_t operator()(const PeerSuspectMsg&) const { return 8; }
   size_t operator()(const RunAbortMsg&) const { return 8; }
-  size_t operator()(const ShutdownMsg&) const { return 0; }
   size_t operator()(const BarrierTreeArriveMsg& m) const {
     size_t n = 16 + m.vc.RleByteSize() + m.min_vc.RleByteSize() + RleIntervalsByteSize(m.intervals);
     n += sizeof(uint32_t) + m.interest.size() * sizeof(PageId);
@@ -132,7 +131,7 @@ constexpr const char* kPayloadKindNames[kNumPayloadKinds] = {
     "BitmapReply", "CompareRequest", "BitmapShip", "CompareReply",
     "BarrierRelease", "ErcUpdate",   "ErcAck",     "HeartbeatProbe",
     "HeartbeatAck", "PeerSuspect",   "RunAbort",   "BarrierTreeArrive",
-    "BarrierTreeRelease", "Shutdown",
+    "BarrierTreeRelease",
 };
 
 }  // namespace

@@ -258,21 +258,20 @@ struct RunAbortMsg {
   NodeId dead = kNoNode;
 };
 
-struct ShutdownMsg {};
-
 using Payload = std::variant<PageRequestMsg, PageReplyMsg, DiffFlushMsg, DiffFlushAckMsg,
                              LockRequestMsg, LockGrantMsg, BarrierArriveMsg, BitmapRequestMsg,
                              BitmapReplyMsg, CompareRequestMsg, BitmapShipMsg, CompareReplyMsg,
                              BarrierReleaseMsg, ErcUpdateMsg, ErcAckMsg, HeartbeatProbeMsg,
                              HeartbeatAckMsg, PeerSuspectMsg, RunAbortMsg, BarrierTreeArriveMsg,
-                             BarrierTreeReleaseMsg, ShutdownMsg>;
+                             BarrierTreeReleaseMsg>;
 
 struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   Payload payload;
 
-  // Cached wire size (header + payload), filled by the network at send time.
+  // Cached wire size (header + payload, plus the trace context when it is
+  // stamped), filled by the network at send time.
   size_t wire_bytes = 0;
 
   // Wall-clock enqueue timestamp (ns, steady clock), filled by the network

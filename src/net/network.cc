@@ -46,9 +46,6 @@ bool Network::NodeDead(NodeId node) const {
 }
 
 void Network::AttachObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   tracer_ = tracer;
   metrics_ = metrics;
   if (metrics_ != nullptr) {
@@ -67,15 +64,13 @@ void Network::AttachFaultInjector(const fault::FaultInjector* injector) {
   injector_ = injector;
   pairs_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_),
                 PairState{});
-  if constexpr (obs::kObsCompiledIn) {
-    if (metrics_ != nullptr) {
-      fault_drops_ = metrics_->counter("net.fault.drops");
-      fault_retransmits_ = metrics_->counter("net.fault.retransmits");
-      fault_dup_drops_ = metrics_->counter("net.fault.dup_drops");
-      fault_corrupt_ = metrics_->counter("net.fault.corrupt_quarantined");
-      fault_unreachable_ = metrics_->counter("net.peer.unreachable");
-      fault_backoff_hist_ = metrics_->histogram("net.fault.backoff_ns");
-    }
+  if (metrics_ != nullptr) {
+    fault_drops_ = metrics_->counter("net.fault.drops");
+    fault_retransmits_ = metrics_->counter("net.fault.retransmits");
+    fault_dup_drops_ = metrics_->counter("net.fault.dup_drops");
+    fault_corrupt_ = metrics_->counter("net.fault.corrupt_quarantined");
+    fault_unreachable_ = metrics_->counter("net.peer.unreachable");
+    fault_backoff_hist_ = metrics_->histogram("net.fault.backoff_ns");
   }
 }
 
@@ -93,56 +88,25 @@ void Network::AccountWire(const Message& message, const char* kind,
     stats_.bytes_by_sender[message.from] += message.wire_bytes;
   }
 
-  if constexpr (obs::kObsCompiledIn) {
-    if (msgs_total_ != nullptr) {
-      msgs_total_->Increment();
-      bytes_total_->Add(message.wire_bytes);
-      msg_bytes_hist_->Observe(message.wire_bytes);
-    }
-    if (tracer_ != nullptr) {
-      obs::TraceEvent event;
-      event.name = "msg.send";
-      event.cat = "net";
-      event.phase = 'i';
-      event.node = message.from >= 0 ? message.from : message.to;
-      event.arg_name = "bytes";
-      event.arg_value = message.wire_bytes;
-      event.arg2_name = "to";
-      event.arg2_value = static_cast<uint64_t>(message.to);
-      event.str_arg_name = "kind";
-      event.str_arg_value = kind;
-      tracer_->Emit(event);
-    }
+  if (msgs_total_ != nullptr) {
+    msgs_total_->Increment();
+    bytes_total_->Add(message.wire_bytes);
+    msg_bytes_hist_->Observe(message.wire_bytes);
   }
-}
-
-void Network::StampFlow(Message& message) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
+  if (tracer_ != nullptr) {
+    obs::TraceEvent event;
+    event.name = "msg.send";
+    event.cat = "net";
+    event.phase = 'i';
+    event.node = message.from >= 0 ? message.from : message.to;
+    event.arg_name = "bytes";
+    event.arg_value = message.wire_bytes;
+    event.arg2_name = "to";
+    event.arg2_value = static_cast<uint64_t>(message.to);
+    event.str_arg_name = "kind";
+    event.str_arg_value = kind;
+    tracer_->Emit(event);
   }
-  if (tracer_ == nullptr || !tracer_->flows_enabled()) {
-    return;
-  }
-  // The context is real header traffic while flows are on; charging it here
-  // keeps every downstream consumer of wire_bytes (stats, Lamport observes)
-  // honest. Retransmitted frames re-carry it like any other header byte.
-  message.wire_bytes += obs::kTraceContextWireBytes;
-  if (message.ctx.stamped()) {
-    return;
-  }
-  // Fallback for senders above the Node layer's stamping (tests driving the
-  // fabric directly): a fresh chain with a wall-clock-only 's' step.
-  message.ctx.origin = message.from;
-  message.ctx.causal_id = tracer_->NextFlowId();
-  obs::TraceEvent event;
-  event.name = PayloadKindName(message.payload.index());
-  event.cat = "flow";
-  event.phase = 's';
-  event.node = message.from >= 0 ? message.from : message.to;
-  event.flow_id = message.ctx.causal_id;
-  event.arg_name = "to";
-  event.arg_value = static_cast<uint64_t>(message.to);
-  tracer_->Emit(event);
 }
 
 void Network::PushInbox(Message message) {
@@ -165,6 +129,12 @@ SendOutcome Network::Send(Message message) {
     // A dead node's frames die on its NIC; nothing leaves, nothing is billed.
     return SendOutcome{SendOutcome::Status::kPeerUnreachable, 0, 0};
   }
+  // A stamped trace context is real header traffic: it travels, and is
+  // charged, exactly when the sender stamped it. Retransmitted frames
+  // re-carry it like any other header byte.
+  message.wire_bytes = PayloadByteSize(message.payload) +
+                       (message.ctx.stamped() ? obs::kTraceContextWireBytes : 0);
+  message.send_wall_ns = WallNs();
   if (injector_ != nullptr) {
     return SendReliable(std::move(message));
   }
@@ -177,21 +147,14 @@ SendOutcome Network::Send(Message message) {
 }
 
 void Network::SendDirect(Message message) {
-  message.wire_bytes = PayloadByteSize(message.payload);
-  if constexpr (obs::kObsCompiledIn) {
-    message.send_wall_ns = WallNs();
-    StampFlow(message);
-  }
   AccountWire(message, message.KindName(), PayloadReadNoticeBytes(message.payload));
   PushInbox(std::move(message));
 }
 
 SendOutcome Network::UnreachableLocked(double penalty_ns, uint32_t attempts) {
   ++fstats_.unreachable;
-  if constexpr (obs::kObsCompiledIn) {
-    if (fault_unreachable_ != nullptr) {
-      fault_unreachable_->Increment();
-    }
+  if (fault_unreachable_ != nullptr) {
+    fault_unreachable_->Increment();
   }
   return SendOutcome{SendOutcome::Status::kPeerUnreachable, penalty_ns, attempts};
 }
@@ -201,11 +164,6 @@ SendOutcome Network::SendReliable(Message message) {
   const NodeId to = message.to;
   CVM_CHECK_GE(from, 0);
   CVM_CHECK_LT(from, num_nodes_);
-  message.wire_bytes = PayloadByteSize(message.payload);
-  if constexpr (obs::kObsCompiledIn) {
-    message.send_wall_ns = WallNs();
-    StampFlow(message);
-  }
   const char* kind = message.KindName();
   const size_t rn_bytes = PayloadReadNoticeBytes(message.payload);
   PairState& pair =
@@ -240,10 +198,8 @@ SendOutcome Network::SendReliable(Message message) {
     if (!decision.deliver) {
       ++fstats_.drops;
       AccountWire(message, kind, rn_bytes);  // It left the sender's NIC.
-      if constexpr (obs::kObsCompiledIn) {
-        if (fault_drops_ != nullptr) {
-          fault_drops_->Increment();
-        }
+      if (fault_drops_ != nullptr) {
+        fault_drops_->Increment();
       }
     } else if (decision.delay_hops > 0) {
       // Held in the network; released (as a stale duplicate) once
@@ -271,25 +227,23 @@ SendOutcome Network::SendReliable(Message message) {
     const double backoff_ns = injector_->BackoffNs(attempt);
     fstats_.backoff_ns += backoff_ns;
     penalty_ns += backoff_ns;
-    if constexpr (obs::kObsCompiledIn) {
-      if (fault_retransmits_ != nullptr) {
-        fault_retransmits_->Increment();
-        fault_backoff_hist_->Observe(static_cast<uint64_t>(backoff_ns));
-      }
-      if (tracer_ != nullptr) {
-        obs::TraceEvent event;
-        event.name = "msg.retransmit";
-        event.cat = "net";
-        event.phase = 'i';
-        event.node = from;
-        event.arg_name = "attempt";
-        event.arg_value = attempt + 1;
-        event.arg2_name = "to";
-        event.arg2_value = static_cast<uint64_t>(to);
-        event.str_arg_name = "kind";
-        event.str_arg_value = kind;
-        tracer_->Emit(event);
-      }
+    if (fault_retransmits_ != nullptr) {
+      fault_retransmits_->Increment();
+      fault_backoff_hist_->Observe(static_cast<uint64_t>(backoff_ns));
+    }
+    if (tracer_ != nullptr) {
+      obs::TraceEvent event;
+      event.name = "msg.retransmit";
+      event.cat = "net";
+      event.phase = 'i';
+      event.node = from;
+      event.arg_name = "attempt";
+      event.arg_value = attempt + 1;
+      event.arg2_name = "to";
+      event.arg2_value = static_cast<uint64_t>(to);
+      event.str_arg_name = "kind";
+      event.str_arg_value = kind;
+      tracer_->Emit(event);
     }
     ++attempt;
     // Let concurrent senders interleave between attempts — this is what
@@ -311,10 +265,8 @@ bool Network::DeliverFrameLocked(PairState& pair, Message frame, uint64_t seq,
     // Checksum failure: the receiver quarantines the frame (never visible to
     // the DSM handlers) and sends no ack, so the sender retransmits.
     ++fstats_.corrupted;
-    if constexpr (obs::kObsCompiledIn) {
-      if (fault_corrupt_ != nullptr) {
-        fault_corrupt_->Increment();
-      }
+    if (fault_corrupt_ != nullptr) {
+      fault_corrupt_->Increment();
     }
     return false;
   }
@@ -322,10 +274,8 @@ bool Network::DeliverFrameLocked(PairState& pair, Message frame, uint64_t seq,
     // Duplicate (retransmit after a lost ack, injected dup, or a late-released
     // held frame): suppress, but re-ack so the sender stops resending.
     ++fstats_.dup_dropped;
-    if constexpr (obs::kObsCompiledIn) {
-      if (fault_dup_drops_ != nullptr) {
-        fault_dup_drops_->Increment();
-      }
+    if (fault_dup_drops_ != nullptr) {
+      fault_dup_drops_->Increment();
     }
   } else if (seq == pair.expected_seq) {
     EnqueueInOrderLocked(pair, std::move(frame));
@@ -363,10 +313,8 @@ void Network::EnqueueInOrderLocked(PairState& pair, Message frame) {
     if (pair.held[i].release_at <= pair.delivery_ticks &&
         pair.held[i].seq < pair.expected_seq) {
       ++fstats_.dup_dropped;
-      if constexpr (obs::kObsCompiledIn) {
-        if (fault_dup_drops_ != nullptr) {
-          fault_dup_drops_->Increment();
-        }
+      if (fault_dup_drops_ != nullptr) {
+        fault_dup_drops_->Increment();
       }
       pair.held.erase(pair.held.begin() + static_cast<int64_t>(i));
     } else {
@@ -376,9 +324,6 @@ void Network::EnqueueInOrderLocked(PairState& pair, Message frame) {
 }
 
 void Network::OnDelivered(const Message& message) {
-  if constexpr (!obs::kObsCompiledIn) {
-    return;
-  }
   // net.msg_latency_ns: host wall time from send to the pop, which happens on
   // the receiving node's own thread when it next polls or waits.
   if (msg_latency_hist_ != nullptr && message.send_wall_ns != 0) {

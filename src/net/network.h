@@ -87,7 +87,8 @@ class Network {
   // traffic starts. A null injector or a disabled plan keeps the clean path.
   void AttachFaultInjector(const fault::FaultInjector* injector);
 
-  // Sends `message` to message.to; fills in wire_bytes and updates stats.
+  // Sends `message` to message.to; fills in wire_bytes (the payload, plus
+  // kTraceContextWireBytes when message.ctx is stamped) and updates stats.
   // See SendOutcome for the ways a send can finish; on the clean path it is
   // always kDelivered with zero penalty (or kClosed after Close()).
   SendOutcome Send(Message message);
@@ -151,11 +152,6 @@ class Network {
   };
 
   void OnDelivered(const Message& message);
-
-  // Flow tracing: charges the TraceContext's wire bytes and, when the sender
-  // did not stamp a context (raw Network users), stamps a fallback one and
-  // emits its 's' step. No-op unless a tracer with flows is attached.
-  void StampFlow(Message& message);
 
   // Clean path: the pre-fault send, byte-for-byte.
   void SendDirect(Message message);

@@ -1,6 +1,6 @@
 // RAII complete-span ('X') helper: captures simulated + wall time at
 // construction, emits one event at destruction. A null tracer makes both
-// ends a single branch; under -DCVM_OBS=OFF the whole class folds away.
+// ends a single branch.
 // Header-only so every layer (protocol engines, lock manager, barrier
 // coordinator, node core) traces with the same idiom.
 #ifndef CVM_OBS_SPAN_H_
@@ -17,9 +17,6 @@ class Span {
   Span(Tracer* tracer, NodeId node, const char* name, const char* cat,
        const NodeTiming& timing, EpochId epoch)
       : tracer_(tracer), timing_(timing) {
-    if constexpr (!kObsCompiledIn) {
-      return;
-    }
     if (tracer_ == nullptr) {
       return;
     }
@@ -41,9 +38,6 @@ class Span {
   }
 
   ~Span() {
-    if constexpr (!kObsCompiledIn) {
-      return;
-    }
     if (tracer_ == nullptr) {
       return;
     }

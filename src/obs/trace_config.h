@@ -1,21 +1,13 @@
-// Configuration for the observability layer (tracing + metrics). The whole
-// layer can be compiled out with -DCVM_OBS=OFF (which defines
-// CVM_OBS_ENABLED=0): every instrumentation site is guarded by
-// `if constexpr (obs::kObsCompiledIn)`, so a disabled build carries no
-// branches, no pointers chased, and no code at the hot sites.
+// Configuration for the observability layer (tracing + metrics). The hooks
+// are always compiled in; each is switched on or off at run time by the
+// fields below. A disabled hook costs one null-pointer check at its site.
 #ifndef CVM_OBS_TRACE_CONFIG_H_
 #define CVM_OBS_TRACE_CONFIG_H_
 
 #include <cstddef>
 #include <cstdint>
 
-#ifndef CVM_OBS_ENABLED
-#define CVM_OBS_ENABLED 1
-#endif
-
 namespace cvm::obs {
-
-inline constexpr bool kObsCompiledIn = CVM_OBS_ENABLED != 0;
 
 struct TraceConfig {
   // Event tracing (Chrome trace-event JSON, viewable in Perfetto).
@@ -39,7 +31,8 @@ struct TraceConfig {
   // as dropped.
   size_t ring_capacity = 1 << 14;
 
-  // Snapshot the metrics registry every N barrier epochs (1 = every epoch).
+  // Snapshot the metrics registry every N barrier epochs (1 = every epoch),
+  // and always at the run's final barrier.
   int metrics_interval = 1;
 
   bool enabled() const { return trace_enabled || metrics_enabled; }

@@ -3,10 +3,9 @@
 // arrows (Perfetto flow events) and offline tools can reconstruct causal
 // chains (lock-grant forwarding, barrier fans, detection rounds).
 //
-// The struct itself is always compiled (it is an inert field of Message);
-// stamping, emission, and wire-byte charging are all gated on
-// obs::kObsCompiledIn and TraceConfig::flow_events, so tracing-off runs stay
-// byte-identical to a build without observability.
+// The struct is an inert field of Message. Node stamps it only when
+// TraceConfig::flow_events is active, and the network charges its wire bytes
+// only when it is stamped, so tracing-off runs carry no extra bytes.
 #ifndef CVM_OBS_TRACE_CONTEXT_H_
 #define CVM_OBS_TRACE_CONTEXT_H_
 
@@ -32,8 +31,8 @@ struct TraceContext {
 };
 
 // Wire cost of the context when it travels: origin (4) + epoch (4) +
-// causal id (8). Charged by the network at send time, and only when flow
-// tracing is active — Figure-4 byte accounting stays honest either way.
+// causal id (8). Charged by the network at send time, and only when the
+// context is stamped — Figure-4 byte accounting stays honest either way.
 inline constexpr size_t kTraceContextWireBytes = 16;
 
 }  // namespace cvm::obs

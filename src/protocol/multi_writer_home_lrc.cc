@@ -127,16 +127,14 @@ void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
 
 void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
   const auto& flush = std::get<DiffFlushMsg>(msg.payload);
-  if constexpr (obs::kObsCompiledIn) {
-    uint64_t words = 0;
-    for (const Diff& diff : flush.diffs) {
-      words += diff.words.size();
-    }
-    if (host_.diff_obs() != nullptr && host_.diff_obs()->words_applied != nullptr) {
-      host_.diff_obs()->words_applied->Add(words);
-    }
-    host_.TraceInstant("diff.apply", "mem", "words", words);
+  uint64_t words = 0;
+  for (const Diff& diff : flush.diffs) {
+    words += diff.words.size();
   }
+  if (host_.diff_obs() != nullptr && host_.diff_obs()->words_applied != nullptr) {
+    host_.diff_obs()->words_applied->Add(words);
+  }
+  host_.TraceInstant("diff.apply", "mem", "words", words);
   for (const Diff& diff : flush.diffs) {
     CVM_CHECK_EQ(HomeOf(diff.page), host_.self());
     MaterializeHome(diff.page);

@@ -34,14 +34,12 @@ DsmService::DsmService(ServiceConfig config)
                  config.max_tenants) {
   CVM_CHECK_GT(config_.workers, 0);
   CVM_CHECK_GT(config_.nodes, 0);
-  if constexpr (obs::kObsCompiledIn) {
-    if (config_.observability) {
-      metrics_ = std::make_unique<obs::MetricsRegistry>();
-      obs::TraceConfig trace;
-      trace.trace_enabled = true;
-      trace.flow_events = false;  // Workload spans form no cross-track chains.
-      tracer_ = std::make_unique<obs::Tracer>(static_cast<int>(config_.max_tenants), trace);
-    }
+  if (config_.observability) {
+    metrics_ = std::make_unique<obs::MetricsRegistry>();
+    obs::TraceConfig trace;
+    trace.trace_enabled = true;
+    trace.flow_events = false;  // Workload spans form no cross-track chains.
+    tracer_ = std::make_unique<obs::Tracer>(static_cast<int>(config_.max_tenants), trace);
   }
 }
 
@@ -185,69 +183,65 @@ WorkloadOutcome DsmService::Serve(int worker_index, WorkloadRequest request) {
 
 void DsmService::RecordRetry(const WorkloadOutcome& outcome) {
   const std::string& tenant = outcome.request.tenant;
-  if constexpr (obs::kObsCompiledIn) {
-    if (metrics_ != nullptr) {
-      metrics_->counter(TenantMetricName(tenant, "retries"))->Increment();
-      metrics_->counter("svc.retries")->Increment();
-    }
-    if (tracer_ != nullptr) {
-      obs::TraceEvent event;
-      event.name = "workload.retry";
-      event.cat = "svc";
-      event.phase = 'i';
-      event.node = TenantTrack(tenant);
-      event.wall_ts_ns = tracer_->WallNowNs();
-      event.arg_name = "attempt";
-      event.arg_value = outcome.request.attempt;
-      event.arg2_name = "crash_node";
-      event.arg2_value =
-          outcome.recovery.crash_node == kNoNode
-              ? 0
-              : static_cast<uint64_t>(outcome.recovery.crash_node);
-      event.str_arg_name = "app";
-      event.str_arg_value = StableAppName(outcome.request.app);
-      tracer_->Emit(event);
-      tracer_->Drain(event.node);
-    }
+  if (metrics_ != nullptr) {
+    metrics_->counter(TenantMetricName(tenant, "retries"))->Increment();
+    metrics_->counter("svc.retries")->Increment();
+  }
+  if (tracer_ != nullptr) {
+    obs::TraceEvent event;
+    event.name = "workload.retry";
+    event.cat = "svc";
+    event.phase = 'i';
+    event.node = TenantTrack(tenant);
+    event.wall_ts_ns = tracer_->WallNowNs();
+    event.arg_name = "attempt";
+    event.arg_value = outcome.request.attempt;
+    event.arg2_name = "crash_node";
+    event.arg2_value =
+        outcome.recovery.crash_node == kNoNode
+            ? 0
+            : static_cast<uint64_t>(outcome.recovery.crash_node);
+    event.str_arg_name = "app";
+    event.str_arg_value = StableAppName(outcome.request.app);
+    tracer_->Emit(event);
+    tracer_->Drain(event.node);
   }
 }
 
 void DsmService::RecordOutcome(const WorkloadOutcome& outcome) {
   const std::string& tenant = outcome.request.tenant;
-  if constexpr (obs::kObsCompiledIn) {
-    if (metrics_ != nullptr) {
-      metrics_->counter(TenantMetricName(tenant, "completed"))->Increment();
-      if (outcome.failed) {
-        metrics_->counter(TenantMetricName(tenant, "failed"))->Increment();
-        metrics_->counter("svc.failed")->Increment();
-      }
-      metrics_->counter(TenantMetricName(tenant, "races"))->Add(outcome.races.size());
-      metrics_->counter(TenantMetricName(tenant, "unhandled"))
-          ->Add(outcome.dispatch_unhandled);
-      metrics_->histogram(TenantMetricName(tenant, "service_us"))
-          ->Observe(static_cast<uint64_t>(outcome.service_s * 1e6));
-      metrics_->histogram(TenantMetricName(tenant, "queue_us"))
-          ->Observe(static_cast<uint64_t>(outcome.queue_s * 1e6));
-      metrics_->counter("svc.completed")->Increment();
-      metrics_->counter("svc.races")->Add(outcome.races.size());
+  if (metrics_ != nullptr) {
+    metrics_->counter(TenantMetricName(tenant, "completed"))->Increment();
+    if (outcome.failed) {
+      metrics_->counter(TenantMetricName(tenant, "failed"))->Increment();
+      metrics_->counter("svc.failed")->Increment();
     }
-    if (tracer_ != nullptr) {
-      obs::TraceEvent event;
-      event.name = "workload";
-      event.cat = "svc";
-      event.phase = 'X';
-      event.node = TenantTrack(tenant);
-      const uint64_t dur_ns = static_cast<uint64_t>(outcome.service_s * 1e9);
-      const uint64_t now_ns = tracer_->WallNowNs();
-      event.wall_ts_ns = now_ns > dur_ns ? now_ns - dur_ns : 0;
-      event.wall_dur_ns = dur_ns;
-      event.arg_name = "races";
-      event.arg_value = outcome.races.size();
-      event.str_arg_name = "app";
-      event.str_arg_value = StableAppName(outcome.request.app);
-      tracer_->Emit(event);
-      tracer_->Drain(event.node);
-    }
+    metrics_->counter(TenantMetricName(tenant, "races"))->Add(outcome.races.size());
+    metrics_->counter(TenantMetricName(tenant, "unhandled"))
+        ->Add(outcome.dispatch_unhandled);
+    metrics_->histogram(TenantMetricName(tenant, "service_us"))
+        ->Observe(static_cast<uint64_t>(outcome.service_s * 1e6));
+    metrics_->histogram(TenantMetricName(tenant, "queue_us"))
+        ->Observe(static_cast<uint64_t>(outcome.queue_s * 1e6));
+    metrics_->counter("svc.completed")->Increment();
+    metrics_->counter("svc.races")->Add(outcome.races.size());
+  }
+  if (tracer_ != nullptr) {
+    obs::TraceEvent event;
+    event.name = "workload";
+    event.cat = "svc";
+    event.phase = 'X';
+    event.node = TenantTrack(tenant);
+    const uint64_t dur_ns = static_cast<uint64_t>(outcome.service_s * 1e9);
+    const uint64_t now_ns = tracer_->WallNowNs();
+    event.wall_ts_ns = now_ns > dur_ns ? now_ns - dur_ns : 0;
+    event.wall_dur_ns = dur_ns;
+    event.arg_name = "races";
+    event.arg_value = outcome.races.size();
+    event.str_arg_name = "app";
+    event.str_arg_value = StableAppName(outcome.request.app);
+    tracer_->Emit(event);
+    tracer_->Drain(event.node);
   }
   std::lock_guard<std::mutex> guard(mu_);
   outcomes_.push_back(outcome);

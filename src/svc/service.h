@@ -55,7 +55,7 @@ struct ServiceConfig {
   double retry_backoff_cap_s = 0.050;
   // Service-level observability: per-tenant counters/latency metrics and one
   // trace track per tenant (workload spans). Independent of any per-run
-  // tracing inside the fabrics; no-ops when built with -DCVM_OBS=OFF.
+  // tracing inside the fabrics.
   bool observability = true;
 };
 
@@ -107,8 +107,8 @@ class DsmService {
   const ServiceConfig& config() const { return config_; }
   const Scheduler& scheduler() const { return scheduler_; }
 
-  // Service-level observability; null when config.observability is false or
-  // the obs layer is compiled out. The tracer has one track per tenant slot.
+  // Service-level observability; null when config.observability is false.
+  // The tracer has one track per tenant slot.
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
   obs::Tracer* tracer() { return tracer_.get(); }
 

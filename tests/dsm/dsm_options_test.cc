@@ -87,24 +87,6 @@ TEST(DsmOptionsTest, DetectionOffStillRunsCoherently) {
   EXPECT_EQ(result.detector.interval_comparisons, 0u);
 }
 
-TEST(DsmOptionsTest, OnlineOffTraceOnFindsNothingOnline) {
-  DsmOptions options = Valid();
-  options.online_detection = false;
-  options.postmortem_trace = true;
-  DsmSystem system(options);
-  auto x = SharedVar<int32_t>::Alloc(system, "x");
-  RunResult result = system.Run([&](NodeContext& ctx) {
-    if (ctx.id() == 0) {
-      x.Set(ctx, 1);
-    } else {
-      (void)x.Get(ctx);
-    }
-  });
-  EXPECT_TRUE(result.races.empty()) << "online checking disabled";
-  const auto analysis = system.trace().Analyze(system.segment().num_pages());
-  EXPECT_FALSE(analysis.races.empty()) << "the trace still has the race";
-}
-
 TEST(DsmOptionsTest, SingleNodeRunsAndFindsNoRaces) {
   DsmOptions options = Valid();
   options.num_nodes = 1;

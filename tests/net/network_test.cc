@@ -186,9 +186,9 @@ TEST(NetworkTest, ObservabilityCountersMirrorStats) {
   EXPECT_EQ(metrics.histogram("net.msg_bytes")->count(), 2u);
   // One delivery consumed -> one latency observation.
   EXPECT_EQ(metrics.histogram("net.msg_latency_ns")->count(), 1u);
-  // Two msg.send instants + two fallback flow 's' steps (raw-network sends
-  // are unstamped, so the fabric starts the chains) + one msg.recv instant.
-  EXPECT_EQ(tracer.Collected().size(), 5u);
+  // Two msg.send instants + one msg.recv instant. Raw-network sends carry
+  // no flow context, so the fabric emits no flow steps.
+  EXPECT_EQ(tracer.Collected().size(), 3u);
 }
 
 TEST(MessageTest, PayloadSizesAreConsistent) {

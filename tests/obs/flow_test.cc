@@ -122,9 +122,6 @@ TEST(FlowTest, DsmRunEmitsCrossNodeChains) {
   // End to end: a run with page, lock, and barrier traffic exports flow
   // chains whose steps land on different node tracks — the sender's 's' and
   // the receiver's 'f' (or 't' for forwarded messages) share the id.
-  if (!obs::kObsCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (CVM_OBS=OFF)";
-  }
   const int kNodes = 4;
   DsmOptions options;
   options.num_nodes = kNodes;
@@ -189,9 +186,6 @@ TEST(FlowTest, FlowWireCostIsDeterministic) {
   // Flow tracing adds the TraceContext to the modeled wire, so it shifts
   // simulated time — but deterministically: two identical runs agree bit
   // for bit, and both exceed the flow-free run (strictly more wire bytes).
-  if (!obs::kObsCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (CVM_OBS=OFF)";
-  }
   double sim_ns[3] = {0, 0, 0};
   uint64_t bytes[3] = {0, 0, 0};
   for (int pass = 0; pass < 3; ++pass) {
@@ -225,9 +219,6 @@ TEST(FlowTest, BarrierReceivesChargeTheFlowContextOnEveryBarrierShape) {
   // critical path, and flow tracing grows each by the context bytes, so
   // turning flows on must add exactly 2 x barriers x per_byte_ns x
   // kTraceContextWireBytes of simulated time — flat or tree alike.
-  if (!obs::kObsCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (CVM_OBS=OFF)";
-  }
   for (const bool tree : {false, true}) {
     double sim_ns[2] = {0, 0};
     uint64_t barriers = 0;
@@ -254,37 +245,37 @@ TEST(FlowTest, BarrierReceivesChargeTheFlowContextOnEveryBarrierShape) {
   }
 }
 
-TEST(FlowTest, RawNetworkSendsGetFallbackChains) {
-  // Messages injected below the Node layer still chain: the fabric stamps a
-  // fallback context at send and the wire grows by the context bytes.
-  if (!obs::kObsCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (CVM_OBS=OFF)";
-  }
-  Network with_flows(2);
-  obs::Tracer tracer(2, FlowConfig());
-  with_flows.AttachObservability(&tracer, nullptr);
-  Message m;
-  m.from = 0;
-  m.to = 1;
-  m.payload = PageRequestMsg{};
-  with_flows.Send(m);
-  const auto delivered = with_flows.Recv(1);
-  ASSERT_TRUE(delivered.has_value());
-  EXPECT_TRUE(delivered->ctx.stamped());
-  EXPECT_EQ(delivered->wire_bytes,
-            PayloadByteSize(delivered->payload) + obs::kTraceContextWireBytes);
+TEST(FlowTest, OnlyAStampedContextIsChargedOnTheWire) {
+  // The fabric stamps nothing itself: a context the sender stamped travels
+  // and costs kTraceContextWireBytes, an unstamped one costs nothing, on the
+  // clean path and on the reliable transport alike.
+  const fault::FaultInjector injector(
+      fault::FaultPlan::FromProfile(fault::FaultProfile::kLossy, 1), 2);
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "clean");
+    Network net(2);
+    if (reliable) {
+      net.AttachFaultInjector(&injector);
+    }
+    Message m;
+    m.from = 0;
+    m.to = 1;
+    m.payload = PageRequestMsg{};
+    net.Send(m);
+    const auto plain = net.Recv(1);
+    ASSERT_TRUE(plain.has_value());
+    EXPECT_FALSE(plain->ctx.stamped());
+    EXPECT_EQ(plain->wire_bytes, PayloadByteSize(plain->payload));
 
-  // With flows disabled the same send stays unstamped and byte-identical.
-  Network plain(2);
-  obs::TraceConfig no_flows = FlowConfig();
-  no_flows.flow_events = false;
-  obs::Tracer plain_tracer(2, no_flows);
-  plain.AttachObservability(&plain_tracer, nullptr);
-  plain.Send(m);
-  const auto plain_delivered = plain.Recv(1);
-  ASSERT_TRUE(plain_delivered.has_value());
-  EXPECT_FALSE(plain_delivered->ctx.stamped());
-  EXPECT_EQ(plain_delivered->wire_bytes, PayloadByteSize(plain_delivered->payload));
+    m.ctx.origin = 0;
+    m.ctx.causal_id = 7;
+    net.Send(m);
+    const auto stamped = net.Recv(1);
+    ASSERT_TRUE(stamped.has_value());
+    EXPECT_EQ(stamped->ctx.causal_id, 7u);
+    EXPECT_EQ(stamped->wire_bytes,
+              PayloadByteSize(stamped->payload) + obs::kTraceContextWireBytes);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,35 @@ void BusyApp(NodeContext& ctx, SharedArray<int32_t>& data, SharedVar<int32_t>& t
   }
   // Racy epoch: every node writes word 0 with no synchronization.
   data.Set(ctx, 0, ctx.id());
+}
+
+// The metrics CSV as named columns of per-epoch values.
+std::map<std::string, std::vector<double>> CsvColumns(const std::string& csv) {
+  std::stringstream stream(csv);
+  std::string line;
+  std::vector<std::string> header;
+  std::getline(stream, line);
+  std::stringstream header_cells(line);
+  for (std::string cell; std::getline(header_cells, cell, ',');) {
+    header.push_back(cell);
+  }
+  std::map<std::string, std::vector<double>> columns;
+  for (const std::string& name : header) {
+    columns[name];
+  }
+  while (std::getline(stream, line)) {
+    std::stringstream cells(line);
+    std::string cell;
+    for (size_t i = 0; i < header.size() && std::getline(cells, cell, ','); ++i) {
+      columns[header[i]].push_back(std::stod(cell));
+    }
+  }
+  return columns;
+}
+
+double ColumnSum(const std::map<std::string, std::vector<double>>& columns,
+                 const std::string& name) {
+  return std::accumulate(columns.at(name).begin(), columns.at(name).end(), 0.0);
 }
 
 TEST(ObsIntegrationTest, TraceCoversAllLayersAndAllNodeTracks) {
@@ -119,7 +150,34 @@ TEST(ObsIntegrationTest, MetricsIntervalThinsSnapshots) {
   auto total = SharedVar<int32_t>::Alloc(system, "total");
   RunResult result =
       system.Run([&](NodeContext& ctx) { BusyApp(ctx, data, total); });
-  EXPECT_EQ(system.metrics()->NumRows(), result.barriers / 2);
+  // Every second epoch, plus the final barrier's, which holds the racy epoch.
+  EXPECT_EQ(system.metrics()->NumRows(), (result.barriers + 1) / 2);
+  const auto columns = CsvColumns(system.metrics()->ToCsv());
+  ASSERT_FALSE(columns.at("epoch").empty());
+  EXPECT_EQ(columns.at("epoch").back(), static_cast<double>(result.barriers - 1));
+  EXPECT_EQ(ColumnSum(columns, "net.messages"), static_cast<double>(result.net.messages));
+}
+
+TEST(ObsIntegrationTest, EveryRowCountsOneBarrierEntryPerNode) {
+  // A node enters barrier e+1 only after barrier e's release, and the master
+  // (or tree root) takes row e before it sends the releases.
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "flat");
+    DsmOptions options = ObsOptions(4, /*trace=*/false, /*metrics=*/true);
+    options.barrier_tree = tree;
+    options.barrier_fanout = 2;
+    DsmSystem system(options);
+    auto data = SharedArray<int32_t>::Alloc(system, "data", 16 * 4);
+    auto total = SharedVar<int32_t>::Alloc(system, "total");
+    RunResult result =
+        system.Run([&](NodeContext& ctx) { BusyApp(ctx, data, total); });
+    const auto columns = CsvColumns(system.metrics()->ToCsv());
+    const std::vector<double>& barriers = columns.at("dsm.barriers");
+    ASSERT_EQ(barriers.size(), result.barriers);
+    for (size_t row = 0; row < barriers.size(); ++row) {
+      EXPECT_EQ(barriers[row], options.num_nodes) << "row " << row;
+    }
+  }
 }
 
 TEST(ObsIntegrationTest, DisabledObservabilityAllocatesNothing) {

@@ -48,13 +48,13 @@ TEST_P(HandlerSetTest, RegistersExactlyTheKindsItOwns) {
   EXPECT_EQ(node.protocol().kind(), GetParam());
 
   // Universal kinds: page replies (every protocol fetches pages), locks,
-  // barriers + detection rounds, shutdown.
+  // barriers + detection rounds, run aborts.
   for (size_t kind : {kPayloadIndexOf<PageReplyMsg>, kPayloadIndexOf<LockRequestMsg>,
                       kPayloadIndexOf<LockGrantMsg>, kPayloadIndexOf<BarrierArriveMsg>,
                       kPayloadIndexOf<BarrierReleaseMsg>,
                       kPayloadIndexOf<BitmapRequestMsg>, kPayloadIndexOf<BitmapReplyMsg>,
                       kPayloadIndexOf<CompareRequestMsg>, kPayloadIndexOf<BitmapShipMsg>,
-                      kPayloadIndexOf<CompareReplyMsg>, kPayloadIndexOf<ShutdownMsg>}) {
+                      kPayloadIndexOf<CompareReplyMsg>, kPayloadIndexOf<RunAbortMsg>}) {
     EXPECT_TRUE(dispatcher.HasHandler(kind)) << PayloadKindName(kind);
   }
 

@@ -65,12 +65,9 @@ TEST(ServiceRetryTest, TransientCrashIsRetriedOnceAndSucceeds) {
   EXPECT_EQ(stats.retried, 1u);
   EXPECT_EQ(service.scheduler().tenant_counts().at("chaos").retried, 1u);
 
-  if constexpr (obs::kObsCompiledIn) {
-    ASSERT_NE(service.metrics(), nullptr);
-    EXPECT_EQ(service.metrics()->counter(TenantMetricName("chaos", "retries"))->value(),
-              1u);
-    EXPECT_EQ(service.metrics()->counter("svc.failed")->value(), 0u);
-  }
+  ASSERT_NE(service.metrics(), nullptr);
+  EXPECT_EQ(service.metrics()->counter(TenantMetricName("chaos", "retries"))->value(), 1u);
+  EXPECT_EQ(service.metrics()->counter("svc.failed")->value(), 0u);
 }
 
 TEST(ServiceRetryTest, PermanentCrashSpendsTheBudgetThenFailsOnlyThatWorkload) {

@@ -132,9 +132,6 @@ TEST(ServiceTest, ServedRunsMatchDedicatedSystem) {
 }
 
 TEST(ServiceTest, PerTenantMetricsAndTraceTracks) {
-  if constexpr (!obs::kObsCompiledIn) {
-    GTEST_SKIP() << "obs layer compiled out";
-  }
   DsmService service(SmallConfig());
   service.Start();
   ASSERT_NE(service.Submit(Req("alpha", "fft", 32)), 0u);

@@ -81,6 +81,7 @@ int Usage() {
       "  --trace-json=FILE    write a Chrome/Perfetto trace-event JSON of the run\n"
       "  --metrics-out=FILE   write per-epoch metrics (CSV, or JSON if FILE ends .json)\n"
       "  --metrics-interval=N snapshot metrics every N barrier epochs (default 1)\n"
+      "                       and at the final barrier\n"
       "  --trace-sample=F     sampling fraction in (0, 1]: keep about F of the\n"
       "                       trace events per node (default 1 = keep all)\n");
   return 2;
@@ -226,12 +227,6 @@ int main(int argc, char** argv) {
     }
     options.trace.sample_period =
         static_cast<uint32_t>(std::max<long long>(1, std::llround(1.0 / fraction)));
-  }
-  if (options.trace.enabled() && !obs::kObsCompiledIn) {
-    std::fprintf(stderr,
-                 "error: this binary was built with -DCVM_OBS=OFF; "
-                 "--trace-json/--metrics-out are unavailable\n");
-    return 1;
   }
 
   // §6.5 write mining reads the multi-writer protocol's diffs, so
