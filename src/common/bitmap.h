@@ -113,6 +113,10 @@ class Bitmap {
   // Wire form: raw 64-bit words (little-endian host order; the simulated
   // network never crosses machines).
   const std::vector<uint64_t>& words() const { return words_; }
+  // The words themselves, for a caller that sets bits in place (the node's
+  // access shim). It must keep to bits below size(). The pointer is stable
+  // until the bitmap is reassigned or destroyed.
+  uint64_t* word_data() { return words_.data(); }
   size_t ByteSize() const { return words_.size() * sizeof(uint64_t); }
 
   // True iff `words` is a valid wire form for a num_bits-bit map: the right

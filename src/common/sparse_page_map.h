@@ -10,6 +10,7 @@
 #define CVM_COMMON_SPARSE_PAGE_MAP_H_
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -68,6 +69,22 @@ class SparsePageMap {
 
   // Number of pages holding a value.
   size_t size() const { return size_; }
+
+  // Calls fn(page, value) for every stored page, in ascending page order.
+  // Visits only allocated chunks and, in each, only the set presence bits.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      if (chunks_[c] == nullptr) {
+        continue;
+      }
+      const Chunk& chunk = *chunks_[c];
+      for (uint64_t present = chunk.present; present != 0; present &= present - 1) {
+        const uint32_t slot = static_cast<uint32_t>(std::countr_zero(present));
+        fn(static_cast<PageId>((c << kChunkShift) | slot), chunk.slots[slot]);
+      }
+    }
+  }
 
   // Forgets every value but keeps the chunk storage for reuse.
   void Clear() {

@@ -624,32 +624,29 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   VectorClock min_vc = node_.vc_;
   const int num_pages = node_.pages_.num_pages();
   Bitmap interest(static_cast<uint32_t>(num_pages));
-  for (PageId page = 0; page < num_pages; ++page) {
-    // Interested in any page this node ever cached: a usable copy or a
-    // retained stale one (data survives invalidation).
-    //
-    // Pages this node is HOME for are always interesting, cached or not:
-    // this bitmap is a snapshot taken at barrier arrival, but a node
-    // blocked in the barrier keeps serving page requests from stragglers,
-    // and the home is where a never-touched page can be lazily
-    // materialized to serve such a fetch. Under single-writer, granting
-    // ownership away retains a stale-able read copy — one the shipped
-    // snapshot does not cover, so without the home clause its
-    // invalidation gets filtered and the next epoch reads stale data.
-    // Every other mid-barrier state change happens on pages the node
-    // already held data for (the node cannot fetch: it is blocked in the
-    // barrier). Homes are 1/n of the address space per node, so the clause
-    // keeps the down-leg sub-quadratic. The mapping mirrors
-    // CoherenceProtocol::HomeOf (page % num_nodes).
-    //
-    // Find() never creates an entry, so the scan leaves the page table
-    // holding only the pages this node touched.
-    const PageEntry* entry = node_.pages_.Find(page);
-    const bool is_home = (page % node_.opts_.num_nodes) == node_.id_;
-    if (is_home ||
-        (entry != nullptr && (entry->state != PageState::kInvalid || !entry->data.empty()))) {
+  // Interested in any page this node ever cached: a usable copy or a
+  // retained stale one (data survives invalidation). Only pages holding a
+  // page-table entry can qualify, so the scan visits just those.
+  node_.pages_.ForEachEntry([&interest](PageId page, const PageEntry& entry) {
+    if (entry.state != PageState::kInvalid || !entry.data.empty()) {
       interest.Set(static_cast<uint32_t>(page));
     }
+  });
+  // Pages this node is HOME for are always interesting, cached or not:
+  // this bitmap is a snapshot taken at barrier arrival, but a node
+  // blocked in the barrier keeps serving page requests from stragglers,
+  // and the home is where a never-touched page can be lazily
+  // materialized to serve such a fetch. Under single-writer, granting
+  // ownership away retains a stale-able read copy — one the shipped
+  // snapshot does not cover, so without the home clause its
+  // invalidation gets filtered and the next epoch reads stale data.
+  // Every other mid-barrier state change happens on pages the node
+  // already held data for (the node cannot fetch: it is blocked in the
+  // barrier). Homes are 1/n of the address space per node, so the clause
+  // keeps the down-leg sub-quadratic. The mapping mirrors
+  // CoherenceProtocol::HomeOf (page % num_nodes).
+  for (PageId page = node_.id_; page < num_pages; page += opts.num_nodes) {
+    interest.Set(static_cast<uint32_t>(page));
   }
   std::vector<TreeFragmentPair> fragments;
   tree_child_state_.clear();

@@ -34,6 +34,7 @@ Node::Node(NodeId id, DsmSystem* system)
     : system_(system),
       net_(system->network()),
       id_(id),
+      inbox_pending_(net_.PendingCount(id)),
       opts_(system->options()),
       page_shift_(static_cast<uint32_t>(std::countr_zero(opts_.page_size))),
       page_mask_(opts_.page_size - 1),
@@ -42,6 +43,7 @@ Node::Node(NodeId id, DsmSystem* system)
       log_(opts_.num_nodes),
       bitmaps_(static_cast<uint32_t>(opts_.page_size / kWordSize)),
       filter_(opts_.page_size, system->segment().size_bytes()),
+      timing_(opts_.costs),
       protocol_(CoherenceProtocol::Make(opts_.protocol, *this)),
       lock_mgr_(*this),
       barrier_(*this) {
@@ -328,12 +330,11 @@ uint64_t Node::AllocPrivateVa(uint64_t bytes) {
 }
 
 uint32_t Node::ReadWordSlow(GlobalAddr addr) {
-  timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
+  timing_.CountAccess(/*instrumented=*/opts_.race_detection);
   const PageId page = static_cast<PageId>(addr >> page_shift_);
   const uint32_t word = WordInPage(addr & page_mask_);
   PageAccessBitmaps* bitmaps = nullptr;
   if (opts_.race_detection) {
-    ChargeInstrumentation();
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/false);
     CVM_CHECK(result.shared);
     bitmaps = &bitmaps_.Record(cur_interval_, page);
@@ -360,14 +361,15 @@ uint32_t Node::ReadWordSlow(GlobalAddr addr) {
 }
 
 void Node::WriteWordSlow(GlobalAddr addr, uint32_t value) {
-  timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
+  // §6.5: under diff-derived write detection, store instructions are not
+  // instrumented at all — writes are mined from diffs at release time.
+  const bool instrumented =
+      opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation;
+  timing_.CountAccess(instrumented);
   const PageId page = static_cast<PageId>(addr >> page_shift_);
   const uint32_t word = WordInPage(addr & page_mask_);
   PageAccessBitmaps* bitmaps = nullptr;
-  // §6.5: under diff-derived write detection, store instructions are not
-  // instrumented at all — writes are mined from diffs at release time.
-  if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {
-    ChargeInstrumentation();
+  if (instrumented) {
     AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/true);
     CVM_CHECK(result.shared);
     bitmaps = &bitmaps_.Record(cur_interval_, page);
@@ -397,15 +399,17 @@ void Node::FillPageCache(PageId page, PageAccessBitmaps* bitmaps) {
     return;
   }
   const bool detect = opts_.race_detection;
+  const bool detect_writes = detect && opts_.write_detection == WriteDetection::kInstrumentation;
+  const bool readable = !detect || (bitmaps != nullptr && cur_reads_.Contains(page));
+  const bool writable =
+      entry.state == PageState::kReadWrite && (!detect_writes || bitmaps != nullptr);
   CachedPage& cached = page_cache_[CacheSlot(page)];
   cached.page = page;
-  cached.generation = cache_generation_;
-  cached.entry = &entry;
-  cached.bitmaps = bitmaps;
-  cached.readable = !detect || (bitmaps != nullptr && cur_reads_.Contains(page));
-  cached.writable = entry.state == PageState::kReadWrite &&
-                    (!detect || opts_.write_detection == WriteDetection::kDiffs ||
-                     bitmaps != nullptr);
+  cached.read_generation = readable ? cache_generation_ : 0;
+  cached.write_generation = writable ? cache_generation_ : 0;
+  cached.data = entry.data.data();
+  cached.read_bits = detect && bitmaps != nullptr ? bitmaps->read.word_data() : nullptr;
+  cached.write_bits = detect_writes && bitmaps != nullptr ? bitmaps->write.word_data() : nullptr;
 }
 
 void Node::ReadFault(PageId page) {

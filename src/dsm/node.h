@@ -30,6 +30,7 @@
 #define CVM_DSM_NODE_H_
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -79,42 +80,47 @@ class Node : public ProtocolHost {
   // Instrumented shared accesses at word granularity. Addresses are offsets
   // into the global shared segment. An access to a page held in the page
   // cache (below) runs inline and does what the slow path does for a repeat
-  // access, in the same order: poll, charges, the analysis routine, one
-  // bitmap bit and the word copy. Anything else takes the slow path.
+  // access: poll, one counted charge (NodeTiming::CountAccess), one analysis
+  // routine count, one bitmap bit and the word copy. Anything else takes the
+  // slow path. The hit path drops two checks the slow path makes, both true
+  // by construction: the page is a segment page (it was cached by a slow
+  // access that checked it), and `word` is below the bitmap's bit count (it
+  // is a page offset over kWordSize, and the bitmaps hold one bit per word
+  // of a page).
   uint32_t ReadWord(GlobalAddr addr) {
     Poll();
     const PageId page = static_cast<PageId>(addr >> page_shift_);
     const CachedPage& cached = page_cache_[CacheSlot(page)];
-    if (cached.page != page || cached.generation != cache_generation_ || !cached.readable) {
+    if (cached.page != page || cached.read_generation != cache_generation_) {
       return ReadWordSlow(addr);
     }
-    timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
     const uint32_t word = WordInPage(addr & page_mask_);
-    if (opts_.race_detection) {
-      ChargeInstrumentation();
-      CVM_CHECK(filter_.OnAccess(SharedVa(addr), /*is_write=*/false).shared);
-      cached.bitmaps->read.Set(word);
+    uint64_t* const bits = cached.read_bits;
+    timing_.CountAccess(/*instrumented=*/bits != nullptr);
+    if (bits != nullptr) {
+      filter_.CountShared(/*is_write=*/false);
+      bits[word >> 6] |= uint64_t{1} << (word & 63);
     }
     uint32_t value;
-    std::memcpy(&value, cached.entry->data.data() + word * kWordSize, kWordSize);
+    std::memcpy(&value, cached.data + word * kWordSize, kWordSize);
     return value;
   }
   void WriteWord(GlobalAddr addr, uint32_t value) {
     Poll();
     const PageId page = static_cast<PageId>(addr >> page_shift_);
     const CachedPage& cached = page_cache_[CacheSlot(page)];
-    if (cached.page != page || cached.generation != cache_generation_ || !cached.writable) {
+    if (cached.page != page || cached.write_generation != cache_generation_) {
       WriteWordSlow(addr, value);
       return;
     }
-    timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
     const uint32_t word = WordInPage(addr & page_mask_);
-    if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {
-      ChargeInstrumentation();
-      CVM_CHECK(filter_.OnAccess(SharedVa(addr), /*is_write=*/true).shared);
-      cached.bitmaps->write.Set(word);
+    uint64_t* const bits = cached.write_bits;
+    timing_.CountAccess(/*instrumented=*/bits != nullptr);
+    if (bits != nullptr) {
+      filter_.CountShared(/*is_write=*/true);
+      bits[word >> 6] |= uint64_t{1} << (word & 63);
     }
-    std::memcpy(cached.entry->data.data() + word * kWordSize, &value, kWordSize);
+    std::memcpy(cached.data + word * kWordSize, &value, kWordSize);
   }
 
   template <typename T>
@@ -143,7 +149,7 @@ class Node : public ProtocolHost {
   // Models `units` of uninstrumented computation (advances simulated time).
   void Compute(uint64_t units) {
     Poll();
-    timing_.Charge(Bucket::kNone, opts_.costs.compute_unit_ns * static_cast<double>(units));
+    timing_.CountCompute(units);
   }
 
   // Called by the DsmSystem node-thread body just before the implicit
@@ -157,9 +163,8 @@ class Node : public ProtocolHost {
   // runtime calls to the analysis routine are for private data).
   void PrivateAccess(uint64_t va, bool is_write) {
     Poll();
-    timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
+    timing_.CountAccess(/*instrumented=*/opts_.race_detection);
     if (opts_.race_detection) {
-      ChargeInstrumentation();
       AccessFilter::Result result = filter_.OnAccess(va, is_write);
       CVM_CHECK(!result.shared) << "private VA resolved as shared";
     }
@@ -177,7 +182,7 @@ class Node : public ProtocolHost {
   // Post-mortem support: dumps every retained bitmap pair into the trace.
   void DumpTraceBitmaps(class PostMortemTrace& trace) const;
 
-  const AccessCounters& access_counters() const { return filter_.counters(); }
+  AccessCounters access_counters() const { return filter_.counters(); }
   const NodeTiming& timing() const { return timing_; }
   uint64_t intervals_created() const { return intervals_created_; }
   uint64_t barriers() const { return barriers_; }
@@ -266,7 +271,7 @@ class Node : public ProtocolHost {
   // Dispatches every frame already queued; one atomic load when the inbox is
   // empty. Called at the top of every API entry.
   void Poll() {
-    if (net_.HasPending(id_)) {
+    if (inbox_pending_.load(std::memory_order_acquire) != 0) {
       Drain();
     }
   }
@@ -306,16 +311,20 @@ class Node : public ProtocolHost {
   void WriteFault(PageId page);
 
   // ---- Page cache ----
-  // One resolved page: its table entry and the current interval's bitmap
-  // pair, plus whether a read or a write may take the inline path. An entry
-  // is live only while its generation equals cache_generation_.
+  // One resolved page: its data and the words of the current interval's
+  // bitmaps. A read (write) may take the inline path only while
+  // read_generation (write_generation) equals cache_generation_; a kind that
+  // may not is filled with 0, which no generation equals. A null bitmap
+  // pointer means that access kind is not instrumented. Every event that can
+  // move page data or bitmap storage (a served frame, a fault, an interval
+  // boundary) bumps the generation first.
   struct CachedPage {
     PageId page = -1;
-    bool readable = false;
-    bool writable = false;
-    uint64_t generation = 0;
-    PageEntry* entry = nullptr;
-    PageAccessBitmaps* bitmaps = nullptr;
+    uint64_t read_generation = 0;
+    uint64_t write_generation = 0;
+    uint8_t* data = nullptr;
+    uint64_t* read_bits = nullptr;
+    uint64_t* write_bits = nullptr;
   };
   static constexpr uint32_t kPageCacheEntries = 64;  // Direct-mapped.
   static uint32_t CacheSlot(PageId page) {
@@ -338,12 +347,6 @@ class Node : public ProtocolHost {
   void BeginInterval();
   void ApplyIntervalRecords(const std::vector<IntervalRecord>& records);
   void GarbageCollect();
-
-  // ---- Cost helpers ----
-  void ChargeInstrumentation() {
-    timing_.Charge(Bucket::kProcCall, opts_.costs.proc_call_ns);
-    timing_.Charge(Bucket::kAccessCheck, opts_.costs.access_check_ns);
-  }
 
   // ---- Observability (no-ops when obs is off) ----
   void InitObservability();
@@ -376,6 +379,8 @@ class Node : public ProtocolHost {
   DsmSystem* const system_;
   Network& net_;
   const NodeId id_;
+  // This node's inbox frame count, polled on every access (Poll).
+  const std::atomic<size_t>& inbox_pending_;
   const DsmOptions& opts_;
   // opts_.page_size is a power of two (DsmSystem checks): addr >> page_shift_
   // is the page, addr & page_mask_ the offset in it.

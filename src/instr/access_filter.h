@@ -10,6 +10,7 @@
 #ifndef CVM_INSTR_ACCESS_FILTER_H_
 #define CVM_INSTR_ACCESS_FILTER_H_
 
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -45,18 +46,12 @@ class AccessFilter {
   // Counters record the call either way (the majority of runtime calls are
   // for private data — §5.1).
   Result OnAccess(uint64_t va, bool is_write) {
-    ++counters_.instrumented_calls;
     Result result;
     if (va < kSharedSegmentBase || va >= shared_limit_) {
-      ++counters_.private_accesses;
+      ++private_accesses_;
       return result;
     }
-    ++counters_.shared_accesses;
-    if (is_write) {
-      ++counters_.shared_writes;
-    } else {
-      ++counters_.shared_reads;
-    }
+    CountShared(is_write);
     const uint64_t offset = va - kSharedSegmentBase;
     result.shared = true;
     result.page = static_cast<PageId>(offset >> page_shift_);
@@ -64,13 +59,27 @@ class AccessFilter {
     return result;
   }
 
-  const AccessCounters& counters() const { return counters_; }
+  // Counts one call that the caller already knows hits the shared segment
+  // (the node's page-cache hit path: a cached page is a segment page).
+  void CountShared(bool is_write) { ++shared_accesses_[is_write ? 1 : 0]; }
+
+  // One counter moves per call; the totals are derived.
+  AccessCounters counters() const {
+    AccessCounters c;
+    c.shared_reads = shared_accesses_[0];
+    c.shared_writes = shared_accesses_[1];
+    c.private_accesses = private_accesses_;
+    c.shared_accesses = c.shared_reads + c.shared_writes;
+    c.instrumented_calls = c.shared_accesses + c.private_accesses;
+    return c;
+  }
 
  private:
   uint32_t page_shift_;
   uint64_t page_mask_;
   uint64_t shared_limit_;
-  AccessCounters counters_;
+  std::array<uint64_t, 2> shared_accesses_ = {};  // [0] reads, [1] writes.
+  uint64_t private_accesses_ = 0;
 };
 
 }  // namespace cvm

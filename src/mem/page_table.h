@@ -65,6 +65,12 @@ class PageTable {
     return entries_.Find(page);
   }
 
+  // Calls fn(page, entry) for every page holding an entry, ascending.
+  template <typename Fn>
+  void ForEachEntry(const Fn& fn) const {
+    entries_.ForEach(fn);
+  }
+
   bool Readable(PageId page) const {
     const PageEntry* e = Find(page);
     return e != nullptr && e->state != PageState::kInvalid;

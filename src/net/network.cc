@@ -17,7 +17,8 @@ uint64_t WallNs() {
 
 }  // namespace
 
-Network::Network(int num_nodes) : num_nodes_(num_nodes) {
+Network::Network(int num_nodes)
+    : num_nodes_(num_nodes), wire_by_sender_(static_cast<size_t>(num_nodes) + 1) {
   CVM_CHECK_GT(num_nodes, 0);
   inboxes_.reserve(num_nodes);
   dead_.reserve(num_nodes);
@@ -74,18 +75,17 @@ void Network::AttachFaultInjector(const fault::FaultInjector* injector) {
   }
 }
 
-void Network::AccountWire(const Message& message, const char* kind,
-                          size_t read_notice_bytes) {
+void Network::AccountWire(const Message& message, size_t read_notice_bytes) {
   {
-    // Totals and per-kind maps move together: one critical section.
+    // Per-kind and per-sender counts move together: one critical section.
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.messages += 1;
-    stats_.bytes += message.wire_bytes;
-    stats_.read_notice_bytes += read_notice_bytes;
-    stats_.messages_by_kind[kind] += 1;
-    stats_.bytes_by_kind[kind] += message.wire_bytes;
-    stats_.messages_by_sender[message.from] += 1;
-    stats_.bytes_by_sender[message.from] += message.wire_bytes;
+    read_notice_bytes_ += read_notice_bytes;
+    WireCount& kind = wire_by_kind_[message.payload.index()];
+    kind.messages += 1;
+    kind.bytes += message.wire_bytes;
+    WireCount& sender = wire_by_sender_[static_cast<size_t>(message.from + 1)];
+    sender.messages += 1;
+    sender.bytes += message.wire_bytes;
   }
 
   if (msgs_total_ != nullptr) {
@@ -104,7 +104,7 @@ void Network::AccountWire(const Message& message, const char* kind,
     event.arg2_name = "to";
     event.arg2_value = static_cast<uint64_t>(message.to);
     event.str_arg_name = "kind";
-    event.str_arg_value = kind;
+    event.str_arg_value = message.KindName();
     tracer_->Emit(event);
   }
 }
@@ -122,6 +122,8 @@ void Network::PushInbox(Message message) {
 SendOutcome Network::Send(Message message) {
   CVM_CHECK_GE(message.to, 0);
   CVM_CHECK_LT(message.to, num_nodes_);
+  CVM_CHECK_GE(message.from, kNoNode);
+  CVM_CHECK_LT(message.from, num_nodes_);
   if (closed_.load(std::memory_order_acquire)) {
     return SendOutcome{SendOutcome::Status::kClosed, 0, 0};
   }
@@ -147,7 +149,7 @@ SendOutcome Network::Send(Message message) {
 }
 
 void Network::SendDirect(Message message) {
-  AccountWire(message, message.KindName(), PayloadReadNoticeBytes(message.payload));
+  AccountWire(message, PayloadReadNoticeBytes(message.payload));
   PushInbox(std::move(message));
 }
 
@@ -164,7 +166,6 @@ SendOutcome Network::SendReliable(Message message) {
   const NodeId to = message.to;
   CVM_CHECK_GE(from, 0);
   CVM_CHECK_LT(from, num_nodes_);
-  const char* kind = message.KindName();
   const size_t rn_bytes = PayloadReadNoticeBytes(message.payload);
   PairState& pair =
       pairs_[static_cast<size_t>(from) * static_cast<size_t>(num_nodes_) +
@@ -197,7 +198,7 @@ SendOutcome Network::SendReliable(Message message) {
     bool acked = false;
     if (!decision.deliver) {
       ++fstats_.drops;
-      AccountWire(message, kind, rn_bytes);  // It left the sender's NIC.
+      AccountWire(message, rn_bytes);  // It left the sender's NIC.
       if (fault_drops_ != nullptr) {
         fault_drops_->Increment();
       }
@@ -206,15 +207,15 @@ SendOutcome Network::SendReliable(Message message) {
       // delay_hops more frames have been delivered on this pair.
       ++fstats_.delayed;
       penalty_ns += injector_->DelayNs(decision.delay_hops);
-      AccountWire(message, kind, rn_bytes);
+      AccountWire(message, rn_bytes);
       pair.held.push_back(
           PairState::Held{message, seq, pair.delivery_ticks + decision.delay_hops});
     } else {
-      AccountWire(message, kind, rn_bytes);
+      AccountWire(message, rn_bytes);
       acked = DeliverFrameLocked(pair, message, seq, decision.corrupt, attempt);
       if (decision.duplicate) {
         ++fstats_.dup_frames;
-        AccountWire(message, kind, rn_bytes);
+        AccountWire(message, rn_bytes);
         acked = DeliverFrameLocked(pair, message, seq, false, attempt) || acked;
       }
     }
@@ -242,7 +243,7 @@ SendOutcome Network::SendReliable(Message message) {
       event.arg2_name = "to";
       event.arg2_value = static_cast<uint64_t>(to);
       event.str_arg_name = "kind";
-      event.str_arg_value = kind;
+      event.str_arg_value = message.KindName();
       tracer_->Emit(event);
     }
     ++attempt;
@@ -401,7 +402,28 @@ void Network::Close() {
 
 NetworkStats Network::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  NetworkStats stats;
+  stats.read_notice_bytes = read_notice_bytes_;
+  for (size_t k = 0; k < kNumPayloadKinds; ++k) {
+    const WireCount& count = wire_by_kind_[k];
+    if (count.messages == 0) {
+      continue;
+    }
+    stats.messages += count.messages;
+    stats.bytes += count.bytes;
+    stats.messages_by_kind[PayloadKindName(k)] += count.messages;
+    stats.bytes_by_kind[PayloadKindName(k)] += count.bytes;
+  }
+  for (size_t slot = 0; slot < wire_by_sender_.size(); ++slot) {
+    const WireCount& count = wire_by_sender_[slot];
+    if (count.messages == 0) {
+      continue;
+    }
+    const NodeId sender = static_cast<NodeId>(slot) - 1;
+    stats.messages_by_sender[sender] = count.messages;
+    stats.bytes_by_sender[sender] = count.bytes;
+  }
+  return stats;
 }
 
 fault::FaultStats Network::fault_stats() const {

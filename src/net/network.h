@@ -14,6 +14,7 @@
 #ifndef CVM_NET_NETWORK_H_
 #define CVM_NET_NETWORK_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,12 +34,13 @@
 
 namespace cvm {
 
-// Aggregate traffic statistics; snapshot with Network::stats(). The totals
-// and the per-kind maps are updated together under one critical section, so
-// any snapshot satisfies messages == sum(messages_by_kind) and
-// bytes == sum(bytes_by_kind). Under fault injection these count every
-// transmission attempt (retransmits and duplicates are real wire traffic);
-// the clean path counts each message exactly once, as before.
+// Aggregate traffic statistics; snapshot with Network::stats(). The network
+// counts per payload kind and per sender under one lock and builds the
+// totals from the per-kind counts, so any snapshot satisfies
+// messages == sum(messages_by_kind) and bytes == sum(bytes_by_kind). Under
+// fault injection these count every transmission attempt (retransmits and
+// duplicates are real wire traffic); the clean path counts each message
+// exactly once, as before.
 struct NetworkStats {
   uint64_t messages = 0;
   uint64_t bytes = 0;
@@ -110,10 +112,11 @@ class Network {
   // Non-blocking receive.
   std::optional<Message> TryRecv(NodeId node);
 
-  // True when `node`'s inbox holds at least one frame. One atomic load: the
-  // node's access path polls it on every instrumented access.
-  bool HasPending(NodeId node) const {
-    return inboxes_[static_cast<size_t>(node)]->pending.load(std::memory_order_acquire) != 0;
+  // The number of frames in `node`'s inbox, readable without the inbox
+  // lock. It lives as long as the network, so the node's access path keeps
+  // a reference and polls it (one atomic load) on every instrumented access.
+  const std::atomic<size_t>& PendingCount(NodeId node) const {
+    return inboxes_[static_cast<size_t>(node)]->pending;
   }
 
   // Wakes all blocked receivers with "closed"; later Sends are dropped.
@@ -128,8 +131,8 @@ class Network {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Message> queue;
-    // queue.size(), written under mu on every push and pop so HasPending
-    // can read it without taking the lock.
+    // queue.size(), written under mu on every push and pop so PendingCount
+    // readers need not take the lock.
     std::atomic<size_t> pending{0};
   };
 
@@ -161,7 +164,7 @@ class Network {
   SendOutcome UnreachableLocked(double penalty_ns, uint32_t attempts);
 
   // Wire accounting + msg.send trace event for one transmission attempt.
-  void AccountWire(const Message& message, const char* kind, size_t read_notice_bytes);
+  void AccountWire(const Message& message, size_t read_notice_bytes);
   // Receiver-side acceptance of one frame (fault_mu_ held): duplicate
   // suppression, reorder buffering, in-order enqueue, held-frame release.
   // Returns true iff the frame was accepted AND its ack survived.
@@ -181,8 +184,17 @@ class Network {
   // (which runs under the inbox lock) never nests another mutex.
   std::atomic<bool> closed_{false};
 
+  // Wire traffic, counted under stats_mu_ into arrays indexed by payload
+  // kind and by sender + 1 (slot 0: no sender); stats() builds the
+  // NetworkStats maps from them.
+  struct WireCount {
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
+  };
   mutable std::mutex stats_mu_;
-  NetworkStats stats_;
+  uint64_t read_notice_bytes_ = 0;
+  std::array<WireCount, kNumPayloadKinds> wire_by_kind_ = {};
+  std::vector<WireCount> wire_by_sender_;
 
   // Reliable transport (null injector = clean path). Lock order:
   // fault_mu_ -> stats_mu_ / inbox.mu; Recv takes only inbox.mu.

@@ -86,46 +86,132 @@ const char* BucketMetricName(Bucket bucket);
 
 // One node's simulated clock plus per-bucket overhead accounting. Not
 // thread-safe: only the owning node's thread touches it.
+//
+// Counted accesses. The inline access path charges by count: CountAccess and
+// CountCompute only bump pending counters, and every reader and every other
+// charge folds those counts in first, so callers see the same clock and
+// buckets as if each access had been charged on its own. That is bit-exact
+// while the clock, the Proc Call and Access Check buckets and the four
+// inline costs (taken once from CostParams) are integral: integer sums below
+// 2^53 never round, so k x cost has the same bits as k separate adds, in
+// any order. Once an accumulator holds a fraction (the 1.6 ns/word bitmap
+// compares, a fractional Lamport jump) counting charges at once, in the
+// order the per-access charges always ran: base, Proc Call, Access Check.
 class NodeTiming {
  public:
-  double now_ns() const { return now_ns_; }
+  NodeTiming() : NodeTiming(CostParams{}) {}
+  // Checks the inline costs are >= 0 once here, so the counted path needs
+  // no per-access check.
+  explicit NodeTiming(const CostParams& costs);
+
+  double now_ns() const { return now_ns_ + PendingClockNs(); }
+
+  // One instrumented (or, with detection off, plain) access: the base access
+  // cost, plus Proc Call and Access Check when `instrumented`.
+  void CountAccess(bool instrumented) {
+    if (counting_) [[likely]] {
+      ++pending_accesses_[instrumented ? 1 : 0];
+      return;
+    }
+    Add(Bucket::kNone, base_access_ns_);
+    if (instrumented) {
+      Add(Bucket::kProcCall, proc_call_ns_);
+      Add(Bucket::kAccessCheck, access_check_ns_);
+    }
+  }
+
+  // `units` of app-declared computation, charged as one add.
+  void CountCompute(uint64_t units) {
+    if (counting_) [[likely]] {
+      pending_compute_units_ += units;
+      return;
+    }
+    Add(Bucket::kNone, compute_unit_ns_ * static_cast<double>(units));
+  }
 
   // Advances the clock, attributing the time to `bucket`.
   void Charge(Bucket bucket, double ns) {
     CVM_CHECK_GE(ns, 0.0);
+    Fold();
+    Add(bucket, ns);
+    UpdateCounting();
+  }
+
+  // Lamport receive rule: the clock cannot be behind an observed event.
+  void ObserveAtLeast(double t_ns) {
+    Fold();
+    if (t_ns > now_ns_) {
+      now_ns_ = t_ns;
+    }
+    UpdateCounting();
+  }
+
+  double overhead_ns(Bucket bucket) const {
+    const int b = static_cast<int>(bucket);
+    return overhead_ns_[b] + PendingOverheadNs(b);
+  }
+  double total_overhead_ns() const {
+    double total = 0;
+    for (int b = 0; b < kNumBuckets; ++b) {
+      total += overhead_ns(static_cast<Bucket>(b));
+    }
+    return total;
+  }
+
+  void AddOverheadFrom(const NodeTiming& other) {
+    Fold();
+    for (int b = 0; b < kNumBuckets; ++b) {
+      overhead_ns_[b] += other.overhead_ns(static_cast<Bucket>(b));
+    }
+    UpdateCounting();
+  }
+
+ private:
+  void Add(Bucket bucket, double ns) {
     now_ns_ += ns;
     if (bucket != Bucket::kNone) {
       overhead_ns_[static_cast<int>(bucket)] += ns;
     }
   }
 
-  // Lamport receive rule: the clock cannot be behind an observed event.
-  void ObserveAtLeast(double t_ns) {
-    if (t_ns > now_ns_) {
-      now_ns_ = t_ns;
+  // What the pending counts add to the clock and to bucket `b`. Zero unless
+  // counting_, and then exact (see the class comment).
+  double PendingClockNs() const {
+    return static_cast<double>(pending_accesses_[0]) * base_access_ns_ +
+           static_cast<double>(pending_accesses_[1]) * instrumented_access_ns_ +
+           static_cast<double>(pending_compute_units_) * compute_unit_ns_;
+  }
+  double PendingOverheadNs(int b) const {
+    if (b == static_cast<int>(Bucket::kProcCall)) {
+      return static_cast<double>(pending_accesses_[1]) * proc_call_ns_;
     }
+    if (b == static_cast<int>(Bucket::kAccessCheck)) {
+      return static_cast<double>(pending_accesses_[1]) * access_check_ns_;
+    }
+    return 0;
   }
 
-  double overhead_ns(Bucket bucket) const {
-    return overhead_ns_[static_cast<int>(bucket)];
-  }
-  double total_overhead_ns() const {
-    double total = 0;
-    for (double v : overhead_ns_) {
-      total += v;
-    }
-    return total;
-  }
+  // Applies the pending counts to the accumulators and zeroes them.
+  void Fold();
+  // Re-derives counting_ from the accumulators after an eager change.
+  void UpdateCounting();
 
-  void AddOverheadFrom(const NodeTiming& other) {
-    for (int i = 0; i < kNumBuckets; ++i) {
-      overhead_ns_[i] += other.overhead_ns_[i];
-    }
-  }
+  // The inline costs, from CostParams.
+  double base_access_ns_;
+  double proc_call_ns_;
+  double access_check_ns_;
+  double compute_unit_ns_;
+  double instrumented_access_ns_;  // base + proc call + access check.
+  bool costs_integral_;
 
- private:
   double now_ns_ = 0;
   std::array<double, kNumBuckets> overhead_ns_ = {};
+
+  // True while the accumulators and the inline costs are integral: counts
+  // go to the pending counters. [0] plain accesses, [1] instrumented ones.
+  bool counting_ = false;
+  std::array<uint64_t, 2> pending_accesses_ = {};
+  uint64_t pending_compute_units_ = 0;
 };
 
 }  // namespace cvm

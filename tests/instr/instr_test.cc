@@ -2,6 +2,7 @@
 // classifier over synthetic binary images (§5.1, Table 2).
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/instr/access_filter.h"
 #include "src/instr/binary_image.h"
 
@@ -28,6 +29,50 @@ TEST(AccessFilterTest, ClassifiesSharedAndPrivate) {
   EXPECT_EQ(c.private_accesses, 2u);
   EXPECT_EQ(c.shared_reads, 1u);
   EXPECT_EQ(c.shared_writes, 0u);
+}
+
+TEST(AccessFilterTest, DerivedCountersMatchDirectCounts) {
+  // The filter keeps one counter per call (shared read, shared write,
+  // private) and derives the totals; they must equal counting every field
+  // directly, the way the analysis routine used to.
+  constexpr uint64_t kPage = 1024;
+  constexpr uint64_t kShared = 16 * kPage;
+  AccessFilter filter(kPage, kShared);
+  AccessCounters direct;
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const bool is_write = rng.Chance(0.4);
+    const uint64_t kind = rng.Below(4);
+    bool shared = false;
+    if (kind == 0) {
+      // Page-cache hit: already known to be shared.
+      filter.CountShared(is_write);
+      shared = true;
+    } else {
+      // A shared, private-heap, below-segment or past-the-end address.
+      const uint64_t va = kind == 1   ? SharedVa(rng.Below(kShared))
+                          : kind == 2 ? kPrivateHeapBase + rng.Below(1 << 20)
+                                      : (rng.Chance(0.5) ? rng.Below(kSharedSegmentBase)
+                                                         : SharedVa(kShared + rng.Below(64)));
+      shared = filter.OnAccess(va, is_write).shared;
+      EXPECT_EQ(shared, kind == 1);
+    }
+    ++direct.instrumented_calls;
+    if (!shared) {
+      ++direct.private_accesses;
+      continue;
+    }
+    ++direct.shared_accesses;
+    ++(is_write ? direct.shared_writes : direct.shared_reads);
+  }
+  const AccessCounters derived = filter.counters();
+  EXPECT_EQ(derived.instrumented_calls, direct.instrumented_calls);
+  EXPECT_EQ(derived.shared_accesses, direct.shared_accesses);
+  EXPECT_EQ(derived.private_accesses, direct.private_accesses);
+  EXPECT_EQ(derived.shared_reads, direct.shared_reads);
+  EXPECT_EQ(derived.shared_writes, direct.shared_writes);
+  EXPECT_GT(direct.shared_writes, 0u);
+  EXPECT_GT(direct.private_accesses, 0u);
 }
 
 TEST(ClassifierTest, EliminationRulesMatchCategories) {

@@ -87,6 +87,22 @@ TEST(PageTableTest, EntriesExistOnlyForTouchedPages) {
   EXPECT_TRUE(pt.Find(7)->data.empty());
 }
 
+TEST(PageTableTest, ForEachEntryVisitsExactlyTheEntriesInOrder) {
+  PageTable pt(8192, 256);
+  // Pages in three chunks, including both ends of a chunk and the last page.
+  const std::vector<PageId> pages = {8191, 64, 0, 63, 4000, 127};
+  for (PageId page : pages) {
+    pt.entry(page);
+  }
+  std::vector<PageId> seen;
+  pt.ForEachEntry([&seen, &pt](PageId page, const PageEntry& entry) {
+    EXPECT_EQ(&entry, pt.Find(page));
+    seen.push_back(page);
+  });
+  EXPECT_EQ(seen, (std::vector<PageId>{0, 63, 64, 127, 4000, 8191}));
+  EXPECT_EQ(pt.num_entries(), pages.size());  // The walk creates nothing.
+}
+
 TEST(PageTableTest, StateMachineAndWordAccess) {
   PageTable pt(4, 256);
   EXPECT_FALSE(pt.Readable(2));

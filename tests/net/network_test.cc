@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "src/net/network.h"
@@ -43,19 +45,19 @@ TEST(NetworkTest, CloseWakesBlockedReceivers) {
   receiver.join();
 }
 
-TEST(NetworkTest, HasPendingTracksTheInbox) {
+TEST(NetworkTest, PendingCountTracksTheInbox) {
   Network net(2);
-  EXPECT_FALSE(net.HasPending(1));
+  EXPECT_EQ(net.PendingCount(1).load(), 0u);
   net.Send(Make(0, 1, PageRequestMsg{}));
   net.Send(Make(0, 1, PageRequestMsg{}));
-  EXPECT_TRUE(net.HasPending(1));
-  EXPECT_FALSE(net.HasPending(0));  // Per inbox.
+  EXPECT_EQ(net.PendingCount(1).load(), 2u);
+  EXPECT_EQ(net.PendingCount(0).load(), 0u);  // Per inbox.
   ASSERT_TRUE(net.TryRecv(1).has_value());
-  EXPECT_TRUE(net.HasPending(1));  // One frame left.
+  EXPECT_EQ(net.PendingCount(1).load(), 1u);
   ASSERT_TRUE(net.Recv(1).has_value());
-  EXPECT_FALSE(net.HasPending(1));
+  EXPECT_EQ(net.PendingCount(1).load(), 0u);
   net.Send(Make(1, 0, PageRequestMsg{}));
-  EXPECT_TRUE(net.HasPending(0));
+  EXPECT_EQ(net.PendingCount(0).load(), 1u);
 }
 
 TEST(NetworkTest, RecvUntilHonoursItsDeadline) {
@@ -71,7 +73,7 @@ TEST(NetworkTest, RecvUntilHonoursItsDeadline) {
   auto msg = net.RecvUntil(1, std::chrono::steady_clock::now() - std::chrono::seconds(1));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 3);
-  EXPECT_FALSE(net.HasPending(1));
+  EXPECT_EQ(net.PendingCount(1).load(), 0u);
 }
 
 TEST(NetworkTest, CloseDrainsQueuedFramesThenEnds) {
@@ -95,7 +97,7 @@ TEST(NetworkTest, CloseDrainsQueuedFramesThenEnds) {
   auto third = net.RecvUntil(1, std::chrono::steady_clock::now() + std::chrono::hours(1));
   ASSERT_TRUE(third.has_value());
   EXPECT_EQ(std::get<PageRequestMsg>(third->payload).page, 2);
-  EXPECT_FALSE(net.HasPending(1));
+  EXPECT_EQ(net.PendingCount(1).load(), 0u);
   EXPECT_FALSE(net.Recv(1).has_value());
   EXPECT_FALSE(net.RecvUntil(1, std::chrono::steady_clock::now() + std::chrono::hours(1))
                    .has_value());
@@ -162,6 +164,21 @@ TEST(NetworkTest, TotalsEqualSumOfPerKindAccounting) {
   EXPECT_EQ(stats.messages_by_kind.at("PageRequest"), 2u);
   EXPECT_EQ(stats.messages_by_kind.at("PageReply"), 1u);
   EXPECT_EQ(stats.messages_by_kind.at("LockRequest"), 1u);
+}
+
+TEST(NetworkTest, PerSenderAccountingKeysByNodeId) {
+  Network net(3);
+  PageRequestMsg req;
+  req.page = 1;
+  net.Send(Make(2, 0, req));
+  net.Send(Make(2, 1, req));
+  net.Send(Make(kNoNode, 1, req));  // A frame with no sender node.
+  const NetworkStats stats = net.stats();
+  const uint64_t bytes = stats.bytes / 3;
+  EXPECT_EQ(stats.messages_by_sender, (std::map<NodeId, uint64_t>{{kNoNode, 1}, {2, 2}}));
+  EXPECT_EQ(stats.bytes_by_sender, (std::map<NodeId, uint64_t>{{kNoNode, bytes}, {2, 2 * bytes}}));
+  // Only kinds that were sent appear.
+  EXPECT_EQ(stats.messages_by_kind, (std::map<std::string, uint64_t>{{"PageRequest", 3}}));
 }
 
 TEST(NetworkTest, ObservabilityCountersMirrorStats) {
