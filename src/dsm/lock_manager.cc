@@ -114,15 +114,15 @@ void LockManager::Acquire(LockId lock) {
   request.lock = lock;
   request.requester = node_.id_;
   request.requester_vc = node_.vc_;
-  node_.ChargeMessage(PayloadByteSize(Payload(request)), 0);
-  node_.Send(ManagerOf(lock), request);
+  node_.ChargeMessage(PayloadByteSize(request), 0);
+  node_.Send(ManagerOf(lock), std::move(request));
   node_.Await([this] { return lock_granted_self_ || lock_grant_.has_value(); });
   waiting_lock_ = -1;
   if (lock_grant_.has_value()) {
     LockGrantMsg grant = std::move(*lock_grant_);
     lock_grant_.reset();
-    const size_t bytes = PayloadByteSize(Payload(grant));
-    const size_t rn_bytes = PayloadReadNoticeBytes(Payload(grant));
+    const size_t bytes = PayloadByteSize(grant);
+    const size_t rn_bytes = PayloadReadNoticeBytes(grant);
     node_.timing_.ObserveAtLeast(static_cast<double>(grant.releaser_time_ns) +
                                  opts.costs.MessageCost(bytes - rn_bytes));
     if (rn_bytes > 0) {

@@ -199,12 +199,23 @@ void Node::Drain() {
   }
 }
 
-void Node::Await(const std::function<bool()>& ready) { AwaitUntil(std::nullopt, ready); }
+void Node::Await(const std::function<bool()>& ready) {
+  // A peer may die with this node's request still unanswered in its inbox,
+  // so a crash-armed wait probes every other node on each tick; a probe to
+  // the dead one surfaces kPeerUnreachable and aborts the run.
+  AwaitWatchful(ready, [this] {
+    for (NodeId n = 0; n < static_cast<NodeId>(opts_.num_nodes) && !aborted_; ++n) {
+      if (n != id_) {
+        Send(n, HeartbeatProbeMsg{epoch_, ++heartbeat_token_});
+      }
+    }
+  });
+}
 
 void Node::AwaitWatchful(const std::function<bool()>& ready,
                          const std::function<void()>& probe) {
   if (!system_->crash_armed()) {
-    Await(ready);
+    AwaitUntil(std::nullopt, ready);
     return;
   }
   // How long a waiter serves its inbox before probing the nodes it waits

@@ -23,9 +23,12 @@
 //     serial/distributed race-detection pipeline.
 //
 // Only the node's own thread touches node state, so none of it is locked.
-// Await/AwaitWatchful are the only blocking points. Message handlers never
-// block, which makes the node graph deadlock-free by construction: a node
-// waiting on a reply keeps answering everyone else's requests.
+// Await/AwaitWatchful are the only blocking points. They wait in
+// Network::Recv, which polls the inbox for a short window (yielding the
+// core) before it parks the thread, so a reply that lands within
+// microseconds costs no sleep and wake. Message handlers never block, which
+// makes the node graph deadlock-free by construction: a node waiting on a
+// reply keeps answering everyone else's requests.
 #ifndef CVM_DSM_NODE_H_
 #define CVM_DSM_NODE_H_
 
@@ -276,11 +279,14 @@ class Node : public ProtocolHost {
     }
   }
   void Drain();
-  // Await for the barrier waits on peers that may have crashed. With a
-  // crash plan armed, a dead peer never answers, so the wait serves the
-  // inbox in short wall-clock ticks and runs `probe` after every tick that
-  // ends unready; a probe that reaches a dead node surfaces kPeerUnreachable
-  // and aborts the run. Without a crash plan it is a plain Await.
+  // A wait on peers that may have crashed. With a crash plan armed, a dead
+  // peer never answers, so the wait serves the inbox in short wall-clock
+  // ticks and runs `probe` after every tick that ends unready; a probe that
+  // reaches a dead node surfaces kPeerUnreachable and aborts the run.
+  // Without a crash plan it is a plain wait. The barrier waits pass probes
+  // aimed at the nodes they wait on; Await (every other wait: page replies,
+  // flush and update acks, lock grants, detection rounds) probes every
+  // other node.
   void AwaitWatchful(const std::function<bool()>& ready, const std::function<void()>& probe);
   // Shared body of Await/AwaitWatchful; no deadline waits for as long as it
   // takes, else false if the deadline passed before ready() held.

@@ -144,6 +144,35 @@ size_t PayloadReadNoticeBytes(const Payload& payload) {
   return std::visit(ReadNoticeVisitor{}, payload);
 }
 
+template <typename Msg>
+  requires kIsAlternativeOf<Msg, Payload>
+size_t PayloadByteSize(const Msg& message) {
+  return kMessageHeaderBytes + SizeVisitor{}(message);
+}
+
+template <typename Msg>
+  requires kIsAlternativeOf<Msg, Payload>
+size_t PayloadReadNoticeBytes(const Msg& message) {
+  return ReadNoticeVisitor{}(message);
+}
+
+#define CVM_PAYLOAD_ALTERNATIVES(X)                                                            \
+  X(PageRequestMsg) X(PageReplyMsg) X(DiffFlushMsg) X(DiffFlushAckMsg) X(LockRequestMsg)       \
+  X(LockGrantMsg) X(BarrierArriveMsg) X(BitmapRequestMsg) X(BitmapReplyMsg)                    \
+  X(CompareRequestMsg) X(BitmapShipMsg) X(CompareReplyMsg) X(BarrierReleaseMsg)                \
+  X(ErcUpdateMsg) X(ErcAckMsg) X(HeartbeatProbeMsg) X(HeartbeatAckMsg) X(PeerSuspectMsg)       \
+  X(RunAbortMsg) X(BarrierTreeArriveMsg) X(BarrierTreeReleaseMsg)
+#define CVM_INSTANTIATE_SIZERS(Msg)                               \
+  template size_t PayloadByteSize<Msg>(const Msg& message);       \
+  template size_t PayloadReadNoticeBytes<Msg>(const Msg& message);
+#define CVM_COUNT_ONE(Msg) +1
+CVM_PAYLOAD_ALTERNATIVES(CVM_INSTANTIATE_SIZERS)
+static_assert(0 CVM_PAYLOAD_ALTERNATIVES(CVM_COUNT_ONE) == kNumPayloadKinds,
+              "instantiate the typed sizers for every Payload alternative");
+#undef CVM_COUNT_ONE
+#undef CVM_INSTANTIATE_SIZERS
+#undef CVM_PAYLOAD_ALTERNATIVES
+
 const char* PayloadKindName(size_t index) {
   return index < kNumPayloadKinds ? kPayloadKindNames[index] : "?";
 }

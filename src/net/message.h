@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -305,6 +306,22 @@ size_t PayloadByteSize(const Payload& payload);
 // Bytes attributable to read notices inside the payload's interval records —
 // the marginal bandwidth the paper's modification adds (Table 3 "Msg Ohead").
 size_t PayloadReadNoticeBytes(const Payload& payload);
+
+template <typename Msg, typename Variant>
+inline constexpr bool kIsAlternativeOf = false;
+template <typename Msg, typename... Alternatives>
+inline constexpr bool kIsAlternativeOf<Msg, std::variant<Alternatives...>> =
+    (std::is_same_v<Msg, Alternatives> || ...);
+
+// Typed forms of the two sizers for one concrete message: the same counts as
+// the Payload overloads, without copying the message into a variant first.
+// Defined in message.cc for every Payload alternative.
+template <typename Msg>
+  requires kIsAlternativeOf<Msg, Payload>
+size_t PayloadByteSize(const Msg& message);
+template <typename Msg>
+  requires kIsAlternativeOf<Msg, Payload>
+size_t PayloadReadNoticeBytes(const Msg& message);
 
 }  // namespace cvm
 

@@ -116,7 +116,8 @@ void Network::PushInbox(Message message) {
     inbox.queue.push_back(std::move(message));
     inbox.pending.store(inbox.queue.size(), std::memory_order_release);
   }
-  inbox.cv.notify_all();
+  // Each inbox has exactly one receiver, its node's thread.
+  inbox.cv.notify_one();
 }
 
 SendOutcome Network::Send(Message message) {
@@ -356,25 +357,40 @@ Message Network::PopLocked(Inbox& inbox, std::unique_lock<std::mutex>& lock) {
   return message;
 }
 
-std::optional<Message> Network::Recv(NodeId node) {
-  CVM_CHECK_GE(node, 0);
-  CVM_CHECK_LT(node, num_nodes_);
-  Inbox& inbox = *inboxes_[node];
-  std::unique_lock<std::mutex> lock(inbox.mu);
-  inbox.cv.wait(lock, [&] { return !inbox.queue.empty() || closed(); });
-  if (inbox.queue.empty()) {
-    return std::nullopt;
-  }
-  return PopLocked(inbox, lock);
-}
+std::optional<Message> Network::Recv(NodeId node) { return RecvWait(node, std::nullopt); }
 
 std::optional<Message> Network::RecvUntil(NodeId node,
                                           std::chrono::steady_clock::time_point deadline) {
+  return RecvWait(node, deadline);
+}
+
+std::optional<Message> Network::RecvWait(
+    NodeId node, std::optional<std::chrono::steady_clock::time_point> deadline) {
   CVM_CHECK_GE(node, 0);
   CVM_CHECK_LT(node, num_nodes_);
   Inbox& inbox = *inboxes_[node];
+  // Poll first: a reply usually lands within a few microseconds, and taking
+  // it here saves the futex sleep and the sender's cross-thread wake. Yield
+  // between checks so that, with more node threads than cores, the poll
+  // hands the core to the runnable peer it is waiting on.
+  auto poll_end = std::chrono::steady_clock::now() + kRecvPollWindow;
+  const bool deadline_in_window = deadline.has_value() && *deadline <= poll_end;
+  if (deadline_in_window) {
+    poll_end = *deadline;
+  }
+  while (inbox.pending.load(std::memory_order_acquire) == 0 && !closed() &&
+         std::chrono::steady_clock::now() < poll_end) {
+    std::this_thread::yield();
+  }
   std::unique_lock<std::mutex> lock(inbox.mu);
-  inbox.cv.wait_until(lock, deadline, [&] { return !inbox.queue.empty() || closed(); });
+  const auto ready = [&] { return !inbox.queue.empty() || closed(); };
+  if (!deadline.has_value()) {
+    inbox.cv.wait(lock, ready);
+  } else if (!deadline_in_window) {
+    inbox.cv.wait_until(lock, *deadline, ready);
+  }
+  // Else the poll ran to the deadline: a timed wait on a passed deadline
+  // would still sleep for the kernel's timer slack (about 50 us).
   if (inbox.queue.empty()) {
     return std::nullopt;
   }

@@ -101,12 +101,21 @@ class Network {
   void MarkNodeDead(NodeId node);
   bool NodeDead(NodeId node) const;
 
-  // Blocking receive for `node`. After Close() it still returns the frames
-  // already queued, then nullopt.
+  // How long a receiver polls its inbox before it parks. Most replies land
+  // within it, so a waiting node takes its next frame without a futex sleep
+  // and wake. The sweep that chose it (20-200 us, and a busy pause spin) is
+  // in docs/PERFORMANCE.md section 4, "Waiting".
+  static constexpr std::chrono::microseconds kRecvPollWindow{50};
+
+  // Blocking receive for `node`. It polls the inbox for kRecvPollWindow,
+  // yielding the core between checks, and only then parks on the inbox's
+  // condition variable. After Close() it still returns the frames already
+  // queued, then nullopt.
   std::optional<Message> Recv(NodeId node);
 
   // Recv that gives up at `deadline` (wall clock): nullopt if nothing was
-  // queued by then, or once the fabric is closed and drained.
+  // queued by then, or once the fabric is closed and drained. A deadline
+  // inside the poll window cuts the poll short.
   std::optional<Message> RecvUntil(NodeId node, std::chrono::steady_clock::time_point deadline);
 
   // Non-blocking receive.
@@ -135,6 +144,10 @@ class Network {
     // readers need not take the lock.
     std::atomic<size_t> pending{0};
   };
+
+  // Shared body of Recv (no deadline) and RecvUntil: poll, then park.
+  std::optional<Message> RecvWait(NodeId node,
+                                  std::optional<std::chrono::steady_clock::time_point> deadline);
 
   // Pops the front frame (inbox.mu held by `lock`, queue non-empty), then
   // drops the lock for the delivery observability.

@@ -61,7 +61,8 @@ bool CoherenceProtocol::FetchPage(PageId page, bool want_write, PageState instal
   // All requests route through the page's home: the multi-writer home owns
   // the data; the single-writer home is the manager that serializes
   // ownership transfers (two hops worst case).
-  host_.Send(HomeOf(page), request);
+  const size_t request_bytes = PayloadByteSize(request);
+  host_.Send(HomeOf(page), std::move(request));
   host_.Await([this] { return page_reply_.has_value(); });
   PageReplyMsg reply = std::move(*page_reply_);
   page_reply_.reset();
@@ -69,9 +70,8 @@ bool CoherenceProtocol::FetchPage(PageId page, bool want_write, PageState instal
   CVM_CHECK_EQ(reply.page, page);
 
   // Round-trip cost: request out, page back.
-  host_.ChargeMessage(PayloadByteSize(Payload(request)), 0);
-  host_.ChargeMessage(PayloadByteSize(Payload(PageReplyMsg{page, {}, false})) + reply.data.size(),
-                      0);
+  host_.ChargeMessage(request_bytes, 0);
+  host_.ChargeMessage(PayloadByteSize(PageReplyMsg{page, {}, false}) + reply.data.size(), 0);
 
   const bool ownership = reply.grants_ownership;
   host_.pages().Install(page, std::move(reply.data), install_state);

@@ -29,8 +29,8 @@ void EagerRcInvalidate::OnIntervalPublished(const IntervalRecord& record) {
     update.record = record;
     update.token = token_next_++;
     tokens_outstanding_.insert(update.token);
-    const size_t bytes = PayloadByteSize(Payload(update));
-    const size_t rn_bytes = PayloadReadNoticeBytes(Payload(update));
+    const size_t bytes = PayloadByteSize(update);
+    const size_t rn_bytes = PayloadReadNoticeBytes(update);
     host_.ChargeMessage(bytes, rn_bytes);
     host_.Send(n, std::move(update));
   }

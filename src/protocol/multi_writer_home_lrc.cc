@@ -92,7 +92,7 @@ void MultiWriterHomeLrc::FlushDiffs() {
     flush.diffs = std::move(diffs);
     flush.token = flush_token_next_++;
     flush_tokens_outstanding_.insert(flush.token);
-    host_.ChargeMessage(PayloadByteSize(Payload(flush)), 0);
+    host_.ChargeMessage(PayloadByteSize(flush), 0);
     host_.Send(home, std::move(flush));
   }
   if (any_flush) {

@@ -4,8 +4,13 @@
 // barrier cut and the race report truncated to the fully-checked prefix.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/sor.h"
@@ -148,6 +153,49 @@ TEST(DsmRecoveryTest, LockHeavyAppSurvivesACrashWithoutHanging) {
   const Outcome outcome = RunApp<TspApp>(params, plan, 4);
   ASSERT_TRUE(outcome.recovery.crashed);
   EXPECT_EQ(outcome.recovery.crash_epoch, 1);
+}
+
+// A peer that fail-stops with this node's request still queued in its inbox
+// never answers it. In a crash-armed run every plain wait (here FetchPage's
+// page-reply wait) probes its peers the way the barrier waits do, so the dead
+// peer surfaces as kPeerUnreachable and the run aborts instead of hanging.
+// The window (a request landing between the victim's last poll and its
+// crash point) is forced: node 1 waits, without polling, until node 0's page
+// request is in its inbox, then fail-stops the way MaybeCrashAtBarrier does.
+TEST(DsmRecoveryTest, PlainWaitOnAPeerThatDiesWithTheRequestQueuedAborts) {
+  DsmOptions options;
+  options.num_nodes = 2;
+  options.fault_plan = fault::FaultPlan::FromProfile(fault::FaultProfile::kCrash, 1);
+  options.fault_plan.crash_node = 1;
+  options.fault_plan.crash_epoch = 0;
+  DsmSystem system(options);
+  const GlobalAddr base = system.Alloc("cells", 2 * options.page_size);
+  // A word on the page whose home, and so whose manager, is node 1.
+  const GlobalAddr on_node1 =
+      (base / options.page_size) % 2 == 1 ? base : base + options.page_size;
+  Network& net = system.network();
+  auto run = std::async(std::launch::async, [&] {
+    return system.Run([&](NodeContext& ctx) {
+      if (ctx.id() == 0) {
+        ctx.Read<uint32_t>(on_node1);
+        return;
+      }
+      while (net.PendingCount(1).load() == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      net.MarkNodeDead(1);
+      throw RunAbortError{1, 0, /*self_crash=*/true};
+    });
+  });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "node 0 still waits on the dead node's page reply\n");
+    std::_Exit(1);  // The run's threads cannot be joined.
+  }
+  const RunResult result = run.get();
+  EXPECT_TRUE(result.recovery.crashed);
+  EXPECT_EQ(result.recovery.crash_node, 1);
+  EXPECT_EQ(result.recovery.rollbacks, 2u);
+  EXPECT_GE(result.fault.unreachable, 1u);
 }
 
 TEST(DsmRecoveryTest, CrashRecoveryWorksUnderEveryDetectionPipeline) {

@@ -1,9 +1,14 @@
 // Tests for the simulated network fabric and byte-accurate accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 #include <thread>
 
 #include "src/net/network.h"
@@ -73,6 +78,88 @@ TEST(NetworkTest, RecvUntilHonoursItsDeadline) {
   auto msg = net.RecvUntil(1, std::chrono::steady_clock::now() - std::chrono::seconds(1));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 3);
+  EXPECT_EQ(net.PendingCount(1).load(), 0u);
+}
+
+// The poll-then-park receive (Network::kRecvPollWindow): a frame must be
+// taken whether it lands while the receiver polls or after it has parked.
+TEST(NetworkTest, FramePushedDuringThePollWindowIsReceived) {
+  Network net(2);
+  std::thread sender([&] {
+    std::this_thread::sleep_for(Network::kRecvPollWindow / 5);
+    PageRequestMsg req;
+    req.page = 7;
+    net.Send(Make(0, 1, req));
+  });
+  auto msg = net.Recv(1);
+  sender.join();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 7);
+}
+
+TEST(NetworkTest, FramePushedWellAfterTheWindowWakesTheParkedReceiver) {
+  Network net(2);
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    PageRequestMsg req;
+    req.page = 9;
+    net.Send(Make(0, 1, req));
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto msg = net.Recv(1);
+  sender.join();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 9);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(50));
+}
+
+TEST(NetworkTest, CloseDuringThePollWindowEndsTheReceive) {
+  Network net(1);
+  std::atomic<bool> started{false};
+  std::thread receiver([&] {
+    started.store(true);
+    EXPECT_FALSE(net.Recv(0).has_value());
+  });
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+  net.Close();
+  receiver.join();
+}
+
+TEST(NetworkTest, RecvUntilDeadlineInsideThePollWindowCutsThePollShort) {
+  Network net(2);
+  // The best of a few tries, so a descheduled test thread cannot fail it: a
+  // receive that ignored the deadline would poll for the whole window.
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(net.RecvUntil(1, start + Network::kRecvPollWindow / 10).has_value());
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(took, Network::kRecvPollWindow / 10);
+    fastest = std::min(fastest, took);
+  }
+  EXPECT_LT(fastest, Network::kRecvPollWindow);
+}
+
+// Recv's wait predicate is "a frame or Close", so the wake MarkNodeDead
+// sends a parked receiver is a re-check: the receiver must stay parked,
+// invent no frame, and still end on Close.
+TEST(NetworkTest, MarkNodeDeadWakesAParkedReceiverThatKeepsWaiting) {
+  Network net(2);
+  std::atomic<bool> returned{false};
+  std::thread receiver([&] {
+    EXPECT_FALSE(net.Recv(1).has_value());
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Past the poll: parked.
+  net.MarkNodeDead(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  EXPECT_TRUE(net.Send(Make(0, 1, PageRequestMsg{})).unreachable());
+  net.Close();
+  receiver.join();
+  EXPECT_TRUE(returned.load());
   EXPECT_EQ(net.PendingCount(1).load(), 0u);
 }
 
@@ -208,6 +295,23 @@ TEST(NetworkTest, ObservabilityCountersMirrorStats) {
   EXPECT_EQ(tracer.Collected().size(), 3u);
 }
 
+// The typed sizers must count exactly what the Payload sizers count.
+void ExpectTypedSizesMatch(const Payload& payload) {
+  std::visit(
+      [&payload](const auto& message) {
+        EXPECT_EQ(PayloadByteSize(message), PayloadByteSize(payload))
+            << PayloadKindName(payload.index());
+        EXPECT_EQ(PayloadReadNoticeBytes(message), PayloadReadNoticeBytes(payload))
+            << PayloadKindName(payload.index());
+      },
+      payload);
+}
+
+template <size_t... Kinds>
+void ExpectTypedSizesMatchForEmptyMessages(std::index_sequence<Kinds...>) {
+  (ExpectTypedSizesMatch(Payload(std::variant_alternative_t<Kinds, Payload>{})), ...);
+}
+
 TEST(MessageTest, PayloadSizesAreConsistent) {
   // Wire size must grow with content and include the header.
   PageRequestMsg req;
@@ -235,6 +339,38 @@ TEST(MessageTest, PayloadSizesAreConsistent) {
             kMessageHeaderBytes + 8 + sizeof(uint64_t) + sizeof(IntervalId) + sizeof(PageId) +
                 2 * EncodedBitmap::kHeaderBytes);
   EXPECT_STREQ(Make(0, 0, ship).KindName(), "BitmapShip");
+
+  // Every typed size equals the variant size, for every payload kind.
+  ExpectTypedSizesMatchForEmptyMessages(std::make_index_sequence<kNumPayloadKinds>{});
+
+  // Filled messages, so the variable-size parts count too.
+  IntervalRecord record;
+  record.id = IntervalId{1, 4};
+  record.vc = VectorClock(4);
+  record.write_pages = {2, 5};
+  record.read_pages = {3, 7, 11};
+  LockGrantMsg grant;
+  grant.intervals = {record, record};
+  grant.releaser_vc = VectorClock(4);
+  grant.handoff = {LockRequestMsg{3, 2, VectorClock(4)}};
+  BarrierArriveMsg arrive;
+  arrive.intervals = {record};
+  arrive.vc = VectorClock(4);
+  BarrierTreeArriveMsg tree_arrive;
+  tree_arrive.intervals = {record};
+  tree_arrive.interest = {1, 2, 3};
+  DiffFlushMsg flush;
+  flush.diffs = {Diff{2, IntervalId{1, 4}, {DiffWord{}, DiffWord{}}}};
+  PageReplyMsg page_reply;
+  page_reply.data.assign(4096, 0);
+  BarrierReleaseMsg release;
+  release.intervals = {record};
+  const std::vector<Payload> filled = {grant, arrive, tree_arrive, flush,
+                                       page_reply, release, ErcUpdateMsg{record, 1}};
+  for (const Payload& payload : filled) {
+    ExpectTypedSizesMatch(payload);
+  }
+  EXPECT_GT(PayloadReadNoticeBytes(grant), 0u);
 }
 
 TEST(MessageTest, SendToInvalidNodeAborts) {
