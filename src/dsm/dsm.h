@@ -29,11 +29,14 @@
 namespace cvm {
 
 // Outcome of the crash-tolerance machinery for one run (docs/FAULTS.md
-// "Crash faults & recovery"). All-zero unless a node died during the run.
+// "Crash faults & recovery"). All-zero unless a node died during the run or
+// a send exhausted its attempt budget; either aborts the run.
 struct CrashOutcome {
   bool crashed = false;                // A node hit its fail-stop point (or a
                                        // send exhausted its attempt budget).
-  NodeId crash_node = kNoNode;         // The node declared dead.
+  NodeId crash_node = kNoNode;         // The node declared dead (after an
+                                       // exhausted budget, the suspect, which
+                                       // may be alive).
   EpochId crash_epoch = -1;            // Epoch the death was observed in.
   EpochId last_consistent_epoch = -1;  // Last fully race-checked barrier epoch;
                                        // reports are truncated to this prefix.

@@ -28,6 +28,14 @@ struct DispatchFlowScope {
 
 thread_local DispatchFlowScope* t_dispatch_flow = nullptr;
 
+// Sends of one RunAbortMsg to one target before the aborting node gives up
+// on it. The structural faults lose frames over bounded sequence windows (the
+// canonical partition window, 96 sequence numbers, is the longest), so a
+// resend on a fresh sequence number soon lands; the bound only ends the loop
+// on a link that loses every frame, whose far end then finds its own sends
+// exhausted and aborts by itself.
+constexpr int kAbortSends = 256;
+
 }  // namespace
 
 Node::Node(NodeId id, DsmSystem* system)
@@ -645,13 +653,27 @@ void Node::InitiateAbort(NodeId dead, EpochId epoch) {
   abort_epoch_ = epoch;
   TraceInstant("run.abort", "fault", "dead",
                static_cast<uint64_t>(dead >= 0 ? dead : 0));
-  // Wake every survivor; sends to the dead node surface unreachable again
-  // and are swallowed above (aborted_ is already set).
+  // Wake every other node the fabric has not marked dead, the suspect
+  // included: an exhausted send proves a frame lost, not its target dead,
+  // and a live suspect may be waiting on this node. A lost abort would leave
+  // its target waiting forever, so each is resent past the send budget until
+  // it lands (kAbortSends bounds it). Send returns no verdict, so the loop
+  // sends for itself.
   for (NodeId n = 0; n < static_cast<NodeId>(opts_.num_nodes); ++n) {
-    if (n == id_ || n == dead) {
-      continue;
+    for (int sends = 0; n != id_ && sends < kAbortSends && !net_.NodeDead(n); ++sends) {
+      Message msg;
+      msg.from = id_;
+      msg.to = n;
+      msg.payload = RunAbortMsg{epoch, dead};
+      StampFlowContext(msg);
+      const SendOutcome outcome = net_.Send(std::move(msg));
+      if (outcome.penalty_ns > 0) {
+        timing_.Charge(Bucket::kNone, outcome.penalty_ns);
+      }
+      if (!outcome.unreachable()) {
+        break;
+      }
     }
-    Send(n, RunAbortMsg{epoch, dead});
   }
 }
 

@@ -369,7 +369,8 @@ class Node : public ProtocolHost {
   // Send surfaced kPeerUnreachable: suspicion bookkeeping, then initiates
   // the run abort.
   void OnPeerUnreachable(NodeId peer);
-  // First detector: flips aborted_ and broadcasts RunAbortMsg to survivors.
+  // First detector: flips aborted_ and broadcasts RunAbortMsg to every node
+  // not marked dead, resending each (up to kAbortSends) until it lands.
   void InitiateAbort(NodeId dead, EpochId epoch);
   // Captures the per-barrier consistent cut (crash-armed runs only).
   void CaptureCheckpoint();

@@ -52,7 +52,7 @@ struct FaultPlan {
   double delay_prob = 0;    // Frame held and released late (stale duplicate).
   double corrupt_prob = 0;  // Frame fails its checksum; receiver quarantines.
   double ack_drop_prob = 0; // Ack lost; sender retransmits, receiver dedups.
-  uint32_t max_delay_hops = 3;  // Held frames release after 1..max later sends.
+  uint32_t max_delay_hops = 3;  // A held frame costs 1..max delay hops.
 
   // Bursty loss: sequence numbers are grouped into windows of burst_len;
   // a window is "bad" with probability burst_prob, and frames inside a bad
@@ -120,24 +120,24 @@ struct FaultDecision {
   bool deliver = true;      // False: the frame is lost in the network.
   bool duplicate = false;   // Deliver a second copy of the frame.
   bool corrupt = false;     // Deliver, but the checksum fails on receipt.
-  uint32_t delay_hops = 0;  // >0: hold; release after this many later sends.
+  uint32_t delay_hops = 0;  // >0: held; DelayNs(delay_hops) extra latency.
 };
 
 // Aggregate transport/fault counters, snapshotted via Network::fault_stats().
-// With single-threaded senders every field is a pure function of the fault
-// seed and the per-pair message sequences (what the determinism test
-// asserts). Under concurrent senders, reorder_buffered and the held-frame
-// component of dup_dropped additionally depend on how threads interleave.
+// Each send is a closed form over the injector's decisions for its (from,
+// to, seq, attempt), so every field is a pure function of the fault seed and
+// the per-pair message sequences (what the determinism test asserts),
+// however the sending threads of different pairs interleave.
 struct FaultStats {
   uint64_t data_frames = 0;       // Transmission attempts (incl. retransmits).
   uint64_t drops = 0;             // Frames the injector destroyed.
-  uint64_t delayed = 0;           // Frames held for late release.
+  uint64_t delayed = 0;           // Frames held past their retransmission.
   uint64_t dup_frames = 0;        // Injector-created duplicate deliveries.
-  uint64_t dup_dropped = 0;       // Receiver-side duplicate suppressions.
+  uint64_t dup_dropped = 0;       // Receiver-side duplicate suppressions
+                                  // (a held frame's late copy included).
   uint64_t corrupted = 0;         // Frames quarantined on checksum failure.
   uint64_t acks_dropped = 0;      // Lost acks (force retransmit + dedup).
   uint64_t retransmits = 0;       // Timeout-driven resends.
-  uint64_t reorder_buffered = 0;  // Frames parked until their gap filled.
   uint64_t unreachable = 0;       // Sends abandoned: peer dead or attempts exhausted.
   double backoff_ns = 0;          // Simulated time spent in retransmit backoff.
 };

@@ -15,6 +15,13 @@ uint64_t WallNs() {
                                    .count());
 }
 
+// Adds `n` to a metrics counter, if metrics are attached.
+void Bump(obs::Counter* counter, uint64_t n = 1) {
+  if (counter != nullptr) {
+    counter->Add(n);
+  }
+}
+
 }  // namespace
 
 Network::Network(int num_nodes)
@@ -63,8 +70,7 @@ void Network::AttachFaultInjector(const fault::FaultInjector* injector) {
     return;
   }
   injector_ = injector;
-  pairs_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_),
-                PairState{});
+  next_seq_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_), 0);
   if (metrics_ != nullptr) {
     fault_drops_ = metrics_->counter("net.fault.drops");
     fault_retransmits_ = metrics_->counter("net.fault.retransmits");
@@ -156,173 +162,107 @@ void Network::SendDirect(Message message) {
 
 SendOutcome Network::UnreachableLocked(double penalty_ns, uint32_t attempts) {
   ++fstats_.unreachable;
-  if (fault_unreachable_ != nullptr) {
-    fault_unreachable_->Increment();
-  }
+  Bump(fault_unreachable_);
   return SendOutcome{SendOutcome::Status::kPeerUnreachable, penalty_ns, attempts};
 }
 
 SendOutcome Network::SendReliable(Message message) {
   const NodeId from = message.from;
   const NodeId to = message.to;
-  CVM_CHECK_GE(from, 0);
-  CVM_CHECK_LT(from, num_nodes_);
+  CVM_CHECK_GE(from, 0);  // Send checked the upper bound.
   const size_t rn_bytes = PayloadReadNoticeBytes(message.payload);
-  PairState& pair =
-      pairs_[static_cast<size_t>(from) * static_cast<size_t>(num_nodes_) +
-             static_cast<size_t>(to)];
-
   const uint32_t max_attempts = std::max<uint32_t>(1, injector_->plan().max_send_attempts);
-  std::unique_lock<std::mutex> lock(fault_mu_);
-  const uint64_t seq = pair.next_seq++;
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  const uint64_t seq = next_seq_[static_cast<size_t>(from) * static_cast<size_t>(num_nodes_) +
+                                 static_cast<size_t>(to)]++;
+  // Whether the receiver holds a copy of `seq`. The frame is pushed once, on
+  // the way out, whatever the verdict.
+  bool accepted = false;
+  bool acked = false;
   double penalty_ns = 0;
   uint32_t attempt = 0;
-  while (true) {
-    if (closed_.load(std::memory_order_acquire)) {
-      // Shutdown: the frame dies with the fabric.
-      return SendOutcome{SendOutcome::Status::kClosed, penalty_ns, attempt};
-    }
-    if (NodeDead(to) || NodeDead(from)) {
-      // Fail-stopped peer: no ack will ever come. One full retransmission
-      // timeout models the suspicion delay, then the verdict surfaces.
-      penalty_ns += injector_->BackoffNs(~0u);  // Saturates at rto_cap.
-      return UnreachableLocked(penalty_ns, attempt);
-    }
-    if (attempt >= max_attempts) {
-      // Retransmission budget exhausted. Message-level profiles heal far
-      // below this bound, so this is the structural "peer never answers"
-      // signal — surfaced, never a process abort.
-      return UnreachableLocked(penalty_ns, attempt);
-    }
+  while (!acked && !closed() && !NodeDead(to) && !NodeDead(from) && attempt < max_attempts) {
     const fault::FaultDecision decision = injector_->OnSendAttempt(from, to, seq, attempt);
     ++fstats_.data_frames;
-    bool acked = false;
+    AccountWire(message, rn_bytes);  // It left the sender's NIC.
+    uint64_t dups = 0;
     if (!decision.deliver) {
       ++fstats_.drops;
-      AccountWire(message, rn_bytes);  // It left the sender's NIC.
-      if (fault_drops_ != nullptr) {
-        fault_drops_->Increment();
-      }
+      Bump(fault_drops_);
     } else if (decision.delay_hops > 0) {
-      // Held in the network; released (as a stale duplicate) once
-      // delay_hops more frames have been delivered on this pair.
+      // Held in the network, so the sender times out and retransmits. The
+      // held copy is modeled as always slower than the retransmission: it
+      // surfaces after it as a suppressed duplicate, booked here.
       ++fstats_.delayed;
       penalty_ns += injector_->DelayNs(decision.delay_hops);
-      AccountWire(message, rn_bytes);
-      pair.held.push_back(
-          PairState::Held{message, seq, pair.delivery_ticks + decision.delay_hops});
+      dups = 1;
+    } else if (decision.corrupt) {
+      // Checksum failure: the receiver quarantines the frame (never visible
+      // to the DSM handlers) and sends no ack, so the sender retransmits.
+      ++fstats_.corrupted;
+      Bump(fault_corrupt_);
     } else {
-      AccountWire(message, rn_bytes);
-      acked = DeliverFrameLocked(pair, message, seq, decision.corrupt, attempt);
+      uint64_t copies = 1;
       if (decision.duplicate) {
         ++fstats_.dup_frames;
         AccountWire(message, rn_bytes);
-        acked = DeliverFrameLocked(pair, message, seq, false, attempt) || acked;
+        copies = 2;
+      }
+      // The receiver keeps its first copy of `seq` and suppresses every later
+      // one (a retransmit after a lost ack, an injected copy), acking each.
+      dups = accepted ? copies : copies - 1;
+      accepted = true;
+      acked = !injector_->DropAck(from, to, seq, attempt);
+      if (!acked) {
+        fstats_.acks_dropped += copies;
       }
     }
-    if (acked) {
-      break;
-    }
-    // The (simulated) retransmission timeout fires: capped exponential
-    // backoff, charged to the sender's clock by the caller.
-    ++fstats_.retransmits;
-    const double backoff_ns = injector_->BackoffNs(attempt);
-    fstats_.backoff_ns += backoff_ns;
-    penalty_ns += backoff_ns;
-    if (fault_retransmits_ != nullptr) {
-      fault_retransmits_->Increment();
-      fault_backoff_hist_->Observe(static_cast<uint64_t>(backoff_ns));
-    }
-    if (tracer_ != nullptr) {
-      obs::TraceEvent event;
-      event.name = "msg.retransmit";
-      event.cat = "net";
-      event.phase = 'i';
-      event.node = from;
-      event.arg_name = "attempt";
-      event.arg_value = attempt + 1;
-      event.arg2_name = "to";
-      event.arg2_value = static_cast<uint64_t>(to);
-      event.str_arg_name = "kind";
-      event.str_arg_value = message.KindName();
-      tracer_->Emit(event);
+    fstats_.dup_dropped += dups;
+    Bump(fault_dup_drops_, dups);
+    if (!acked) {
+      // The (simulated) retransmission timeout fires: capped exponential
+      // backoff, charged to the sender's clock by the caller.
+      ++fstats_.retransmits;
+      const double backoff_ns = injector_->BackoffNs(attempt);
+      fstats_.backoff_ns += backoff_ns;
+      penalty_ns += backoff_ns;
+      if (fault_retransmits_ != nullptr) {
+        fault_retransmits_->Increment();
+        fault_backoff_hist_->Observe(static_cast<uint64_t>(backoff_ns));
+      }
+      if (tracer_ != nullptr) {
+        obs::TraceEvent event;
+        event.name = "msg.retransmit";
+        event.cat = "net";
+        event.phase = 'i';
+        event.node = from;
+        event.arg_name = "attempt";
+        event.arg_value = attempt + 1;
+        event.arg2_name = "to";
+        event.arg2_value = static_cast<uint64_t>(to);
+        event.str_arg_name = "kind";
+        event.str_arg_value = message.KindName();
+        tracer_->Emit(event);
+      }
     }
     ++attempt;
-    // Let concurrent senders interleave between attempts — this is what
-    // makes later sequence numbers overtake a stuck frame and exercises the
-    // receiver's reorder buffer. Counters stay deterministic: decisions are
-    // keyed by (seq, attempt), never by arrival order.
-    lock.unlock();
-    std::this_thread::yield();
-    lock.lock();
   }
-  return SendOutcome{SendOutcome::Status::kDelivered, penalty_ns, attempt + 1};
-}
-
-bool Network::DeliverFrameLocked(PairState& pair, Message frame, uint64_t seq,
-                                 bool corrupt, uint32_t attempt) {
-  const NodeId from = frame.from;
-  const NodeId to = frame.to;
-  if (corrupt) {
-    // Checksum failure: the receiver quarantines the frame (never visible to
-    // the DSM handlers) and sends no ack, so the sender retransmits.
-    ++fstats_.corrupted;
-    if (fault_corrupt_ != nullptr) {
-      fault_corrupt_->Increment();
-    }
-    return false;
+  if (accepted) {
+    PushInbox(std::move(message));
   }
-  if (seq < pair.expected_seq) {
-    // Duplicate (retransmit after a lost ack, injected dup, or a late-released
-    // held frame): suppress, but re-ack so the sender stops resending.
-    ++fstats_.dup_dropped;
-    if (fault_dup_drops_ != nullptr) {
-      fault_dup_drops_->Increment();
-    }
-  } else if (seq == pair.expected_seq) {
-    EnqueueInOrderLocked(pair, std::move(frame));
-  } else {
-    // Gap: a lower sequence number is still in flight on another thread.
-    // Park the frame; EnqueueInOrderLocked drains it once the gap fills.
-    ++fstats_.reorder_buffered;
-    pair.reorder.emplace(seq, std::move(frame));
+  if (acked || closed()) {
+    // On shutdown a frame not yet accepted dies with the fabric.
+    return SendOutcome{acked ? SendOutcome::Status::kDelivered : SendOutcome::Status::kClosed,
+                       penalty_ns, attempt};
   }
-  const bool ack_lost = injector_->DropAck(from, to, seq, attempt);
-  if (ack_lost) {
-    ++fstats_.acks_dropped;
+  if (NodeDead(to) || NodeDead(from)) {
+    // Fail-stopped peer: no ack will ever come. One full retransmission
+    // timeout (BackoffNs saturates at rto_cap) models the suspicion delay.
+    penalty_ns += injector_->BackoffNs(~0u);
   }
-  return !ack_lost;
-}
-
-void Network::EnqueueInOrderLocked(PairState& pair, Message frame) {
-  PushInbox(std::move(frame));
-  ++pair.expected_seq;
-  ++pair.delivery_ticks;
-  // Drain any parked frames whose gap just filled.
-  for (auto it = pair.reorder.begin();
-       it != pair.reorder.end() && it->first == pair.expected_seq;
-       it = pair.reorder.erase(it)) {
-    PushInbox(std::move(it->second));
-    ++pair.expected_seq;
-    ++pair.delivery_ticks;
-  }
-  // Release held frames that have aged out AND whose sequence number has
-  // been superseded (the sender's retransmitted copy was delivered first —
-  // the delayed original is modeled as always slower than the retransmit).
-  // They surface as suppressed duplicates; their wire bytes were accounted
-  // when they were first transmitted.
-  for (size_t i = 0; i < pair.held.size();) {
-    if (pair.held[i].release_at <= pair.delivery_ticks &&
-        pair.held[i].seq < pair.expected_seq) {
-      ++fstats_.dup_dropped;
-      if (fault_dup_drops_ != nullptr) {
-        fault_dup_drops_->Increment();
-      }
-      pair.held.erase(pair.held.begin() + static_cast<int64_t>(i));
-    } else {
-      ++i;
-    }
-  }
+  // Else the budget is spent: the structural "peer never answers" signal
+  // (message-level profiles heal far below it), surfaced, never an abort.
+  return UnreachableLocked(penalty_ns, attempt);
 }
 
 void Network::OnDelivered(const Message& message) {

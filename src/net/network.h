@@ -6,11 +6,18 @@
 // reliable transport: per-pair sequence numbers, synchronous acks that the
 // injector may destroy, timeout-driven retransmission with capped exponential
 // backoff (timeouts are simulated time, derived from the cost model, so the
-// retransmit schedule is deterministic in the fault seed), receiver-side
-// duplicate suppression, and in-order reassembly. The inboxes therefore see
+// retransmit schedule is deterministic in the fault seed) and receiver-side
+// duplicate suppression. A send is one closed form over the injector's
+// decisions for its (from, to, seq, attempt): it finishes before it returns,
+// and its frame lands in the inbox at most once. The inboxes therefore see
 // exactly-once FIFO delivery per pair even under loss — the guarantee the
 // race-detection protocol assumes. Without an injector the send path is
 // byte-for-byte identical to the clean fabric.
+//
+// Contract: each (sender, receiver) pair has one sending thread at a time —
+// node `from`'s own thread (or one test thread). Per-pair FIFO rests on it:
+// the transport keeps no reorder buffer, so two threads racing on one pair
+// would land their frames in whichever order they finish.
 #ifndef CVM_NET_NETWORK_H_
 #define CVM_NET_NETWORK_H_
 
@@ -153,20 +160,6 @@ class Network {
   // drops the lock for the delivery observability.
   Message PopLocked(Inbox& inbox, std::unique_lock<std::mutex>& lock);
 
-  // Per-(sender, receiver) reliable-transport state, guarded by fault_mu_.
-  struct PairState {
-    uint64_t next_seq = 0;       // Sender: next sequence number to assign.
-    uint64_t expected_seq = 0;   // Receiver: next in-order sequence.
-    uint64_t delivery_ticks = 0; // Frames enqueued on this pair (release clock).
-    std::map<uint64_t, Message> reorder;  // Accepted, waiting for their gap.
-    struct Held {
-      Message msg;
-      uint64_t seq = 0;
-      uint64_t release_at = 0;  // delivery_ticks threshold for late release.
-    };
-    std::vector<Held> held;
-  };
-
   void OnDelivered(const Message& message);
 
   // Clean path: the pre-fault send, byte-for-byte.
@@ -178,12 +171,6 @@ class Network {
 
   // Wire accounting + msg.send trace event for one transmission attempt.
   void AccountWire(const Message& message, size_t read_notice_bytes);
-  // Receiver-side acceptance of one frame (fault_mu_ held): duplicate
-  // suppression, reorder buffering, in-order enqueue, held-frame release.
-  // Returns true iff the frame was accepted AND its ack survived.
-  bool DeliverFrameLocked(PairState& pair, Message frame, uint64_t seq, bool corrupt,
-                          uint32_t attempt);
-  void EnqueueInOrderLocked(PairState& pair, Message frame);
   void PushInbox(Message message);
 
   const int num_nodes_;
@@ -213,7 +200,8 @@ class Network {
   // fault_mu_ -> stats_mu_ / inbox.mu; Recv takes only inbox.mu.
   const fault::FaultInjector* injector_ = nullptr;
   mutable std::mutex fault_mu_;
-  std::vector<PairState> pairs_;  // num_nodes^2, indexed from * n + to.
+  // Next sequence number per (sender, receiver), indexed from * n + to.
+  std::vector<uint64_t> next_seq_;
   fault::FaultStats fstats_;
 
   obs::Tracer* tracer_ = nullptr;

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/apps/sor.h"
@@ -197,6 +198,59 @@ TEST(DsmRecoveryTest, PlainWaitOnAPeerThatDiesWithTheRequestQueuedAborts) {
   EXPECT_EQ(result.recovery.rollbacks, 2u);
   EXPECT_GE(result.fault.unreachable, 1u);
 }
+
+// A send that exhausts a small --fault-max-attempts budget under a message
+// profile must abort the run, although its suspect is alive and the abort's
+// own frames lose their first attempts too: every other live node has to be
+// reached. The first four (profile, budget) cells once hung SOR 64 on 4 nodes
+// in every fault seed tried; the last loses every frame, so the abort's
+// resends must give up.
+struct BudgetCell {
+  fault::FaultProfile profile;
+  uint32_t max_send_attempts;
+  double drop_prob = -1;  // < 0: the profile's own rate.
+};
+
+class ExhaustedBudgetTest
+    : public ::testing::TestWithParam<std::tuple<BudgetCell, uint64_t>> {};
+
+TEST_P(ExhaustedBudgetTest, AbortsTheRunInsteadOfHanging) {
+  const auto& [cell, seed] = GetParam();
+  SorApp::Params params;
+  params.rows = 66;
+  params.cols = 64;
+  params.iters = 4;
+  fault::FaultPlan plan = fault::FaultPlan::FromProfile(cell.profile, seed);
+  plan.max_send_attempts = cell.max_send_attempts;
+  if (cell.drop_prob >= 0) {
+    plan.drop_prob = cell.drop_prob;
+  }
+  auto run = std::async(std::launch::async, [&] { return RunApp<SorApp>(params, plan, 4); });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "%s with budget %u, seed %llu: the run hangs\n",
+                 fault::ProfileName(cell.profile), cell.max_send_attempts,
+                 static_cast<unsigned long long>(seed));
+    std::_Exit(1);  // The run's threads cannot be joined.
+  }
+  EXPECT_TRUE(run.get().recovery.crashed);
+}
+
+std::string CellName(const ::testing::TestParamInfo<ExhaustedBudgetTest::ParamType>& info) {
+  const auto& [cell, seed] = info.param;
+  return std::string(fault::ProfileName(cell.profile)) + "Budget" +
+         std::to_string(cell.max_send_attempts) + (cell.drop_prob >= 0 ? "DropAll" : "") +
+         "Seed" + std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BudgetCells, ExhaustedBudgetTest,
+    ::testing::Combine(::testing::Values(BudgetCell{fault::FaultProfile::kStress, 2},
+                                         BudgetCell{fault::FaultProfile::kPartition, 3},
+                                         BudgetCell{fault::FaultProfile::kLossy, 1},
+                                         BudgetCell{fault::FaultProfile::kBursty, 2},
+                                         BudgetCell{fault::FaultProfile::kLossy, 2, 1.0}),
+                       ::testing::Values(1u, 2u, 3u)),
+    CellName);
 
 TEST(DsmRecoveryTest, CrashRecoveryWorksUnderEveryDetectionPipeline) {
   for (const DetectionPipeline pipeline :

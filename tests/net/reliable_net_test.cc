@@ -100,6 +100,32 @@ TEST(ReliableNetTest, SameSeedReproducesIdenticalFaultCounters) {
   EXPECT_EQ(a.backoff_ns, b.backoff_ns);
 }
 
+// Exact counters for a fixed send sequence per seed. Every field is a pure
+// function of the seed and the per-pair sequences, so any change to how a
+// send walks its attempts shows here.
+TEST(ReliableNetTest, FixedSequenceCountersArePinned) {
+  struct Pinned {
+    uint64_t seed, frames, drops, delayed, dup_frames, dup_dropped, corrupted, acks_dropped,
+        retransmits;
+    double backoff_ns;
+  };
+  for (const Pinned& want : {Pinned{1234, 1163, 110, 25, 19, 62, 10, 18, 163, 23200},
+                             Pinned{1, 1172, 129, 14, 17, 52, 8, 21, 172, 21800},
+                             Pinned{2, 1162, 121, 15, 14, 46, 9, 17, 162, 21400}}) {
+    const fault::FaultStats got = DriveFixedSequence(want.seed);
+    EXPECT_EQ(got.data_frames, want.frames) << "seed " << want.seed;
+    EXPECT_EQ(got.drops, want.drops) << "seed " << want.seed;
+    EXPECT_EQ(got.delayed, want.delayed) << "seed " << want.seed;
+    EXPECT_EQ(got.dup_frames, want.dup_frames) << "seed " << want.seed;
+    EXPECT_EQ(got.dup_dropped, want.dup_dropped) << "seed " << want.seed;
+    EXPECT_EQ(got.corrupted, want.corrupted) << "seed " << want.seed;
+    EXPECT_EQ(got.acks_dropped, want.acks_dropped) << "seed " << want.seed;
+    EXPECT_EQ(got.retransmits, want.retransmits) << "seed " << want.seed;
+    EXPECT_EQ(got.backoff_ns, want.backoff_ns) << "seed " << want.seed;
+    EXPECT_EQ(got.unreachable, 0u) << "seed " << want.seed;
+  }
+}
+
 TEST(ReliableNetTest, DifferentSeedsProduceDifferentSchedules) {
   const fault::FaultStats a = DriveFixedSequence(1);
   const fault::FaultStats b = DriveFixedSequence(2);
@@ -194,7 +220,9 @@ TEST(ReliableNetTest, RetransmissionChargesSimulatedPenalty) {
   EXPECT_EQ(total_penalty, net.fault_stats().backoff_ns);
 }
 
-TEST(ReliableNetTest, ConcurrentSendersKeepPerPairFifo) {
+// Two threads, each the one sender of its own pair into a shared inbox (the
+// transport's contract: one sending thread per pair).
+TEST(ReliableNetTest, ConcurrentSendersOnDistinctPairsKeepPerPairFifo) {
   fault::FaultPlan plan = TestPlan(fault::FaultProfile::kStress, 21);
   plan.drop_prob = 0.1;
   plan.ack_drop_prob = 0.05;
@@ -298,8 +326,36 @@ TEST(ReliableNetTest, DelayedFramesResurfaceAsSuppressedDuplicates) {
   const fault::FaultStats stats = net.fault_stats();
   EXPECT_GT(stats.delayed, 0u);
   // A held frame's sequence number is retransmitted and delivered before the
-  // hold expires, so every release is suppressed as a duplicate.
-  EXPECT_GE(stats.dup_dropped, stats.delayed > 0 ? 1u : 0u);
+  // held copy surfaces, so every held copy is suppressed as a duplicate.
+  EXPECT_EQ(stats.dup_dropped, stats.delayed);
+}
+
+// An abandoned sequence number leaves no gap for later frames to wait on:
+// the next send on the pair lands in the inbox at once.
+TEST(ReliableNetTest, FrameAfterAnExhaustedSendIsDelivered) {
+  fault::FaultPlan plan = TestPlan(fault::FaultProfile::kLossy, 14);
+  plan.drop_prob = 0;
+  plan.dup_prob = 0;
+  plan.delay_prob = 0;
+  plan.ack_drop_prob = 0;
+  plan.partition = true;  // Drops the first attempt of sequence number 0.
+  plan.partition_seq_start = 0;
+  plan.partition_seq_len = 1;
+  plan.partition_attempts = 1;
+  plan.max_send_attempts = 1;
+  const fault::FaultInjector injector(plan, 2);
+  ASSERT_EQ(injector.partition_cut(), 1);
+  Network net(2);
+  net.AttachFaultInjector(&injector);
+
+  EXPECT_TRUE(net.Send(Make(0, 1, Req(0))).unreachable());
+  EXPECT_FALSE(net.TryRecv(1).has_value());
+  EXPECT_TRUE(net.Send(Make(0, 1, Req(1))).delivered());
+  auto msg = net.TryRecv(1);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 1);
+  EXPECT_FALSE(net.TryRecv(1).has_value());
+  EXPECT_EQ(net.fault_stats().unreachable, 1u);
 }
 
 }  // namespace
