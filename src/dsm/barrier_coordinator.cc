@@ -1,7 +1,6 @@
 #include "src/dsm/barrier_coordinator.h"
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -166,7 +165,9 @@ void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
   }
 
   if (node_.opts_.race_detection) {
-    RunRaceDetection(epoch, CurrentEpochRecords(epoch));
+    // This epoch's records only: queued epochs' records stay in the log
+    // until their flush.
+    RunRaceDetection(epoch, node_.log_.OfEpoch(epoch));
     FlushDetection(epoch);
   }
 
@@ -271,18 +272,6 @@ void BarrierCoordinator::RunRaceDetection(EpochId epoch,
   }
   pipeline_stats_.shards_used = std::max<uint64_t>(pipeline_stats_.shards_used, per_shard.size());
   QueueDetection(epoch, std::move(pairs));
-}
-
-std::vector<IntervalRecord> BarrierCoordinator::CurrentEpochRecords(EpochId epoch) const {
-  std::vector<IntervalRecord> all = node_.log_.All();
-  std::vector<IntervalRecord> out;
-  out.reserve(all.size());
-  for (IntervalRecord& r : all) {
-    if (r.epoch == epoch) {
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
 }
 
 void BarrierCoordinator::QueueDetection(EpochId epoch, std::vector<CheckPair> pairs) {
@@ -423,16 +412,16 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
     const CheckPair* pair;
   };
   std::vector<OwnedPair> master_pairs;
-  std::map<NodeId, CompareRequestMsg> requests;
-  std::set<std::tuple<NodeId, NodeId, IntervalId, PageId>> planned;  // (src, dst, interval, page)
+  // Per node: its request (the pairs it owns, the ships it sends) and the
+  // ship messages it should expect.
+  const size_t num_nodes = static_cast<size_t>(opts.num_nodes);
+  std::vector<CompareRequestMsg> requests(num_nodes);
+  std::vector<uint32_t> ship_msgs_to(num_nodes, 0);
+  std::vector<std::tuple<NodeId, NodeId, IntervalId, PageId>> planned;  // (src, dst, interval, page)
   auto plan_ship = [&](NodeId source, NodeId dest, const IntervalId& interval, PageId page) {
-    if (source == dest) {
-      return;  // The owner already holds its own bitmaps.
+    if (source != dest) {  // The owner already holds its own bitmaps.
+      planned.emplace_back(source, dest, interval, page);
     }
-    if (!planned.insert({source, dest, interval, page}).second) {
-      return;  // Another pair already ships this entry there.
-    }
-    requests[source].ships.push_back(ShipDirective{dest, interval, page});
   };
   uint32_t index = 0;
   for (const CheckPair& pair : work.pairs) {
@@ -442,12 +431,8 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
                              ? node_.id_
                              : (index % 2 == 0 ? std::min(na, nb) : std::max(na, nb));
     for (PageId page : pair.pages) {
-      if (pair.a.WritesPage(page) || pair.a.ReadsPage(page)) {
-        plan_ship(na, owner, pair.a.id, page);
-      }
-      if (pair.b.WritesPage(page) || pair.b.ReadsPage(page)) {
-        plan_ship(nb, owner, pair.b.id, page);
-      }
+      plan_ship(na, owner, pair.a.id, page);
+      plan_ship(nb, owner, pair.b.id, page);
     }
     if (owner == node_.id_) {
       master_pairs.push_back(OwnedPair{index, &pair});
@@ -457,15 +442,21 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
       entry.a = pair.a.id;
       entry.b = pair.b.id;
       entry.pages = pair.pages;
-      requests[owner].pairs.push_back(std::move(entry));
+      requests[static_cast<size_t>(owner)].pairs.push_back(std::move(entry));
     }
     ++index;
   }
-  // One BitmapShipMsg travels per distinct (source, dest) edge, so a dest
+  // Pairs that share an entry ship it to a common owner once. One
+  // BitmapShipMsg travels per distinct (source, dest) edge, so a dest
   // expects as many ship messages as it has distinct sources.
-  std::map<NodeId, std::set<NodeId>> ship_sources;
-  for (const auto& [src, dst, interval, page] : planned) {
-    ship_sources[dst].insert(src);
+  std::sort(planned.begin(), planned.end());
+  planned.erase(std::unique(planned.begin(), planned.end()), planned.end());
+  for (size_t i = 0; i < planned.size(); ++i) {
+    const auto& [src, dst, interval, page] = planned[i];
+    requests[static_cast<size_t>(src)].ships.push_back(ShipDirective{dst, interval, page});
+    if (i == 0 || std::get<0>(planned[i - 1]) != src || std::get<1>(planned[i - 1]) != dst) {
+      ++ship_msgs_to[static_cast<size_t>(dst)];
+    }
   }
 
   CVM_CHECK_EQ(compare_replies_pending_, 0);
@@ -474,19 +465,19 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
   collected_bitmaps_.clear();
   master_ship_target_ns_ = 0;
   master_ship_bytes_ = EntryBytes{};
-  {
-    auto it = ship_sources.find(node_.id_);
-    master_ships_pending_ = it == ship_sources.end() ? 0 : static_cast<int>(it->second.size());
-  }
-  compare_replies_pending_ = static_cast<int>(requests.size());
+  master_ships_pending_ = static_cast<int>(ship_msgs_to[static_cast<size_t>(node_.id_)]);
+  compare_replies_pending_ = 0;
   const uint64_t request_time = static_cast<uint64_t>(timing.now_ns());
-  for (auto& [node, request] : requests) {
+  for (size_t node = 0; node < num_nodes; ++node) {
+    CompareRequestMsg& request = requests[node];
+    if (request.pairs.empty() && request.ships.empty()) {
+      continue;  // No part in this round.
+    }
+    ++compare_replies_pending_;
     request.epoch = msg_epoch;
     request.request_time_ns = request_time;
-    auto it = ship_sources.find(node);
-    request.expected_ship_msgs =
-        it == ship_sources.end() ? 0 : static_cast<uint32_t>(it->second.size());
-    node_.Send(node, std::move(request));
+    request.expected_ship_msgs = ship_msgs_to[node];
+    node_.Send(static_cast<NodeId>(node), std::move(request));
   }
 
   // The master's own compares need only the peers' shipped bitmaps; its own
@@ -680,7 +671,9 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   size_t epoch_record_count = 0;
   if (opts.race_detection) {
     const double claim_start_ns = timing.now_ns();
-    const std::vector<IntervalRecord> epoch_records = CurrentEpochRecords(epoch);
+    // This epoch's records only: queued epochs' records stay in the log
+    // until their flush, and the subtrees' records merged in above.
+    const std::vector<IntervalRecord> epoch_records = node_.log_.OfEpoch(epoch);
     epoch_record_count = epoch_records.size();
     uint64_t index_entries = 0;
     obs::Span span(node_.tracer_, node_.id_, "detector.tree.claim", "race", timing, epoch);
@@ -727,13 +720,8 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
         });
         // Claims see pairs, not the whole epoch: the interval counters come
         // from the merged list, exactly as the flat build computes them.
-        std::set<IntervalId> in_overlap;
-        for (const CheckPair& pair : pairs) {
-          in_overlap.insert(pair.a.id);
-          in_overlap.insert(pair.b.id);
-        }
         claim_stats.intervals_total = epoch_record_count;
-        claim_stats.intervals_in_overlap = in_overlap.size();
+        claim_stats.intervals_in_overlap = RaceDetector::MemberIntervals(pairs).size();
         node_.system_->detector().AccumulateBuild(claim_stats);
         if (have_metrics_) {
           mh_.check_pairs->Add(pairs.size());

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -134,9 +135,6 @@ class BarrierCoordinator {
     std::vector<CheckPair> pairs;
     std::vector<std::pair<IntervalId, PageId>> needed;
   };
-  // This epoch's records only — the detection input, since queued epochs'
-  // records stay in the master log until their flush, and the tree merges.
-  std::vector<IntervalRecord> CurrentEpochRecords(EpochId epoch) const;
   // Shared tail of the flat and tree masters' step 3: computes the bitmap
   // entries the pairs need and queues the epoch's work on pending_.
   void QueueDetection(EpochId epoch, std::vector<CheckPair> pairs);
@@ -162,7 +160,14 @@ class BarrierCoordinator {
 
   // ---- Bitmap-round entries (BitmapReply / BitmapShip payloads) ----
   // Word bitmaps gathered for a detection round, keyed by (interval, page).
-  using BitmapMap = std::map<std::pair<IntervalId, PageId>, PageAccessBitmaps>;
+  struct BitmapKeyHash {
+    size_t operator()(const std::pair<IntervalId, PageId>& key) const {
+      return (static_cast<size_t>(key.first.index) << 24) ^
+             (static_cast<size_t>(key.first.node) << 48) ^ static_cast<size_t>(key.second);
+    }
+  };
+  using BitmapMap =
+      std::unordered_map<std::pair<IntervalId, PageId>, PageAccessBitmaps, BitmapKeyHash>;
   // Payload bytes of entries as actually encoded, and at the legacy raw
   // encoding; the difference is what the codec saved on the wire.
   struct EntryBytes {

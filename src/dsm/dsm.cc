@@ -94,6 +94,13 @@ void DsmSystem::NoteCrash(const RunAbortError& err, NodeId node, EpochId checkpo
                           size_t locks_recovered, uint64_t checkpoint_bytes) {
   std::lock_guard<std::mutex> guard(results_mu_);
   crash_outcome_.crashed = true;
+  // Only the node that fail-stopped reports self_crash; it overrides the
+  // suspicion a survivor may have noted first.
+  if (err.self_crash) {
+    crash_outcome_.cause = CrashCause::kFailStop;
+  } else if (crash_outcome_.cause == CrashCause::kNone) {
+    crash_outcome_.cause = CrashCause::kSuspicion;
+  }
   // The crashing node reports its own death authoritatively; survivors only
   // fill the slot in if the self-report has not landed yet.
   if (err.self_crash || crash_outcome_.crash_node == kNoNode) {

@@ -28,12 +28,17 @@
 
 namespace cvm {
 
+// Why a run aborted: a node reached its planned fail-stop point, or a send
+// exhausted its attempt budget and its target was suspected (that node may
+// well be alive; the lost frame alone tears the epoch).
+enum class CrashCause : uint8_t { kNone, kFailStop, kSuspicion };
+
 // Outcome of the crash-tolerance machinery for one run (docs/FAULTS.md
 // "Crash faults & recovery"). All-zero unless a node died during the run or
 // a send exhausted its attempt budget; either aborts the run.
 struct CrashOutcome {
-  bool crashed = false;                // A node hit its fail-stop point (or a
-                                       // send exhausted its attempt budget).
+  bool crashed = false;                // The run aborted, for either cause.
+  CrashCause cause = CrashCause::kNone;
   NodeId crash_node = kNoNode;         // The node declared dead (after an
                                        // exhausted budget, the suspect, which
                                        // may be alive).

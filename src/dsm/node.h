@@ -24,11 +24,10 @@
 //
 // Only the node's own thread touches node state, so none of it is locked.
 // Await/AwaitWatchful are the only blocking points. They wait in
-// Network::Recv, which polls the inbox for a short window (yielding the
-// core) before it parks the thread, so a reply that lands within
-// microseconds costs no sleep and wake. Message handlers never block, which
-// makes the node graph deadlock-free by construction: a node waiting on a
-// reply keeps answering everyone else's requests.
+// Network::Recv, which polls the inbox (yielding the core) and never parks
+// the thread, so a reply costs no sleep and wake. Message handlers never
+// block, which makes the node graph deadlock-free by construction: a node
+// waiting on a reply keeps answering everyone else's requests.
 #ifndef CVM_DSM_NODE_H_
 #define CVM_DSM_NODE_H_
 

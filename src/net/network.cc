@@ -39,11 +39,6 @@ void Network::MarkNodeDead(NodeId node) {
   CVM_CHECK_GE(node, 0);
   CVM_CHECK_LT(node, num_nodes_);
   dead_[static_cast<size_t>(node)]->store(true, std::memory_order_release);
-  // Wake anything blocked in Recv on the dead node so its thread can notice
-  // the condition instead of parking forever.
-  Inbox& inbox = *inboxes_[static_cast<size_t>(node)];
-  std::lock_guard<std::mutex> lock(inbox.mu);
-  inbox.cv.notify_all();
 }
 
 bool Network::NodeDead(NodeId node) const {
@@ -117,13 +112,9 @@ void Network::AccountWire(const Message& message, size_t read_notice_bytes) {
 
 void Network::PushInbox(Message message) {
   Inbox& inbox = *inboxes_[message.to];
-  {
-    std::lock_guard<std::mutex> lock(inbox.mu);
-    inbox.queue.push_back(std::move(message));
-    inbox.pending.store(inbox.queue.size(), std::memory_order_release);
-  }
-  // Each inbox has exactly one receiver, its node's thread.
-  inbox.cv.notify_one();
+  std::lock_guard<std::mutex> lock(inbox.mu);
+  inbox.queue.push_back(std::move(message));
+  inbox.pending.store(inbox.queue.size(), std::memory_order_release);
 }
 
 SendOutcome Network::Send(Message message) {
@@ -309,28 +300,15 @@ std::optional<Message> Network::RecvWait(
   CVM_CHECK_GE(node, 0);
   CVM_CHECK_LT(node, num_nodes_);
   Inbox& inbox = *inboxes_[node];
-  // Poll first: a reply usually lands within a few microseconds, and taking
+  // Poll, never park: a reply usually lands within microseconds, and taking
   // it here saves the futex sleep and the sender's cross-thread wake. Yield
   // between checks so that, with more node threads than cores, the poll
   // hands the core to the runnable peer it is waiting on.
-  auto poll_end = std::chrono::steady_clock::now() + kRecvPollWindow;
-  const bool deadline_in_window = deadline.has_value() && *deadline <= poll_end;
-  if (deadline_in_window) {
-    poll_end = *deadline;
-  }
   while (inbox.pending.load(std::memory_order_acquire) == 0 && !closed() &&
-         std::chrono::steady_clock::now() < poll_end) {
+         (!deadline.has_value() || std::chrono::steady_clock::now() < *deadline)) {
     std::this_thread::yield();
   }
   std::unique_lock<std::mutex> lock(inbox.mu);
-  const auto ready = [&] { return !inbox.queue.empty() || closed(); };
-  if (!deadline.has_value()) {
-    inbox.cv.wait(lock, ready);
-  } else if (!deadline_in_window) {
-    inbox.cv.wait_until(lock, *deadline, ready);
-  }
-  // Else the poll ran to the deadline: a timed wait on a passed deadline
-  // would still sleep for the kernel's timer slack (about 50 us).
   if (inbox.queue.empty()) {
     return std::nullopt;
   }
@@ -350,10 +328,6 @@ std::optional<Message> Network::TryRecv(NodeId node) {
 
 void Network::Close() {
   closed_.store(true, std::memory_order_release);
-  for (auto& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    inbox->cv.notify_all();
-  }
 }
 
 NetworkStats Network::stats() const {

@@ -24,7 +24,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -108,21 +107,15 @@ class Network {
   void MarkNodeDead(NodeId node);
   bool NodeDead(NodeId node) const;
 
-  // How long a receiver polls its inbox before it parks. Most replies land
-  // within it, so a waiting node takes its next frame without a futex sleep
-  // and wake. The sweep that chose it (20-200 us, and a busy pause spin) is
-  // in docs/PERFORMANCE.md section 4, "Waiting".
-  static constexpr std::chrono::microseconds kRecvPollWindow{50};
-
-  // Blocking receive for `node`. It polls the inbox for kRecvPollWindow,
-  // yielding the core between checks, and only then parks on the inbox's
-  // condition variable. After Close() it still returns the frames already
-  // queued, then nullopt.
+  // Blocking receive for `node`. It polls the inbox, yielding the core
+  // between checks, until a frame lands or the fabric closes; it never
+  // parks, so a waiting node takes its next frame without a futex sleep and
+  // wake (docs/PERFORMANCE.md section 4, "Waiting"). After Close() it still
+  // returns the frames already queued, then nullopt.
   std::optional<Message> Recv(NodeId node);
 
   // Recv that gives up at `deadline` (wall clock): nullopt if nothing was
-  // queued by then, or once the fabric is closed and drained. A deadline
-  // inside the poll window cuts the poll short.
+  // queued by then, or once the fabric is closed and drained.
   std::optional<Message> RecvUntil(NodeId node, std::chrono::steady_clock::time_point deadline);
 
   // Non-blocking receive.
@@ -135,7 +128,7 @@ class Network {
     return inboxes_[static_cast<size_t>(node)]->pending;
   }
 
-  // Wakes all blocked receivers with "closed"; later Sends are dropped.
+  // Ends every blocked receive with "closed"; later Sends are dropped.
   void Close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
@@ -145,14 +138,13 @@ class Network {
  private:
   struct Inbox {
     std::mutex mu;
-    std::condition_variable cv;
     std::deque<Message> queue;
     // queue.size(), written under mu on every push and pop so PendingCount
     // readers need not take the lock.
     std::atomic<size_t> pending{0};
   };
 
-  // Shared body of Recv (no deadline) and RecvUntil: poll, then park.
+  // Shared body of Recv (no deadline) and RecvUntil: the yield-poll.
   std::optional<Message> RecvWait(NodeId node,
                                   std::optional<std::chrono::steady_clock::time_point> deadline);
 
@@ -180,8 +172,7 @@ class Network {
   // without a lock; written only by MarkNodeDead.
   std::vector<std::unique_ptr<std::atomic<bool>>> dead_;
 
-  // Closed flag is separate from the stats lock so Recv's wait predicate
-  // (which runs under the inbox lock) never nests another mutex.
+  // Closed flag, read lock-free by every receive's poll.
   std::atomic<bool> closed_{false};
 
   // Wire traffic, counted under stats_mu_ into arrays indexed by payload

@@ -1,19 +1,10 @@
 #include "src/protocol/interval.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/common/check.h"
 
 namespace cvm {
-
-bool IntervalRecord::WritesPage(PageId page) const {
-  return std::find(write_pages.begin(), write_pages.end(), page) != write_pages.end();
-}
-
-bool IntervalRecord::ReadsPage(PageId page) const {
-  return std::find(read_pages.begin(), read_pages.end(), page) != read_pages.end();
-}
 
 std::string IntervalRecord::ToString() const {
   std::ostringstream out;
@@ -105,6 +96,18 @@ std::vector<IntervalRecord> IntervalLog::All() const {
   for (const auto& node_map : by_node_) {
     for (const auto& [index, record] : node_map) {
       out.push_back(record);
+    }
+  }
+  return out;
+}
+
+std::vector<IntervalRecord> IntervalLog::OfEpoch(EpochId epoch) const {
+  std::vector<IntervalRecord> out;
+  for (const auto& node_map : by_node_) {
+    for (const auto& [index, record] : node_map) {
+      if (record.epoch == epoch) {
+        out.push_back(record);
+      }
     }
   }
   return out;

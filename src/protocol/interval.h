@@ -34,9 +34,6 @@ struct IntervalRecord {
   size_t ReadNoticeByteSize() const { return read_pages.size() * sizeof(PageId); }
   size_t ByteSize() const { return BaseByteSize() + ReadNoticeByteSize(); }
 
-  bool WritesPage(PageId page) const;
-  bool ReadsPage(PageId page) const;
-
   std::string ToString() const;
 };
 
@@ -119,6 +116,9 @@ class IntervalLog {
 
   // All records currently in the log.
   std::vector<IntervalRecord> All() const;
+
+  // The records of barrier epoch `epoch`, in All() order.
+  std::vector<IntervalRecord> OfEpoch(EpochId epoch) const;
 
   // Drops every record dominated by the clock: record (p, i) with
   // i <= vc[p]. Used after barrier release, when every node has seen the

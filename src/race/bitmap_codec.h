@@ -7,7 +7,8 @@
 //   kEmpty   no set bits; header only.
 //   kSparse  the set-bit indices as uint16 values (2 bytes per set bit).
 //   kRuns    (start, length) uint16 pairs for maximal runs of set bits
-//            (4 bytes per run; wins on dense contiguous sweeps).
+//            (4 bytes per run, each at most 65535 bits long; wins on dense
+//            contiguous sweeps).
 //   kRaw     the raw 64-bit words (the legacy BitmapReplyMsg payload);
 //            always correct, never larger than the original.
 //
@@ -34,18 +35,19 @@ const char* BitmapEncodingName(BitmapEncoding encoding);
 
 // One encoded bitmap plus enough header to decode it. Wire layout (modeled,
 // not serialized — the fabric is in-process): 1 byte encoding tag, 4 bytes
-// num_bits, then the payload.
+// num_bits, then the payload. The in-process copy is always the raw words
+// (empty for kEmpty); the encoding only sets what the payload costs.
 struct EncodedBitmap {
   BitmapEncoding encoding = BitmapEncoding::kEmpty;
   uint32_t num_bits = 0;
-  std::vector<uint64_t> raw;      // kRaw payload.
-  std::vector<uint16_t> values;   // kSparse: indices; kRuns: (start, len) pairs.
+  std::vector<uint64_t> raw;  // The bitmap's words (none for kEmpty).
+  // Modeled payload: the raw words, 2 bytes per set bit (kSparse) or 4 bytes
+  // per run (kRuns); none for kEmpty.
+  size_t payload_bytes = 0;
 
   static constexpr size_t kHeaderBytes = 1 + sizeof(uint32_t);
 
-  size_t WireBytes() const {
-    return kHeaderBytes + raw.size() * sizeof(uint64_t) + values.size() * sizeof(uint16_t);
-  }
+  size_t WireBytes() const { return kHeaderBytes + payload_bytes; }
 
   // What the same bitmap costs uncompressed (the legacy reply payload), for
   // the bytes-saved accounting.

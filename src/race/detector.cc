@@ -109,7 +109,6 @@ std::vector<CheckPair> RaceDetector::BuildCheckListSharded(
   // shard i % num_shards. Rows run in order on this thread, so the list is
   // the serial scan's.
   std::vector<CheckPair> pairs;
-  std::set<IntervalId> in_overlap;
   for (size_t i = 0; i < epoch_intervals.size(); ++i) {
     DetectorStats* stats = &shard_stats[i % static_cast<size_t>(num_shards)];
     const IntervalRecord& a = epoch_intervals[i];
@@ -127,8 +126,6 @@ std::vector<CheckPair> RaceDetector::BuildCheckListSharded(
         continue;
       }
       ++stats->overlapping_pairs;
-      in_overlap.insert(a.id);
-      in_overlap.insert(b.id);
       // Copy (not move) the overlap so the scratch keeps its capacity for
       // the next pair.
       pairs.push_back(CheckPair{a, b, scratch_.overlap});
@@ -136,7 +133,7 @@ std::vector<CheckPair> RaceDetector::BuildCheckListSharded(
   }
 
   stats_.intervals_total += epoch_intervals.size();
-  stats_.intervals_in_overlap += in_overlap.size();
+  stats_.intervals_in_overlap += MemberIntervals(pairs).size();
   for (const DetectorStats& s : shard_stats) {
     stats_.interval_comparisons += s.interval_comparisons;
     stats_.concurrent_pairs += s.concurrent_pairs;
@@ -177,59 +174,88 @@ void RaceDetector::BuildClaimedPairs(const std::vector<IntervalRecord>& interval
     *index_entries += entries;
   }
 
-  std::vector<std::pair<uint32_t, uint32_t>> candidates;
-  for (const auto& [page, lists] : by_page) {
-    for (uint32_t w : lists.first) {
-      for (uint32_t x : lists.second) {
-        if (w == x) {
-          continue;
+  // Candidates for interval ci are the later intervals cj that access a
+  // page ci writes, or write a page ci reads; listed_by[cj] == ci marks cj
+  // as already listed. Visiting ci in order with its cj sorted emits (i, j)
+  // index order over the IntervalId-sorted input == the serial triangle
+  // scan's (a.id, b.id) emission order.
+  std::vector<size_t> listed_by(intervals.size(), intervals.size());
+  std::vector<uint32_t> partners;
+  for (uint32_t ci = 0; ci < intervals.size(); ++ci) {
+    partners.clear();
+    auto add_partners = [&](const std::vector<uint32_t>& group) {
+      for (uint32_t cj : group) {
+        if (cj > ci && listed_by[cj] != ci) {
+          listed_by[cj] = ci;
+          partners.push_back(cj);
         }
-        candidates.emplace_back(std::min(w, x), std::max(w, x));
       }
+    };
+    for (PageId p : intervals[ci].write_pages) {
+      add_partners(by_page[p].second);
     }
-  }
-  // (i, j) index order over the IntervalId-sorted input == the serial
-  // triangle scan's (a.id, b.id) emission order.
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-
-  for (const auto& [ci, cj] : candidates) {
-    const IntervalRecord& a = intervals[ci];
-    const IntervalRecord& b = intervals[cj];
-    if (a.id.node == b.id.node) {
-      continue;  // Program order; never concurrent.
+    for (PageId p : intervals[ci].read_pages) {
+      add_partners(by_page[p].first);
     }
-    if (!claim(a.id.node, b.id.node)) {
-      continue;  // Another tree node owns this pair.
+    std::sort(partners.begin(), partners.end());
+    for (uint32_t cj : partners) {
+      const IntervalRecord& a = intervals[ci];
+      const IntervalRecord& b = intervals[cj];
+      if (a.id.node == b.id.node) {
+        continue;  // Program order; never concurrent.
+      }
+      if (!claim(a.id.node, b.id.node)) {
+        continue;  // Another tree node owns this pair.
+      }
+      ++stats->interval_comparisons;
+      if (!IntervalsConcurrent(a.id, a.vc, b.id, b.vc)) {
+        continue;
+      }
+      ++stats->concurrent_pairs;
+      if (!PagesOverlap(method, num_pages, a, b, scratch, stats)) {
+        continue;
+      }
+      ++stats->overlapping_pairs;
+      out->push_back(CheckPair{a, b, scratch->overlap});
     }
-    ++stats->interval_comparisons;
-    if (!IntervalsConcurrent(a.id, a.vc, b.id, b.vc)) {
-      continue;
-    }
-    ++stats->concurrent_pairs;
-    if (!PagesOverlap(method, num_pages, a, b, scratch, stats)) {
-      continue;
-    }
-    ++stats->overlapping_pairs;
-    out->push_back(CheckPair{a, b, scratch->overlap});
   }
 }
 
 std::vector<std::pair<IntervalId, PageId>> RaceDetector::BitmapsNeeded(
     const std::vector<CheckPair>& pairs) {
-  std::set<std::pair<IntervalId, PageId>> needed;
+  // Both members access every page of a pair, so each member interval needs
+  // the union of its pairs' pages: merged per member, not sorted as one list
+  // of (interval, page) entries.
+  const std::vector<IntervalId> members = MemberIntervals(pairs);
+  std::vector<std::vector<PageId>> pages(members.size());
   for (const CheckPair& pair : pairs) {
-    for (PageId page : pair.pages) {
-      // Only request bitmaps the interval actually has for this page.
-      if (pair.a.WritesPage(page) || pair.a.ReadsPage(page)) {
-        needed.emplace(pair.a.id, page);
-      }
-      if (pair.b.WritesPage(page) || pair.b.ReadsPage(page)) {
-        needed.emplace(pair.b.id, page);
-      }
+    for (const IntervalId& id : {pair.a.id, pair.b.id}) {
+      std::vector<PageId>& list =
+          pages[std::lower_bound(members.begin(), members.end(), id) - members.begin()];
+      list.insert(list.end(), pair.pages.begin(), pair.pages.end());
     }
   }
-  return std::vector<std::pair<IntervalId, PageId>>(needed.begin(), needed.end());
+  std::vector<std::pair<IntervalId, PageId>> needed;
+  for (size_t m = 0; m < members.size(); ++m) {
+    std::sort(pages[m].begin(), pages[m].end());
+    pages[m].erase(std::unique(pages[m].begin(), pages[m].end()), pages[m].end());
+    for (PageId page : pages[m]) {
+      needed.emplace_back(members[m], page);
+    }
+  }
+  return needed;
+}
+
+std::vector<IntervalId> RaceDetector::MemberIntervals(const std::vector<CheckPair>& pairs) {
+  std::vector<IntervalId> ids;
+  ids.reserve(2 * pairs.size());
+  for (const CheckPair& pair : pairs) {
+    ids.push_back(pair.a.id);
+    ids.push_back(pair.b.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 std::vector<RaceReport> RaceDetector::CompareOnePair(const IntervalId& a, const IntervalId& b,

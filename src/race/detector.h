@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "src/common/bitmap.h"
@@ -79,8 +78,9 @@ struct OverlapScratch {
 };
 
 // One concurrent interval pair that exhibits unsynchronized sharing on at
-// least one page; `pages` lists the overlapping pages (true or false sharing
-// not yet known — that is what the bitmap round decides).
+// least one page; `pages` lists the overlapping pages, ascending (true or
+// false sharing not yet known — that is what the bitmap round decides). Both
+// intervals access every listed page, so each holds bitmaps for all of them.
 struct CheckPair {
   IntervalRecord a;
   IntervalRecord b;
@@ -132,9 +132,13 @@ class RaceDetector {
                                 OverlapScratch* scratch, std::vector<CheckPair>* out,
                                 DetectorStats* stats, uint64_t* index_entries = nullptr);
 
-  // Distinct (interval, page) entries whose bitmaps step 5 needs.
+  // Distinct (interval, page) entries whose bitmaps step 5 needs, ascending.
   static std::vector<std::pair<IntervalId, PageId>> BitmapsNeeded(
       const std::vector<CheckPair>& pairs);
+
+  // Distinct intervals that are a member of at least one pair, ascending
+  // (their count is intervals_in_overlap).
+  static std::vector<IntervalId> MemberIntervals(const std::vector<CheckPair>& pairs);
 
   // Step 5: word-level comparison. Emits one report per racing word per
   // interval pair per kind. interval_a is the writer in read-write reports.

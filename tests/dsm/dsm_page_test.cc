@@ -305,7 +305,8 @@ void ExpectExactAccessAccounting(ProtocolKind protocol, WriteDetection writes) {
     const auto count = std::count(record.read_pages.begin(), record.read_pages.end(), page);
     if (count > 0) {
       EXPECT_EQ(count, 1) << record.ToString();
-      EXPECT_TRUE(record.WritesPage(page)) << record.ToString();
+      EXPECT_EQ(std::count(record.write_pages.begin(), record.write_pages.end(), page), 1)
+          << record.ToString();
       ++records_reading_page;
     }
   });

@@ -99,6 +99,7 @@ TEST(DsmRecoveryTest, SeededCrashIsARecoverableEventNotAnAbort) {
   const auto plan = fault::FaultPlan::FromProfile(fault::FaultProfile::kCrash, 3);
   const Outcome outcome = RunApp<SorApp>(SmallSor(), plan, 4);
   ASSERT_TRUE(outcome.recovery.crashed);
+  EXPECT_EQ(outcome.recovery.cause, CrashCause::kFailStop);
   EXPECT_GE(outcome.recovery.crash_node, 0);
   EXPECT_LT(outcome.recovery.crash_node, 4);
   EXPECT_EQ(outcome.recovery.crash_epoch, 1);
@@ -232,7 +233,10 @@ TEST_P(ExhaustedBudgetTest, AbortsTheRunInsteadOfHanging) {
                  static_cast<unsigned long long>(seed));
     std::_Exit(1);  // The run's threads cannot be joined.
   }
-  EXPECT_TRUE(run.get().recovery.crashed);
+  const CrashOutcome recovery = run.get().recovery;
+  EXPECT_TRUE(recovery.crashed);
+  // No node fail-stopped: the run ended on a suspicion.
+  EXPECT_EQ(recovery.cause, CrashCause::kSuspicion);
 }
 
 std::string CellName(const ::testing::TestParamInfo<ExhaustedBudgetTest::ParamType>& info) {
@@ -280,6 +284,7 @@ void ExpectTreeCrashRecovery(const typename App::Params& params) {
     const Outcome crashed =
         RunApp<App>(params, plan, kNodes, DetectionPipeline::kDistributed, Shape::kTree);
     ASSERT_TRUE(crashed.recovery.crashed) << "victim " << victim;
+    EXPECT_EQ(crashed.recovery.cause, CrashCause::kFailStop) << "victim " << victim;
     EXPECT_EQ(crashed.recovery.crash_node, victim);
     EXPECT_EQ(crashed.recovery.last_consistent_epoch, 0) << "victim " << victim;
     EXPECT_EQ(Summary(crashed.races),

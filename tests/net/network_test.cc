@@ -81,12 +81,12 @@ TEST(NetworkTest, RecvUntilHonoursItsDeadline) {
   EXPECT_EQ(net.PendingCount(1).load(), 0u);
 }
 
-// The poll-then-park receive (Network::kRecvPollWindow): a frame must be
-// taken whether it lands while the receiver polls or after it has parked.
-TEST(NetworkTest, FramePushedDuringThePollWindowIsReceived) {
+// The yield-poll receive never parks: a frame must be taken whether it lands
+// microseconds into the poll or long after it began.
+TEST(NetworkTest, FramePushedEarlyInThePollIsReceived) {
   Network net(2);
   std::thread sender([&] {
-    std::this_thread::sleep_for(Network::kRecvPollWindow / 5);
+    std::this_thread::sleep_for(std::chrono::microseconds(10));
     PageRequestMsg req;
     req.page = 7;
     net.Send(Make(0, 1, req));
@@ -97,7 +97,7 @@ TEST(NetworkTest, FramePushedDuringThePollWindowIsReceived) {
   EXPECT_EQ(std::get<PageRequestMsg>(msg->payload).page, 7);
 }
 
-TEST(NetworkTest, FramePushedWellAfterTheWindowWakesTheParkedReceiver) {
+TEST(NetworkTest, FramePushedLongAfterThePollBeganIsReceived) {
   Network net(2);
   std::thread sender([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -113,7 +113,7 @@ TEST(NetworkTest, FramePushedWellAfterTheWindowWakesTheParkedReceiver) {
   EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(50));
 }
 
-TEST(NetworkTest, CloseDuringThePollWindowEndsTheReceive) {
+TEST(NetworkTest, CloseDuringThePollEndsTheReceive) {
   Network net(1);
   std::atomic<bool> started{false};
   std::thread receiver([&] {
@@ -127,32 +127,32 @@ TEST(NetworkTest, CloseDuringThePollWindowEndsTheReceive) {
   receiver.join();
 }
 
-TEST(NetworkTest, RecvUntilDeadlineInsideThePollWindowCutsThePollShort) {
+TEST(NetworkTest, RecvUntilDeadlineEndsThePollPromptly) {
   Network net(2);
   // The best of a few tries, so a descheduled test thread cannot fail it: a
-  // receive that ignored the deadline would poll for the whole window.
+  // 5 us deadline must end the poll well inside 50 us, with no timer-slack
+  // sleep after it.
   auto fastest = std::chrono::steady_clock::duration::max();
   for (int i = 0; i < 20; ++i) {
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(net.RecvUntil(1, start + Network::kRecvPollWindow / 10).has_value());
+    EXPECT_FALSE(net.RecvUntil(1, start + std::chrono::microseconds(5)).has_value());
     const auto took = std::chrono::steady_clock::now() - start;
-    EXPECT_GE(took, Network::kRecvPollWindow / 10);
+    EXPECT_GE(took, std::chrono::microseconds(5));
     fastest = std::min(fastest, took);
   }
-  EXPECT_LT(fastest, Network::kRecvPollWindow);
+  EXPECT_LT(fastest, std::chrono::microseconds(50));
 }
 
-// Recv's wait predicate is "a frame or Close", so the wake MarkNodeDead
-// sends a parked receiver is a re-check: the receiver must stay parked,
-// invent no frame, and still end on Close.
-TEST(NetworkTest, MarkNodeDeadWakesAParkedReceiverThatKeepsWaiting) {
+// Recv waits for "a frame or Close", so marking the receiving node dead
+// must not end the receive or invent a frame; Close still ends it.
+TEST(NetworkTest, MarkNodeDeadLeavesAPollingReceiverWaiting) {
   Network net(2);
   std::atomic<bool> returned{false};
   std::thread receiver([&] {
     EXPECT_FALSE(net.Recv(1).has_value());
     returned.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Past the poll: parked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   net.MarkNodeDead(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(returned.load());

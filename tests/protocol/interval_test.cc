@@ -2,6 +2,9 @@
 // the per-node bitmap store.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "src/protocol/interval.h"
 
 namespace cvm {
@@ -18,12 +21,8 @@ IntervalRecord MakeRecord(NodeId node, IntervalIndex index, std::vector<PageId> 
   return r;
 }
 
-TEST(IntervalRecordTest, PageMembershipAndSizes) {
+TEST(IntervalRecordTest, NoticeSizes) {
   IntervalRecord r = MakeRecord(1, 3, {5, 9}, {2});
-  EXPECT_TRUE(r.WritesPage(5));
-  EXPECT_TRUE(r.WritesPage(9));
-  EXPECT_FALSE(r.WritesPage(2));
-  EXPECT_TRUE(r.ReadsPage(2));
   EXPECT_EQ(r.ReadNoticeByteSize(), sizeof(PageId));
   EXPECT_EQ(r.ByteSize(), r.BaseByteSize() + sizeof(PageId));
 }
@@ -49,6 +48,23 @@ TEST(IntervalLogTest, InsertIsIdempotent) {
   log.Insert(MakeRecord(0, 0));
   log.Insert(MakeRecord(0, 0));
   EXPECT_EQ(log.size(), 1u);
+}
+
+TEST(IntervalLogTest, OfEpochKeepsOnlyThatEpochInAllOrder) {
+  IntervalLog log(3);
+  for (const auto& [node, index, epoch] :
+       {std::tuple{2, 0, 1}, std::tuple{0, 0, 0}, std::tuple{0, 1, 1}, std::tuple{1, 4, 1}}) {
+    IntervalRecord record = MakeRecord(node, index);
+    record.epoch = epoch;
+    log.Insert(record);
+  }
+  const std::vector<IntervalRecord> epoch1 = log.OfEpoch(1);
+  ASSERT_EQ(epoch1.size(), 3u);
+  EXPECT_EQ(epoch1[0].id, (IntervalId{0, 1}));
+  EXPECT_EQ(epoch1[1].id, (IntervalId{1, 4}));
+  EXPECT_EQ(epoch1[2].id, (IntervalId{2, 0}));
+  EXPECT_EQ(log.OfEpoch(0).size(), 1u);
+  EXPECT_TRUE(log.OfEpoch(2).empty());
 }
 
 TEST(IntervalLogTest, GarbageCollectionDropsDominated) {

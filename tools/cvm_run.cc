@@ -391,11 +391,15 @@ int main(int argc, char** argv) {
                 result.fault.backoff_ns / 1e6);
   }
   if (result.recovery.crashed) {
-    std::printf("crash outcome: node %d died at epoch %d; %zu node(s) rolled back to "
+    std::printf("crash outcome: node %d %s at epoch %d; %zu node(s) rolled back to "
                 "the consistent cut through epoch %d (%zu lock slots recovered, "
                 "largest checkpoint %lu bytes); race reports cover the surviving "
                 "prefix only\n",
-                result.recovery.crash_node, result.recovery.crash_epoch,
+                result.recovery.crash_node,
+                result.recovery.cause == CrashCause::kFailStop
+                    ? "died"
+                    : "was suspected after an exhausted send budget",
+                result.recovery.crash_epoch,
                 result.recovery.rollbacks, result.recovery.last_consistent_epoch,
                 result.recovery.locks_recovered,
                 static_cast<unsigned long>(result.recovery.checkpoint_bytes));
