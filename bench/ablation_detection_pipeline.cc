@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
       const PipelineStats& p = result.detect.pipeline;
       cell.detect_epochs = p.detect_epochs;
       const double epochs = p.detect_epochs > 0 ? static_cast<double>(p.detect_epochs) : 1.0;
-      cell.detect_ns_per_epoch = p.detect_ns / epochs;
+      cell.detect_ns_per_epoch = PsToNs(p.detect_ps) / epochs;
       cell.bytes_raw_per_epoch = static_cast<double>(p.bitmap_bytes_raw) / epochs;
       cell.bytes_wire_per_epoch = static_cast<double>(p.bitmap_bytes_wire) / epochs;
       cell.shards = p.shards_used;

@@ -102,7 +102,7 @@ ModeResult RunOne(int nodes, const std::string& mode) {
   out.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   const uint64_t epochs = std::max<uint64_t>(1, result.barriers);
-  out.detect_ns_per_epoch = result.pipeline.detect_ns / static_cast<double>(epochs);
+  out.detect_ns_per_epoch = PsToNs(result.pipeline.detect_ps) / static_cast<double>(epochs);
   out.wire_bytes_per_epoch =
       static_cast<double>(result.net.bytes) / static_cast<double>(epochs);
   out.sim_ms = result.sim_time_ns / 1e6;

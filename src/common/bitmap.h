@@ -14,6 +14,15 @@
 
 namespace cvm {
 
+// Population count without a library call: the baseline x86-64 target has
+// no POPCNT instruction, so __builtin_popcountll would call into libgcc.
+inline uint32_t PopCount(uint64_t w) {
+  w -= (w >> 1) & 0x5555555555555555ull;
+  w = (w & 0x3333333333333333ull) + ((w >> 2) & 0x3333333333333333ull);
+  w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<uint32_t>((w * 0x0101010101010101ull) >> 56);
+}
+
 // A dynamically-sized bitmap with word-parallel intersection tests.
 // Bit i corresponds to word i of a page (or page i of the segment).
 // Invariant: the bits of the last word past size() are zero, so every
@@ -55,7 +64,7 @@ class Bitmap {
   uint32_t popcount() const {
     uint32_t total = 0;
     for (uint64_t w : words_) {
-      total += static_cast<uint32_t>(__builtin_popcountll(w));
+      total += PopCount(w);
     }
     return total;
   }

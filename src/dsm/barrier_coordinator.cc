@@ -56,12 +56,12 @@ int TreeHeightOf(int num_nodes, int fanout) {
 }
 
 // Accumulates master sim time spent inside a detection scope into
-// PipelineStats::detect_ns, whatever exit path is taken.
+// PipelineStats::detect_ps, whatever exit path is taken.
 struct DetectTimer {
   const NodeTiming& timing;
-  double start_ns;
-  double* out;
-  ~DetectTimer() { *out += timing.now_ns() - start_ns; }
+  int64_t start_ps;
+  int64_t* out;
+  ~DetectTimer() { *out += timing.now_ps() - start_ps; }
 };
 
 }  // namespace
@@ -122,7 +122,7 @@ void BarrierCoordinator::RunBarrier(EpochId epoch) {
   arrive.node = node_.id_;
   arrive.intervals = node_.log_.All();
   arrive.vc = node_.vc_;
-  arrive.arrive_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
+  arrive.arrive_time_ps = node_.timing_.now_ps();
   // Publish this epoch's overhead before arriving so the master's snapshot
   // (taken once every arrival is in) sees a consistent cross-node view.
   node_.PublishOverhead();
@@ -137,17 +137,17 @@ void BarrierCoordinator::RunBarrier(EpochId epoch) {
       [this, epoch] { node_.Send(0, PeerSuspectMsg{epoch, kNoNode}); });
   const Inbound<BarrierReleaseMsg> release = std::move(*barrier_release_);
   barrier_release_.reset();
-  Receive(release, release.msg.release_time_ns);
+  Receive(release, release.msg.release_time_ps);
   node_.ApplyIntervalRecords(release.msg.intervals);
   node_.vc_.MergeWith(release.msg.merged_vc);
   node_.GarbageCollect();
 }
 
 template <typename M>
-void BarrierCoordinator::Receive(const Inbound<M>& in, uint64_t sent_ns) {
+void BarrierCoordinator::Receive(const Inbound<M>& in, int64_t sent_ps) {
   const CostParams& costs = node_.opts_.costs;
-  node_.timing_.ObserveAtLeast(static_cast<double>(sent_ns) +
-                               costs.MessageCost(in.wire_bytes - in.read_notice_bytes));
+  node_.timing_.ObserveAtLeast(sent_ps +
+                               NsToPs(costs.MessageCost(in.wire_bytes - in.read_notice_bytes)));
   if (in.read_notice_bytes > 0) {
     node_.timing_.Charge(Bucket::kCvmMods,
                          costs.per_byte_ns * static_cast<double>(in.read_notice_bytes));
@@ -159,7 +159,7 @@ void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
   arrivals_.erase(epoch);
 
   for (auto& [node, info] : arrivals) {
-    Receive(info, info.msg.arrive_time_ns);
+    Receive(info, info.msg.arrive_time_ps);
     node_.ApplyIntervalRecords(info.msg.intervals);
     node_.vc_.MergeWith(info.msg.vc);
   }
@@ -177,7 +177,7 @@ void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
       release.epoch = epoch;
       release.intervals = node_.log_.UnseenBy(arrivals[node].msg.vc);
       release.merged_vc = node_.vc_;
-      release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
+      release.release_time_ps = node_.timing_.now_ps();
       node_.Send(node, std::move(release));
     }
   });
@@ -236,7 +236,7 @@ void BarrierCoordinator::RunRaceDetection(EpochId epoch,
   NodeTiming& timing = node_.timing_;
   // Master sim time spent in the check, whatever exit path is taken — the
   // quantity the pipeline ablation compares across modes.
-  DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
+  DetectTimer detect_timer{timing, timing.now_ps(), &pipeline_stats_.detect_ps};
   // The distributed master's build is modeled as detect_shards parallel
   // shards; the serial master is the paper's single scan.
   const int shards_wanted =
@@ -291,7 +291,7 @@ void BarrierCoordinator::FlushDetection(EpochId epoch) {
     return;
   }
   NodeTiming& timing = node_.timing_;
-  DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
+  DetectTimer detect_timer{timing, timing.now_ps(), &pipeline_stats_.detect_ps};
   if (opts.detect_batch > 1) {
     ++pipeline_stats_.batch_rounds;
     pipeline_stats_.batched_epochs += pending_.size();
@@ -463,11 +463,11 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
   CVM_CHECK_EQ(master_ships_pending_, 0);
   compare_replies_.clear();
   collected_bitmaps_.clear();
-  master_ship_target_ns_ = 0;
+  master_ship_target_ps_ = 0;
   master_ship_bytes_ = EntryBytes{};
   master_ships_pending_ = static_cast<int>(ship_msgs_to[static_cast<size_t>(node_.id_)]);
   compare_replies_pending_ = 0;
-  const uint64_t request_time = static_cast<uint64_t>(timing.now_ns());
+  const int64_t request_time = timing.now_ps();
   for (size_t node = 0; node < num_nodes; ++node) {
     CompareRequestMsg& request = requests[node];
     if (request.pairs.empty() && request.ships.empty()) {
@@ -475,7 +475,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
     }
     ++compare_replies_pending_;
     request.epoch = msg_epoch;
-    request.request_time_ns = request_time;
+    request.request_time_ps = request_time;
     request.expected_ship_msgs = ship_msgs_to[node];
     node_.Send(static_cast<NodeId>(node), std::move(request));
   }
@@ -485,9 +485,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
   // land — the remote owners' replies overlap this work (the Lamport merge
   // below takes the max of the two legs, not their sum).
   node_.Await([this] { return master_ships_pending_ == 0; });
-  if (master_ship_target_ns_ > timing.now_ns()) {
-    timing.Charge(Bucket::kBitmaps, master_ship_target_ns_ - timing.now_ns());
-  }
+  timing.ChargeUntil(Bucket::kBitmaps, master_ship_target_ps_);
   BitmapLookup lookup = [this](const IntervalId& interval,
                                PageId page) -> const PageAccessBitmaps* {
     if (interval.node == node_.id_) {
@@ -511,14 +509,14 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
   node_.Await([this] { return compare_replies_pending_ == 0; });
   // The distributed round's cost is its critical path: the slowest node's
   // reply arrival, not the sum over nodes.
-  double target_ns = timing.now_ns();
+  int64_t target_ps = timing.now_ps();
   uint64_t remote_compared = 0;
   uint64_t remote_report_count = 0;
   uint64_t ship_bytes_wire = master_ship_bytes_.wire;
   uint64_t ship_bytes_raw = master_ship_bytes_.raw;
   for (const Inbound<CompareReplyMsg>& info : compare_replies_) {
-    target_ns = std::max(target_ns, static_cast<double>(info.msg.reply_time_ns) +
-                                        opts.costs.MessageCost(info.wire_bytes));
+    target_ps = std::max(target_ps,
+                         info.msg.reply_time_ps + NsToPs(opts.costs.MessageCost(info.wire_bytes)));
     remote_compared += info.msg.pairs_compared;
     remote_report_count += info.msg.reports.size();
     ship_bytes_wire += info.msg.ship_bytes_wire;
@@ -534,9 +532,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
       tagged.emplace_back(e.pair_index, std::move(report));
     }
   }
-  if (target_ns > timing.now_ns()) {
-    timing.Charge(Bucket::kBitmaps, target_ns - timing.now_ns());
-  }
+  timing.ChargeUntil(Bucket::kBitmaps, target_ps);
   compare_replies_.clear();
   collected_bitmaps_.clear();
 
@@ -642,7 +638,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   std::vector<TreeFragmentPair> fragments;
   tree_child_state_.clear();
   for (auto& [child, info] : arrivals) {
-    Receive(info, info.msg.arrive_time_ns);
+    Receive(info, info.msg.arrive_time_ps);
     // Tree-hop cost: merging one child's combined log into this node's.
     timing.Charge(Bucket::kNone, opts.costs.tree_merge_ns);
     node_.ApplyIntervalRecords(info.msg.intervals);
@@ -670,7 +666,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   std::vector<CheckPair> claimed;
   size_t epoch_record_count = 0;
   if (opts.race_detection) {
-    const double claim_start_ns = timing.now_ns();
+    const int64_t claim_start_ps = timing.now_ps();
     // This epoch's records only: queued epochs' records stay in the log
     // until their flush, and the subtrees' records merged in above.
     const std::vector<IntervalRecord> epoch_records = node_.log_.OfEpoch(epoch);
@@ -690,7 +686,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
       // The root's claim build is part of the master detect path (the flat
       // master's build is timed inside RunRaceDetection); interior nodes'
       // builds run off the master clock and are deliberately not folded.
-      pipeline_stats_.detect_ns += timing.now_ns() - claim_start_ns;
+      pipeline_stats_.detect_ps += timing.now_ps() - claim_start_ps;
     }
   }
 
@@ -700,7 +696,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
     }
     if (opts.race_detection) {
       {
-        DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
+        DetectTimer detect_timer{timing, timing.now_ps(), &pipeline_stats_.detect_ps};
         // Rehydrate the subtree fragments from the merged log (every record
         // reaches the root) and interleave the root's own claims; (a.id, b.id)
         // order is exactly the flat serial scan's emission order, so the
@@ -730,7 +726,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
           QueueDetection(epoch, std::move(pairs));
         }
       }
-      // Outside the timer: the flush charges its own detect_ns.
+      // Outside the timer: the flush charges its own detect_ps.
       FlushDetection(epoch);
     }
     FinishMasterEpoch(epoch, [&] { SendTreeReleases(epoch, children); });
@@ -754,7 +750,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   for (uint32_t bit : interest.SetBits()) {
     up.interest.push_back(static_cast<PageId>(bit));
   }
-  up.arrive_time_ns = static_cast<uint64_t>(timing.now_ns());
+  up.arrive_time_ps = timing.now_ps();
   // Publish this epoch's overhead before arriving so the root's snapshot
   // (taken once the whole tree has combined) sees a consistent view.
   node_.PublishOverhead();
@@ -769,7 +765,7 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
       [this, epoch, parent] { node_.Send(parent, HeartbeatProbeMsg{epoch, ++probe_token_}); });
   const Inbound<BarrierTreeReleaseMsg> release = std::move(*tree_release_);
   tree_release_.reset();
-  Receive(release, release.msg.release_time_ns);
+  Receive(release, release.msg.release_time_ps);
   node_.ApplyIntervalRecords(release.msg.intervals);
   node_.vc_.MergeWith(release.msg.merged_vc);
   // Re-tailor and forward down before collecting: the forwarding reads this
@@ -812,7 +808,7 @@ void BarrierCoordinator::SendTreeReleases(EpochId epoch,
       record.read_pages.clear();
       release.intervals.push_back(std::move(record));
     }
-    release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
+    release.release_time_ps = node_.timing_.now_ps();
     node_.Send(child, std::move(release));
   }
   tree_child_state_.clear();
@@ -919,8 +915,8 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
     return;  // Duplicate.
   }
   state.have_request = true;
-  node_.timing_.ObserveAtLeast(static_cast<double>(request.request_time_ns) +
-                               node_.opts_.costs.MessageCost(msg.wire_bytes));
+  node_.timing_.ObserveAtLeast(request.request_time_ps +
+                               NsToPs(node_.opts_.costs.MessageCost(msg.wire_bytes)));
 
   // Execute the ship directives immediately: one BitmapShipMsg per distinct
   // destination, sent even when every listed bitmap is gone, so destinations
@@ -936,7 +932,7 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
     BitmapShipMsg out;
     out.epoch = request.epoch;
     out.entries = std::move(entries);
-    out.send_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
+    out.send_time_ps = node_.timing_.now_ps();
     node_.Send(dest, std::move(out));
   }
   state.request = request;
@@ -953,9 +949,9 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
     const EntryBytes entry_bytes = DecodeEntries(ship.entries, &collected_bitmaps_);
     master_ship_bytes_.wire += entry_bytes.wire;
     master_ship_bytes_.raw += entry_bytes.raw;
-    master_ship_target_ns_ =
-        std::max(master_ship_target_ns_, static_cast<double>(ship.send_time_ns) +
-                                             node_.opts_.costs.MessageCost(msg.wire_bytes));
+    master_ship_target_ps_ =
+        std::max(master_ship_target_ps_,
+                 ship.send_time_ps + NsToPs(node_.opts_.costs.MessageCost(msg.wire_bytes)));
     --master_ships_pending_;
     return;
   }
@@ -964,8 +960,8 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   }
   // Ships can land before this node's own CompareRequest; park them.
   RemoteCompareState& state = remote_compare_[ship.epoch];
-  node_.timing_.ObserveAtLeast(static_cast<double>(ship.send_time_ns) +
-                               node_.opts_.costs.MessageCost(msg.wire_bytes));
+  node_.timing_.ObserveAtLeast(ship.send_time_ps +
+                               NsToPs(node_.opts_.costs.MessageCost(msg.wire_bytes)));
   DecodeEntries(ship.entries, &state.shipped);
   ++state.ships_received;
   TryFinishRemoteCompare(ship.epoch);
@@ -1010,7 +1006,7 @@ void BarrierCoordinator::TryFinishRemoteCompare(EpochId epoch) {
   reply.pairs_compared = compared;
   reply.ship_bytes_wire = state.ship_bytes.wire;
   reply.ship_bytes_raw = state.ship_bytes.raw;
-  reply.reply_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
+  reply.reply_time_ps = node_.timing_.now_ps();
   remote_compare_.erase(it);
   node_.Send(0, std::move(reply));
 }

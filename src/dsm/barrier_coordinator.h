@@ -39,7 +39,7 @@ class Node;
 struct PipelineStats {
   uint64_t shards_used = 0;            // Modeled shards of the check-list build.
   uint64_t detect_epochs = 0;          // Epochs with a non-empty check list.
-  double detect_ns = 0;                // Master sim time inside the barrier check.
+  int64_t detect_ps = 0;               // Master sim time (ps) inside the barrier check.
   uint64_t bitmap_bytes_raw = 0;       // Bitmap-round payloads at legacy raw size.
   uint64_t bitmap_bytes_wire = 0;      // Actual (possibly compressed) bytes.
   uint64_t remote_pairs_compared = 0;  // Bitmap pairs compared off-master.
@@ -92,10 +92,10 @@ class BarrierCoordinator {
                      PayloadReadNoticeBytes(message.payload)};
     }
   };
-  // Lamport-observes the arrival of `in`, sent at sim time `sent_ns`, and
+  // Lamport-observes the arrival of `in`, sent at sim time `sent_ps`, and
   // charges its read-notice bytes to the CVM-modifications bucket.
   template <typename M>
-  void Receive(const Inbound<M>& in, uint64_t sent_ns);
+  void Receive(const Inbound<M>& in, int64_t sent_ps);
   // Heartbeat-probes every node of `members` missing from `arrived`. A live
   // node acks and is left alone; a dead one surfaces kPeerUnreachable at
   // this sender, which initiates the run abort.
@@ -238,7 +238,7 @@ class BarrierCoordinator {
   std::vector<Inbound<CompareReplyMsg>> compare_replies_;
   int compare_replies_pending_ = 0;
   int master_ships_pending_ = 0;          // BitmapShipMsg rounds inbound to master.
-  double master_ship_target_ns_ = 0;      // Latest modeled ship-arrival time.
+  int64_t master_ship_target_ps_ = 0;     // Latest modeled ship-arrival time.
   EntryBytes master_ship_bytes_;
 
   // Constituent-node state for the distributed compare, keyed by epoch:

@@ -201,6 +201,7 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
   result.fault = network_->fault_stats();
   result.detector = detector_->stats();
   result.shared_bytes_used = segment_->used_bytes();
+  std::array<int64_t, kNumBuckets> overhead_ps = {};
   for (const auto& node : nodes_) {
     result.access.Accumulate(node->access_counters());
     result.dispatch_unhandled += node->dispatcher().unhandled();
@@ -213,8 +214,11 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
         std::max(result.max_retained_bitmap_pairs, node->max_retained_bitmap_pairs());
     result.sim_time_ns = std::max(result.sim_time_ns, node->timing().now_ns());
     for (int b = 0; b < kNumBuckets; ++b) {
-      result.overhead_ns[b] += node->timing().overhead_ns(static_cast<Bucket>(b));
+      overhead_ps[b] += node->timing().overhead_ps(static_cast<Bucket>(b));
     }
+  }
+  for (int b = 0; b < kNumBuckets; ++b) {
+    result.overhead_ns[b] = PsToNs(overhead_ps[b]);
   }
   result.barriers = nodes_.empty() ? 0 : nodes_[0]->barriers();
   if (!nodes_.empty()) {

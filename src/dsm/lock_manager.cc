@@ -59,7 +59,7 @@ void LockManager::Grant(LockId lock, NodeId requester, const VectorClock& reques
     }
   }
   grant.releaser_vc = ls.release_vc;
-  grant.releaser_time_ns = static_cast<uint64_t>(ls.release_time_ns);
+  grant.releaser_time_ps = ls.release_time_ps;
   node_.Send(requester, std::move(grant));
 }
 
@@ -123,8 +123,8 @@ void LockManager::Acquire(LockId lock) {
     lock_grant_.reset();
     const size_t bytes = PayloadByteSize(grant);
     const size_t rn_bytes = PayloadReadNoticeBytes(grant);
-    node_.timing_.ObserveAtLeast(static_cast<double>(grant.releaser_time_ns) +
-                                 opts.costs.MessageCost(bytes - rn_bytes));
+    node_.timing_.ObserveAtLeast(grant.releaser_time_ps +
+                                 NsToPs(opts.costs.MessageCost(bytes - rn_bytes)));
     if (rn_bytes > 0) {
       node_.timing_.Charge(Bucket::kCvmMods,
                            opts.costs.per_byte_ns * static_cast<double>(rn_bytes));
@@ -174,7 +174,7 @@ void LockManager::Release(LockId lock) {
   LockState& ls = locks_[lock];
   ls.held = false;
   ls.release_vc = node_.vc_;  // The just-ended interval is the last one the
-  ls.release_time_ns = node_.timing_.now_ns();  // acquirer is ordered after.
+  ls.release_time_ps = node_.timing_.now_ps();  // acquirer is ordered after.
   TryGrantPending(lock);
 }
 

@@ -65,7 +65,7 @@ class LockManager {
     // Granting from live state would falsely order post-release intervals
     // and mask races (e.g. an unlocked write right after an unlock).
     VectorClock release_vc;
-    double release_time_ns = 0;
+    int64_t release_time_ps = 0;
   };
 
   void Grant(LockId lock, NodeId requester, const VectorClock& requester_vc);

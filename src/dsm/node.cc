@@ -179,9 +179,7 @@ void Node::Send(NodeId to, Payload payload) {
   // this sender spent in retransmission backoff and injected delay; charge it
   // to the node's clock like any other network cost. Zero on the clean path.
   const SendOutcome outcome = net_.Send(std::move(msg));
-  if (outcome.penalty_ns > 0) {
-    timing_.Charge(Bucket::kNone, outcome.penalty_ns);
-  }
+  timing_.Charge(Bucket::kNone, outcome.penalty_ns);
   if (outcome.unreachable()) {
     OnPeerUnreachable(to);
   }
@@ -657,8 +655,9 @@ void Node::InitiateAbort(NodeId dead, EpochId epoch) {
   // included: an exhausted send proves a frame lost, not its target dead,
   // and a live suspect may be waiting on this node. A lost abort would leave
   // its target waiting forever, so each is resent past the send budget until
-  // it lands (kAbortSends bounds it). Send returns no verdict, so the loop
-  // sends for itself.
+  // it lands (kAbortSends bounds it). A resend follows a spent budget, so it
+  // makes one attempt, not another full retransmission run. Send returns no
+  // verdict, so the loop sends for itself.
   for (NodeId n = 0; n < static_cast<NodeId>(opts_.num_nodes); ++n) {
     for (int sends = 0; n != id_ && sends < kAbortSends && !net_.NodeDead(n); ++sends) {
       Message msg;
@@ -666,10 +665,8 @@ void Node::InitiateAbort(NodeId dead, EpochId epoch) {
       msg.to = n;
       msg.payload = RunAbortMsg{epoch, dead};
       StampFlowContext(msg);
-      const SendOutcome outcome = net_.Send(std::move(msg));
-      if (outcome.penalty_ns > 0) {
-        timing_.Charge(Bucket::kNone, outcome.penalty_ns);
-      }
+      const SendOutcome outcome = net_.Send(std::move(msg), sends == 0 ? 0 : 1);
+      timing_.Charge(Bucket::kNone, outcome.penalty_ns);
       if (!outcome.unreachable()) {
         break;
       }

@@ -59,7 +59,7 @@ struct LockGrantMsg {
   LockId lock = -1;
   std::vector<IntervalRecord> intervals;  // Unseen by the requester.
   VectorClock releaser_vc;
-  uint64_t releaser_time_ns = 0;  // Simulated release timestamp.
+  int64_t releaser_time_ps = 0;  // Simulated release timestamp.
   // Replay mode: still-queued requests travel with the token so the new
   // holder can grant them when their scheduled turn comes.
   std::vector<LockRequestMsg> handoff;
@@ -72,7 +72,7 @@ struct BarrierArriveMsg {
   NodeId node = kNoNode;
   std::vector<IntervalRecord> intervals;  // Unseen by the master.
   VectorClock vc;
-  uint64_t arrive_time_ns = 0;
+  int64_t arrive_time_ps = 0;
 };
 
 // One entry of the check list (§4 step 3): a (interval, page) pair whose
@@ -133,14 +133,14 @@ struct CompareRequestMsg {
   std::vector<ComparePairEntry> pairs;
   std::vector<ShipDirective> ships;
   uint32_t expected_ship_msgs = 0;
-  uint64_t request_time_ns = 0;  // Master's simulated clock at send.
+  int64_t request_time_ps = 0;  // Master's simulated clock at send.
 };
 
 // Peer -> pair owner: the encoded bitmaps the owner's compare needs.
 struct BitmapShipMsg {
   EpochId epoch = -1;
   std::vector<BitmapReplyEntry> entries;
-  uint64_t send_time_ns = 0;  // Shipper's simulated clock at send.
+  int64_t send_time_ps = 0;  // Shipper's simulated clock at send.
 };
 
 // One remote race report, compactly: the master re-derives address/symbol.
@@ -154,7 +154,7 @@ struct RemoteReportEntry {
 };
 
 // Constituent node -> master: compare results plus accounting. Exactly one
-// reply per CompareRequestMsg. `reply_time_ns` is the node's simulated clock
+// reply per CompareRequestMsg. `reply_time_ps` is the node's simulated clock
 // after its compare work, so the master's Lamport-observe models the
 // distributed round's critical path (max over nodes, not sum).
 struct CompareReplyMsg {
@@ -164,14 +164,14 @@ struct CompareReplyMsg {
   uint64_t pairs_compared = 0;        // Bitmap pairs this node compared.
   uint64_t ship_bytes_wire = 0;       // Encoded bytes this node shipped out.
   uint64_t ship_bytes_raw = 0;        // Same entries at the legacy raw size.
-  uint64_t reply_time_ns = 0;
+  int64_t reply_time_ps = 0;
 };
 
 struct BarrierReleaseMsg {
   EpochId epoch = -1;
   std::vector<IntervalRecord> intervals;  // Unseen by this worker.
   VectorClock merged_vc;
-  uint64_t release_time_ns = 0;
+  int64_t release_time_ps = 0;
 };
 
 // ---- Hierarchical (k-ary combine tree) barrier ----
@@ -204,7 +204,7 @@ struct BarrierTreeArriveMsg {
   // notices intersects the set — an absent page means every member's copy is
   // already invalid, so the notice would be a no-op there.
   std::vector<PageId> interest;
-  uint64_t arrive_time_ns = 0;
+  int64_t arrive_time_ps = 0;
 };
 
 // Parent -> child subtree root: the records unseen by the child subtree's
@@ -214,7 +214,7 @@ struct BarrierTreeReleaseMsg {
   EpochId epoch = -1;
   std::vector<IntervalRecord> intervals;
   VectorClock merged_vc;
-  uint64_t release_time_ns = 0;
+  int64_t release_time_ps = 0;
 };
 
 // ---- Eager-RC traffic: notices pushed at release ----

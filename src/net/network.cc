@@ -117,7 +117,7 @@ void Network::PushInbox(Message message) {
   inbox.pending.store(inbox.queue.size(), std::memory_order_release);
 }
 
-SendOutcome Network::Send(Message message) {
+SendOutcome Network::Send(Message message, uint32_t max_attempts) {
   CVM_CHECK_GE(message.to, 0);
   CVM_CHECK_LT(message.to, num_nodes_);
   CVM_CHECK_GE(message.from, kNoNode);
@@ -136,7 +136,7 @@ SendOutcome Network::Send(Message message) {
                        (message.ctx.stamped() ? obs::kTraceContextWireBytes : 0);
   message.send_wall_ns = WallNs();
   if (injector_ != nullptr) {
-    return SendReliable(std::move(message));
+    return SendReliable(std::move(message), max_attempts);
   }
   if (NodeDead(message.to)) {
     std::lock_guard<std::mutex> lock(fault_mu_);
@@ -157,12 +157,13 @@ SendOutcome Network::UnreachableLocked(double penalty_ns, uint32_t attempts) {
   return SendOutcome{SendOutcome::Status::kPeerUnreachable, penalty_ns, attempts};
 }
 
-SendOutcome Network::SendReliable(Message message) {
+SendOutcome Network::SendReliable(Message message, uint32_t max_attempts) {
   const NodeId from = message.from;
   const NodeId to = message.to;
   CVM_CHECK_GE(from, 0);  // Send checked the upper bound.
   const size_t rn_bytes = PayloadReadNoticeBytes(message.payload);
-  const uint32_t max_attempts = std::max<uint32_t>(1, injector_->plan().max_send_attempts);
+  const uint32_t budget = std::max<uint32_t>(1, injector_->plan().max_send_attempts);
+  max_attempts = max_attempts == 0 ? budget : std::min(budget, max_attempts);
   std::lock_guard<std::mutex> lock(fault_mu_);
   const uint64_t seq = next_seq_[static_cast<size_t>(from) * static_cast<size_t>(num_nodes_) +
                                  static_cast<size_t>(to)]++;

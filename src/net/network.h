@@ -98,8 +98,9 @@ class Network {
   // Sends `message` to message.to; fills in wire_bytes (the payload, plus
   // kTraceContextWireBytes when message.ctx is stamped) and updates stats.
   // See SendOutcome for the ways a send can finish; on the clean path it is
-  // always kDelivered with zero penalty (or kClosed after Close()).
-  SendOutcome Send(Message message);
+  // always kDelivered with zero penalty (or kClosed after Close()). A nonzero
+  // `max_attempts` caps the reliable transport below the plan's budget.
+  SendOutcome Send(Message message, uint32_t max_attempts = 0);
 
   // Fail-stop `node`: frames from it die on its NIC, frames to it are never
   // acked, so in-flight and future sends to it surface kPeerUnreachable
@@ -157,7 +158,7 @@ class Network {
   // Clean path: the pre-fault send, byte-for-byte.
   void SendDirect(Message message);
   // Reliable path: bounded retransmission, peer-suspicion verdicts.
-  SendOutcome SendReliable(Message message);
+  SendOutcome SendReliable(Message message, uint32_t max_attempts);
   // Books one abandoned send (fault_mu_ held) and builds its verdict.
   SendOutcome UnreachableLocked(double penalty_ns, uint32_t attempts);
 

@@ -20,19 +20,6 @@ const char* BitmapEncodingName(BitmapEncoding encoding) {
   return "?";
 }
 
-namespace {
-
-// Population count without a library call: the baseline x86-64 target has
-// no POPCNT instruction, so __builtin_popcountll would call into libgcc.
-size_t PopCount(uint64_t w) {
-  w -= (w >> 1) & 0x5555555555555555ull;
-  w = (w & 0x3333333333333333ull) + ((w >> 2) & 0x3333333333333333ull);
-  w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0full;
-  return static_cast<size_t>((w * 0x0101010101010101ull) >> 56);
-}
-
-}  // namespace
-
 EncodedBitmap BitmapCodec::Encode(const Bitmap& bitmap, bool allow_compression) {
   EncodedBitmap encoded;
   encoded.num_bits = bitmap.size();

@@ -7,6 +7,7 @@
 #define CVM_SIM_COST_MODEL_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -84,19 +85,21 @@ const char* BucketName(Bucket bucket);
 // barriers; tools/trace_summary maps them back to Figure 3's buckets.
 const char* BucketMetricName(Bucket bucket);
 
-// One node's simulated clock plus per-bucket overhead accounting. Not
-// thread-safe: only the owning node's thread touches it.
+// Simulated time is kept in integer picoseconds; costs are given in ns
+// (CostParams) and round to the nearest ps once, where they are charged.
+inline int64_t NsToPs(double ns) { return std::llround(ns * 1000); }
+inline double PsToNs(int64_t ps) { return static_cast<double>(ps) / 1000; }
+
+// One node's simulated clock plus per-bucket overhead accounting, in int64_t
+// picoseconds (2^63 ps is over 100 days), so no sum ever rounds and none
+// depends on the order of its terms. Not thread-safe: only the owning node's
+// thread touches it.
 //
 // Counted accesses. The inline access path charges by count: CountAccess and
 // CountCompute only bump pending counters, and every reader and every other
-// charge folds those counts in first, so callers see the same clock and
-// buckets as if each access had been charged on its own. That is bit-exact
-// while the clock, the Proc Call and Access Check buckets and the four
-// inline costs (taken once from CostParams) are integral: integer sums below
-// 2^53 never round, so k x cost has the same bits as k separate adds, in
-// any order. Once an accumulator holds a fraction (the 1.6 ns/word bitmap
-// compares, a fractional Lamport jump) counting charges at once, in the
-// order the per-access charges always ran: base, Proc Call, Access Check.
+// charge folds those counts in first with one multiply-add per cost. Integer
+// sums are exact, so callers see the same clock and buckets, to the ps, as if
+// each access had been charged on its own.
 class NodeTiming {
  public:
   NodeTiming() : NodeTiming(CostParams{}) {}
@@ -104,114 +107,85 @@ class NodeTiming {
   // no per-access check.
   explicit NodeTiming(const CostParams& costs);
 
-  double now_ns() const { return now_ns_ + PendingClockNs(); }
+  int64_t now_ps() const { return now_ps_ + PendingClockPs(); }
+  double now_ns() const { return PsToNs(now_ps()); }
 
   // One instrumented (or, with detection off, plain) access: the base access
   // cost, plus Proc Call and Access Check when `instrumented`.
-  void CountAccess(bool instrumented) {
-    if (counting_) [[likely]] {
-      ++pending_accesses_[instrumented ? 1 : 0];
-      return;
-    }
-    Add(Bucket::kNone, base_access_ns_);
-    if (instrumented) {
-      Add(Bucket::kProcCall, proc_call_ns_);
-      Add(Bucket::kAccessCheck, access_check_ns_);
-    }
-  }
+  void CountAccess(bool instrumented) { ++pending_accesses_[instrumented ? 1 : 0]; }
 
-  // `units` of app-declared computation, charged as one add.
-  void CountCompute(uint64_t units) {
-    if (counting_) [[likely]] {
-      pending_compute_units_ += units;
-      return;
-    }
-    Add(Bucket::kNone, compute_unit_ns_ * static_cast<double>(units));
-  }
+  // `units` of app-declared computation.
+  void CountCompute(uint64_t units) { pending_compute_units_ += static_cast<int64_t>(units); }
 
   // Advances the clock, attributing the time to `bucket`.
   void Charge(Bucket bucket, double ns) {
     CVM_CHECK_GE(ns, 0.0);
     Fold();
-    Add(bucket, ns);
-    UpdateCounting();
+    Add(bucket, NsToPs(ns));
+  }
+
+  // Advances the clock to `t_ps` if it is behind, attributing the wait to
+  // `bucket`.
+  void ChargeUntil(Bucket bucket, int64_t t_ps) {
+    Fold();
+    if (t_ps > now_ps_) {
+      Add(bucket, t_ps - now_ps_);
+    }
   }
 
   // Lamport receive rule: the clock cannot be behind an observed event.
-  void ObserveAtLeast(double t_ns) {
-    Fold();
-    if (t_ns > now_ns_) {
-      now_ns_ = t_ns;
-    }
-    UpdateCounting();
-  }
+  void ObserveAtLeast(int64_t t_ps) { ChargeUntil(Bucket::kNone, t_ps); }
 
-  double overhead_ns(Bucket bucket) const {
+  int64_t overhead_ps(Bucket bucket) const {
     const int b = static_cast<int>(bucket);
-    return overhead_ns_[b] + PendingOverheadNs(b);
-  }
-  double total_overhead_ns() const {
-    double total = 0;
-    for (int b = 0; b < kNumBuckets; ++b) {
-      total += overhead_ns(static_cast<Bucket>(b));
+    if (bucket == Bucket::kProcCall) {
+      return overhead_ps_[b] + pending_accesses_[1] * proc_call_ps_;
     }
-    return total;
-  }
-
-  void AddOverheadFrom(const NodeTiming& other) {
-    Fold();
-    for (int b = 0; b < kNumBuckets; ++b) {
-      overhead_ns_[b] += other.overhead_ns(static_cast<Bucket>(b));
+    if (bucket == Bucket::kAccessCheck) {
+      return overhead_ps_[b] + pending_accesses_[1] * access_check_ps_;
     }
-    UpdateCounting();
+    return overhead_ps_[b];
   }
+  double overhead_ns(Bucket bucket) const { return PsToNs(overhead_ps(bucket)); }
 
  private:
-  void Add(Bucket bucket, double ns) {
-    now_ns_ += ns;
+  void Add(Bucket bucket, int64_t ps) {
+    now_ps_ += ps;
     if (bucket != Bucket::kNone) {
-      overhead_ns_[static_cast<int>(bucket)] += ns;
+      overhead_ps_[static_cast<int>(bucket)] += ps;
     }
   }
 
-  // What the pending counts add to the clock and to bucket `b`. Zero unless
-  // counting_, and then exact (see the class comment).
-  double PendingClockNs() const {
-    return static_cast<double>(pending_accesses_[0]) * base_access_ns_ +
-           static_cast<double>(pending_accesses_[1]) * instrumented_access_ns_ +
-           static_cast<double>(pending_compute_units_) * compute_unit_ns_;
-  }
-  double PendingOverheadNs(int b) const {
-    if (b == static_cast<int>(Bucket::kProcCall)) {
-      return static_cast<double>(pending_accesses_[1]) * proc_call_ns_;
-    }
-    if (b == static_cast<int>(Bucket::kAccessCheck)) {
-      return static_cast<double>(pending_accesses_[1]) * access_check_ns_;
-    }
-    return 0;
+  // What the pending counts add to the clock.
+  int64_t PendingClockPs() const {
+    return pending_accesses_[0] * base_access_ps_ +
+           pending_accesses_[1] * instrumented_access_ps_ +
+           pending_compute_units_ * compute_unit_ps_;
   }
 
   // Applies the pending counts to the accumulators and zeroes them.
-  void Fold();
-  // Re-derives counting_ from the accumulators after an eager change.
-  void UpdateCounting();
+  void Fold() {
+    now_ps_ = now_ps();
+    for (Bucket bucket : {Bucket::kProcCall, Bucket::kAccessCheck}) {
+      overhead_ps_[static_cast<int>(bucket)] = overhead_ps(bucket);
+    }
+    pending_accesses_ = {};
+    pending_compute_units_ = 0;
+  }
 
   // The inline costs, from CostParams.
-  double base_access_ns_;
-  double proc_call_ns_;
-  double access_check_ns_;
-  double compute_unit_ns_;
-  double instrumented_access_ns_;  // base + proc call + access check.
-  bool costs_integral_;
+  int64_t base_access_ps_;
+  int64_t proc_call_ps_;
+  int64_t access_check_ps_;
+  int64_t compute_unit_ps_;
+  int64_t instrumented_access_ps_;  // base + proc call + access check.
 
-  double now_ns_ = 0;
-  std::array<double, kNumBuckets> overhead_ns_ = {};
+  int64_t now_ps_ = 0;
+  std::array<int64_t, kNumBuckets> overhead_ps_ = {};
 
-  // True while the accumulators and the inline costs are integral: counts
-  // go to the pending counters. [0] plain accesses, [1] instrumented ones.
-  bool counting_ = false;
-  std::array<uint64_t, 2> pending_accesses_ = {};
-  uint64_t pending_compute_units_ = 0;
+  // [0] plain accesses, [1] instrumented ones.
+  std::array<int64_t, 2> pending_accesses_ = {};
+  int64_t pending_compute_units_ = 0;
 };
 
 }  // namespace cvm

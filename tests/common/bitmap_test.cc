@@ -1,6 +1,8 @@
 // Unit and property tests for the word-granularity access bitmaps.
 #include <gtest/gtest.h>
 
+#include <bitset>
+
 #include "src/common/bitmap.h"
 #include "src/common/rng.h"
 
@@ -15,6 +17,23 @@ TEST(BitmapTest, StartsEmpty) {
   for (uint32_t i = 0; i < 1024; i += 77) {
     EXPECT_FALSE(bm.Test(i));
   }
+}
+
+TEST(BitmapTest, PopCountMatchesBitset) {
+  Rng rng(64);
+  for (int i = 0; i < 10000; ++i) {
+    // Sparse, dense and uniform words, so every count 0..64 is likely.
+    uint64_t w = rng.Next();
+    const uint64_t shape = rng.Below(3);
+    if (shape == 0) {
+      w &= rng.Next() & rng.Next();
+    } else if (shape == 1) {
+      w |= rng.Next() | rng.Next();
+    }
+    ASSERT_EQ(PopCount(w), std::bitset<64>(w).count()) << std::hex << w;
+  }
+  EXPECT_EQ(PopCount(0), 0u);
+  EXPECT_EQ(PopCount(~uint64_t{0}), 64u);
 }
 
 TEST(BitmapTest, SetTestClear) {

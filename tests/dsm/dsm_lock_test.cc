@@ -4,9 +4,11 @@
 // aborts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/dsm/dsm.h"
@@ -120,6 +122,36 @@ TEST(DsmLockTest, LockPairCreatesTwoIntervals) {
   // just the barrier's. "The same act that creates intervals also removes
   // many interval pairs from consideration."
   EXPECT_GE(with_locks.intervals_total, 2u * 10u);
+}
+
+// A grant carries its releaser's clock to the picosecond: the acquirer's
+// clock is the release time plus the grant's message cost, exactly, though
+// the release fell between two whole nanoseconds.
+TEST(DsmLockTest, GrantCarriesTheReleaseTimeExactly) {
+  DsmOptions options = Options(2);
+  options.costs.compute_unit_ns = 40.25;
+  DsmSystem system(options);
+  std::atomic<int64_t> release_ps{-1};
+  int64_t acquire_ps = 0;
+  RunResult result = system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 0) {
+      ctx.Lock(0);  // Node 0 manages lock 0: a local grant.
+      ctx.Compute(1'000'001);  // Ends 250 ps into a ns, far ahead of node 1.
+      ctx.Unlock(0);
+      release_ps = std::as_const(ctx).timing().now_ps();
+    } else {
+      while (release_ps.load() < 0) {
+        std::this_thread::yield();
+      }
+      ctx.Lock(0);
+      acquire_ps = std::as_const(ctx).timing().now_ps();
+      ctx.Unlock(0);
+    }
+  });
+  ASSERT_EQ(result.net.messages_by_kind.at("LockGrant"), 1u);
+  ASSERT_NE(release_ps % 1000, 0);
+  const size_t grant_bytes = result.net.bytes_by_kind.at("LockGrant");
+  EXPECT_EQ(acquire_ps, release_ps + NsToPs(options.costs.MessageCost(grant_bytes)));
 }
 
 // A node blocked in Lock must keep serving its inbox: node 0 waits for lock 0,

@@ -177,7 +177,7 @@ TEST(PipelineWireEquivalenceTest, BarrierCoordinatorExposesPipelineStats) {
   const PipelineStats& master = system.node(0).barrier_coordinator().pipeline_stats();
   EXPECT_EQ(master.shards_used, result.pipeline.shards_used);
   EXPECT_EQ(master.detect_epochs, result.pipeline.detect_epochs);
-  EXPECT_EQ(master.detect_ns, result.pipeline.detect_ns);
+  EXPECT_EQ(master.detect_ps, result.pipeline.detect_ps);
   EXPECT_GT(master.detect_epochs, 0u);
   EXPECT_EQ(master.shards_used, 3u);
   // Workers never run the pipeline; their coordinators stay idle.
@@ -205,9 +205,12 @@ TEST(PipelineWireEquivalenceTest, DefaultShardCountIsFourOnAnyHost) {
 // fingerprint, per-kind bytes, message and fault counts, and every
 // DetectorStats / PipelineStats counter, for each app configuration under
 // each barrier/pipeline/batch shape. Serial shapes also pin the simulated
-// clock (critical path, overhead buckets, master detect time) to the bit;
-// distributed sim time follows host message order, so it is left out.
-// Water is excluded: its lock-grant order varies run to run.
+// clock (critical path, overhead buckets, master detect time) exactly: the
+// clock counts integer ps and message stamps carry them, so a value such as
+// detect=1985033.6000000001 is the double nearest a whole number of ps
+// (1985033600), printed with %.17g. Distributed sim time follows host
+// message order, so it is left out. Water is excluded: its lock-grant order
+// varies run to run.
 
 struct GoldenShape {
   const char* name;
@@ -291,7 +294,7 @@ std::string Fingerprint(const RunResult& r, bool pin_sim_time) {
     out += std::to_string(v) + ",";
   }
   if (pin_sim_time) {
-    out += " sim=" + Exact(r.sim_time_ns) + " detect=" + Exact(p.detect_ns) + " ovh=";
+    out += " sim=" + Exact(r.sim_time_ns) + " detect=" + Exact(PsToNs(p.detect_ps)) + " ovh=";
     for (const double v : r.overhead_ns) {
       out += Exact(v) + ",";
     }
@@ -364,15 +367,15 @@ const char* const kGolden[4][7] = {
         "BitmapRequest:2336,DiffFlush:601496,DiffFlushAck:4480,PageReply:483912,"
         "PageRequest:5265, "
         "det=96,672,672,35,40,84,4032,126,0, pipe=1,5,23084,23084,0,0,0,0, "
-        "sim=61617749 detect=1985033.6000000061 "
+        "sim=61617751.600000001 detect=1985033.6000000001 "
         "ovh=13272778,125248000,100198400,181440,1803593.6000000001,",
         "races=0 fp=cbf29ce484222325 msgs=570 faults=207 "
         "bytes=BarrierArrive:8736,BarrierRelease:40460,BitmapReply:22244,"
         "BitmapRequest:1496,DiffFlush:601496,DiffFlushAck:4480,PageReply:483912,"
         "PageRequest:5265, "
         "det=96,672,672,35,40,84,4032,126,0, pipe=1,5,22244,22244,0,0,2,5, "
-        "sim=61214071 detect=1581353.6000000015 "
-        "ovh=13272778,125248000,100198400,181440,1399913.5999999999,",
+        "sim=61214071.600000001 detect=1581353.6000000001 "
+        "ovh=13272778,125248000,100198400,181440,1399913.6000000001,",
         "races=0 fp=cbf29ce484222325 msgs=647 faults=207 "
         "bytes=BarrierArrive:8736,BarrierRelease:40460,BitmapShip:13356,"
         "CompareReply:2660,CompareRequest:3356,DiffFlush:601496,DiffFlushAck:4480,"
@@ -387,15 +390,15 @@ const char* const kGolden[4][7] = {
         "bytes=BarrierTreeArrive:174440,BarrierTreeRelease:14184,BitmapReply:23084,"
         "BitmapRequest:2336,DiffFlush:601496,DiffFlushAck:4480,PageReply:483912,"
         "PageRequest:5265, "
-        "det=96,25,25,25,40,84,720,126,0, pipe=0,5,23084,23084,0,0,0,0, sim=65571721 "
-        "detect=1835433.6000000061 "
+        "det=96,25,25,25,40,84,720,126,0, pipe=0,5,23084,23084,0,0,0,0, sim=65571723.600000001 "
+        "detect=1835433.6000000001 "
         "ovh=13140698,125248000,100198400,50320,1803593.6000000001,",
         "races=0 fp=cbf29ce484222325 msgs=584 faults=207 "
         "bytes=BarrierTreeArrive:148592,BarrierTreeRelease:13168,BitmapReply:3540,"
         "BitmapRequest:1776,DiffFlush:601496,DiffFlushAck:4480,PageReply:483912,"
         "PageRequest:5265, "
-        "det=96,25,25,25,40,84,720,126,0, pipe=0,5,22524,3540,0,0,3,5, sim=63668606 "
-        "detect=579145.60000000522 "
+        "det=96,25,25,25,40,84,720,126,0, pipe=0,5,22524,3540,0,0,3,5, sim=63668607.600000001 "
+        "detect=579145.59999999998 "
         "ovh=13135706,125248000,100198400,49120,547305.59999999998,",
         "races=0 fp=cbf29ce484222325 msgs=647 faults=207 "
         "bytes=BarrierTreeArrive:174440,BarrierTreeRelease:14184,BitmapShip:3156,"
@@ -409,14 +412,14 @@ const char* const kGolden[4][7] = {
         "BitmapRequest:4388,DiffFlush:128284,DiffFlushAck:5880,PageReply:653488,"
         "PageRequest:7110, "
         "det=416,2912,2912,168,70,144,2772,1122,0, pipe=1,14,41362,41362,0,0,0,0, "
-        "sim=62264926 detect=4131287.1999999885 "
-        "ovh=7014194,54324000,43459200,271740,3859547.1999999993,",
+        "sim=62264931.200000003 detect=4131287.2000000002 "
+        "ovh=7014194,54324000,43459200,271740,3859547.2000000002,",
         "races=0 fp=cbf29ce484222325 msgs=1042 faults=292 "
         "bytes=BarrierArrive:35388,BarrierRelease:155320,BitmapReply:40002,"
         "BitmapRequest:3028,DiffFlush:128284,DiffFlushAck:5880,PageReply:653488,"
         "PageRequest:7110, "
         "det=416,2912,2912,168,70,144,2772,1122,0, pipe=1,14,40002,40002,0,0,7,14, "
-        "sim=61354210 detect=3220567.200000003 "
+        "sim=61354211.200000003 detect=3220567.2000000002 "
         "ovh=7014194,54324000,43459200,271740,2948827.2000000002,",
         "races=0 fp=cbf29ce484222325 msgs=1278 faults=292 "
         "bytes=BarrierArrive:35388,BarrierRelease:155320,BitmapShip:112036,"
@@ -433,15 +436,15 @@ const char* const kGolden[4][7] = {
         "BitmapRequest:4388,DiffFlush:128284,DiffFlushAck:5880,PageReply:653488,"
         "PageRequest:7110, "
         "det=416,106,106,106,70,144,1708,1122,0, pipe=0,14,41362,41362,0,0,0,0, "
-        "sim=81437303 detect=3931907.1999999885 "
-        "ovh=6856114,54324000,43459200,125060,3859547.1999999993,",
+        "sim=81437309.200000003 detect=3931907.2000000002 "
+        "ovh=6856114,54324000,43459200,125060,3859547.2000000002,",
         "races=0 fp=cbf29ce484222325 msgs=1080 faults=292 "
         "bytes=BarrierTreeArrive:638648,BarrierTreeRelease:38228,BitmapReply:22538,"
         "BitmapRequest:3788,DiffFlush:128284,DiffFlushAck:5880,PageReply:653488,"
         "PageRequest:7110, "
         "det=416,118,118,118,70,144,1942,1122,0, pipe=0,14,40762,22538,0,0,11,14, "
-        "sim=73486155 detect=2601969.1999999955 "
-        "ovh=6846754,54324000,43459200,123200,2520699.1999999997,",
+        "sim=73486160.200000003 detect=2601969.2000000002 "
+        "ovh=6846754,54324000,43459200,123200,2520699.2000000002,",
         "races=0 fp=cbf29ce484222325 msgs=1278 faults=292 "
         "bytes=BarrierTreeArrive:750368,BarrierTreeRelease:38740,BitmapShip:60192,"
         "CompareReply:5168,CompareRequest:14572,DiffFlush:128284,DiffFlushAck:5880,"
@@ -454,14 +457,14 @@ const char* const kGolden[4][7] = {
         "BitmapRequest:1960,DiffFlush:233016,DiffFlushAck:2800,PageReply:545952,"
         "PageRequest:5940, "
         "det=80,560,560,32,32,78,2784,180,0, pipe=1,4,20580,20580,0,0,0,0, "
-        "sim=31357632 detect=1685808.0000000014 "
-        "ovh=5652778,45312000,36249600,131040,1554768.0000000002,",
+        "sim=31357634 detect=1685808 "
+        "ovh=5652778,45312000,36249600,131040,1554768,",
         "races=0 fp=cbf29ce484222325 msgs=502 faults=177 "
         "bytes=BarrierArrive:7236,BarrierRelease:33168,BitmapReply:20020,"
         "BitmapRequest:1400,DiffFlush:233016,DiffFlushAck:2800,PageReply:545952,"
         "PageRequest:5940, "
         "det=80,560,560,32,32,78,2784,180,0, pipe=1,4,20020,20020,0,0,2,4, "
-        "sim=31088513 detect=1416688.0000000019 "
+        "sim=31088514 detect=1416688 "
         "ovh=5652778,45312000,36249600,131040,1285648,",
         "races=0 fp=cbf29ce484222325 msgs=562 faults=177 "
         "bytes=BarrierArrive:7236,BarrierRelease:33168,BitmapShip:18216,"
@@ -477,14 +480,14 @@ const char* const kGolden[4][7] = {
         "bytes=BarrierTreeArrive:145372,BarrierTreeRelease:10208,BitmapReply:20580,"
         "BitmapRequest:1960,DiffFlush:233016,DiffFlushAck:2800,PageReply:545952,"
         "PageRequest:5940, "
-        "det=80,24,24,24,32,78,800,180,0, pipe=0,4,20580,20580,0,0,0,0, sim=34526788 "
-        "detect=1588068.0000000033 "
-        "ovh=5524026,45312000,36249600,54500,1554768.0000000002,",
+        "det=80,24,24,24,32,78,800,180,0, pipe=0,4,20580,20580,0,0,0,0, sim=34526790 "
+        "detect=1588068 "
+        "ovh=5524026,45312000,36249600,54500,1554768,",
         "races=0 fp=cbf29ce484222325 msgs=502 faults=177 "
         "bytes=BarrierTreeArrive:123808,BarrierTreeRelease:9968,BitmapReply:2520,"
         "BitmapRequest:1400,DiffFlush:233016,DiffFlushAck:2800,PageReply:545952,"
         "PageRequest:5940, "
-        "det=80,26,26,26,32,78,1040,180,0, pipe=0,4,20020,2520,0,0,2,4, sim=32834005 "
+        "det=80,26,26,26,32,78,1040,180,0, pipe=0,4,20020,2520,0,0,2,4, sim=32834006 "
         "detect=417468 ovh=5518202,45312000,36249600,53460,375648,",
         "races=0 fp=cbf29ce484222325 msgs=562 faults=177 "
         "bytes=BarrierTreeArrive:145372,BarrierTreeRelease:10208,BitmapShip:3216,"

@@ -44,6 +44,7 @@ struct Outcome {
   std::vector<RaceReport> races;
   CrashOutcome recovery;
   uint64_t barriers = 0;
+  uint64_t attempts = 0;  // Transmission attempts (fault::FaultStats::data_frames).
 };
 
 // Barrier shapes under test: the flat master barrier, or the kept scaling
@@ -72,6 +73,7 @@ Outcome RunApp(typename App::Params params, const fault::FaultPlan& plan, int no
   outcome.races = std::move(result.races);
   outcome.recovery = result.recovery;
   outcome.barriers = result.barriers;
+  outcome.attempts = result.fault.data_frames;
   return outcome;
 }
 
@@ -204,8 +206,8 @@ TEST(DsmRecoveryTest, PlainWaitOnAPeerThatDiesWithTheRequestQueuedAborts) {
 // profile must abort the run, although its suspect is alive and the abort's
 // own frames lose their first attempts too: every other live node has to be
 // reached. The first four (profile, budget) cells once hung SOR 64 on 4 nodes
-// in every fault seed tried; the last loses every frame, so the abort's
-// resends must give up.
+// in every fault seed tried; the last two lose every frame, so the abort's
+// resends must give up, each after one attempt once its budget is spent.
 struct BudgetCell {
   fault::FaultProfile profile;
   uint32_t max_send_attempts;
@@ -233,10 +235,17 @@ TEST_P(ExhaustedBudgetTest, AbortsTheRunInsteadOfHanging) {
                  static_cast<unsigned long long>(seed));
     std::_Exit(1);  // The run's threads cannot be joined.
   }
-  const CrashOutcome recovery = run.get().recovery;
-  EXPECT_TRUE(recovery.crashed);
+  const Outcome outcome = run.get();
+  EXPECT_TRUE(outcome.recovery.crashed);
   // No node fail-stopped: the run ended on a suspicion.
-  EXPECT_EQ(recovery.cause, CrashCause::kSuspicion);
+  EXPECT_EQ(outcome.recovery.cause, CrashCause::kSuspicion);
+  if (cell.drop_prob == 1.0) {
+    // Each node spends one budget on the send that fails, then one budget
+    // plus 255 single-attempt resends (kAbortSends = 256) on each peer.
+    constexpr uint64_t kNodes = 4;
+    const uint64_t budget = cell.max_send_attempts;
+    EXPECT_LE(outcome.attempts, kNodes * (budget + (kNodes - 1) * (budget + 255)));
+  }
 }
 
 std::string CellName(const ::testing::TestParamInfo<ExhaustedBudgetTest::ParamType>& info) {
@@ -252,7 +261,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          BudgetCell{fault::FaultProfile::kPartition, 3},
                                          BudgetCell{fault::FaultProfile::kLossy, 1},
                                          BudgetCell{fault::FaultProfile::kBursty, 2},
-                                         BudgetCell{fault::FaultProfile::kLossy, 2, 1.0}),
+                                         BudgetCell{fault::FaultProfile::kLossy, 2, 1.0},
+                                         BudgetCell{fault::FaultProfile::kLossy, 512, 1.0}),
                        ::testing::Values(1u, 2u, 3u)),
     CellName);
 

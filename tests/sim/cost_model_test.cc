@@ -1,11 +1,10 @@
 // Tests for the simulated-time model: clock advancement, Lamport receive
-// rule, Figure 3's overhead-bucket attribution, and the counted access
-// charges, which must match per-access charging bit for bit.
+// rule, Figure 3's overhead-bucket attribution, picosecond rounding, and the
+// counted access charges, which must match per-access charging to the ps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "src/common/rng.h"
@@ -16,36 +15,44 @@ namespace {
 
 TEST(NodeTimingTest, ChargeAdvancesClockAndBucket) {
   NodeTiming timing;
-  EXPECT_EQ(timing.now_ns(), 0);
+  EXPECT_EQ(timing.now_ps(), 0);
   timing.Charge(Bucket::kNone, 100);
   timing.Charge(Bucket::kProcCall, 40);
   timing.Charge(Bucket::kProcCall, 10);
   timing.Charge(Bucket::kBitmaps, 5);
-  EXPECT_DOUBLE_EQ(timing.now_ns(), 155);
-  EXPECT_DOUBLE_EQ(timing.overhead_ns(Bucket::kProcCall), 50);
-  EXPECT_DOUBLE_EQ(timing.overhead_ns(Bucket::kBitmaps), 5);
-  EXPECT_DOUBLE_EQ(timing.overhead_ns(Bucket::kAccessCheck), 0);
-  EXPECT_DOUBLE_EQ(timing.total_overhead_ns(), 55);  // kNone excluded.
+  EXPECT_EQ(timing.now_ns(), 155);
+  EXPECT_EQ(timing.overhead_ns(Bucket::kProcCall), 50);
+  EXPECT_EQ(timing.overhead_ns(Bucket::kBitmaps), 5);
+  EXPECT_EQ(timing.overhead_ns(Bucket::kAccessCheck), 0);
+}
+
+TEST(NodeTimingTest, ChargesRoundOnceToPicoseconds) {
+  NodeTiming timing;
+  timing.Charge(Bucket::kBitmaps, 1.6 * 3);  // 4.800000000000001 in binary.
+  timing.Charge(Bucket::kBitmaps, 0.0004);   // Below half a ps: nothing.
+  timing.Charge(Bucket::kBitmaps, 0.0006);   // Above it: one ps.
+  EXPECT_EQ(timing.now_ps(), 4801);
+  EXPECT_EQ(timing.overhead_ps(Bucket::kBitmaps), 4801);
+  EXPECT_EQ(timing.now_ns(), 4.801);
 }
 
 TEST(NodeTimingTest, ObserveIsMonotone) {
   NodeTiming timing;
   timing.Charge(Bucket::kNone, 100);
-  timing.ObserveAtLeast(50);  // In the past: no effect.
-  EXPECT_DOUBLE_EQ(timing.now_ns(), 100);
-  timing.ObserveAtLeast(400);  // Lamport receive rule.
-  EXPECT_DOUBLE_EQ(timing.now_ns(), 400);
+  timing.ObserveAtLeast(50'000);  // In the past: no effect.
+  EXPECT_EQ(timing.now_ps(), 100'000);
+  timing.ObserveAtLeast(400'123);  // Lamport receive rule, to the ps.
+  EXPECT_EQ(timing.now_ps(), 400'123);
+  EXPECT_EQ(timing.overhead_ps(Bucket::kBitmaps), 0);  // A jump is no overhead.
 }
 
-TEST(NodeTimingTest, AddOverheadFromAccumulatesBucketsOnly) {
-  NodeTiming a;
-  NodeTiming b;
-  a.Charge(Bucket::kIntervals, 7);
-  b.Charge(Bucket::kIntervals, 3);
-  b.Charge(Bucket::kNone, 1000);
-  a.AddOverheadFrom(b);
-  EXPECT_DOUBLE_EQ(a.overhead_ns(Bucket::kIntervals), 10);
-  EXPECT_DOUBLE_EQ(a.now_ns(), 7);  // Clock untouched.
+TEST(NodeTimingTest, ChargeUntilAttributesTheWait) {
+  NodeTiming timing;
+  timing.Charge(Bucket::kNone, 100);
+  timing.ChargeUntil(Bucket::kBitmaps, 50'000);  // Passed: no wait.
+  timing.ChargeUntil(Bucket::kBitmaps, 130'500);
+  EXPECT_EQ(timing.now_ps(), 130'500);
+  EXPECT_EQ(timing.overhead_ps(Bucket::kBitmaps), 30'500);
 }
 
 TEST(NodeTimingTest, NegativeChargeAborts) {
@@ -59,16 +66,18 @@ TEST(NodeTimingTest, NegativeInlineCostAbortsAtSetup) {
   EXPECT_DEATH(NodeTiming timing(costs), "CHECK failed");
 }
 
-// The per-access charging NodeTiming did before counted accesses: every
-// access is one to three adds, in the order base, Proc Call, Access Check.
+// Per-access charging, the reference for counted accesses: every access is
+// one to three adds of its rounded costs, in the order base, Proc Call,
+// Access Check.
 struct EagerClock {
-  double now = 0;
-  std::array<double, kNumBuckets> buckets = {};
+  int64_t now = 0;
+  std::array<int64_t, kNumBuckets> buckets = {};
 
   void Charge(Bucket bucket, double ns) {
-    now += ns;
+    const int64_t ps = NsToPs(ns);
+    now += ps;
     if (bucket != Bucket::kNone) {
-      buckets[static_cast<int>(bucket)] += ns;
+      buckets[static_cast<int>(bucket)] += ps;
     }
   }
   void Access(const CostParams& costs, bool instrumented) {
@@ -79,35 +88,24 @@ struct EagerClock {
     }
   }
   void Compute(const CostParams& costs, uint64_t units) {
-    Charge(Bucket::kNone, costs.compute_unit_ns * static_cast<double>(units));
-  }
-  void ObserveAtLeast(double t) {
-    if (t > now) {
-      now = t;
+    for (uint64_t i = 0; i < units; ++i) {
+      Charge(Bucket::kNone, costs.compute_unit_ns);
     }
   }
-  double Total() const {
-    double total = 0;
-    for (double v : buckets) {
-      total += v;
-    }
-    return total;
-  }
+  void ObserveAtLeast(int64_t t) { now = std::max(now, t); }
 };
 
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
-
-constexpr double kTwoTo52 = 4503599627370496.0;
-
-// Every reader of `timing` must return the reference's exact bits.
-void ExpectSameBits(const NodeTiming& timing, const EagerClock& ref, int step) {
-  ASSERT_EQ(Bits(timing.now_ns()), Bits(ref.now))
-      << "step " << step << ": " << timing.now_ns() << " vs " << ref.now;
+// Every reader of `timing` must return the reference's values.
+void ExpectSame(const NodeTiming& timing, const EagerClock& ref, int step) {
+  ASSERT_EQ(timing.now_ps(), ref.now) << "step " << step;
+  ASSERT_EQ(timing.now_ns(), PsToNs(ref.now)) << "step " << step;
   for (int b = 0; b < kNumBuckets; ++b) {
-    ASSERT_EQ(Bits(timing.overhead_ns(static_cast<Bucket>(b))), Bits(ref.buckets[b]))
-        << "step " << step << ", bucket " << BucketName(static_cast<Bucket>(b));
+    const Bucket bucket = static_cast<Bucket>(b);
+    ASSERT_EQ(timing.overhead_ps(bucket), ref.buckets[b])
+        << "step " << step << ", bucket " << BucketName(bucket);
+    ASSERT_EQ(timing.overhead_ns(bucket), PsToNs(ref.buckets[b]))
+        << "step " << step << ", bucket " << BucketName(bucket);
   }
-  ASSERT_EQ(Bits(timing.total_overhead_ns()), Bits(ref.Total())) << "step " << step;
 }
 
 // One seeded random sequence of counted accesses, compute, integral and
@@ -141,28 +139,26 @@ void RunAgainstEagerClock(const CostParams& costs, uint64_t seed, int steps) {
       timing.Charge(bucket, ns);
       ref.Charge(bucket, ns);
     } else {
-      // Lamport jumps: into the past, to an integral time ahead, to a
-      // fractional one ahead, or just below 2^52, where the spacing of
-      // doubles is 0.5 and each add past 2^52 rounds a half away.
-      double t = ref.now;
-      const uint64_t kind = rng.Below(4);
+      // Lamport jumps: into the past, to a whole ns ahead, or to a sub-ns
+      // time ahead (a message stamp plus its cost).
+      int64_t t = ref.now;
+      const uint64_t kind = rng.Below(3);
       if (kind == 0) {
-        t = ref.now - static_cast<double>(rng.Below(1000));
+        t = ref.now - static_cast<int64_t>(rng.Below(1'000'000));
       } else if (kind == 1) {
-        t = std::floor(ref.now) + static_cast<double>(1 + rng.Below(100000));
-      } else if (kind == 2) {
-        t = ref.now + 60000.5 + 52 * 3.3 * static_cast<double>(rng.Below(100));
+        t = ref.now / 1000 * 1000 + 1000 * static_cast<int64_t>(1 + rng.Below(100000));
       } else {
-        t = kTwoTo52 - 0.5 - 2 * static_cast<double>(rng.Below(8));
+        t = ref.now + 60'000'000 + static_cast<int64_t>(1 + rng.Below(999)) +
+            52'000 * static_cast<int64_t>(rng.Below(100));
       }
       timing.ObserveAtLeast(t);
       ref.ObserveAtLeast(t);
     }
     if (rng.Chance(0.25)) {
-      ASSERT_NO_FATAL_FAILURE(ExpectSameBits(timing, ref, step)) << "seed " << seed;
+      ASSERT_NO_FATAL_FAILURE(ExpectSame(timing, ref, step)) << "seed " << seed;
     }
   }
-  ASSERT_NO_FATAL_FAILURE(ExpectSameBits(timing, ref, steps)) << "seed " << seed;
+  ASSERT_NO_FATAL_FAILURE(ExpectSame(timing, ref, steps)) << "seed " << seed;
 }
 
 TEST(CountedAccessTest, MatchesEagerChargingBitForBit) {
@@ -178,7 +174,7 @@ TEST(CountedAccessTest, MatchesEagerChargingWithOtherCosts) {
   odd.proc_call_ns = 1;
   odd.access_check_ns = 0;
   odd.compute_unit_ns = 33;
-  CostParams fractional;  // Never counts: every access charges at once.
+  CostParams fractional;  // Sub-ns costs count too.
   fractional.base_access_ns = 12.5;
   fractional.proc_call_ns = 0.1;
   for (uint64_t seed = 100; seed < 110; ++seed) {
@@ -187,27 +183,9 @@ TEST(CountedAccessTest, MatchesEagerChargingWithOtherCosts) {
   }
 }
 
-TEST(CountedAccessTest, FractionalClockChargesAtOnce) {
-  // From 2^52 - 0.5, two 7 ns accesses charged one by one round to
-  // 2^52 + 13 (6.5 rounds to 6, then + 7); one folded 14 ns add would give
-  // 2^52 + 14 (13.5 rounds to 14). Counting must be off here.
-  CostParams costs;
-  costs.base_access_ns = 7;
-  NodeTiming timing(costs);
-  EagerClock ref;
-  timing.ObserveAtLeast(kTwoTo52 - 0.5);
-  ref.ObserveAtLeast(kTwoTo52 - 0.5);
-  for (int i = 0; i < 2; ++i) {
-    timing.CountAccess(false);
-    ref.Access(costs, false);
-  }
-  EXPECT_EQ(ref.now, kTwoTo52 + 13);
-  ExpectSameBits(timing, ref, 0);
-}
-
 TEST(CountedAccessTest, LongRunsOfAccessesFoldExactly) {
-  // A million pending accesses folded by one charge, then a million more
-  // after a fractional charge has switched counting off.
+  // A million pending accesses folded by a fractional charge, then a
+  // million more from the fractional clock it leaves.
   const CostParams costs;
   NodeTiming timing(costs);
   EagerClock ref;
@@ -215,37 +193,27 @@ TEST(CountedAccessTest, LongRunsOfAccessesFoldExactly) {
     timing.CountAccess(i % 3 != 0);
     ref.Access(costs, i % 3 != 0);
   }
-  timing.Charge(Bucket::kBitmaps, 1.6 * 16);
-  ref.Charge(Bucket::kBitmaps, 1.6 * 16);
-  ExpectSameBits(timing, ref, 1);
+  timing.Charge(Bucket::kBitmaps, 1.6 * 17);
+  ref.Charge(Bucket::kBitmaps, 1.6 * 17);
+  ExpectSame(timing, ref, 1);
   for (int i = 0; i < 1000000; ++i) {
     timing.CountAccess(true);
     ref.Access(costs, true);
     timing.CountCompute(16);
     ref.Compute(costs, 16);
   }
-  ExpectSameBits(timing, ref, 2);
+  ExpectSame(timing, ref, 2);
 }
 
-TEST(CountedAccessTest, CopiesAndOverheadTransfersSeePendingCounts) {
+TEST(CountedAccessTest, CopiesSeePendingCounts) {
   const CostParams costs;
   NodeTiming a(costs);
   a.CountAccess(true);
   a.CountAccess(false);
   const NodeTiming copy = a;
   EXPECT_EQ(copy.now_ns(), 2 * costs.base_access_ns + costs.proc_call_ns + costs.access_check_ns);
-  NodeTiming b(costs);
-  b.AddOverheadFrom(a);
-  EXPECT_EQ(b.overhead_ns(Bucket::kProcCall), costs.proc_call_ns);
-  EXPECT_EQ(b.overhead_ns(Bucket::kAccessCheck), costs.access_check_ns);
-  EXPECT_EQ(b.now_ns(), 0);  // Clock untouched.
-}
-
-TEST(CountedAccessTest, RefusesToRoundPast2To53) {
-  NodeTiming timing;
-  timing.ObserveAtLeast(9007199254740992.0 - 10);  // 2^53 - 10 ns.
-  timing.CountAccess(true);
-  EXPECT_DEATH(timing.Charge(Bucket::kNone, 1), "exact range");
+  EXPECT_EQ(copy.overhead_ns(Bucket::kProcCall), costs.proc_call_ns);
+  EXPECT_EQ(copy.overhead_ns(Bucket::kAccessCheck), costs.access_check_ns);
 }
 
 TEST(CostParamsTest, MessageCostIsAffineInBytes) {
