@@ -26,6 +26,45 @@ float SorApp::InitialValue(int row, int col) {
   return static_cast<float>((row * 31 + col * 17) % 97) / 97.0f;
 }
 
+bool SorApp::StreamReference(int rows, int cols, int iters,
+                             const std::function<bool(int, const float*)>& row_fn) {
+  // ring[k][r % 3] is row r after k iterations. Row r of level k needs rows
+  // r-1..r+1 of level k-1, so the levels run as a wavefront: once level 0
+  // has row r, level k can compute row r - k.
+  const size_t width = static_cast<size_t>(cols);
+  std::vector<float> ring(static_cast<size_t>(iters + 1) * 3 * width);
+  auto row = [&](int level, int r) {
+    return ring.data() + (static_cast<size_t>(level) * 3 + static_cast<size_t>(r % 3)) * width;
+  };
+  for (int step = 0; step < rows + iters; ++step) {
+    for (int level = 0; level <= iters; ++level) {
+      const int r = step - level;
+      if (r < 0 || r >= rows) {
+        continue;
+      }
+      float* out = row(level, r);
+      if (level == 0 || r == 0 || r == rows - 1) {
+        for (int c = 0; c < cols; ++c) {
+          out[c] = InitialValue(r, c);
+        }
+      } else {
+        const float* up = row(level - 1, r - 1);
+        const float* mid = row(level - 1, r);
+        const float* down = row(level - 1, r + 1);
+        out[0] = InitialValue(r, 0);
+        out[cols - 1] = InitialValue(r, cols - 1);
+        for (int c = 1; c < cols - 1; ++c) {
+          out[c] = 0.25f * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
+        }
+      }
+      if (level == iters && !row_fn(r, out)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 void SorApp::Setup(DsmSystem& system) {
   CVM_CHECK_GE(params_.rows, 3);
   CVM_CHECK_GE(params_.cols, 3);
@@ -82,35 +121,22 @@ void SorApp::Run(NodeContext& ctx) {
     src = dst;
   }
 
-  // Node 0 verifies the full grid against a serial recomputation.
+  // Node 0 verifies the full grid against the streamed serial reference,
+  // reading each interior row through the DSM once the reference has it.
   if (ctx.id() == 0) {
-    std::vector<std::vector<float>> a(params_.rows, std::vector<float>(params_.cols));
-    std::vector<std::vector<float>> b = a;
-    for (int r = 0; r < params_.rows; ++r) {
-      for (int c = 0; c < params_.cols; ++c) {
-        a[r][c] = InitialValue(r, c);
-        b[r][c] = InitialValue(r, c);
-      }
-    }
-    auto* cur = &a;
-    auto* nxt = &b;
-    for (int iter = 0; iter < params_.iters; ++iter) {
-      for (int r = 1; r < params_.rows - 1; ++r) {
-        for (int c = 1; c < params_.cols - 1; ++c) {
-          (*nxt)[r][c] =
-              0.25f * ((*cur)[r - 1][c] + (*cur)[r + 1][c] + (*cur)[r][c - 1] + (*cur)[r][c + 1]);
-        }
-      }
-      std::swap(cur, nxt);
-    }
-    bool ok = true;
-    for (int r = 1; r < params_.rows - 1 && ok; ++r) {
-      for (int c = 1; c < params_.cols - 1 && ok; ++c) {
-        const float got = grid_[src].Get(ctx, Index(r, c));
-        ok = std::fabs(got - (*cur)[r][c]) < 1e-5f;
-      }
-    }
-    verified_ok_ = ok;
+    const SharedArray<float>& result = grid_[src];
+    verified_ok_ = StreamReference(
+        params_.rows, params_.cols, params_.iters, [&](int r, const float* expected) {
+          if (r == 0 || r == params_.rows - 1) {
+            return true;
+          }
+          for (int c = 1; c < params_.cols - 1; ++c) {
+            if (!(std::fabs(result.Get(ctx, Index(r, c)) - expected[c]) < 1e-5f)) {
+              return false;
+            }
+          }
+          return true;
+        });
   }
 }
 

@@ -7,6 +7,7 @@
 #ifndef CVM_APPS_SOR_H_
 #define CVM_APPS_SOR_H_
 
+#include <functional>
 #include <string>
 
 #include "src/apps/app.h"
@@ -34,6 +35,14 @@ class SorApp : public ParallelApp {
   void Setup(DsmSystem& system) override;
   void Run(NodeContext& ctx) override;
   bool Verify() const override { return verified_ok_; }
+
+  // The serial reference: the rows x cols grid after `iters` Jacobi
+  // iterations from InitialValue, the boundary held fixed. Calls
+  // row_fn(r, values) for r = 0 .. rows-1 in order, as soon as row r's final
+  // values exist, and stops once row_fn returns false; returns false then.
+  // Holds a ring of three rows per iteration level, not the grid.
+  static bool StreamReference(int rows, int cols, int iters,
+                              const std::function<bool(int, const float*)>& row_fn);
 
  private:
   size_t Index(int row, int col) const { return static_cast<size_t>(row) * stride_ + col; }

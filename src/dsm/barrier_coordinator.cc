@@ -69,15 +69,15 @@ struct DetectTimer {
 BarrierCoordinator::BarrierCoordinator(Node& node) : node_(node) {}
 
 void BarrierCoordinator::RegisterHandlers(MessageDispatcher& dispatcher) {
-  dispatcher.Register<BarrierArriveMsg>([this](const Message& msg) { OnBarrierArrive(msg); });
-  dispatcher.Register<BarrierReleaseMsg>([this](const Message& msg) { OnBarrierRelease(msg); });
-  dispatcher.Register<BarrierTreeArriveMsg>([this](const Message& msg) { OnTreeArrive(msg); });
-  dispatcher.Register<BarrierTreeReleaseMsg>([this](const Message& msg) { OnTreeRelease(msg); });
+  dispatcher.Register<BarrierArriveMsg>([this](Message& msg) { OnBarrierArrive(msg); });
+  dispatcher.Register<BarrierReleaseMsg>([this](Message& msg) { OnBarrierRelease(msg); });
+  dispatcher.Register<BarrierTreeArriveMsg>([this](Message& msg) { OnTreeArrive(msg); });
+  dispatcher.Register<BarrierTreeReleaseMsg>([this](Message& msg) { OnTreeRelease(msg); });
   dispatcher.Register<BitmapRequestMsg>([this](const Message& msg) { OnBitmapRequest(msg); });
   dispatcher.Register<BitmapReplyMsg>([this](const Message& msg) { OnBitmapReply(msg); });
-  dispatcher.Register<CompareRequestMsg>([this](const Message& msg) { OnCompareRequest(msg); });
+  dispatcher.Register<CompareRequestMsg>([this](Message& msg) { OnCompareRequest(msg); });
   dispatcher.Register<BitmapShipMsg>([this](const Message& msg) { OnBitmapShip(msg); });
-  dispatcher.Register<CompareReplyMsg>([this](const Message& msg) { OnCompareReply(msg); });
+  dispatcher.Register<CompareReplyMsg>([this](Message& msg) { OnCompareReply(msg); });
 }
 
 void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
@@ -612,10 +612,11 @@ void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
   const int num_pages = node_.pages_.num_pages();
   Bitmap interest(static_cast<uint32_t>(num_pages));
   // Interested in any page this node ever cached: a usable copy or a
-  // retained stale one (data survives invalidation). Only pages holding a
-  // page-table entry can qualify, so the scan visits just those.
+  // retained stale one (data, or a zero frame, survives invalidation). Only
+  // pages holding a page-table entry can qualify, so the scan visits just
+  // those.
   node_.pages_.ForEachEntry([&interest](PageId page, const PageEntry& entry) {
-    if (entry.state != PageState::kInvalid || !entry.data.empty()) {
+    if (entry.state != PageState::kInvalid || entry.zero || !entry.data.empty()) {
       interest.Set(static_cast<uint32_t>(page));
     }
   });
@@ -814,7 +815,7 @@ void BarrierCoordinator::SendTreeReleases(EpochId epoch,
   tree_child_state_.clear();
 }
 
-void BarrierCoordinator::OnTreeArrive(const Message& msg) {
+void BarrierCoordinator::OnTreeArrive(Message& msg) {
   const auto& arrive = std::get<BarrierTreeArriveMsg>(msg.payload);
   if (arrive.epoch < node_.epoch_) {
     return;  // This epoch's combine already ran here: stale re-delivery.
@@ -823,10 +824,12 @@ void BarrierCoordinator::OnTreeArrive(const Message& msg) {
     mh_.tree_up_bytes->Add(msg.wire_bytes);
     mh_.tree_fragments->Add(arrive.fragments.size());
   }
-  tree_arrivals_[arrive.epoch][arrive.node] = Inbound<BarrierTreeArriveMsg>::Of(msg);
+  // Find the slot before Of() moves the payload `arrive` refers to.
+  auto& slot = tree_arrivals_[arrive.epoch][arrive.node];
+  slot = Inbound<BarrierTreeArriveMsg>::Of(msg);
 }
 
-void BarrierCoordinator::OnTreeRelease(const Message& msg) {
+void BarrierCoordinator::OnTreeRelease(Message& msg) {
   const auto& release = std::get<BarrierTreeReleaseMsg>(msg.payload);
   if (tree_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
@@ -837,16 +840,18 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   tree_release_ = Inbound<BarrierTreeReleaseMsg>::Of(msg);
 }
 
-void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
+void BarrierCoordinator::OnBarrierArrive(Message& msg) {
   const auto& arrive = std::get<BarrierArriveMsg>(msg.payload);
   CVM_CHECK_EQ(node_.id_, 0);
   if (arrive.epoch < node_.epoch_) {
     return;  // The master already ran this epoch's barrier: stale re-delivery.
   }
-  arrivals_[arrive.epoch][arrive.node] = Inbound<BarrierArriveMsg>::Of(msg);
+  // Find the slot before Of() moves the payload `arrive` refers to.
+  auto& slot = arrivals_[arrive.epoch][arrive.node];
+  slot = Inbound<BarrierArriveMsg>::Of(msg);
 }
 
-void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
+void BarrierCoordinator::OnBarrierRelease(Message& msg) {
   const auto& release = std::get<BarrierReleaseMsg>(msg.payload);
   if (barrier_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
@@ -903,8 +908,8 @@ void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   --bitmap_replies_pending_;
 }
 
-void BarrierCoordinator::OnCompareRequest(const Message& msg) {
-  const auto& request = std::get<CompareRequestMsg>(msg.payload);
+void BarrierCoordinator::OnCompareRequest(Message& msg) {
+  auto& request = std::get<CompareRequestMsg>(msg.payload);
   if (request.epoch < node_.epoch_) {
     return;  // Stale re-delivery of a finished round.
   }
@@ -935,8 +940,9 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
     out.send_time_ps = node_.timing_.now_ps();
     node_.Send(dest, std::move(out));
   }
-  state.request = request;
-  TryFinishRemoteCompare(request.epoch);
+  const EpochId epoch = request.epoch;
+  state.request = std::move(request);
+  TryFinishRemoteCompare(epoch);
 }
 
 void BarrierCoordinator::OnBitmapShip(const Message& msg) {
@@ -1011,7 +1017,7 @@ void BarrierCoordinator::TryFinishRemoteCompare(EpochId epoch) {
   node_.Send(0, std::move(reply));
 }
 
-void BarrierCoordinator::OnCompareReply(const Message& msg) {
+void BarrierCoordinator::OnCompareReply(Message& msg) {
   const auto& reply = std::get<CompareReplyMsg>(msg.payload);
   CVM_CHECK_EQ(node_.id_, 0);
   if (compare_replies_pending_ <= 0 || reply.epoch != node_.epoch_) {

@@ -87,9 +87,12 @@ class BarrierCoordinator {
     M msg;
     size_t wire_bytes = 0;
     size_t read_notice_bytes = 0;
-    static Inbound Of(const Message& message) {
-      return Inbound{std::get<M>(message.payload), message.wire_bytes,
-                     PayloadReadNoticeBytes(message.payload)};
+    // Moves the payload out of `message`, which its handler consumes; the
+    // byte counts are read first.
+    static Inbound Of(Message& message) {
+      const size_t read_notice_bytes = PayloadReadNoticeBytes(message.payload);
+      return Inbound{std::move(std::get<M>(message.payload)), message.wire_bytes,
+                     read_notice_bytes};
     }
   };
   // Lamport-observes the arrival of `in`, sent at sim time `sent_ps`, and
@@ -188,15 +191,15 @@ class BarrierCoordinator {
   // master's CompareRequest AND all expected inbound ships for `epoch`.
   void TryFinishRemoteCompare(EpochId epoch);
 
-  void OnBarrierArrive(const Message& msg);
-  void OnBarrierRelease(const Message& msg);
-  void OnTreeArrive(const Message& msg);
-  void OnTreeRelease(const Message& msg);
+  void OnBarrierArrive(Message& msg);
+  void OnBarrierRelease(Message& msg);
+  void OnTreeArrive(Message& msg);
+  void OnTreeRelease(Message& msg);
   void OnBitmapRequest(const Message& msg);
   void OnBitmapReply(const Message& msg);
-  void OnCompareRequest(const Message& msg);
+  void OnCompareRequest(Message& msg);
   void OnBitmapShip(const Message& msg);
-  void OnCompareReply(const Message& msg);
+  void OnCompareReply(Message& msg);
 
   Node& node_;
 

@@ -78,6 +78,12 @@ void DsmSystem::AddWatchHit(WatchHit hit) {
   watch_hits_.push_back(std::move(hit));
 }
 
+uint64_t DsmSystem::PublishOverheadPs(Bucket bucket, int64_t delta_ps) {
+  const int64_t before = overhead_published_ps_[static_cast<size_t>(bucket)].fetch_add(
+      delta_ps, std::memory_order_relaxed);
+  return static_cast<uint64_t>((before + delta_ps) / 1000 - before / 1000);
+}
+
 size_t DsmSystem::ReportCount() {
   std::lock_guard<std::mutex> guard(results_mu_);
   return reports_.size();
@@ -127,6 +133,7 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
+  zero_page_.assign(options_.page_size, 0);
   nodes_.reserve(options_.num_nodes);
   for (NodeId id = 0; id < options_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<Node>(id, this));
@@ -162,6 +169,15 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
   }
   for (std::thread& t : node_threads) {
     t.join();
+  }
+  if (metrics_ != nullptr) {
+    // Charges after a node's last barrier publish (a worker applying the
+    // final release, say) go into the final row, so the rows sum to the
+    // run's totals.
+    for (const auto& node : nodes_) {
+      node->PublishOverhead();
+    }
+    metrics_->RefreshLastRow();
   }
   if (tracer_ != nullptr) {
     tracer_->DrainAll();  // Events emitted after the last barrier.

@@ -7,6 +7,7 @@
 #define CVM_DSM_DSM_H_
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -112,6 +113,9 @@ class DsmSystem {
 
   const DsmOptions& options() const { return options_; }
   SharedSegment& segment() { return *segment_; }
+  // page_size zero bytes: the one read-only page every node's zero frames
+  // read through. Allocated by Run, with the nodes.
+  const uint8_t* zero_page() const { return zero_page_.data(); }
   Network& network() { return *network_; }
 
   // Observability (null when the corresponding TraceConfig switch is off).
@@ -144,6 +148,11 @@ class DsmSystem {
   void AddReports(std::vector<RaceReport> reports);
   void AddWatchHit(WatchHit hit);
   SyncSchedule& recorded_schedule() { return recorded_schedule_; }
+  // Adds `delta_ps` to the run-wide published overhead of `bucket` and
+  // returns the whole ns that moves the total's floor by. A node adds that
+  // to the bucket's `overhead.*_ns` counter, so the counter always holds the
+  // published total floored to ns and the per-epoch rows sum to it exactly.
+  uint64_t PublishOverheadPs(Bucket bucket, int64_t delta_ps);
 
   // Crash recovery (called by nodes; see docs/FAULTS.md). ReportCount /
   // TruncateReports let the master checkpoint and retract the published
@@ -162,6 +171,7 @@ class DsmSystem {
   std::unique_ptr<RaceDetector> detector_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
+  std::vector<uint8_t> zero_page_;
   std::vector<std::unique_ptr<Node>> nodes_;
 
   PostMortemTrace trace_;
@@ -171,6 +181,7 @@ class DsmSystem {
   std::vector<WatchHit> watch_hits_;
   SyncSchedule recorded_schedule_;
   CrashOutcome crash_outcome_;
+  std::array<std::atomic<int64_t>, kNumBuckets> overhead_published_ps_ = {};
   bool ran_ = false;
 };
 

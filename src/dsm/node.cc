@@ -46,7 +46,7 @@ Node::Node(NodeId id, DsmSystem* system)
       opts_(system->options()),
       page_shift_(static_cast<uint32_t>(std::countr_zero(opts_.page_size))),
       page_mask_(opts_.page_size - 1),
-      pages_(system->segment().num_pages(), opts_.page_size),
+      pages_(system->segment().num_pages(), opts_.page_size, system->zero_page()),
       vc_(opts_.num_nodes),
       log_(opts_.num_nodes),
       bitmaps_(static_cast<uint32_t>(opts_.page_size / kWordSize)),
@@ -152,11 +152,13 @@ void Node::PublishOverhead() {
     return;
   }
   for (int b = 0; b < kNumBuckets; ++b) {
-    const double total = timing_.overhead_ns(static_cast<Bucket>(b));
-    const double delta = total - overhead_published_[static_cast<size_t>(b)];
+    const Bucket bucket = static_cast<Bucket>(b);
+    const size_t i = static_cast<size_t>(b);
+    const int64_t total = timing_.overhead_ps(bucket);
+    const int64_t delta = total - overhead_published_ps_[i];
     if (delta > 0) {
-      mh_.overhead[static_cast<size_t>(b)]->Add(static_cast<uint64_t>(delta));
-      overhead_published_[static_cast<size_t>(b)] = total;
+      mh_.overhead[i]->Add(system_->PublishOverheadPs(bucket, delta));
+      overhead_published_ps_[i] = total;
     }
   }
 }
@@ -165,8 +167,8 @@ Node::~Node() = default;
 
 int Node::num_nodes() const { return opts_.num_nodes; }
 
-std::vector<uint8_t> Node::InitialPageData(PageId page) {
-  return system_->segment().InitialPage(page);
+const std::vector<uint8_t>* Node::PokedPage(PageId page) {
+  return system_->segment().PokedPage(page);
 }
 
 void Node::Send(NodeId to, Payload payload) {
@@ -187,7 +189,7 @@ void Node::Send(NodeId to, Payload payload) {
 
 // ---------------- Inbox service ----------------
 
-void Node::Serve(const Message& msg) {
+void Node::Serve(Message& msg) {
   if (crashed_) {
     // Fail-stop: a crashed node answers nothing, not even frames that were
     // already in its inbox when it died.
@@ -294,7 +296,7 @@ void Node::StampFlowContext(Message& msg) {
   tracer_->Emit(event);
 }
 
-void Node::DispatchWithFlow(const Message& msg) {
+void Node::DispatchWithFlow(Message& msg) {
   if (tracer_ != nullptr && tracer_->flows_enabled() && msg.ctx.stamped()) {
     DispatchFlowScope scope;
     scope.ctx = msg.ctx;
@@ -418,13 +420,15 @@ void Node::FillPageCache(PageId page, PageAccessBitmaps* bitmaps) {
   const bool detect = opts_.race_detection;
   const bool detect_writes = detect && opts_.write_detection == WriteDetection::kInstrumentation;
   const bool readable = !detect || (bitmaps != nullptr && cur_reads_.Contains(page));
-  const bool writable =
-      entry.state == PageState::kReadWrite && (!detect_writes || bitmaps != nullptr);
+  // A zero frame is cached for reads only: its bytes are the shared zero
+  // page, which no write may reach.
+  const bool writable = entry.state == PageState::kReadWrite && !entry.zero &&
+                        (!detect_writes || bitmaps != nullptr);
   CachedPage& cached = page_cache_[CacheSlot(page)];
   cached.page = page;
   cached.read_generation = readable ? cache_generation_ : 0;
   cached.write_generation = writable ? cache_generation_ : 0;
-  cached.data = entry.data.data();
+  cached.data = const_cast<uint8_t*>(pages_.ReadView(entry));
   cached.read_bits = detect && bitmaps != nullptr ? bitmaps->read.word_data() : nullptr;
   cached.write_bits = detect_writes && bitmaps != nullptr ? bitmaps->write.word_data() : nullptr;
 }

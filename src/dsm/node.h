@@ -262,7 +262,7 @@ class Node : public ProtocolHost {
   void Send(NodeId to, Payload payload) override;
   void ChargeMessage(size_t bytes, size_t read_notice_bytes) override;
   void Await(const std::function<bool()>& ready) override;
-  std::vector<uint8_t> InitialPageData(PageId page) override;
+  const std::vector<uint8_t>* PokedPage(PageId page) override;
   obs::Tracer* tracer() override { return tracer_; }
   DiffObs* diff_obs() override { return &diff_obs_; }
   void CountPageFetch() override;
@@ -292,7 +292,7 @@ class Node : public ProtocolHost {
   bool AwaitUntil(std::optional<std::chrono::steady_clock::time_point> deadline,
                   const std::function<bool()>& ready);
   // One inbound frame: dropped if this node has crashed, else dispatched.
-  void Serve(const Message& msg);
+  void Serve(Message& msg);
 
   // ---- Causal flow tracing ----
   // Called by Send: stamps a TraceContext on the outbound message —
@@ -304,7 +304,7 @@ class Node : public ProtocolHost {
   // if the handler forwarded the chain onward, 'f' if it ended here.
   // Emission is post-dispatch because the forward/terminal distinction is
   // unknowable before the handler runs.
-  void DispatchWithFlow(const Message& msg);
+  void DispatchWithFlow(Message& msg);
 
   // ---- Shared-access internals ----
   // The full access bodies, for page-cache misses: they may fault, record a
@@ -327,6 +327,8 @@ class Node : public ProtocolHost {
     PageId page = -1;
     uint64_t read_generation = 0;
     uint64_t write_generation = 0;
+    // The page's bytes; for a zero frame, the shared read-only zero page,
+    // which is never cached writable.
     uint8_t* data = nullptr;
     uint64_t* read_bits = nullptr;
     uint64_t* write_bits = nullptr;
@@ -356,7 +358,8 @@ class Node : public ProtocolHost {
   // ---- Observability (no-ops when obs is off) ----
   void InitObservability();
   // Adds the per-bucket overhead accumulated since the last publish to the
-  // shared metric counters (called at barriers, before the epoch snapshot).
+  // shared metric counters (called at barriers, before the epoch snapshot,
+  // and once more when the run ends).
   void PublishOverhead();
 
   // ---- Crash / abort machinery ----
@@ -425,7 +428,7 @@ class Node : public ProtocolHost {
   };
   MetricHandles mh_;
   DiffObs diff_obs_;
-  std::array<double, kNumBuckets> overhead_published_ = {};
+  std::array<int64_t, kNumBuckets> overhead_published_ps_ = {};
 
   // Crash / abort state. crashed_: this node hit its fail-stop point and its
   // NIC is dead; Serve drops anything still in flight to it. aborted_: some

@@ -14,8 +14,8 @@ const char* PageStateName(PageState state) {
   return "?";
 }
 
-PageTable::PageTable(int num_pages, uint64_t page_size)
-    : num_pages_(num_pages), page_size_(page_size), entries_(num_pages) {
+PageTable::PageTable(int num_pages, uint64_t page_size, const uint8_t* zero_page)
+    : num_pages_(num_pages), page_size_(page_size), zero_page_(zero_page), entries_(num_pages) {
   CVM_CHECK_GT(num_pages, 0);
 }
 
@@ -32,10 +32,39 @@ void PageTable::Install(PageId page, std::vector<uint8_t> data, PageState state)
   CVM_CHECK_EQ(data.size(), page_size_);
   PageEntry& e = entry(page);
   e.data = std::move(data);
+  e.zero = false;
   e.state = state;
   if (installs_counter_ != nullptr) {
     installs_counter_->Increment();
   }
+}
+
+void PageTable::InstallZero(PageId page, PageState state) {
+  CVM_CHECK(zero_page_ != nullptr) << "zero frame " << page << " in a table without a zero page";
+  CVM_CHECK(state != PageState::kReadWrite) << "zero frame " << page << " installed writable";
+  PageEntry& e = entry(page);
+  std::vector<uint8_t>().swap(e.data);
+  e.zero = true;
+  e.state = state;
+  if (installs_counter_ != nullptr) {
+    installs_counter_->Increment();
+  }
+}
+
+PageEntry& PageTable::Materialize(PageId page) {
+  PageEntry& e = entry(page);
+  if (e.zero) {
+    e.data.assign(page_size_, 0);
+    e.zero = false;
+  }
+  return e;
+}
+
+std::vector<uint8_t> PageTable::Copy(PageId page) const {
+  const PageEntry* e = Find(page);
+  CVM_CHECK(e != nullptr && (e->zero || e->data.size() == page_size_))
+      << "page " << page << " has no copy";
+  return e->zero ? std::vector<uint8_t>(page_size_, 0) : e->data;
 }
 
 void PageTable::Invalidate(PageId page) {
@@ -49,7 +78,7 @@ void PageTable::Invalidate(PageId page) {
 }
 
 void PageTable::MakeTwin(PageId page) {
-  PageEntry& e = entry(page);
+  PageEntry& e = Materialize(page);
   CVM_CHECK(e.state != PageState::kInvalid);
   CVM_CHECK(!e.twin.has_value()) << "twin already exists for page " << page;
   e.twin = e.data;

@@ -2,7 +2,9 @@
 // touched, holding the node's private copy (if any), its protection state,
 // and the multi-writer twin. Entries are created on first mutable access, so
 // the table's memory is proportional to the pages a run touches, not to the
-// segment size; an absent entry reads as an invalid page with no data.
+// segment size; an absent entry reads as an invalid page with no data. A
+// copy that is all zero and that nobody has written (a zero frame) holds no
+// storage either: reads go to one shared read-only zero page.
 #ifndef CVM_MEM_PAGE_TABLE_H_
 #define CVM_MEM_PAGE_TABLE_H_
 
@@ -33,13 +35,19 @@ const char* PageStateName(PageState state);
 
 struct PageEntry {
   PageState state = PageState::kInvalid;
-  std::vector<uint8_t> data;            // Empty until first fetched.
+  // A zero frame: the copy is page-size zeros, `data` is empty, and reads
+  // go through the table's shared zero page. Never writable: a write
+  // materializes the frame first. Like data, it survives invalidation.
+  bool zero = false;
+  std::vector<uint8_t> data;  // Empty until first fetched, and in a zero frame.
   std::optional<std::vector<uint8_t>> twin;  // Multi-writer twin, if write-faulted.
 };
 
 class PageTable {
  public:
-  PageTable(int num_pages, uint64_t page_size);
+  // `zero_page` is page_size zero bytes that outlive the table, shared by
+  // every table of a system. A table without one holds no zero frames.
+  PageTable(int num_pages, uint64_t page_size, const uint8_t* zero_page = nullptr);
 
   int num_pages() const { return num_pages_; }
   uint64_t page_size() const { return page_size_; }
@@ -80,16 +88,22 @@ class PageTable {
     return e != nullptr && e->state == PageState::kReadWrite;
   }
 
+  // The bytes a read of `e` sees: its data, or the shared zero page for a
+  // zero frame. Page-size unless `e` is an entry without a copy.
+  const uint8_t* ReadView(const PageEntry& e) const {
+    return e.zero ? zero_page_ : e.data.data();
+  }
+
   // Reads/writes one aligned word of the node's copy. The page must be in a
   // state permitting the access (the caller handles faults first).
   uint32_t ReadWord(PageId page, uint32_t word) const {
     const PageEntry* e = Find(page);
     CVM_CHECK(e != nullptr && e->state != PageState::kInvalid)
         << "read of invalid page " << page;
-    CVM_CHECK_EQ(e->data.size(), page_size_);
+    CVM_CHECK(e->zero || e->data.size() == page_size_) << "page " << page << " has no copy";
     CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
     uint32_t value;
-    std::memcpy(&value, e->data.data() + word * kWordSize, kWordSize);
+    std::memcpy(&value, ReadView(*e) + word * kWordSize, kWordSize);
     return value;
   }
   void WriteWord(PageId page, uint32_t word, uint32_t value) {
@@ -97,6 +111,7 @@ class PageTable {
     PageEntry* e = entries_.Find(page);
     CVM_CHECK(e != nullptr && e->state == PageState::kReadWrite)
         << "write to non-writable page " << page;
+    CVM_CHECK(!e->zero) << "write to zero frame " << page;
     CVM_CHECK_EQ(e->data.size(), page_size_);
     CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
     std::memcpy(e->data.data() + word * kWordSize, &value, kWordSize);
@@ -104,13 +119,21 @@ class PageTable {
 
   // Installs fetched contents and sets the state.
   void Install(PageId page, std::vector<uint8_t> data, PageState state);
+  // Installs a zero frame (page-size zeros held as no storage) in `state`,
+  // which must not be kReadWrite.
+  void InstallZero(PageId page, PageState state);
+  // Gives a zero frame its own page-size zero bytes, so it can be written;
+  // any other entry is left as it is.
+  PageEntry& Materialize(PageId page);
+  // A copy of the node's bytes for `page`: page-size zeros for a zero frame.
+  std::vector<uint8_t> Copy(PageId page) const;
 
   // Invalidate per an incoming write notice. Keeps the (stale) data so tests
   // can observe weak-memory staleness, but faults will refetch. A page the
   // node never touched is already invalid and stays entry-free.
   void Invalidate(PageId page);
 
-  // Multi-writer helpers.
+  // Multi-writer helpers. MakeTwin materializes a zero frame first.
   void MakeTwin(PageId page);
   void DropTwin(PageId page) { entry(page).twin.reset(); }
 
@@ -122,6 +145,7 @@ class PageTable {
 
   int num_pages_;
   uint64_t page_size_;
+  const uint8_t* zero_page_;
   SparsePageMap<PageEntry> entries_;
 
   obs::Tracer* tracer_ = nullptr;

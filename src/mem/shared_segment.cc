@@ -47,10 +47,15 @@ std::string SharedSegment::Symbolize(GlobalAddr addr) const {
 }
 
 std::vector<uint8_t> SharedSegment::InitialPage(PageId page) const {
+  const std::vector<uint8_t>* poked = PokedPage(page);
+  return poked != nullptr ? *poked : std::vector<uint8_t>(page_size_, 0);
+}
+
+const std::vector<uint8_t>* SharedSegment::PokedPage(PageId page) const {
   CVM_CHECK_GE(page, 0);
   CVM_CHECK_LT(static_cast<uint64_t>(page), num_pages_);
   const auto it = poked_.find(page);
-  return it != poked_.end() ? it->second : std::vector<uint8_t>(page_size_, 0);
+  return it != poked_.end() ? &it->second : nullptr;
 }
 
 void SharedSegment::PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes) {

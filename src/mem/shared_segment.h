@@ -55,6 +55,8 @@ class SharedSegment {
   // stored, so the segment costs memory for what was poked, not for its
   // size.
   std::vector<uint8_t> InitialPage(PageId page) const;
+  // The poked initial contents of `page`, or null if the page is all-zero.
+  const std::vector<uint8_t>* PokedPage(PageId page) const;
   void PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes);
 
  private:

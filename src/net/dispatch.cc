@@ -25,7 +25,7 @@ void MessageDispatcher::AttachMetrics(obs::MetricsRegistry* metrics) {
   unhandled_counter_ = metrics->counter("net.dispatch.unhandled");
 }
 
-bool MessageDispatcher::Dispatch(const Message& msg) {
+bool MessageDispatcher::Dispatch(Message& msg) {
   const size_t index = msg.payload.index();
   const Handler& handler = handlers_[index];
   if (handler == nullptr) {

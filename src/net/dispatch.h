@@ -46,7 +46,9 @@ inline constexpr size_t kPayloadIndexOf = PayloadAlternativeIndex<T, Payload>::v
 
 class MessageDispatcher {
  public:
-  using Handler = std::function<void(const Message&)>;
+  // A handler may consume the message: the frame is dead once Dispatch
+  // returns, so moving its payload out spares a copy.
+  using Handler = std::function<void(Message&)>;
 
   // Registers the handler for payload type T. At most one handler per kind;
   // re-registration is a programming error.
@@ -62,9 +64,10 @@ class MessageDispatcher {
   // `net.dispatch.unhandled` counter. Null registry = metrics off.
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
-  // Routes one message. Returns false (and counts) if no handler is
-  // registered for its payload kind.
-  bool Dispatch(const Message& msg);
+  // Routes one message; its handler may move the payload out. Returns false
+  // (and counts) if no handler is registered for its payload kind.
+  bool Dispatch(Message& msg);
+  bool Dispatch(Message&& msg) { return Dispatch(msg); }
 
   bool HasHandler(size_t kind_index) const {
     return kind_index < kNumPayloadKinds && handlers_[kind_index] != nullptr;

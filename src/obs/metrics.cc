@@ -52,6 +52,18 @@ void MetricsRegistry::SnapshotEpoch(EpochId epoch, double sim_time_ns) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            origin_)
           .count());
+  ReadValuesLocked(row);
+  rows_.push_back(std::move(row));
+}
+
+void MetricsRegistry::RefreshLastRow() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!rows_.empty()) {
+    ReadValuesLocked(rows_.back());
+  }
+}
+
+void MetricsRegistry::ReadValuesLocked(Row& row) const {
   for (const auto& [name, c] : counters_) {
     row.counters[name] = c->value();
   }
@@ -61,7 +73,6 @@ void MetricsRegistry::SnapshotEpoch(EpochId epoch, double sim_time_ns) {
   for (const auto& [name, h] : histograms_) {
     row.histograms[name] = HistSnap{h->count(), h->sum(), h->max()};
   }
-  rows_.push_back(std::move(row));
 }
 
 size_t MetricsRegistry::NumRows() const {

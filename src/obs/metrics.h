@@ -75,6 +75,10 @@ class MetricsRegistry {
   // Appends one row holding the current (cumulative) value of every metric.
   // Called once per metrics interval at the barrier master.
   void SnapshotEpoch(EpochId epoch, double sim_time_ns);
+  // Re-reads every metric into the last row, keeping its epoch and times:
+  // called once the run has stopped, it folds what happened after the last
+  // snapshot into that row. No-op without rows.
+  void RefreshLastRow();
 
   size_t NumRows() const;
 
@@ -100,6 +104,9 @@ class MetricsRegistry {
     std::map<std::string, int64_t> gauges;
     std::map<std::string, HistSnap> histograms;
   };
+
+  // Reads every metric's current value into `row`.
+  void ReadValuesLocked(Row& row) const;
 
   // Column layout shared by the CSV and JSON emitters: one emitted row per
   // snapshot with per-epoch deltas already applied.

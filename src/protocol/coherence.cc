@@ -30,14 +30,18 @@ std::unique_ptr<CoherenceProtocol> CoherenceProtocol::Make(ProtocolKind kind,
 }
 
 void CoherenceProtocol::RegisterHandlers(MessageDispatcher& dispatcher) {
-  dispatcher.Register<PageReplyMsg>([this](const Message& msg) { OnPageReply(msg); });
+  dispatcher.Register<PageReplyMsg>([this](Message& msg) { OnPageReply(msg); });
 }
 
 void CoherenceProtocol::MaterializeHome(PageId page) {
   PageEntry& entry = host_.pages().entry(page);
   if (!home_materialized_[page]) {
     CVM_CHECK_EQ(HomeOf(page), host_.self());
-    host_.pages().Install(page, host_.InitialPageData(page), PageState::kReadOnly);
+    if (const std::vector<uint8_t>* poked = host_.PokedPage(page); poked != nullptr) {
+      host_.pages().Install(page, *poked, PageState::kReadOnly);
+    } else {
+      host_.pages().InstallZero(page, PageState::kReadOnly);
+    }
     home_materialized_[page] = true;
   } else if (entry.state == PageState::kInvalid) {
     // Home bytes are always current w.r.t. causally-required (flushed)
@@ -78,12 +82,12 @@ bool CoherenceProtocol::FetchPage(PageId page, bool want_write, PageState instal
   return ownership;
 }
 
-void CoherenceProtocol::OnPageReply(const Message& msg) {
-  const auto& reply = std::get<PageReplyMsg>(msg.payload);
+void CoherenceProtocol::OnPageReply(Message& msg) {
+  auto& reply = std::get<PageReplyMsg>(msg.payload);
   if (reply.page != page_fetch_pending_ || page_reply_.has_value()) {
     return;  // Matches no outstanding fetch: stale re-delivery.
   }
-  page_reply_ = reply;
+  page_reply_ = std::move(reply);  // The frame is dead after dispatch.
 }
 
 }  // namespace cvm

@@ -74,8 +74,9 @@ class ProtocolHost {
   // read-notice share into the paper's "CVM Mods" bucket.
   virtual void ChargeMessage(size_t bytes, size_t read_notice_bytes) = 0;
 
-  // Pristine initial contents of `page` (for lazily materialized homes).
-  virtual std::vector<uint8_t> InitialPageData(PageId page) = 0;
+  // Pristine initial contents of `page` (for lazily materialized homes), or
+  // null if the page starts all-zero.
+  virtual const std::vector<uint8_t>* PokedPage(PageId page) = 0;
 
   // Observability (null/no-op when disabled).
   virtual obs::Tracer* tracer() = 0;
@@ -147,7 +148,9 @@ class CoherenceProtocol {
 
   NodeId HomeOf(PageId page) const { return page % host_.num_nodes(); }
 
-  // Lazily initializes (or locally revalidates) this node's home frame.
+  // Lazily initializes (or locally revalidates) this node's home frame. A
+  // page that starts all-zero becomes a zero frame, which holds no storage
+  // until someone writes it.
   void MaterializeHome(PageId page);
 
   // Blocking fetch through the page's home: sends the request, waits for the
@@ -158,7 +161,7 @@ class CoherenceProtocol {
   ProtocolHost& host_;
 
  private:
-  void OnPageReply(const Message& msg);
+  void OnPageReply(Message& msg);
 
   std::vector<bool> home_materialized_;  // Home frames lazily initialized.
   // Reply slot for the single outstanding fetch (a node has at most one).

@@ -121,7 +121,7 @@ void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
   MaterializeHome(request.page);
   PageReplyMsg reply;
   reply.page = request.page;
-  reply.data = host_.pages().entry(request.page).data;
+  reply.data = host_.pages().Copy(request.page);
   host_.Send(request.requester, std::move(reply));
 }
 
@@ -138,7 +138,7 @@ void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
   for (const Diff& diff : flush.diffs) {
     CVM_CHECK_EQ(HomeOf(diff.page), host_.self());
     MaterializeHome(diff.page);
-    PageEntry& entry = host_.pages().entry(diff.page);
+    PageEntry& entry = host_.pages().Materialize(diff.page);
     // Apply to the frame; mirror into the twin for words the local writer
     // has not touched, so the home's own later diff does not claim remote
     // writes as its own.

@@ -36,7 +36,7 @@ void SingleWriterLrc::OnWriteFault(PageId page) {
     if (!host_.pages().Readable(page)) {
       MaterializeHome(page);
     }
-    host_.pages().entry(page).state = PageState::kReadWrite;
+    host_.pages().Materialize(page).state = PageState::kReadWrite;
   } else {
     FetchForAccess(page, /*want_write=*/true);
   }
@@ -89,14 +89,14 @@ void SingleWriterLrc::ServePage(const PageRequestMsg& request) {
   if (!host_.pages().Readable(request.page)) {
     MaterializeHome(request.page);
   }
-  PageEntry& entry = host_.pages().entry(request.page);
   PageReplyMsg reply;
   reply.page = request.page;
-  reply.data = entry.data;
+  reply.data = host_.pages().Copy(request.page);
   if (request.want_write) {
     reply.grants_ownership = true;
     am_owner_[request.page] = false;
-    entry.state = PageState::kReadOnly;  // Keep a (stale-able) read copy.
+    // Keep a (stale-able) read copy; a zero frame stays storage-free.
+    host_.pages().entry(request.page).state = PageState::kReadOnly;
   }
   host_.Send(request.requester, std::move(reply));
 }

@@ -1,21 +1,90 @@
 // Unit tests for the computational kernels inside the evaluation apps,
 // independent of the DSM: the FFT kernel against a naive DFT, TSP's serial
 // branch-and-bound against exhaustive search, the greedy-bound property,
-// and Water's force-law invariants.
+// Water's force-law invariants, and SOR's streamed serial reference against
+// the two-grid recomputation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "src/apps/fft.h"
+#include "src/apps/sor.h"
 #include "src/apps/tsp.h"
 #include "src/apps/water.h"
 #include "src/common/rng.h"
 
 namespace cvm {
 namespace {
+
+// ---------------- SOR reference ----------------
+
+using Grid = std::vector<std::vector<float>>;
+
+// The streamed reference, collected into a full grid.
+Grid StreamedSor(int rows, int cols, int iters) {
+  Grid grid;
+  EXPECT_TRUE(SorApp::StreamReference(rows, cols, iters, [&](int r, const float* values) {
+    EXPECT_EQ(r, static_cast<int>(grid.size()));
+    grid.emplace_back(values, values + cols);
+    return true;
+  }));
+  return grid;
+}
+
+// The two-grid Jacobi recomputation the streamed reference replaces, from
+// the same initial grid (the reference after zero iterations).
+Grid TwoGridSor(int rows, int cols, int iters) {
+  Grid a = StreamedSor(rows, cols, 0);
+  Grid b = a;
+  Grid* cur = &a;
+  Grid* nxt = &b;
+  for (int iter = 0; iter < iters; ++iter) {
+    for (int r = 1; r < rows - 1; ++r) {
+      for (int c = 1; c < cols - 1; ++c) {
+        (*nxt)[r][c] =
+            0.25f * ((*cur)[r - 1][c] + (*cur)[r + 1][c] + (*cur)[r][c - 1] + (*cur)[r][c + 1]);
+      }
+    }
+    std::swap(cur, nxt);
+  }
+  return *cur;
+}
+
+TEST(SorReferenceTest, StreamedMatchesTwoGridBitForBit) {
+  // Includes grids with rows <= iters + 2, where the wavefront never holds
+  // every level at once, and zero iterations.
+  const std::vector<std::vector<int>> shapes = {
+      {3, 3, 1}, {3, 5, 4}, {4, 3, 2}, {5, 7, 3}, {6, 4, 9}, {8, 8, 0},
+      {10, 6, 4}, {34, 32, 3}, {66, 64, 4}, {17, 129, 12}};
+  for (const std::vector<int>& shape : shapes) {
+    const int rows = shape[0];
+    const int cols = shape[1];
+    const int iters = shape[2];
+    SCOPED_TRACE(testing::Message() << rows << "x" << cols << " iters " << iters);
+    const Grid streamed = StreamedSor(rows, cols, iters);
+    const Grid two_grid = TwoGridSor(rows, cols, iters);
+    ASSERT_EQ(streamed.size(), static_cast<size_t>(rows));
+    for (int r = 0; r < rows; ++r) {
+      ASSERT_EQ(streamed[r].size(), static_cast<size_t>(cols));
+      EXPECT_EQ(std::memcmp(streamed[r].data(), two_grid[r].data(), cols * sizeof(float)), 0)
+          << "row " << r;
+    }
+  }
+}
+
+TEST(SorReferenceTest, StopsAtTheFirstRejectedRow) {
+  std::vector<int> seen;
+  EXPECT_FALSE(SorApp::StreamReference(20, 8, 3, [&seen](int r, const float*) {
+    seen.push_back(r);
+    return r < 6;
+  }));
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
 
 // ---------------- FFT kernel ----------------
 

@@ -44,6 +44,30 @@ TEST(SorAppTest, VerifiesAndIsRaceFree) {
   EXPECT_EQ(result.detect.detector.overlapping_pairs, 0u);
 }
 
+class SorProtocolTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(SorProtocolTest, VerifiesAgainstTheStreamedReference) {
+  SorApp::Params params;
+  params.rows = 34;
+  params.cols = 32;
+  params.iters = 3;
+  params.page_size = 1024;
+  DsmOptions options = TestOptions(4);
+  options.protocol = GetParam();
+  WorkloadResult result =
+      RunWorkload([&] { return std::make_unique<SorApp>(params); }, options);
+  EXPECT_TRUE(result.verified);
+  EXPECT_TRUE(result.detect.races.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, SorProtocolTest,
+                         ::testing::Values(ProtocolKind::kSingleWriterLrc,
+                                           ProtocolKind::kMultiWriterHomeLrc,
+                                           ProtocolKind::kEagerRcInvalidate),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& param_info) {
+                           return std::string(ProtocolKindName(param_info.param));
+                         });
+
 TEST(FftAppTest, VerifiesWithFalseSharingButNoRaces) {
   FftApp::Params params;
   params.rows = 32;

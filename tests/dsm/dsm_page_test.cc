@@ -31,7 +31,7 @@ DsmOptions Options(int nodes, ProtocolKind protocol, uint64_t page_size) {
 // Runs 8-node SOR on a 32 MiB segment and checks every node's page table
 // holds entries only for pages it fetched or materialized as their home: a
 // small fraction of the 8192-page segment, all inside the allocated prefix,
-// each holding data.
+// each holding a copy: page-size bytes or a zero frame.
 void ExpectSparsePageTables(bool barrier_tree) {
   DsmOptions options;
   options.num_nodes = 8;
@@ -63,8 +63,10 @@ void ExpectSparsePageTables(bool barrier_tree) {
       ++entries;
       EXPECT_LT(page, used_pages) << "node " << n;
       // Only a fetch or a home materialization creates an entry, and both
-      // install data; an entry without data was created by a peek.
-      EXPECT_EQ(entry->data.size(), options.page_size) << "node " << n << " page " << page;
+      // install a copy: page-size bytes, or a zero frame for a home page
+      // nobody has written; an entry without either was created by a peek.
+      EXPECT_TRUE(entry->zero ? entry->data.empty() : entry->data.size() == options.page_size)
+          << "node " << n << " page " << page;
     }
     EXPECT_EQ(entries, table.num_entries()) << "node " << n;
     EXPECT_GT(entries, 0u) << "node " << n;
@@ -165,6 +167,50 @@ TEST(DsmPageTest, ReadersGetCopiesWithoutStealingOwnership) {
   EXPECT_TRUE(result.races.empty());
 }
 
+// Under single-writer LRC a home materializes a page it never writes only to
+// grant its ownership away. Nobody had written the page, so the home keeps a
+// zero frame for it: a valid (later stale) all-zero copy with no storage.
+TEST(DsmPageTest, SingleWriterHomesKeepZeroFramesForPagesGrantedAway) {
+  DsmOptions options;
+  options.num_nodes = 8;
+  options.page_size = 4096;
+  options.max_shared_bytes = 2ull << 20;
+  options.protocol = ProtocolKind::kSingleWriterLrc;
+  SorApp::Params params;
+  params.rows = 66;
+  params.cols = 1024;  // One page per row.
+  params.iters = 2;
+  SorApp app(params);
+  DsmSystem system(options);
+  app.Setup(system);
+  system.Run([&app](NodeContext& ctx) { app.Run(ctx); });
+  ASSERT_TRUE(app.Verify());
+
+  // Interior rows 1-64 go 8 to a node; row 0 is node 0's, row 65 node 7's.
+  auto writer = [](int row) { return row == 0 ? 0 : std::min(7, (row - 1) / 8); };
+  size_t checked = 0;
+  for (const Symbol& grid : system.segment().symbols()) {
+    const PageId base = system.segment().PageOf(grid.base);
+    for (int row = 0; row < params.rows; ++row) {
+      const PageId page = base + row;
+      const NodeId home = page % options.num_nodes;
+      // Node 0 reads every row in its final check; every node reads the
+      // rows next to its own block. Those homes hold fetched bytes.
+      const int first = 1 + home * 8;
+      if (home == 0 || writer(row) == home || (row >= first - 1 && row <= first + 8)) {
+        continue;
+      }
+      ++checked;
+      const PageEntry* entry = system.node(home).page_table().Find(page);
+      ASSERT_NE(entry, nullptr) << "home " << home << " page " << page;
+      EXPECT_TRUE(entry->zero) << "home " << home << " page " << page;
+      EXPECT_EQ(entry->data.capacity(), 0u) << "home " << home << " page " << page;
+      EXPECT_NE(entry->state, PageState::kReadWrite) << "home " << home << " page " << page;
+    }
+  }
+  EXPECT_GT(checked, 80u);
+}
+
 // ---------------- Page cache ----------------
 
 // Spins on a host-side flag while serving the inbox: Compute polls, so the
@@ -204,6 +250,52 @@ TEST(DsmPageCacheTest, ServedOwnershipTransferForcesTheNextWriteToFault) {
     EXPECT_EQ(arr.Get(ctx, 32), 22) << "node " << ctx.id();
   });
 }
+
+class ZeroFrameTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+// A home reads a page nobody wrote through its zero frame, inline hits
+// included, then writes it: the write materializes the frame, and the shared
+// zero page other frames read through stays zero.
+TEST_P(ZeroFrameTest, HomeReadsZeroThenWriteMaterializes) {
+  DsmOptions options = Options(2, GetParam(), 256);
+  DsmSystem system(options);
+  auto a = SharedArray<int32_t>::Alloc(system, "a", 64);  // Page 0: node 0's home.
+  SharedArray<int32_t>::Alloc(system, "pad", 64);         // Page 1: node 1's.
+  auto b = SharedArray<int32_t>::Alloc(system, "b", 64);  // Page 2: node 0's again.
+  ASSERT_EQ(a.addr(0) / options.page_size, 0u);
+  ASSERT_EQ(b.addr(0) / options.page_size, 2u);
+
+  system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 0) {
+      for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 64; ++i) {
+          EXPECT_EQ(a.Get(ctx, i), 0);
+          EXPECT_EQ(b.Get(ctx, i), 0);
+        }
+      }
+      EXPECT_TRUE(ctx.page_table().Find(0)->zero);
+      a.Set(ctx, 5, 55);
+      EXPECT_FALSE(ctx.page_table().Find(0)->zero);
+      EXPECT_EQ(a.Get(ctx, 5), 55);
+      EXPECT_EQ(a.Get(ctx, 6), 0);
+      EXPECT_EQ(b.Get(ctx, 5), 0);  // Still a zero frame, still zero.
+      EXPECT_TRUE(ctx.page_table().Find(2)->zero);
+    }
+    ctx.Barrier();
+    EXPECT_EQ(a.Get(ctx, 5), 55) << "node " << ctx.id();
+    EXPECT_EQ(b.Get(ctx, 5), 0) << "node " << ctx.id();
+  });
+  const std::vector<uint8_t> zeros(options.page_size, 0);
+  EXPECT_TRUE(std::equal(zeros.begin(), zeros.end(), system.zero_page()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ZeroFrameTest,
+                         ::testing::Values(ProtocolKind::kSingleWriterLrc,
+                                           ProtocolKind::kMultiWriterHomeLrc,
+                                           ProtocolKind::kEagerRcInvalidate),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& param_info) {
+                           return std::string(ProtocolKindName(param_info.param));
+                         });
 
 class PageCacheNoticeTest : public ::testing::TestWithParam<ProtocolKind> {};
 

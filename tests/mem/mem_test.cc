@@ -129,6 +129,74 @@ TEST(PageTableTest, TwinIsSnapshot) {
   EXPECT_FALSE(pt.entry(0).twin.has_value());
 }
 
+TEST(PageTableTest, ZeroFrameReadsZeroWithoutStorage) {
+  const std::vector<uint8_t> zero_page(256, 0);
+  PageTable pt(4, 256, zero_page.data());
+  pt.InstallZero(1, PageState::kReadOnly);
+  const PageEntry& e = pt.entry(1);
+  EXPECT_TRUE(e.zero);
+  EXPECT_TRUE(e.data.empty());
+  EXPECT_EQ(e.data.capacity(), 0u);
+  EXPECT_TRUE(pt.Readable(1));
+  EXPECT_EQ(pt.ReadWord(1, 0), 0u);
+  EXPECT_EQ(pt.ReadWord(1, 63), 0u);
+  // The page cache reads through this pointer: the shared zero page.
+  EXPECT_EQ(pt.ReadView(e), zero_page.data());
+  EXPECT_EQ(pt.Copy(1), std::vector<uint8_t>(256, 0));
+  // A zero frame survives invalidation, like any retained stale copy.
+  pt.Invalidate(1);
+  EXPECT_FALSE(pt.Readable(1));
+  EXPECT_TRUE(pt.entry(1).zero);
+  // A fetched install replaces it with real bytes.
+  pt.Install(1, std::vector<uint8_t>(256, 3), PageState::kReadOnly);
+  EXPECT_FALSE(pt.entry(1).zero);
+  EXPECT_EQ(pt.ReadWord(1, 5), 0x03030303u);
+}
+
+TEST(PageTableTest, MaterializeGivesAZeroFrameStorage) {
+  const std::vector<uint8_t> zero_page(256, 0);
+  PageTable pt(4, 256, zero_page.data());
+  pt.InstallZero(2, PageState::kReadOnly);
+  PageEntry& e = pt.Materialize(2);
+  EXPECT_FALSE(e.zero);
+  EXPECT_EQ(e.data, std::vector<uint8_t>(256, 0));
+  EXPECT_EQ(pt.ReadView(e), e.data.data());
+  e.state = PageState::kReadWrite;
+  pt.WriteWord(2, 7, 0xfeedfaceu);
+  EXPECT_EQ(pt.ReadWord(2, 7), 0xfeedfaceu);
+  // The write went to the frame's own bytes; the shared page stays zero.
+  EXPECT_EQ(zero_page, std::vector<uint8_t>(256, 0));
+  // Materializing a frame that has storage leaves its bytes alone.
+  EXPECT_EQ(pt.Materialize(2).data[7 * 4], 0xce);
+}
+
+TEST(PageTableTest, MakeTwinMaterializesAZeroFrame) {
+  const std::vector<uint8_t> zero_page(64, 0);
+  PageTable pt(1, 64, zero_page.data());
+  pt.InstallZero(0, PageState::kReadOnly);
+  pt.MakeTwin(0);
+  const PageEntry& e = pt.entry(0);
+  EXPECT_FALSE(e.zero);
+  EXPECT_EQ(e.data, std::vector<uint8_t>(64, 0));
+  ASSERT_TRUE(e.twin.has_value());
+  EXPECT_EQ(*e.twin, std::vector<uint8_t>(64, 0));
+  pt.entry(0).state = PageState::kReadWrite;
+  pt.WriteWord(0, 1, 9);
+  EXPECT_EQ((*pt.entry(0).twin)[4], 0);
+  EXPECT_EQ(zero_page, std::vector<uint8_t>(64, 0));
+}
+
+TEST(PageTableDeathTest, ZeroFrameIsNeverInstalledWritable) {
+  const std::vector<uint8_t> zero_page(64, 0);
+  PageTable pt(1, 64, zero_page.data());
+  EXPECT_DEATH(pt.InstallZero(0, PageState::kReadWrite), "installed writable");
+}
+
+TEST(PageTableDeathTest, TableWithoutAZeroPageHoldsNoZeroFrames) {
+  PageTable pt(1, 64);
+  EXPECT_DEATH(pt.InstallZero(0, PageState::kReadOnly), "without a zero page");
+}
+
 TEST(DiffTest, CapturesOnlyModifiedWords) {
   std::vector<uint8_t> twin(64, 0);
   std::vector<uint8_t> current = twin;

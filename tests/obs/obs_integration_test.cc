@@ -4,6 +4,7 @@
 // allocated.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/apps/lu.h"
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
 
@@ -156,6 +158,35 @@ TEST(ObsIntegrationTest, MetricsIntervalThinsSnapshots) {
   ASSERT_FALSE(columns.at("epoch").empty());
   EXPECT_EQ(columns.at("epoch").back(), static_cast<double>(result.barriers - 1));
   EXPECT_EQ(ColumnSum(columns, "net.messages"), static_cast<double>(result.net.messages));
+}
+
+TEST(ObsIntegrationTest, OverheadRowsSumToTheRunsBuckets) {
+  // Every node publishes its integer-ps buckets as the floor of the run-wide
+  // total, and once more when the run ends (a worker still charges CVM Mods
+  // for its final release's read notices), so each overhead.*_ns column
+  // sums to the run's bucket floored to ns, with nothing lost in between.
+  DsmOptions options;
+  options.num_nodes = 8;
+  options.page_size = 4096;
+  options.max_shared_bytes = 1ull << 20;
+  options.protocol = ProtocolKind::kMultiWriterHomeLrc;
+  options.trace.metrics_enabled = true;
+  LuApp::Params params;
+  params.n = 128;
+  params.block = 16;
+  LuApp app(params);
+  DsmSystem system(options);
+  app.Setup(system);
+  const RunResult result = system.Run([&app](NodeContext& ctx) { app.Run(ctx); });
+  ASSERT_TRUE(app.Verify());
+  const auto columns = CsvColumns(system.metrics()->ToCsv());
+  for (int b = 0; b < kNumBuckets; ++b) {
+    const Bucket bucket = static_cast<Bucket>(b);
+    SCOPED_TRACE(BucketMetricName(bucket));
+    const double run_ns = result.overhead_ns[b];
+    EXPECT_GT(run_ns, 0.0);
+    EXPECT_EQ(ColumnSum(columns, BucketMetricName(bucket)), std::floor(run_ns));
+  }
 }
 
 TEST(ObsIntegrationTest, EveryRowCountsOneBarrierEntryPerNode) {
