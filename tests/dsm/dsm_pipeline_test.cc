@@ -229,6 +229,8 @@ constexpr GoldenShape kGoldenShapes[] = {
     {"serial-tree2-b1", true, 2, 1, false, false},
     {"serial-tree3-b2-z", true, 3, 2, false, true},
     {"dist-tree2-b4-z", true, 2, 4, true, true},
+    {"serial-tree7-b1", true, 7, 1, false, false},
+    {"dist-tree7-b2-z", true, 7, 2, true, true},
 };
 
 struct GoldenConfig {
@@ -326,7 +328,7 @@ RunResult RunGolden(const GoldenConfig& config, const GoldenShape& shape) {
 }
 
 // kGolden[config][shape], in kGoldenConfigs x kGoldenShapes order.
-const char* const kGolden[4][7] = {
+const char* const kGolden[4][9] = {
     {
         "races=0 fp=cbf29ce484222325 msgs=1020 faults=940 "
         "bytes=BarrierArrive:12608,BarrierRelease:70720,PageReply:1633720,"
@@ -360,6 +362,13 @@ const char* const kGolden[4][7] = {
         "bytes=BarrierTreeArrive:187788,BarrierTreeRelease:34720,PageReply:1633720,"
         "PageRequest:24345, "
         "det=96,0,0,0,0,0,0,0,0, pipe=0,0,0,0,0,0,0,0,",
+        "races=0 fp=cbf29ce484222325 msgs=1020 faults=940 bytes=BarrierTreeArrive:104608,"
+        "BarrierTreeRelease:32848,PageReply:1633720,PageRequest:24345, det=96,0,0,0,0,0,0,0,0, "
+        "pipe=0,0,0,0,0,0,0,0, sim=108165896 detect=29520 ovh=100144832,125248000,100198400,"
+        "53080,0,",
+        "races=0 fp=cbf29ce484222325 msgs=1020 faults=940 bytes=BarrierTreeArrive:104608,"
+        "BarrierTreeRelease:32848,PageReply:1633720,PageRequest:24345, det=96,0,0,0,0,0,0,0,0, "
+        "pipe=0,0,0,0,0,0,0,0,",
     },
     {
         "races=0 fp=cbf29ce484222325 msgs=612 faults=207 "
@@ -405,6 +414,15 @@ const char* const kGolden[4][7] = {
         "CompareReply:2660,CompareRequest:3356,DiffFlush:601496,DiffFlushAck:4480,"
         "PageReply:483912,PageRequest:5265, "
         "det=96,25,25,25,40,84,720,126,0, pipe=0,5,13344,1728,108,0,2,5,",
+        "races=0 fp=cbf29ce484222325 msgs=612 faults=207 bytes=BarrierTreeArrive:96456,"
+        "BarrierTreeRelease:11112,BitmapReply:23084,BitmapRequest:2336,DiffFlush:601496,"
+        "DiffFlushAck:4480,PageReply:483912,PageRequest:5265, det=96,35,35,35,40,84,1008,126,0,"
+        " pipe=0,5,23084,23084,0,0,0,0, sim=61926383.600000001 detect=1846113.6000000001 "
+        "ovh=13125722,125248000,100198400,46720,1803593.6000000001,",
+        "races=0 fp=cbf29ce484222325 msgs=647 faults=207 bytes=BarrierTreeArrive:96456,"
+        "BarrierTreeRelease:11112,BitmapShip:3156,CompareReply:2660,CompareRequest:3356,"
+        "DiffFlush:601496,DiffFlushAck:4480,PageReply:483912,PageRequest:5265, det=96,35,35,35,"
+        "40,84,1008,126,0, pipe=0,5,13344,1728,108,0,3,5,",
     },
     {
         "races=0 fp=cbf29ce484222325 msgs=1110 faults=292 "
@@ -450,6 +468,15 @@ const char* const kGolden[4][7] = {
         "CompareReply:5168,CompareRequest:14572,DiffFlush:128284,DiffFlushAck:5880,"
         "PageReply:653488,PageRequest:7110, "
         "det=416,106,106,106,70,144,1708,1122,0, pipe=0,14,113702,55278,1017,0,6,14,",
+        "races=0 fp=cbf29ce484222325 msgs=1110 faults=292 bytes=BarrierTreeArrive:414260,"
+        "BarrierTreeRelease:37532,BitmapReply:41362,BitmapRequest:4388,DiffFlush:128284,"
+        "DiffFlushAck:5880,PageReply:653488,PageRequest:7110, det=416,168,168,168,70,144,2772,"
+        "1122,0, pipe=0,14,41362,41362,0,0,0,0, sim=64008231.200000003 "
+        "detect=3972867.2000000002 ovh=6826370,54324000,43459200,119180,3859547.2000000002,",
+        "races=0 fp=cbf29ce484222325 msgs=1278 faults=292 bytes=BarrierTreeArrive:414260,"
+        "BarrierTreeRelease:37532,BitmapShip:60192,CompareReply:5168,CompareRequest:14572,"
+        "DiffFlush:128284,DiffFlushAck:5880,PageReply:653488,PageRequest:7110, det=416,168,168,"
+        "168,70,144,2772,1122,0, pipe=0,14,113702,55278,1017,0,11,14,",
     },
     {
         "races=0 fp=cbf29ce484222325 msgs=530 faults=177 "
@@ -494,6 +521,15 @@ const char* const kGolden[4][7] = {
         "CompareReply:2128,CompareRequest:3240,DiffFlush:233016,DiffFlushAck:2800,"
         "PageReply:545952,PageRequest:5940, "
         "det=80,24,24,24,32,78,800,180,0, pipe=0,4,19460,1960,150,0,1,4,",
+        "races=0 fp=cbf29ce484222325 msgs=530 faults=177 bytes=BarrierTreeArrive:80528,"
+        "BarrierTreeRelease:8192,BitmapReply:20580,BitmapRequest:1960,DiffFlush:233016,"
+        "DiffFlushAck:2800,PageReply:545952,PageRequest:5940, det=80,32,32,32,32,78,1216,180,0,"
+        " pipe=0,4,20580,20580,0,0,0,0, sim=31620582 detect=1603108 ovh=5507386,45312000,"
+        "36249600,51620,1554768,",
+        "races=0 fp=cbf29ce484222325 msgs=562 faults=177 bytes=BarrierTreeArrive:80528,"
+        "BarrierTreeRelease:8192,BitmapShip:3216,CompareReply:2128,CompareRequest:3240,"
+        "DiffFlush:233016,DiffFlushAck:2800,PageReply:545952,PageRequest:5940, det=80,32,32,32,"
+        "32,78,1216,180,0, pipe=0,4,19460,1960,150,0,2,4,",
     },
 };
 
