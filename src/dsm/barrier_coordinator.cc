@@ -55,6 +55,22 @@ int TreeHeightOf(int num_nodes, int fanout) {
   return height;
 }
 
+// The flat barrier's wire kinds carry the one-level tree's messages without
+// the combine fields. A flat arrival is a leaf's combined arrival: the
+// leaf's subtree is the sender alone, so its min clock is its clock.
+BarrierArriveMsg ToFlat(BarrierTreeArriveMsg&& m) {
+  return {m.epoch, m.node, std::move(m.intervals), std::move(m.vc), m.arrive_time_ps};
+}
+BarrierReleaseMsg ToFlat(BarrierTreeReleaseMsg&& m) {
+  return {m.epoch, std::move(m.intervals), std::move(m.merged_vc), m.release_time_ps};
+}
+BarrierTreeArriveMsg FromFlat(BarrierArriveMsg&& m) {
+  return {m.epoch, m.node, std::move(m.intervals), m.vc, m.vc, {}, {}, m.arrive_time_ps};
+}
+BarrierTreeReleaseMsg FromFlat(BarrierReleaseMsg&& m) {
+  return {m.epoch, std::move(m.intervals), std::move(m.merged_vc), m.release_time_ps};
+}
+
 // Accumulates master sim time spent inside a detection scope into
 // PipelineStats::detect_ps, whatever exit path is taken.
 struct DetectTimer {
@@ -69,14 +85,14 @@ struct DetectTimer {
 BarrierCoordinator::BarrierCoordinator(Node& node) : node_(node) {}
 
 void BarrierCoordinator::RegisterHandlers(MessageDispatcher& dispatcher) {
-  dispatcher.Register<BarrierArriveMsg>([this](Message& msg) { OnBarrierArrive(msg); });
-  dispatcher.Register<BarrierReleaseMsg>([this](Message& msg) { OnBarrierRelease(msg); });
-  dispatcher.Register<BarrierTreeArriveMsg>([this](Message& msg) { OnTreeArrive(msg); });
-  dispatcher.Register<BarrierTreeReleaseMsg>([this](Message& msg) { OnTreeRelease(msg); });
+  dispatcher.Register<BarrierArriveMsg>([this](Message& msg) { OnArrive(msg); });
+  dispatcher.Register<BarrierTreeArriveMsg>([this](Message& msg) { OnArrive(msg); });
+  dispatcher.Register<BarrierReleaseMsg>([this](Message& msg) { OnRelease(msg); });
+  dispatcher.Register<BarrierTreeReleaseMsg>([this](Message& msg) { OnRelease(msg); });
   dispatcher.Register<BitmapRequestMsg>([this](const Message& msg) { OnBitmapRequest(msg); });
   dispatcher.Register<BitmapReplyMsg>([this](const Message& msg) { OnBitmapReply(msg); });
   dispatcher.Register<CompareRequestMsg>([this](Message& msg) { OnCompareRequest(msg); });
-  dispatcher.Register<BitmapShipMsg>([this](const Message& msg) { OnBitmapShip(msg); });
+  dispatcher.Register<BitmapShipMsg>([this](Message& msg) { OnBitmapShip(msg); });
   dispatcher.Register<CompareReplyMsg>([this](Message& msg) { OnCompareReply(msg); });
 }
 
@@ -104,43 +120,239 @@ void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
 }
 
 void BarrierCoordinator::RunBarrier(EpochId epoch) {
-  if (node_.opts_.barrier_tree) {
-    TreeRunBarrier(epoch);
-    return;
-  }
-  if (node_.id_ == 0) {
+  const DsmOptions& opts = node_.opts_;
+  NodeTiming& timing = node_.timing_;
+  // The flat barrier is the one-level tree: node 0 is every other node's
+  // parent. Only a combine tree pre-reduces on the way up (merge charges,
+  // clock minima, page interest, claimed check pairs) and filters releases.
+  const bool combine = opts.barrier_tree;
+  const int fanout = combine ? opts.barrier_fanout : opts.num_nodes - 1;
+  const bool root = node_.id_ == 0;
+  const std::vector<NodeId> children = TreeChildren(node_.id_, fanout, opts.num_nodes);
+
+  // Wait for every child's arrival, probing the missing ones: a dead child
+  // surfaces kPeerUnreachable right here; a death elsewhere is caught the
+  // same way by the dead node's own parent, whose abort broadcast unblocks
+  // this wait too.
+  if (!children.empty()) {
     node_.AwaitWatchful(
-        [this, epoch] {
-          return arrivals_[epoch].size() == static_cast<size_t>(node_.opts_.num_nodes - 1);
-        },
-        [this, epoch] { ProbeMissingArrivals(epoch); });
-    MasterRunBarrier(epoch);
-    return;
+        [this, epoch, &children] { return arrivals_[epoch].size() == children.size(); },
+        [this, epoch, &children] {
+          for (NodeId child : children) {
+            if (!arrivals_[epoch].contains(child)) {
+              node_.Send(child, HeartbeatProbeMsg{epoch, ++probe_token_});
+              if (node_.aborted_) {
+                return;  // The probe surfaced a dead child; nothing left to check.
+              }
+            }
+          }
+        });
   }
-  BarrierArriveMsg arrive;
-  arrive.epoch = epoch;
-  arrive.node = node_.id_;
-  arrive.intervals = node_.log_.All();
-  arrive.vc = node_.vc_;
-  arrive.arrive_time_ps = node_.timing_.now_ps();
-  // Publish this epoch's overhead before arriving so the master's snapshot
-  // (taken once every arrival is in) sees a consistent cross-node view.
-  node_.PublishOverhead();
-  node_.Send(0, std::move(arrive));
-  node_.AwaitWatchful(
-      [this, epoch] {
-        return barrier_release_.has_value() && barrier_release_->msg.epoch == epoch;
-      },
-      // Stuck: ask the master to health-check the epoch (it probes its
-      // missing arrivals). If the master itself is the dead node, this send
-      // surfaces kPeerUnreachable and initiates the abort right here.
-      [this, epoch] { node_.Send(0, PeerSuspectMsg{epoch, kNoNode}); });
-  const Inbound<BarrierReleaseMsg> release = std::move(*barrier_release_);
-  barrier_release_.reset();
-  Receive(release, release.msg.release_time_ps);
-  node_.ApplyIntervalRecords(release.msg.intervals);
-  node_.vc_.MergeWith(release.msg.merged_vc);
-  node_.GarbageCollect();
+  std::map<NodeId, Inbound<BarrierTreeArriveMsg>> arrivals = std::move(arrivals_[epoch]);
+  arrivals_.erase(epoch);
+
+  // Fold each child into this node: log records and clock, and in a combine
+  // tree the subtree's min clock, page interest and the check-list fragments
+  // claimed further down.
+  VectorClock min_vc = node_.vc_;
+  const int num_pages = node_.pages_.num_pages();
+  Bitmap interest = combine ? OwnInterest() : Bitmap();
+  std::vector<TreeFragmentPair> fragments;
+  for (auto& [child, info] : arrivals) {
+    Receive(info, info.msg.arrive_time_ps);
+    if (combine) {
+      // Tree-hop cost: merging one child's combined log into this node's.
+      timing.Charge(Bucket::kNone, opts.costs.tree_merge_ns);
+    }
+    node_.ApplyIntervalRecords(info.msg.intervals);
+    node_.vc_.MergeWith(info.msg.vc);
+    if (!combine) {
+      continue;
+    }
+    for (int n = 0; n < min_vc.size(); ++n) {
+      min_vc.Set(n, std::min(min_vc.At(n), info.msg.min_vc.At(n)));
+    }
+    for (PageId page : info.msg.interest) {
+      interest.Set(static_cast<uint32_t>(page));
+    }
+    for (TreeFragmentPair& fragment : info.msg.fragments) {
+      fragments.push_back(std::move(fragment));
+    }
+  }
+
+  // Claim the check pairs whose members' LCA is this node: both records
+  // first co-locate here, so this is the unique tree node allowed to emit
+  // them (no pair is claimed twice, none is missed). The flat root instead
+  // runs the paper's all-pairs scan below.
+  DetectorStats claim_stats;
+  std::vector<CheckPair> claimed;
+  if (combine && opts.race_detection) {
+    const int64_t claim_start_ps = timing.now_ps();
+    // This epoch's records only: queued epochs' records stay in the log
+    // until their flush, and the subtrees' records merged in above.
+    const std::vector<IntervalRecord> epoch_records = node_.log_.OfEpoch(epoch);
+    uint64_t index_entries = 0;
+    obs::Span span(node_.tracer_, node_.id_, "detector.tree.claim", "race", timing, epoch);
+    RaceDetector::BuildClaimedPairs(
+        epoch_records, OverlapMethod::kPageLists, num_pages,
+        [this, fanout](NodeId a, NodeId b) { return TreeLca(a, b, fanout) == node_.id_; },
+        &tree_scratch_, &claimed, &claim_stats, &index_entries);
+    timing.Charge(Bucket::kIntervals,
+                  opts.costs.interval_cmp_ns * static_cast<double>(claim_stats.interval_comparisons) +
+                      opts.costs.page_overlap_ns * static_cast<double>(claim_stats.page_overlap_probes) +
+                      opts.costs.page_index_ns * static_cast<double>(index_entries));
+    span.SetArg("pairs", claimed.size());
+    claim_stats.intervals_total = epoch_records.size();
+    if (root) {
+      // The root's claim build is part of the master detect path (the flat
+      // master's build is timed inside RunRaceDetection); interior nodes'
+      // builds run off the master clock and are deliberately not folded.
+      pipeline_stats_.detect_ps += timing.now_ps() - claim_start_ps;
+    }
+  }
+
+  if (root) {
+    if (combine && have_metrics_ && epoch == 0) {
+      mh_.tree_height->Add(static_cast<uint64_t>(TreeHeightOf(opts.num_nodes, fanout)));
+    }
+    if (opts.race_detection) {
+      if (combine) {
+        QueueTreeCheckList(epoch, std::move(claimed), fragments, claim_stats);
+      } else {
+        // This epoch's records only: queued epochs' records stay in the log
+        // until their flush.
+        RunRaceDetection(epoch, node_.log_.OfEpoch(epoch));
+      }
+      // Outside the build timer: the flush charges its own detect_ps.
+      FlushDetection(epoch);
+    }
+    // The snapshot precedes the releases, because a node enters its next
+    // barrier only after its release, so row e counts exactly the entries
+    // of barrier e. The final barrier has no next entry; its snapshot
+    // follows the releases so the last row holds every message.
+    if (!node_.final_barrier_) {
+      SnapshotMetrics(epoch);
+    }
+  } else {
+    // Arrive at the parent with this node's log and clock, plus (combine)
+    // the subtree's min clock, claimed fragments and page interest.
+    BarrierTreeArriveMsg up;
+    up.epoch = epoch;
+    up.node = node_.id_;
+    up.intervals = node_.log_.All();
+    up.vc = node_.vc_;
+    if (combine) {
+      up.min_vc = std::move(min_vc);
+      up.fragments = std::move(fragments);
+      up.fragments.reserve(up.fragments.size() + claimed.size());
+      for (CheckPair& pair : claimed) {
+        up.fragments.push_back(TreeFragmentPair{pair.a.id, pair.b.id, std::move(pair.pages)});
+      }
+      for (uint32_t bit : interest.SetBits()) {
+        up.interest.push_back(static_cast<PageId>(bit));
+      }
+    }
+    up.arrive_time_ps = timing.now_ps();
+    // Publish this epoch's overhead before arriving so the root's snapshot
+    // (taken once every arrival is in) sees a consistent cross-node view.
+    node_.PublishOverhead();
+    const NodeId parent = TreeParent(node_.id_, fanout);
+    if (combine) {
+      node_.Send(parent, std::move(up));
+    } else {
+      node_.Send(parent, ToFlat(std::move(up)));
+    }
+
+    // Wait for the parent's release, probing the parent: a dead parent
+    // surfaces kPeerUnreachable here and initiates the abort.
+    node_.AwaitWatchful(
+        [this, epoch] { return release_.has_value() && release_->msg.epoch == epoch; },
+        [this, epoch, parent] { node_.Send(parent, HeartbeatProbeMsg{epoch, ++probe_token_}); });
+    const Inbound<BarrierTreeReleaseMsg> release = std::move(*release_);
+    release_.reset();
+    Receive(release, release.msg.release_time_ps);
+    node_.ApplyIntervalRecords(release.msg.intervals);
+    node_.vc_.MergeWith(release.msg.merged_vc);
+  }
+
+  // Release the children. Below the root this re-tailors and forwards the
+  // parent's release before collecting: the forwarding reads this node's
+  // log, and a child's interest is a subset of this subtree's, so every
+  // record a child needs is guaranteed to be here.
+  SendReleases(epoch, arrivals);
+  // Only the root queues detection work; while some is queued, the log
+  // (report provenance) and the retained bitmaps must survive until the
+  // flush barrier.
+  if (pending_.empty()) {
+    node_.GarbageCollect();
+  }
+  if (root && node_.final_barrier_) {
+    SnapshotMetrics(epoch);
+  }
+}
+
+Bitmap BarrierCoordinator::OwnInterest() const {
+  const int num_pages = node_.pages_.num_pages();
+  Bitmap interest(static_cast<uint32_t>(num_pages));
+  // Interested in any page this node ever cached: a usable copy or a
+  // retained stale one (data, or a zero frame, survives invalidation).
+  // Only pages holding a page-table entry can qualify, so the scan visits
+  // just those.
+  node_.pages_.ForEachEntry([&interest](PageId page, const PageEntry& entry) {
+    if (entry.state != PageState::kInvalid || entry.zero || !entry.data.empty()) {
+      interest.Set(static_cast<uint32_t>(page));
+    }
+  });
+  // Pages this node is HOME for are always interesting, cached or not:
+  // this bitmap is a snapshot taken at barrier arrival, but a node
+  // blocked in the barrier keeps serving page requests from stragglers,
+  // and the home is where a never-touched page can be lazily
+  // materialized to serve such a fetch. Under single-writer, granting
+  // ownership away retains a stale-able read copy — one the shipped
+  // snapshot does not cover, so without the home clause its
+  // invalidation gets filtered and the next epoch reads stale data.
+  // Every other mid-barrier state change happens on pages the node
+  // already held data for (the node cannot fetch: it is blocked in the
+  // barrier). Homes are 1/n of the address space per node, so the clause
+  // keeps the down-leg sub-quadratic. The mapping mirrors
+  // CoherenceProtocol::HomeOf (page % num_nodes).
+  for (PageId page = node_.id_; page < num_pages; page += node_.opts_.num_nodes) {
+    interest.Set(static_cast<uint32_t>(page));
+  }
+  return interest;
+}
+
+void BarrierCoordinator::QueueTreeCheckList(EpochId epoch, std::vector<CheckPair> pairs,
+                                            const std::vector<TreeFragmentPair>& fragments,
+                                            DetectorStats claim_stats) {
+  NodeTiming& timing = node_.timing_;
+  DetectTimer detect_timer{timing, timing.now_ps(), &pipeline_stats_.detect_ps};
+  // Rehydrate the subtree fragments from the merged log (every record
+  // reaches the root) and interleave the root's own claims; (a.id, b.id)
+  // order is exactly the flat serial scan's emission order, so the
+  // merged check list — and with it every downstream report — is
+  // byte-identical to the flat pipeline's.
+  pairs.reserve(pairs.size() + fragments.size());
+  for (const TreeFragmentPair& fragment : fragments) {
+    const IntervalRecord* a = node_.log_.Find(fragment.a);
+    const IntervalRecord* b = node_.log_.Find(fragment.b);
+    CVM_CHECK(a != nullptr) << "fragment interval missing from the merged log";
+    CVM_CHECK(b != nullptr) << "fragment interval missing from the merged log";
+    pairs.push_back(CheckPair{*a, *b, fragment.pages});
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const CheckPair& x, const CheckPair& y) {
+    return x.a.id == y.a.id ? x.b.id < y.b.id : x.a.id < y.a.id;
+  });
+  // Claims see pairs, not the whole epoch: the in-overlap count comes from
+  // the merged list, exactly as the flat build computes it.
+  claim_stats.intervals_in_overlap = RaceDetector::MemberIntervals(pairs).size();
+  node_.system_->detector().AccumulateBuild(claim_stats);
+  if (have_metrics_) {
+    mh_.check_pairs->Add(pairs.size());
+  }
+  if (!pairs.empty()) {
+    QueueDetection(epoch, std::move(pairs));
+  }
 }
 
 template <typename M>
@@ -154,49 +366,45 @@ void BarrierCoordinator::Receive(const Inbound<M>& in, int64_t sent_ps) {
   }
 }
 
-void BarrierCoordinator::MasterRunBarrier(EpochId epoch) {
-  std::map<NodeId, Inbound<BarrierArriveMsg>> arrivals = std::move(arrivals_[epoch]);
-  arrivals_.erase(epoch);
-
-  for (auto& [node, info] : arrivals) {
-    Receive(info, info.msg.arrive_time_ps);
-    node_.ApplyIntervalRecords(info.msg.intervals);
-    node_.vc_.MergeWith(info.msg.vc);
-  }
-
-  if (node_.opts_.race_detection) {
-    // This epoch's records only: queued epochs' records stay in the log
-    // until their flush.
-    RunRaceDetection(epoch, node_.log_.OfEpoch(epoch));
-    FlushDetection(epoch);
-  }
-
-  FinishMasterEpoch(epoch, [&] {
-    for (NodeId node = 1; node < node_.opts_.num_nodes; ++node) {
-      BarrierReleaseMsg release;
-      release.epoch = epoch;
-      release.intervals = node_.log_.UnseenBy(arrivals[node].msg.vc);
-      release.merged_vc = node_.vc_;
-      release.release_time_ps = node_.timing_.now_ps();
-      node_.Send(node, std::move(release));
+void BarrierCoordinator::SendReleases(
+    EpochId epoch, const std::map<NodeId, Inbound<BarrierTreeArriveMsg>>& arrivals) {
+  const bool combine = node_.opts_.barrier_tree;
+  for (const auto& [child, arrival] : arrivals) {
+    BarrierTreeReleaseMsg release;
+    release.epoch = epoch;
+    release.merged_vc = node_.vc_;
+    release.intervals = node_.log_.UnseenBy(arrival.msg.min_vc);
+    if (combine) {
+      // Interest filtering is what keeps the release wave sub-quadratic: a
+      // record whose write notices miss every valid copy in the child
+      // subtree would be applied as a pure no-op there (invalidating an
+      // invalid page) and then garbage-collected immediately — so it never
+      // travels. The no-op claim leans on the interest fold including each
+      // node's home pages (see OwnInterest): copies materialized mid-barrier
+      // to serve stragglers appear only at homes, so they are covered
+      // despite postdating the snapshot. Read notices are stripped for the
+      // same reason records are: below the root they only feed the
+      // (already finished) race check.
+      Bitmap interest(static_cast<uint32_t>(node_.pages_.num_pages()));
+      for (PageId page : arrival.msg.interest) {
+        interest.Set(static_cast<uint32_t>(page));
+      }
+      std::erase_if(release.intervals, [&interest](const IntervalRecord& record) {
+        return std::none_of(record.write_pages.begin(), record.write_pages.end(),
+                            [&interest](PageId page) {
+                              return interest.Test(static_cast<uint32_t>(page));
+                            });
+      });
+      for (IntervalRecord& record : release.intervals) {
+        record.read_pages.clear();
+      }
     }
-  });
-}
-
-void BarrierCoordinator::FinishMasterEpoch(EpochId epoch,
-                                           const std::function<void()>& send_releases) {
-  const bool final_barrier = node_.final_barrier_;
-  if (!final_barrier) {
-    SnapshotMetrics(epoch);
-  }
-  send_releases();
-  if (pending_.empty()) {
-    node_.GarbageCollect();
-  }
-  // else: queued epochs still need the log (report provenance) and the
-  // workers' retained bitmaps; everything is collected at the flush barrier.
-  if (final_barrier) {
-    SnapshotMetrics(epoch);
+    release.release_time_ps = node_.timing_.now_ps();
+    if (combine) {
+      node_.Send(child, std::move(release));
+    } else {
+      node_.Send(child, ToFlat(std::move(release)));
+    }
   }
 }
 
@@ -565,298 +773,36 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(EpochId msg_ep
   return reports;
 }
 
-void BarrierCoordinator::ProbeMissingArrivals(EpochId epoch) {
-  if (node_.id_ != 0 || epoch != node_.epoch_ || node_.aborted_ || node_.crashed_) {
-    return;
-  }
-  // The flat barrier's members are the master's children in a one-level
-  // tree: every other node.
-  const int num_nodes = node_.opts_.num_nodes;
-  ProbeMissing(epoch, TreeChildren(0, num_nodes - 1, num_nodes), arrivals_[epoch]);
-}
-
-template <typename Arrivals>
-void BarrierCoordinator::ProbeMissing(EpochId epoch, const std::vector<NodeId>& members,
-                                      const Arrivals& arrived) {
-  for (NodeId n : members) {
-    if (arrived.find(n) == arrived.end()) {
-      node_.Send(n, HeartbeatProbeMsg{epoch, ++probe_token_});
-      if (node_.aborted_) {
-        return;  // The probe surfaced a dead peer; nothing left to check.
-      }
-    }
-  }
-}
-
-void BarrierCoordinator::TreeRunBarrier(EpochId epoch) {
-  const DsmOptions& opts = node_.opts_;
-  NodeTiming& timing = node_.timing_;
-  const int fanout = opts.barrier_fanout;
-  const std::vector<NodeId> children = TreeChildren(node_.id_, fanout, opts.num_nodes);
-
-  // Combine phase: wait for every child subtree's arrival. The watchful
-  // wait probes per tree edge: a dead child surfaces kPeerUnreachable right
-  // here; a death elsewhere is caught the same way by the dead node's own
-  // parent, whose abort broadcast unblocks this wait too.
-  if (!children.empty()) {
-    node_.AwaitWatchful(
-        [this, epoch, &children] { return tree_arrivals_[epoch].size() == children.size(); },
-        [this, epoch, &children] { ProbeMissing(epoch, children, tree_arrivals_[epoch]); });
-  }
-  std::map<NodeId, Inbound<BarrierTreeArriveMsg>> arrivals = std::move(tree_arrivals_[epoch]);
-  tree_arrivals_.erase(epoch);
-
-  // Fold each child subtree into this node: log records, max/min clocks,
-  // page interest, and the check-list fragments claimed further down.
-  VectorClock min_vc = node_.vc_;
-  const int num_pages = node_.pages_.num_pages();
-  Bitmap interest(static_cast<uint32_t>(num_pages));
-  // Interested in any page this node ever cached: a usable copy or a
-  // retained stale one (data, or a zero frame, survives invalidation). Only
-  // pages holding a page-table entry can qualify, so the scan visits just
-  // those.
-  node_.pages_.ForEachEntry([&interest](PageId page, const PageEntry& entry) {
-    if (entry.state != PageState::kInvalid || entry.zero || !entry.data.empty()) {
-      interest.Set(static_cast<uint32_t>(page));
-    }
-  });
-  // Pages this node is HOME for are always interesting, cached or not:
-  // this bitmap is a snapshot taken at barrier arrival, but a node
-  // blocked in the barrier keeps serving page requests from stragglers,
-  // and the home is where a never-touched page can be lazily
-  // materialized to serve such a fetch. Under single-writer, granting
-  // ownership away retains a stale-able read copy — one the shipped
-  // snapshot does not cover, so without the home clause its
-  // invalidation gets filtered and the next epoch reads stale data.
-  // Every other mid-barrier state change happens on pages the node
-  // already held data for (the node cannot fetch: it is blocked in the
-  // barrier). Homes are 1/n of the address space per node, so the clause
-  // keeps the down-leg sub-quadratic. The mapping mirrors
-  // CoherenceProtocol::HomeOf (page % num_nodes).
-  for (PageId page = node_.id_; page < num_pages; page += opts.num_nodes) {
-    interest.Set(static_cast<uint32_t>(page));
-  }
-  std::vector<TreeFragmentPair> fragments;
-  tree_child_state_.clear();
-  for (auto& [child, info] : arrivals) {
-    Receive(info, info.msg.arrive_time_ps);
-    // Tree-hop cost: merging one child's combined log into this node's.
-    timing.Charge(Bucket::kNone, opts.costs.tree_merge_ns);
-    node_.ApplyIntervalRecords(info.msg.intervals);
-    node_.vc_.MergeWith(info.msg.vc);
-    for (int n = 0; n < min_vc.size(); ++n) {
-      min_vc.Set(n, std::min(min_vc.At(n), info.msg.min_vc.At(n)));
-    }
-    TreeChildState state;
-    state.min_vc = std::move(info.msg.min_vc);
-    state.interest = Bitmap(static_cast<uint32_t>(num_pages));
-    for (PageId page : info.msg.interest) {
-      state.interest.Set(static_cast<uint32_t>(page));
-      interest.Set(static_cast<uint32_t>(page));
-    }
-    for (TreeFragmentPair& fragment : info.msg.fragments) {
-      fragments.push_back(std::move(fragment));
-    }
-    tree_child_state_.emplace(child, std::move(state));
-  }
-
-  // Claim the check pairs whose members' LCA is this node: both records
-  // first co-locate here, so this is the unique tree node allowed to emit
-  // them (no pair is claimed twice, none is missed).
-  DetectorStats claim_stats;
-  std::vector<CheckPair> claimed;
-  size_t epoch_record_count = 0;
-  if (opts.race_detection) {
-    const int64_t claim_start_ps = timing.now_ps();
-    // This epoch's records only: queued epochs' records stay in the log
-    // until their flush, and the subtrees' records merged in above.
-    const std::vector<IntervalRecord> epoch_records = node_.log_.OfEpoch(epoch);
-    epoch_record_count = epoch_records.size();
-    uint64_t index_entries = 0;
-    obs::Span span(node_.tracer_, node_.id_, "detector.tree.claim", "race", timing, epoch);
-    RaceDetector::BuildClaimedPairs(
-        epoch_records, OverlapMethod::kPageLists, num_pages,
-        [this, fanout](NodeId a, NodeId b) { return TreeLca(a, b, fanout) == node_.id_; },
-        &tree_scratch_, &claimed, &claim_stats, &index_entries);
-    timing.Charge(Bucket::kIntervals,
-                  opts.costs.interval_cmp_ns * static_cast<double>(claim_stats.interval_comparisons) +
-                      opts.costs.page_overlap_ns * static_cast<double>(claim_stats.page_overlap_probes) +
-                      opts.costs.page_index_ns * static_cast<double>(index_entries));
-    span.SetArg("pairs", claimed.size());
-    if (node_.id_ == 0) {
-      // The root's claim build is part of the master detect path (the flat
-      // master's build is timed inside RunRaceDetection); interior nodes'
-      // builds run off the master clock and are deliberately not folded.
-      pipeline_stats_.detect_ps += timing.now_ps() - claim_start_ps;
-    }
-  }
-
-  if (node_.id_ == 0) {
-    if (have_metrics_ && epoch == 0) {
-      mh_.tree_height->Add(static_cast<uint64_t>(TreeHeightOf(opts.num_nodes, fanout)));
-    }
-    if (opts.race_detection) {
-      {
-        DetectTimer detect_timer{timing, timing.now_ps(), &pipeline_stats_.detect_ps};
-        // Rehydrate the subtree fragments from the merged log (every record
-        // reaches the root) and interleave the root's own claims; (a.id, b.id)
-        // order is exactly the flat serial scan's emission order, so the
-        // merged check list — and with it every downstream report — is
-        // byte-identical to the flat pipeline's.
-        std::vector<CheckPair> pairs = std::move(claimed);
-        pairs.reserve(pairs.size() + fragments.size());
-        for (const TreeFragmentPair& fragment : fragments) {
-          const IntervalRecord* a = node_.log_.Find(fragment.a);
-          const IntervalRecord* b = node_.log_.Find(fragment.b);
-          CVM_CHECK(a != nullptr) << "fragment interval missing from the merged log";
-          CVM_CHECK(b != nullptr) << "fragment interval missing from the merged log";
-          pairs.push_back(CheckPair{*a, *b, fragment.pages});
-        }
-        std::sort(pairs.begin(), pairs.end(), [](const CheckPair& x, const CheckPair& y) {
-          return x.a.id == y.a.id ? x.b.id < y.b.id : x.a.id < y.a.id;
-        });
-        // Claims see pairs, not the whole epoch: the interval counters come
-        // from the merged list, exactly as the flat build computes them.
-        claim_stats.intervals_total = epoch_record_count;
-        claim_stats.intervals_in_overlap = RaceDetector::MemberIntervals(pairs).size();
-        node_.system_->detector().AccumulateBuild(claim_stats);
-        if (have_metrics_) {
-          mh_.check_pairs->Add(pairs.size());
-        }
-        if (!pairs.empty()) {
-          QueueDetection(epoch, std::move(pairs));
-        }
-      }
-      // Outside the timer: the flush charges its own detect_ps.
-      FlushDetection(epoch);
-    }
-    FinishMasterEpoch(epoch, [&] { SendTreeReleases(epoch, children); });
-    return;
-  }
-
-  // Interior/leaf: forward the combined arrival one hop up.
-  BarrierTreeArriveMsg up;
-  up.epoch = epoch;
-  up.node = node_.id_;
-  up.intervals = node_.log_.All();
-  up.vc = node_.vc_;
-  up.min_vc = std::move(min_vc);
-  up.fragments = std::move(fragments);
-  if (opts.race_detection) {
-    up.fragments.reserve(up.fragments.size() + claimed.size());
-    for (CheckPair& pair : claimed) {
-      up.fragments.push_back(TreeFragmentPair{pair.a.id, pair.b.id, std::move(pair.pages)});
-    }
-  }
-  for (uint32_t bit : interest.SetBits()) {
-    up.interest.push_back(static_cast<PageId>(bit));
-  }
-  up.arrive_time_ps = timing.now_ps();
-  // Publish this epoch's overhead before arriving so the root's snapshot
-  // (taken once the whole tree has combined) sees a consistent view.
-  node_.PublishOverhead();
-  const NodeId parent = TreeParent(node_.id_, fanout);
-  node_.Send(parent, std::move(up));
-
-  // Release phase: wait for the parent's tailored release, probing the
-  // parent directly; a dead parent surfaces kPeerUnreachable here and
-  // initiates the abort.
-  node_.AwaitWatchful(
-      [this, epoch] { return tree_release_.has_value() && tree_release_->msg.epoch == epoch; },
-      [this, epoch, parent] { node_.Send(parent, HeartbeatProbeMsg{epoch, ++probe_token_}); });
-  const Inbound<BarrierTreeReleaseMsg> release = std::move(*tree_release_);
-  tree_release_.reset();
-  Receive(release, release.msg.release_time_ps);
-  node_.ApplyIntervalRecords(release.msg.intervals);
-  node_.vc_.MergeWith(release.msg.merged_vc);
-  // Re-tailor and forward down before collecting: the forwarding reads this
-  // node's log, and a child's interest is a subset of this subtree's, so
-  // every record a child needs is guaranteed to be here.
-  SendTreeReleases(epoch, children);
-  node_.GarbageCollect();
-}
-
-void BarrierCoordinator::SendTreeReleases(EpochId epoch,
-                                                const std::vector<NodeId>& children) {
-  for (NodeId child : children) {
-    auto it = tree_child_state_.find(child);
-    CVM_CHECK(it != tree_child_state_.end());
-    const TreeChildState& state = it->second;
-    BarrierTreeReleaseMsg release;
-    release.epoch = epoch;
-    release.merged_vc = node_.vc_;
-    // Interest filtering is what keeps the release wave sub-quadratic: a
-    // record whose write notices miss every valid copy in the child subtree
-    // would be applied as a pure no-op there (invalidating an invalid page)
-    // and then garbage-collected immediately — so it never travels. The
-    // no-op claim leans on the interest fold including each node's home
-    // pages (see TreeRunBarrier): copies materialized mid-barrier to serve
-    // stragglers appear only at homes, so they are covered despite
-    // postdating the snapshot. Read notices are stripped for the same
-    // reason records are: below the root they only feed the (already
-    // finished) race check.
-    for (IntervalRecord& record : node_.log_.UnseenBy(state.min_vc)) {
-      bool relevant = false;
-      for (PageId page : record.write_pages) {
-        if (state.interest.Test(static_cast<uint32_t>(page))) {
-          relevant = true;
-          break;
-        }
-      }
-      if (!relevant) {
-        continue;
-      }
-      record.read_pages.clear();
-      release.intervals.push_back(std::move(record));
-    }
-    release.release_time_ps = node_.timing_.now_ps();
-    node_.Send(child, std::move(release));
-  }
-  tree_child_state_.clear();
-}
-
-void BarrierCoordinator::OnTreeArrive(Message& msg) {
-  const auto& arrive = std::get<BarrierTreeArriveMsg>(msg.payload);
+void BarrierCoordinator::OnArrive(Message& msg) {
+  const size_t read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
+  auto* flat = std::get_if<BarrierArriveMsg>(&msg.payload);
+  BarrierTreeArriveMsg arrive = flat != nullptr
+                                    ? FromFlat(std::move(*flat))
+                                    : std::move(std::get<BarrierTreeArriveMsg>(msg.payload));
   if (arrive.epoch < node_.epoch_) {
     return;  // This epoch's combine already ran here: stale re-delivery.
   }
-  if (have_metrics_) {
+  if (have_metrics_ && flat == nullptr) {
     mh_.tree_up_bytes->Add(msg.wire_bytes);
     mh_.tree_fragments->Add(arrive.fragments.size());
   }
-  // Find the slot before Of() moves the payload `arrive` refers to.
-  auto& slot = tree_arrivals_[arrive.epoch][arrive.node];
-  slot = Inbound<BarrierTreeArriveMsg>::Of(msg);
+  auto& slot = arrivals_[arrive.epoch][arrive.node];
+  slot = Inbound<BarrierTreeArriveMsg>{std::move(arrive), msg.wire_bytes, read_notice_bytes};
 }
 
-void BarrierCoordinator::OnTreeRelease(Message& msg) {
-  const auto& release = std::get<BarrierTreeReleaseMsg>(msg.payload);
-  if (tree_release_.has_value() || release.epoch < node_.epoch_) {
+void BarrierCoordinator::OnRelease(Message& msg) {
+  const size_t read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
+  auto* flat = std::get_if<BarrierReleaseMsg>(&msg.payload);
+  BarrierTreeReleaseMsg release = flat != nullptr
+                                      ? FromFlat(std::move(*flat))
+                                      : std::move(std::get<BarrierTreeReleaseMsg>(msg.payload));
+  if (release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
-  if (have_metrics_) {
+  if (have_metrics_ && flat == nullptr) {
     mh_.tree_down_bytes->Add(msg.wire_bytes);
   }
-  tree_release_ = Inbound<BarrierTreeReleaseMsg>::Of(msg);
-}
-
-void BarrierCoordinator::OnBarrierArrive(Message& msg) {
-  const auto& arrive = std::get<BarrierArriveMsg>(msg.payload);
-  CVM_CHECK_EQ(node_.id_, 0);
-  if (arrive.epoch < node_.epoch_) {
-    return;  // The master already ran this epoch's barrier: stale re-delivery.
-  }
-  // Find the slot before Of() moves the payload `arrive` refers to.
-  auto& slot = arrivals_[arrive.epoch][arrive.node];
-  slot = Inbound<BarrierArriveMsg>::Of(msg);
-}
-
-void BarrierCoordinator::OnBarrierRelease(Message& msg) {
-  const auto& release = std::get<BarrierReleaseMsg>(msg.payload);
-  if (barrier_release_.has_value() || release.epoch < node_.epoch_) {
-    return;  // This epoch's release already landed: stale re-delivery.
-  }
-  barrier_release_ = Inbound<BarrierReleaseMsg>::Of(msg);
+  release_ = Inbound<BarrierTreeReleaseMsg>{std::move(release), msg.wire_bytes, read_notice_bytes};
 }
 
 void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
@@ -909,7 +855,8 @@ void BarrierCoordinator::OnBitmapReply(const Message& msg) {
 }
 
 void BarrierCoordinator::OnCompareRequest(Message& msg) {
-  auto& request = std::get<CompareRequestMsg>(msg.payload);
+  Inbound<CompareRequestMsg> in = Inbound<CompareRequestMsg>::Of(msg);
+  CompareRequestMsg& request = in.msg;
   if (request.epoch < node_.epoch_) {
     return;  // Stale re-delivery of a finished round.
   }
@@ -920,8 +867,7 @@ void BarrierCoordinator::OnCompareRequest(Message& msg) {
     return;  // Duplicate.
   }
   state.have_request = true;
-  node_.timing_.ObserveAtLeast(request.request_time_ps +
-                               NsToPs(node_.opts_.costs.MessageCost(msg.wire_bytes)));
+  Receive(in, request.request_time_ps);
 
   // Execute the ship directives immediately: one BitmapShipMsg per distinct
   // destination, sent even when every listed bitmap is gone, so destinations
@@ -945,7 +891,7 @@ void BarrierCoordinator::OnCompareRequest(Message& msg) {
   TryFinishRemoteCompare(epoch);
 }
 
-void BarrierCoordinator::OnBitmapShip(const Message& msg) {
+void BarrierCoordinator::OnBitmapShip(Message& msg) {
   const auto& ship = std::get<BitmapShipMsg>(msg.payload);
   if (node_.id_ == 0) {
     // Master side: peers shipping the bitmaps for master-owned pairs.
@@ -965,12 +911,12 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
     return;  // Stale re-delivery.
   }
   // Ships can land before this node's own CompareRequest; park them.
-  RemoteCompareState& state = remote_compare_[ship.epoch];
-  node_.timing_.ObserveAtLeast(ship.send_time_ps +
-                               NsToPs(node_.opts_.costs.MessageCost(msg.wire_bytes)));
-  DecodeEntries(ship.entries, &state.shipped);
+  const Inbound<BitmapShipMsg> in = Inbound<BitmapShipMsg>::Of(msg);
+  RemoteCompareState& state = remote_compare_[in.msg.epoch];
+  Receive(in, in.msg.send_time_ps);
+  DecodeEntries(in.msg.entries, &state.shipped);
   ++state.ships_received;
-  TryFinishRemoteCompare(ship.epoch);
+  TryFinishRemoteCompare(in.msg.epoch);
 }
 
 void BarrierCoordinator::TryFinishRemoteCompare(EpochId epoch) {

@@ -1,5 +1,6 @@
 // Barrier engine, extracted from the node monolith: barrier arrival/release
-// bookkeeping (master = node 0 collects arrivals, merges interval logs,
+// bookkeeping over a k-ary tree rooted at node 0 (the flat barrier is the
+// one-level tree: the master collects arrivals, merges interval logs,
 // releases workers) and the orchestration of the barrier-time race-detection
 // pipeline in both modes — the paper's serial check on the master, and the
 // distributed compare (CompareRequest / BitmapShip / CompareReply). One
@@ -11,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -63,20 +63,16 @@ class BarrierCoordinator {
   void InitObservability(obs::MetricsRegistry* metrics);
 
   // The barrier body, called from Node::Barrier with the in-barrier interval
-  // already published. Master path: wait for every arrival, merge logs, run
-  // the detection pipeline, release workers. Worker path: send the arrival,
-  // wait for the release, apply its records. A node blocked here keeps
-  // serving its peers.
+  // already published; the same steps on every node of the barrier tree
+  // (flat: fanout num_nodes - 1; --barrier-tree: barrier_fanout). Wait for
+  // the children's arrivals and fold them in. The root (node 0) then runs
+  // the detection pipeline; any other node arrives at its parent and waits
+  // for its release. Last, release the children and garbage-collect. A
+  // node blocked here keeps serving its peers.
   void RunBarrier(EpochId epoch);
 
   // Meaningful on node 0 only (the barrier master runs the pipeline).
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
-
-  // Flat master-side health check: heartbeat-probes every worker that has
-  // not arrived for `epoch`. Called from the master's own watchful barrier
-  // wait and from the PeerSuspect handler when a stuck worker asks for a
-  // health check.
-  void ProbeMissingArrivals(EpochId epoch);
 
  private:
   // A received barrier-protocol message with the byte counts its receive is
@@ -99,36 +95,28 @@ class BarrierCoordinator {
   // charges its read-notice bytes to the CVM-modifications bucket.
   template <typename M>
   void Receive(const Inbound<M>& in, int64_t sent_ps);
-  // Heartbeat-probes every node of `members` missing from `arrived`. A live
-  // node acks and is left alone; a dead one surfaces kPeerUnreachable at
-  // this sender, which initiates the run abort.
-  template <typename Arrivals>
-  void ProbeMissing(EpochId epoch, const std::vector<NodeId>& members, const Arrivals& arrived);
-
-  void MasterRunBarrier(EpochId epoch);
+  // Sends each child its release: the records unseen by the child
+  // subtree's min VC (a flat child's own VC) and the merged clock. A
+  // combine tree keeps only records whose write notices intersect the
+  // subtree's page interest and strips their read notices.
+  void SendReleases(EpochId epoch,
+                    const std::map<NodeId, Inbound<BarrierTreeArriveMsg>>& arrivals);
   // Steps 2-3 on the flat master: builds the epoch's check list and queues it.
   void RunRaceDetection(EpochId epoch, const std::vector<IntervalRecord>& epoch_intervals);
-  // The master's (or tree root's) end of a barrier: runs `send_releases`,
-  // garbage-collects unless detection work is still queued, and takes the
-  // per-epoch metrics snapshot. The snapshot precedes the releases, because
-  // a node enters its next barrier only after its release, so row e counts
-  // exactly the entries of barrier e. The final barrier has no next entry;
-  // its snapshot follows the releases so the last row holds every message.
-  void FinishMasterEpoch(EpochId epoch, const std::function<void()>& send_releases);
   // Publishes the master's overhead and snapshots the metrics registry on
   // every metrics_interval-th epoch and at the final barrier.
   void SnapshotMetrics(EpochId epoch);
 
-  // ---- Hierarchical (k-ary combine tree) barrier (--barrier-tree) ----
-  // The node's barrier body in tree mode: wait for the child subtrees, merge
-  // their logs / clocks / check-list fragments, build the pairs whose LCA is
-  // this node, then either forward the combined arrival up (interior/leaf)
-  // or run detection and start the release wave (root).
-  void TreeRunBarrier(EpochId epoch);
-  // Sends each child subtree its tailored release: records unseen by the
-  // subtree's min VC whose write notices intersect the subtree's page
-  // interest, read notices stripped (log not yet GC'd).
-  void SendTreeReleases(EpochId epoch, const std::vector<NodeId>& children);
+  // ---- Combine tree (--barrier-tree) ----
+  // The pages this node holds a copy of or is home for: its own share of
+  // the page interest a combined arrival carries up.
+  Bitmap OwnInterest() const;
+  // Steps 2-3 on the combine root: rehydrates the subtrees' claimed
+  // fragments, merges them with the root's own claimed `pairs` into the
+  // flat scan's order and queues the check list.
+  void QueueTreeCheckList(EpochId epoch, std::vector<CheckPair> pairs,
+                          const std::vector<TreeFragmentPair>& fragments,
+                          DetectorStats claim_stats);
 
   // ---- The detection queue (--detect-batch=N; 1 flushes every barrier) ----
   // One epoch's queued detection work: its check pairs and the distinct
@@ -191,32 +179,21 @@ class BarrierCoordinator {
   // master's CompareRequest AND all expected inbound ships for `epoch`.
   void TryFinishRemoteCompare(EpochId epoch);
 
-  void OnBarrierArrive(Message& msg);
-  void OnBarrierRelease(Message& msg);
-  void OnTreeArrive(Message& msg);
-  void OnTreeRelease(Message& msg);
+  // Barrier arrivals and releases of either shape, stored in their tree form.
+  void OnArrive(Message& msg);
+  void OnRelease(Message& msg);
   void OnBitmapRequest(const Message& msg);
   void OnBitmapReply(const Message& msg);
   void OnCompareRequest(Message& msg);
-  void OnBitmapShip(const Message& msg);
+  void OnBitmapShip(Message& msg);
   void OnCompareReply(Message& msg);
 
   Node& node_;
 
-  // Worker-side release slot.
-  std::optional<Inbound<BarrierReleaseMsg>> barrier_release_;
-
-  // ---- Combine-tree state ----
-  std::map<EpochId, std::map<NodeId, Inbound<BarrierTreeArriveMsg>>> tree_arrivals_;
-  // Non-root release slot (parent -> this subtree).
-  std::optional<Inbound<BarrierTreeReleaseMsg>> tree_release_;
-  // Per-child release-tailoring state for the barrier in flight: the child
-  // subtree's min VC and page-interest set, captured from its arrival.
-  struct TreeChildState {
-    VectorClock min_vc;
-    Bitmap interest;
-  };
-  std::map<NodeId, TreeChildState> tree_child_state_;
+  // Children's arrivals by epoch, and the non-root release slot (parent ->
+  // this subtree).
+  std::map<EpochId, std::map<NodeId, Inbound<BarrierTreeArriveMsg>>> arrivals_;
+  std::optional<Inbound<BarrierTreeReleaseMsg>> release_;
 
   // Queued detection work, oldest epoch first (master/root only).
   std::vector<PendingEpoch> pending_;
@@ -225,9 +202,6 @@ class BarrierCoordinator {
   // interior nodes build concurrently, so the shared detector's is off
   // limits here.
   OverlapScratch tree_scratch_;
-
-  // Barrier master state.
-  std::map<EpochId, std::map<NodeId, Inbound<BarrierArriveMsg>>> arrivals_;
 
   // Master-side bitmap collection for the current detection round.
   BitmapMap collected_bitmaps_;

@@ -62,7 +62,6 @@ Node::Node(NodeId id, DsmSystem* system)
   dispatcher_.Register<HeartbeatProbeMsg>([this](const Message& msg) { OnHeartbeatProbe(msg); });
   // An ack only says the peer is alive: a watchful wait keeps waiting.
   dispatcher_.Register<HeartbeatAckMsg>([](const Message&) {});
-  dispatcher_.Register<PeerSuspectMsg>([this](const Message& msg) { OnPeerSuspect(msg); });
   dispatcher_.Register<RunAbortMsg>([this](const Message& msg) { OnRunAbort(msg); });
   dispatcher_.SetUnhandledHook([this](const Message& msg) {
     if (tracer_ == nullptr) {
@@ -681,21 +680,6 @@ void Node::InitiateAbort(NodeId dead, EpochId epoch) {
 void Node::OnHeartbeatProbe(const Message& msg) {
   const auto& probe = std::get<HeartbeatProbeMsg>(msg.payload);
   Send(msg.from, HeartbeatAckMsg{probe.epoch, probe.token});
-}
-
-void Node::OnPeerSuspect(const Message& msg) {
-  const auto& suspect = std::get<PeerSuspectMsg>(msg.payload);
-  if (aborted_) {
-    return;
-  }
-  // A stuck peer asked "is someone dead?". Probing a live node is harmless
-  // (it acks); probing a dead one surfaces kPeerUnreachable right here at
-  // the sender, which initiates the abort.
-  if (suspect.suspect != kNoNode && suspect.suspect != id_) {
-    Send(suspect.suspect, HeartbeatProbeMsg{suspect.epoch, ++heartbeat_token_});
-  } else {
-    barrier_.ProbeMissingArrivals(suspect.epoch);
-  }
 }
 
 void Node::OnRunAbort(const Message& msg) {

@@ -380,7 +380,6 @@ class Node : public ProtocolHost {
   size_t RollbackToCheckpoint();
   // Control-plane handlers.
   void OnHeartbeatProbe(const Message& msg);
-  void OnPeerSuspect(const Message& msg);
   void OnRunAbort(const Message& msg);
 
   // ---------------- State ----------------

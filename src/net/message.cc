@@ -87,7 +87,6 @@ struct SizeVisitor {
   size_t operator()(const ErcAckMsg&) const { return 8; }
   size_t operator()(const HeartbeatProbeMsg&) const { return 12; }
   size_t operator()(const HeartbeatAckMsg&) const { return 12; }
-  size_t operator()(const PeerSuspectMsg&) const { return 8; }
   size_t operator()(const RunAbortMsg&) const { return 8; }
   size_t operator()(const BarrierTreeArriveMsg& m) const {
     size_t n = 16 + m.vc.RleByteSize() + m.min_vc.RleByteSize() + RleIntervalsByteSize(m.intervals);
@@ -130,8 +129,7 @@ constexpr const char* kPayloadKindNames[kNumPayloadKinds] = {
     "LockRequest", "LockGrant",      "BarrierArrive", "BitmapRequest",
     "BitmapReply", "CompareRequest", "BitmapShip", "CompareReply",
     "BarrierRelease", "ErcUpdate",   "ErcAck",     "HeartbeatProbe",
-    "HeartbeatAck", "PeerSuspect",   "RunAbort",   "BarrierTreeArrive",
-    "BarrierTreeRelease",
+    "HeartbeatAck", "RunAbort",      "BarrierTreeArrive", "BarrierTreeRelease",
 };
 
 }  // namespace
@@ -160,8 +158,8 @@ size_t PayloadReadNoticeBytes(const Msg& message) {
   X(PageRequestMsg) X(PageReplyMsg) X(DiffFlushMsg) X(DiffFlushAckMsg) X(LockRequestMsg)       \
   X(LockGrantMsg) X(BarrierArriveMsg) X(BitmapRequestMsg) X(BitmapReplyMsg)                    \
   X(CompareRequestMsg) X(BitmapShipMsg) X(CompareReplyMsg) X(BarrierReleaseMsg)                \
-  X(ErcUpdateMsg) X(ErcAckMsg) X(HeartbeatProbeMsg) X(HeartbeatAckMsg) X(PeerSuspectMsg)       \
-  X(RunAbortMsg) X(BarrierTreeArriveMsg) X(BarrierTreeReleaseMsg)
+  X(ErcUpdateMsg) X(ErcAckMsg) X(HeartbeatProbeMsg) X(HeartbeatAckMsg) X(RunAbortMsg)          \
+  X(BarrierTreeArriveMsg) X(BarrierTreeReleaseMsg)
 #define CVM_INSTANTIATE_SIZERS(Msg)                               \
   template size_t PayloadByteSize<Msg>(const Msg& message);       \
   template size_t PayloadReadNoticeBytes<Msg>(const Msg& message);

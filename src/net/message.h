@@ -230,9 +230,9 @@ struct ErcAckMsg {
 
 // ---- Failure detection & run abort (docs/FAULTS.md "Crash faults") ----
 
-// Master (or a timed-out worker) pings a silent peer. A live-but-slow peer
-// answers with HeartbeatAckMsg; a dead peer's transport surfaces
-// kPeerUnreachable to the prober, confirming the suspicion.
+// A node whose wait has gone quiet pings the peer it waits on. A
+// live-but-slow peer answers with HeartbeatAckMsg; a dead peer's transport
+// surfaces kPeerUnreachable to the prober, confirming the suspicion.
 struct HeartbeatProbeMsg {
   EpochId epoch = -1;
   uint64_t token = 0;
@@ -241,14 +241,6 @@ struct HeartbeatProbeMsg {
 struct HeartbeatAckMsg {
   EpochId epoch = -1;
   uint64_t token = 0;
-};
-
-// Worker -> master: "my send to `suspect` came back unreachable" — lets a
-// worker that tripped over the dead node first hand the verdict to the
-// barrier master, which owns the abort decision for the epoch.
-struct PeerSuspectMsg {
-  EpochId epoch = -1;
-  NodeId suspect = kNoNode;
 };
 
 // Broadcast by whichever survivor first confirms a dead peer: every node
@@ -263,7 +255,7 @@ using Payload = std::variant<PageRequestMsg, PageReplyMsg, DiffFlushMsg, DiffFlu
                              LockRequestMsg, LockGrantMsg, BarrierArriveMsg, BitmapRequestMsg,
                              BitmapReplyMsg, CompareRequestMsg, BitmapShipMsg, CompareReplyMsg,
                              BarrierReleaseMsg, ErcUpdateMsg, ErcAckMsg, HeartbeatProbeMsg,
-                             HeartbeatAckMsg, PeerSuspectMsg, RunAbortMsg, BarrierTreeArriveMsg,
+                             HeartbeatAckMsg, RunAbortMsg, BarrierTreeArriveMsg,
                              BarrierTreeReleaseMsg>;
 
 struct Message {

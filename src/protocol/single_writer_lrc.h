@@ -30,7 +30,6 @@ class SingleWriterLrc : public CoherenceProtocol {
   void ApplyWriteNotices(const IntervalRecord& record) override;
 
  protected:
-  bool IsOwner(PageId page) const { return am_owner_[page]; }
   // ERC's eager-path re-application reuses the owner-aware invalidation.
   void InvalidateUnlessOwner(const std::vector<PageId>& pages);
 

@@ -203,11 +203,6 @@ void Scheduler::WaitIdle() {
   });
 }
 
-size_t Scheduler::QueueDepth() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return queue_.size();
-}
-
 SchedulerStats Scheduler::stats() const {
   std::lock_guard<std::mutex> guard(mu_);
   return stats_;

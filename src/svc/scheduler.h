@@ -118,7 +118,6 @@ class Scheduler {
   // Blocks until nothing is queued or running.
   void WaitIdle();
 
-  size_t QueueDepth() const;
   SchedulerStats stats() const;
   std::map<std::string, TenantCounts> tenant_counts() const;
 
