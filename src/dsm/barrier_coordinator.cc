@@ -295,11 +295,11 @@ Bitmap BarrierCoordinator::OwnInterest() const {
   const int num_pages = node_.pages_.num_pages();
   Bitmap interest(static_cast<uint32_t>(num_pages));
   // Interested in any page this node ever cached: a usable copy or a
-  // retained stale one (data, or a zero frame, survives invalidation).
+  // retained stale one (a frame survives invalidation).
   // Only pages holding a page-table entry can qualify, so the scan visits
   // just those.
   node_.pages_.ForEachEntry([&interest](PageId page, const PageEntry& entry) {
-    if (entry.state != PageState::kInvalid || entry.zero || !entry.data.empty()) {
+    if (entry.frame != nullptr) {
       interest.Set(static_cast<uint32_t>(page));
     }
   });

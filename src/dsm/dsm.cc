@@ -133,7 +133,7 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
-  zero_page_.assign(options_.page_size, 0);
+  zero_frame_ = std::make_shared<std::vector<uint8_t>>(options_.page_size, 0);
   nodes_.reserve(options_.num_nodes);
   for (NodeId id = 0; id < options_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<Node>(id, this));

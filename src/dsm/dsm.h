@@ -113,9 +113,9 @@ class DsmSystem {
 
   const DsmOptions& options() const { return options_; }
   SharedSegment& segment() { return *segment_; }
-  // page_size zero bytes: the one read-only page every node's zero frames
-  // read through. Allocated by Run, with the nodes.
-  const uint8_t* zero_page() const { return zero_page_.data(); }
+  // The one all-zero frame every node installs, shared, for a page nobody
+  // has written. Allocated by Run, with the nodes.
+  const Frame& zero_frame() const { return zero_frame_; }
   Network& network() { return *network_; }
 
   // Observability (null when the corresponding TraceConfig switch is off).
@@ -171,7 +171,7 @@ class DsmSystem {
   std::unique_ptr<RaceDetector> detector_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::vector<uint8_t> zero_page_;
+  Frame zero_frame_;
   std::vector<std::unique_ptr<Node>> nodes_;
 
   PostMortemTrace trace_;

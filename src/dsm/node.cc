@@ -46,7 +46,7 @@ Node::Node(NodeId id, DsmSystem* system)
       opts_(system->options()),
       page_shift_(static_cast<uint32_t>(std::countr_zero(opts_.page_size))),
       page_mask_(opts_.page_size - 1),
-      pages_(system->segment().num_pages(), opts_.page_size, system->zero_page()),
+      pages_(system->segment().num_pages(), opts_.page_size),
       vc_(opts_.num_nodes),
       log_(opts_.num_nodes),
       bitmaps_(static_cast<uint32_t>(opts_.page_size / kWordSize)),
@@ -169,6 +169,8 @@ int Node::num_nodes() const { return opts_.num_nodes; }
 const std::vector<uint8_t>* Node::PokedPage(PageId page) {
   return system_->segment().PokedPage(page);
 }
+
+const Frame& Node::zero_frame() { return system_->zero_frame(); }
 
 void Node::Send(NodeId to, Payload payload) {
   Message msg;
@@ -403,6 +405,9 @@ void Node::WriteWordSlow(GlobalAddr addr, uint32_t value) {
   if (!pages_.Writable(page)) {
     WriteFault(page);
   }
+  if (pages_.Find(page)->shared) {
+    InvalidatePageCache();  // The write swaps in a private copy of the frame.
+  }
   pages_.WriteWord(page, word, value);
   protocol_->OnAccessComplete(page);
   FillPageCache(page, bitmaps);
@@ -419,15 +424,14 @@ void Node::FillPageCache(PageId page, PageAccessBitmaps* bitmaps) {
   const bool detect = opts_.race_detection;
   const bool detect_writes = detect && opts_.write_detection == WriteDetection::kInstrumentation;
   const bool readable = !detect || (bitmaps != nullptr && cur_reads_.Contains(page));
-  // A zero frame is cached for reads only: its bytes are the shared zero
-  // page, which no write may reach.
-  const bool writable = entry.state == PageState::kReadWrite && !entry.zero &&
+  // A shared frame is cached for reads only: no write may reach it.
+  const bool writable = entry.state == PageState::kReadWrite && !entry.shared &&
                         (!detect_writes || bitmaps != nullptr);
   CachedPage& cached = page_cache_[CacheSlot(page)];
   cached.page = page;
   cached.read_generation = readable ? cache_generation_ : 0;
   cached.write_generation = writable ? cache_generation_ : 0;
-  cached.data = const_cast<uint8_t*>(pages_.ReadView(entry));
+  cached.data = entry.frame->data();
   cached.read_bits = detect && bitmaps != nullptr ? bitmaps->read.word_data() : nullptr;
   cached.write_bits = detect_writes && bitmaps != nullptr ? bitmaps->write.word_data() : nullptr;
 }

@@ -263,6 +263,7 @@ class Node : public ProtocolHost {
   void ChargeMessage(size_t bytes, size_t read_notice_bytes) override;
   void Await(const std::function<bool()>& ready) override;
   const std::vector<uint8_t>* PokedPage(PageId page) override;
+  const Frame& zero_frame() override;
   obs::Tracer* tracer() override { return tracer_; }
   DiffObs* diff_obs() override { return &diff_obs_; }
   void CountPageFetch() override;
@@ -322,13 +323,13 @@ class Node : public ProtocolHost {
   // may not is filled with 0, which no generation equals. A null bitmap
   // pointer means that access kind is not instrumented. Every event that can
   // move page data or bitmap storage (a served frame, a fault, an interval
-  // boundary) bumps the generation first.
+  // boundary, a write that swaps a shared frame for a private copy) bumps
+  // the generation first.
   struct CachedPage {
     PageId page = -1;
     uint64_t read_generation = 0;
     uint64_t write_generation = 0;
-    // The page's bytes; for a zero frame, the shared read-only zero page,
-    // which is never cached writable.
+    // The page's frame bytes; a shared frame is never cached writable.
     uint8_t* data = nullptr;
     uint64_t* read_bits = nullptr;
     uint64_t* write_bits = nullptr;

@@ -1,5 +1,7 @@
 #include "src/mem/page_table.h"
 
+#include <utility>
+
 namespace cvm {
 
 const char* PageStateName(PageState state) {
@@ -14,8 +16,20 @@ const char* PageStateName(PageState state) {
   return "?";
 }
 
-PageTable::PageTable(int num_pages, uint64_t page_size, const uint8_t* zero_page)
-    : num_pages_(num_pages), page_size_(page_size), zero_page_(zero_page), entries_(num_pages) {
+namespace {
+
+// Replaces a shared frame with a private copy of it.
+void Unshare(Frame& frame, bool& shared) {
+  if (shared) {
+    frame = std::make_shared<std::vector<uint8_t>>(*frame);
+    shared = false;
+  }
+}
+
+}  // namespace
+
+PageTable::PageTable(int num_pages, uint64_t page_size)
+    : num_pages_(num_pages), page_size_(page_size), entries_(num_pages) {
   CVM_CHECK_GT(num_pages, 0);
 }
 
@@ -28,43 +42,33 @@ void PageTable::AttachObservability(obs::Tracer* tracer, NodeId node, obs::Count
   invalidations_counter_ = invalidations;
 }
 
-void PageTable::Install(PageId page, std::vector<uint8_t> data, PageState state) {
-  CVM_CHECK_EQ(data.size(), page_size_);
+void PageTable::Install(PageId page, Frame frame, PageState state, bool shared) {
+  CVM_CHECK(frame != nullptr && frame->size() == page_size_) << "page " << page;
   PageEntry& e = entry(page);
-  e.data = std::move(data);
-  e.zero = false;
+  e.frame = std::move(frame);
+  e.shared = shared;
   e.state = state;
   if (installs_counter_ != nullptr) {
     installs_counter_->Increment();
   }
 }
 
-void PageTable::InstallZero(PageId page, PageState state) {
-  CVM_CHECK(zero_page_ != nullptr) << "zero frame " << page << " in a table without a zero page";
-  CVM_CHECK(state != PageState::kReadWrite) << "zero frame " << page << " installed writable";
+Frame PageTable::Share(PageId page) {
   PageEntry& e = entry(page);
-  std::vector<uint8_t>().swap(e.data);
-  e.zero = true;
-  e.state = state;
-  if (installs_counter_ != nullptr) {
-    installs_counter_->Increment();
-  }
+  CVM_CHECK(e.frame != nullptr) << "page " << page << " has no copy";
+  e.shared = true;
+  return e.frame;
 }
 
-PageEntry& PageTable::Materialize(PageId page) {
-  PageEntry& e = entry(page);
-  if (e.zero) {
-    e.data.assign(page_size_, 0);
-    e.zero = false;
-  }
+PageEntry& PageTable::MakePrivate(PageEntry& e) {
+  Unshare(e.frame, e.shared);
   return e;
 }
 
-std::vector<uint8_t> PageTable::Copy(PageId page) const {
-  const PageEntry* e = Find(page);
-  CVM_CHECK(e != nullptr && (e->zero || e->data.size() == page_size_))
-      << "page " << page << " has no copy";
-  return e->zero ? std::vector<uint8_t>(page_size_, 0) : e->data;
+std::vector<uint8_t>& PageTable::PrivateTwin(PageEntry& e) {
+  CVM_CHECK(e.twin != nullptr);
+  Unshare(e.twin, e.twin_shared);
+  return *e.twin;
 }
 
 void PageTable::Invalidate(PageId page) {
@@ -78,10 +82,12 @@ void PageTable::Invalidate(PageId page) {
 }
 
 void PageTable::MakeTwin(PageId page) {
-  PageEntry& e = Materialize(page);
+  PageEntry& e = entry(page);
   CVM_CHECK(e.state != PageState::kInvalid);
-  CVM_CHECK(!e.twin.has_value()) << "twin already exists for page " << page;
-  e.twin = e.data;
+  CVM_CHECK(e.twin == nullptr) << "twin already exists for page " << page;
+  e.twin_shared = e.shared;
+  e.twin = e.shared ? e.frame : std::make_shared<std::vector<uint8_t>>(*e.frame);
+  MakePrivate(e);
   if (twins_counter_ != nullptr) {
     twins_counter_->Increment();
   }

@@ -1,16 +1,17 @@
 // Per-node view of the shared segment: one PageEntry per page the node has
-// touched, holding the node's private copy (if any), its protection state,
-// and the multi-writer twin. Entries are created on first mutable access, so
-// the table's memory is proportional to the pages a run touches, not to the
-// segment size; an absent entry reads as an invalid page with no data. A
-// copy that is all zero and that nobody has written (a zero frame) holds no
-// storage either: reads go to one shared read-only zero page.
+// touched, holding the node's copy of the page (if any), its protection
+// state, and the multi-writer twin. Entries are created on first mutable
+// access, so the table's memory is proportional to the pages a run touches,
+// not to the segment size; an absent entry reads as an invalid page with no
+// data. A copy is a handle to a frame, and frames are shared copy-on-write:
+// a served page is the server's frame, and every page nobody has written is
+// the system's one zero frame.
 #ifndef CVM_MEM_PAGE_TABLE_H_
 #define CVM_MEM_PAGE_TABLE_H_
 
 #include <cstdint>
 #include <cstring>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "src/common/check.h"
@@ -33,21 +34,25 @@ enum class PageState : uint8_t {
 
 const char* PageStateName(PageState state);
 
+// One page's bytes, held by handle. Entries of any node may hold the same
+// frame; a holder writes it in place only while its entry marks it unshared.
+using Frame = std::shared_ptr<std::vector<uint8_t>>;
+
 struct PageEntry {
   PageState state = PageState::kInvalid;
-  // A zero frame: the copy is page-size zeros, `data` is empty, and reads
-  // go through the table's shared zero page. Never writable: a write
-  // materializes the frame first. Like data, it survives invalidation.
-  bool zero = false;
-  std::vector<uint8_t> data;  // Empty until first fetched, and in a zero frame.
-  std::optional<std::vector<uint8_t>> twin;  // Multi-writer twin, if write-faulted.
+  // The frame may be held elsewhere, so it is read-only here and the first
+  // write takes a private copy. Set when the frame leaves in a page reply,
+  // when it was installed from one, and for the zero frame; never decided
+  // from the frame's reference count, which other threads move.
+  bool shared = false;
+  bool twin_shared = false;  // The same, for the twin; unused while it is null.
+  Frame frame;  // Null until first installed; survives invalidation.
+  Frame twin;   // Multi-writer twin, if write-faulted.
 };
 
 class PageTable {
  public:
-  // `zero_page` is page_size zero bytes that outlive the table, shared by
-  // every table of a system. A table without one holds no zero frames.
-  PageTable(int num_pages, uint64_t page_size, const uint8_t* zero_page = nullptr);
+  PageTable(int num_pages, uint64_t page_size);
 
   int num_pages() const { return num_pages_; }
   uint64_t page_size() const { return page_size_; }
@@ -88,53 +93,49 @@ class PageTable {
     return e != nullptr && e->state == PageState::kReadWrite;
   }
 
-  // The bytes a read of `e` sees: its data, or the shared zero page for a
-  // zero frame. Page-size unless `e` is an entry without a copy.
-  const uint8_t* ReadView(const PageEntry& e) const {
-    return e.zero ? zero_page_ : e.data.data();
-  }
-
   // Reads/writes one aligned word of the node's copy. The page must be in a
   // state permitting the access (the caller handles faults first).
   uint32_t ReadWord(PageId page, uint32_t word) const {
     const PageEntry* e = Find(page);
     CVM_CHECK(e != nullptr && e->state != PageState::kInvalid)
         << "read of invalid page " << page;
-    CVM_CHECK(e->zero || e->data.size() == page_size_) << "page " << page << " has no copy";
+    CVM_CHECK(e->frame != nullptr) << "page " << page << " has no copy";
     CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
     uint32_t value;
-    std::memcpy(&value, ReadView(*e) + word * kWordSize, kWordSize);
+    std::memcpy(&value, e->frame->data() + word * kWordSize, kWordSize);
     return value;
   }
+  // A write to a shared frame takes a private copy first.
   void WriteWord(PageId page, uint32_t word, uint32_t value) {
     CheckPage(page);
     PageEntry* e = entries_.Find(page);
     CVM_CHECK(e != nullptr && e->state == PageState::kReadWrite)
         << "write to non-writable page " << page;
-    CVM_CHECK(!e->zero) << "write to zero frame " << page;
-    CVM_CHECK_EQ(e->data.size(), page_size_);
     CVM_CHECK_LT(static_cast<uint64_t>(word) * kWordSize, page_size_);
-    std::memcpy(e->data.data() + word * kWordSize, &value, kWordSize);
+    std::memcpy(MakePrivate(*e).frame->data() + word * kWordSize, &value, kWordSize);
   }
 
-  // Installs fetched contents and sets the state.
-  void Install(PageId page, std::vector<uint8_t> data, PageState state);
-  // Installs a zero frame (page-size zeros held as no storage) in `state`,
-  // which must not be kReadWrite.
-  void InstallZero(PageId page, PageState state);
-  // Gives a zero frame its own page-size zero bytes, so it can be written;
-  // any other entry is left as it is.
-  PageEntry& Materialize(PageId page);
-  // A copy of the node's bytes for `page`: page-size zeros for a zero frame.
-  std::vector<uint8_t> Copy(PageId page) const;
+  // Installs `frame` (page-size bytes) and sets the state. `shared` says
+  // whether anything else may hold the frame: a fetched one or the zero
+  // frame.
+  void Install(PageId page, Frame frame, PageState state, bool shared);
+  // Marks the entry's frame shared and returns it: the handle a page reply
+  // carries in place of a copy.
+  Frame Share(PageId page);
+  // Gives the entry a frame of its own if its frame is shared, so it can be
+  // written; a frame swap the caller's page cache must see.
+  PageEntry& MakePrivate(PageId page) { return MakePrivate(entry(page)); }
 
   // Invalidate per an incoming write notice. Keeps the (stale) data so tests
   // can observe weak-memory staleness, but faults will refetch. A page the
   // node never touched is already invalid and stays entry-free.
   void Invalidate(PageId page);
 
-  // Multi-writer helpers. MakeTwin materializes a zero frame first.
+  // Multi-writer helpers. MakeTwin of a shared frame keeps that frame as
+  // the twin (nobody writes it) and copies once, for the data. The twin is
+  // written only through PrivateTwin.
   void MakeTwin(PageId page);
+  std::vector<uint8_t>& PrivateTwin(PageEntry& e);
   void DropTwin(PageId page) { entry(page).twin.reset(); }
 
  private:
@@ -142,10 +143,10 @@ class PageTable {
     CVM_CHECK_GE(page, 0);
     CVM_CHECK_LT(page, num_pages_);
   }
+  PageEntry& MakePrivate(PageEntry& e);
 
   int num_pages_;
   uint64_t page_size_;
-  const uint8_t* zero_page_;
   SparsePageMap<PageEntry> entries_;
 
   obs::Tracer* tracer_ = nullptr;

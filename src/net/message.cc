@@ -32,7 +32,7 @@ size_t RleIntervalsByteSize(const std::vector<IntervalRecord>& records) {
 
 struct SizeVisitor {
   size_t operator()(const PageRequestMsg&) const { return 13; }
-  size_t operator()(const PageReplyMsg& m) const { return 8 + m.data.size(); }
+  size_t operator()(const PageReplyMsg& m) const { return 8 + (m.data ? m.data->size() : 0); }
   size_t operator()(const DiffFlushMsg& m) const {
     size_t n = 8;
     for (const Diff& d : m.diffs) {

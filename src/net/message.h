@@ -13,6 +13,7 @@
 #include "src/common/bitmap.h"
 #include "src/common/types.h"
 #include "src/mem/diff.h"
+#include "src/mem/page_table.h"
 #include "src/obs/trace_context.h"
 #include "src/protocol/interval.h"
 #include "src/race/bitmap_codec.h"
@@ -31,7 +32,9 @@ struct PageRequestMsg {
 
 struct PageReplyMsg {
   PageId page = -1;
-  std::vector<uint8_t> data;
+  // The server's frame, by handle: both sides then hold it shared, and the
+  // wire still carries (and charges) its page-size bytes.
+  Frame data;
   bool grants_ownership = false;
 };
 
@@ -268,8 +271,8 @@ struct Message {
   size_t wire_bytes = 0;
 
   // Wall-clock enqueue timestamp (ns, steady clock), filled by the network
-  // at send time; used for the delivery-latency histogram. Not part of the
-  // modeled wire size.
+  // at send time only while the delivery-latency histogram is attached (0
+  // otherwise). Not part of the modeled wire size.
   uint64_t send_wall_ns = 0;
 
   // Causal flow context. Stamped by Node::Send (rich: epoch, parent chain,

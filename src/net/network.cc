@@ -134,7 +134,9 @@ SendOutcome Network::Send(Message message, uint32_t max_attempts) {
   // re-carry it like any other header byte.
   message.wire_bytes = PayloadByteSize(message.payload) +
                        (message.ctx.stamped() ? obs::kTraceContextWireBytes : 0);
-  message.send_wall_ns = WallNs();
+  if (msg_latency_hist_ != nullptr) {
+    message.send_wall_ns = WallNs();  // Read only for the latency histogram.
+  }
   if (injector_ != nullptr) {
     return SendReliable(std::move(message), max_attempts);
   }

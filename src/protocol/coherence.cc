@@ -38,9 +38,10 @@ void CoherenceProtocol::MaterializeHome(PageId page) {
   if (!home_materialized_[page]) {
     CVM_CHECK_EQ(HomeOf(page), host_.self());
     if (const std::vector<uint8_t>* poked = host_.PokedPage(page); poked != nullptr) {
-      host_.pages().Install(page, *poked, PageState::kReadOnly);
+      host_.pages().Install(page, std::make_shared<std::vector<uint8_t>>(*poked),
+                            PageState::kReadOnly, /*shared=*/false);
     } else {
-      host_.pages().InstallZero(page, PageState::kReadOnly);
+      host_.pages().Install(page, host_.zero_frame(), PageState::kReadOnly, /*shared=*/true);
     }
     home_materialized_[page] = true;
   } else if (entry.state == PageState::kInvalid) {
@@ -75,10 +76,10 @@ bool CoherenceProtocol::FetchPage(PageId page, bool want_write, PageState instal
 
   // Round-trip cost: request out, page back.
   host_.ChargeMessage(request_bytes, 0);
-  host_.ChargeMessage(PayloadByteSize(PageReplyMsg{page, {}, false}) + reply.data.size(), 0);
+  host_.ChargeMessage(PayloadByteSize(reply), 0);
 
   const bool ownership = reply.grants_ownership;
-  host_.pages().Install(page, std::move(reply.data), install_state);
+  host_.pages().Install(page, std::move(reply.data), install_state, /*shared=*/true);
   return ownership;
 }
 

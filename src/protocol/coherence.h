@@ -77,6 +77,8 @@ class ProtocolHost {
   // Pristine initial contents of `page` (for lazily materialized homes), or
   // null if the page starts all-zero.
   virtual const std::vector<uint8_t>* PokedPage(PageId page) = 0;
+  // The system's one all-zero frame, which every holder keeps shared.
+  virtual const Frame& zero_frame() = 0;
 
   // Observability (null/no-op when disabled).
   virtual obs::Tracer* tracer() = 0;
@@ -149,8 +151,8 @@ class CoherenceProtocol {
   NodeId HomeOf(PageId page) const { return page % host_.num_nodes(); }
 
   // Lazily initializes (or locally revalidates) this node's home frame. A
-  // page that starts all-zero becomes a zero frame, which holds no storage
-  // until someone writes it.
+  // page that starts all-zero installs the shared zero frame, which costs no
+  // storage until someone writes the page.
   void MaterializeHome(PageId page);
 
   // Blocking fetch through the page's home: sends the request, waits for the

@@ -22,10 +22,10 @@ std::string IntervalRecord::ToString() const {
 
 PageAccessBitmaps& BitmapStore::Record(IntervalIndex interval, PageId page) {
   PageMap& pages = by_interval_[interval];
-  auto it = pages.find(page);
-  if (it == pages.end()) {
-    it = pages.emplace(page, PageAccessBitmaps{Bitmap(words_per_page_), Bitmap(words_per_page_)})
-             .first;
+  auto it = LowerBound(pages, page);
+  if (it == pages.end() || it->first != page) {
+    it = pages.emplace(it, page,
+                       PageAccessBitmaps{Bitmap(words_per_page_), Bitmap(words_per_page_)});
     ++total_pairs_;
   }
   return it->second;
@@ -36,11 +36,8 @@ const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) 
   if (it == by_interval_.end()) {
     return nullptr;
   }
-  auto pit = it->second.find(page);
-  if (pit == it->second.end()) {
-    return nullptr;
-  }
-  return &pit->second;
+  auto pit = LowerBound(it->second, page);
+  return pit == it->second.end() || pit->first != page ? nullptr : &pit->second;
 }
 
 void BitmapStore::DiscardThrough(IntervalIndex up_to) {
@@ -49,7 +46,9 @@ void BitmapStore::DiscardThrough(IntervalIndex up_to) {
 
 void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
                               const PageAccessBitmaps& pair) {
-  by_interval_[interval].insert_or_assign(page, pair);  // A restore is not a new recording.
+  const uint64_t total = total_pairs_;
+  Record(interval, page) = pair;
+  total_pairs_ = total;  // A restore is not a new recording.
 }
 
 void BitmapStore::Clear() {

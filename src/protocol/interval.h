@@ -5,9 +5,12 @@
 #ifndef CVM_PROTOCOL_INTERVAL_H_
 #define CVM_PROTOCOL_INTERVAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/bitmap.h"
@@ -52,8 +55,9 @@ class BitmapStore {
 
   // The bitmap pair for (interval, page), created (both bitmaps empty) on
   // the interval's first access to the page. Callers set the accessed
-  // words' bits; the node's page cache keeps the returned reference across
-  // repeat accesses (map nodes do not move until DiscardThrough/Clear).
+  // words' bits. The reference lasts until the next Record, but each
+  // bitmap's word storage stays put until DiscardThrough/Clear: the node's
+  // page cache keeps pointers to the words across repeat accesses.
   PageAccessBitmaps& Record(IntervalIndex interval, PageId page);
 
   // Bitmaps for (interval, page); null if the interval never touched it.
@@ -88,8 +92,18 @@ class BitmapStore {
   }
 
  private:
-  using PageMap = std::map<PageId, PageAccessBitmaps>;
+  // One interval's pairs, ascending by page, in a flat vector: a lookup is a
+  // binary search over contiguous keys. An insert moves later pairs, and a
+  // move keeps each bitmap's word storage.
+  using PageMap = std::vector<std::pair<PageId, PageAccessBitmaps>>;
   using IntervalMap = std::map<IntervalIndex, PageMap>;
+  static_assert(std::is_nothrow_move_constructible_v<PageAccessBitmaps>);
+
+  template <typename Pages>  // PageMap or const PageMap.
+  static auto LowerBound(Pages& pages, PageId page) {
+    return std::lower_bound(pages.begin(), pages.end(), page,
+                            [](const auto& pair, PageId key) { return pair.first < key; });
+  }
 
   uint32_t words_per_page_;
   IntervalMap by_interval_;

@@ -35,7 +35,7 @@ void MultiWriterHomeLrc::OnWriteFault(PageId page) {
     }
   }
   PageEntry& entry = host_.pages().entry(page);
-  if (!entry.twin.has_value()) {
+  if (entry.twin == nullptr) {
     host_.pages().MakeTwin(page);
     twinned_.insert(page);
   }
@@ -57,9 +57,10 @@ void MultiWriterHomeLrc::FlushDiffs() {
   std::map<NodeId, std::vector<Diff>> by_home;
   for (PageId page : twinned_) {
     PageEntry& entry = host_.pages().entry(page);
-    CVM_CHECK(entry.twin.has_value());
+    CVM_CHECK(entry.twin != nullptr);
+    // The current frame: serving the page since the twin may have swapped it.
     Diff diff = MakeDiff(page, IntervalId{host_.self(), host_.current_interval()}, *entry.twin,
-                         entry.data, host_.diff_obs());
+                         *entry.frame, host_.diff_obs());
     host_.timing().Charge(
         Bucket::kNone,
         host_.costs().diff_word_ns * static_cast<double>(host_.page_size() / kWordSize));
@@ -109,7 +110,7 @@ void MultiWriterHomeLrc::ApplyWriteNotices(const IntervalRecord& record) {
       continue;
     }
     const PageEntry* entry = host_.pages().Find(page);
-    CVM_CHECK(entry == nullptr || !entry->twin.has_value())
+    CVM_CHECK(entry == nullptr || entry->twin == nullptr)
         << "write notice applied while twin outstanding";
     host_.pages().Invalidate(page);
   }
@@ -121,7 +122,7 @@ void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
   MaterializeHome(request.page);
   PageReplyMsg reply;
   reply.page = request.page;
-  reply.data = host_.pages().Copy(request.page);
+  reply.data = host_.pages().Share(request.page);
   host_.Send(request.requester, std::move(reply));
 }
 
@@ -138,23 +139,26 @@ void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
   for (const Diff& diff : flush.diffs) {
     CVM_CHECK_EQ(HomeOf(diff.page), host_.self());
     MaterializeHome(diff.page);
-    PageEntry& entry = host_.pages().Materialize(diff.page);
+    // Frames the home served stay as served: the diff lands in its own.
+    PageEntry& entry = host_.pages().MakePrivate(diff.page);
+    std::vector<uint8_t>& frame = *entry.frame;
+    std::vector<uint8_t>* twin = entry.twin ? &host_.pages().PrivateTwin(entry) : nullptr;
     // Apply to the frame; mirror into the twin for words the local writer
     // has not touched, so the home's own later diff does not claim remote
     // writes as its own.
     for (const DiffWord& dw : diff.words) {
       const uint64_t offset = static_cast<uint64_t>(dw.word) * kWordSize;
-      CVM_CHECK_LE(offset + kWordSize, entry.data.size());
-      if (entry.twin.has_value()) {
+      CVM_CHECK_LE(offset + kWordSize, frame.size());
+      if (twin != nullptr) {
         uint32_t frame_value;
         uint32_t twin_value;
-        std::memcpy(&frame_value, entry.data.data() + offset, kWordSize);
-        std::memcpy(&twin_value, (*entry.twin).data() + offset, kWordSize);
+        std::memcpy(&frame_value, frame.data() + offset, kWordSize);
+        std::memcpy(&twin_value, twin->data() + offset, kWordSize);
         if (frame_value == twin_value) {
-          std::memcpy((*entry.twin).data() + offset, &dw.value, kWordSize);
+          std::memcpy(twin->data() + offset, &dw.value, kWordSize);
         }
       }
-      std::memcpy(entry.data.data() + offset, &dw.value, kWordSize);
+      std::memcpy(frame.data() + offset, &dw.value, kWordSize);
     }
   }
   host_.Send(msg.from, DiffFlushAckMsg{flush.token});

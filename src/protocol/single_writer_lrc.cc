@@ -36,7 +36,7 @@ void SingleWriterLrc::OnWriteFault(PageId page) {
     if (!host_.pages().Readable(page)) {
       MaterializeHome(page);
     }
-    host_.pages().Materialize(page).state = PageState::kReadWrite;
+    host_.pages().MakePrivate(page).state = PageState::kReadWrite;
   } else {
     FetchForAccess(page, /*want_write=*/true);
   }
@@ -91,11 +91,11 @@ void SingleWriterLrc::ServePage(const PageRequestMsg& request) {
   }
   PageReplyMsg reply;
   reply.page = request.page;
-  reply.data = host_.pages().Copy(request.page);
+  reply.data = host_.pages().Share(request.page);
   if (request.want_write) {
     reply.grants_ownership = true;
     am_owner_[request.page] = false;
-    // Keep a (stale-able) read copy; a zero frame stays storage-free.
+    // Keep a (stale-able) read copy: the frame both nodes now share.
     host_.pages().entry(request.page).state = PageState::kReadOnly;
   }
   host_.Send(request.requester, std::move(reply));

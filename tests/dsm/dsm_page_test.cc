@@ -1,11 +1,13 @@
 // Focused tests of the page protocols: single-writer ownership transfer and
-// serving, multi-writer twin/diff merging of concurrent disjoint writes,
+// serving, copy-on-write frames shared by serving, multi-writer twin/diff
+// merging of concurrent disjoint writes,
 // coherence across a sweep of page sizes, and the node's page cache (no
 // stale hit after a page changes state, no accounting lost on a hit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -31,7 +33,7 @@ DsmOptions Options(int nodes, ProtocolKind protocol, uint64_t page_size) {
 // Runs 8-node SOR on a 32 MiB segment and checks every node's page table
 // holds entries only for pages it fetched or materialized as their home: a
 // small fraction of the 8192-page segment, all inside the allocated prefix,
-// each holding a copy: page-size bytes or a zero frame.
+// each holding a copy: a page-size frame, its own or shared.
 void ExpectSparsePageTables(bool barrier_tree) {
   DsmOptions options;
   options.num_nodes = 8;
@@ -63,10 +65,11 @@ void ExpectSparsePageTables(bool barrier_tree) {
       ++entries;
       EXPECT_LT(page, used_pages) << "node " << n;
       // Only a fetch or a home materialization creates an entry, and both
-      // install a copy: page-size bytes, or a zero frame for a home page
-      // nobody has written; an entry without either was created by a peek.
-      EXPECT_TRUE(entry->zero ? entry->data.empty() : entry->data.size() == options.page_size)
-          << "node " << n << " page " << page;
+      // install a frame: a served one, the zero frame for a home page nobody
+      // has written, or the home's own; an entry without one was created by
+      // a peek.
+      ASSERT_NE(entry->frame, nullptr) << "node " << n << " page " << page;
+      EXPECT_EQ(entry->frame->size(), options.page_size) << "node " << n << " page " << page;
     }
     EXPECT_EQ(entries, table.num_entries()) << "node " << n;
     EXPECT_GT(entries, 0u) << "node " << n;
@@ -168,8 +171,9 @@ TEST(DsmPageTest, ReadersGetCopiesWithoutStealingOwnership) {
 }
 
 // Under single-writer LRC a home materializes a page it never writes only to
-// grant its ownership away. Nobody had written the page, so the home keeps a
-// zero frame for it: a valid (later stale) all-zero copy with no storage.
+// grant its ownership away. Nobody had written the page, so the home keeps
+// the zero frame for it: a valid (later stale) all-zero copy with no storage
+// of its own.
 TEST(DsmPageTest, SingleWriterHomesKeepZeroFramesForPagesGrantedAway) {
   DsmOptions options;
   options.num_nodes = 8;
@@ -203,15 +207,15 @@ TEST(DsmPageTest, SingleWriterHomesKeepZeroFramesForPagesGrantedAway) {
       ++checked;
       const PageEntry* entry = system.node(home).page_table().Find(page);
       ASSERT_NE(entry, nullptr) << "home " << home << " page " << page;
-      EXPECT_TRUE(entry->zero) << "home " << home << " page " << page;
-      EXPECT_EQ(entry->data.capacity(), 0u) << "home " << home << " page " << page;
+      EXPECT_EQ(entry->frame, system.zero_frame()) << "home " << home << " page " << page;
+      EXPECT_TRUE(entry->shared) << "home " << home << " page " << page;
       EXPECT_NE(entry->state, PageState::kReadWrite) << "home " << home << " page " << page;
     }
   }
   EXPECT_GT(checked, 80u);
 }
 
-// ---------------- Page cache ----------------
+// ---------------- Shared frames ----------------
 
 // Spins on a host-side flag while serving the inbox: Compute polls, so the
 // node keeps answering peers without ending its interval.
@@ -220,6 +224,170 @@ void ServeUntil(NodeContext& ctx, const std::atomic<bool>& flag) {
     ctx.Compute(1);
   }
 }
+
+// Node 0 reads every interior row of SOR's result grid in its final check.
+// Each row it fetched is served by the row's writer, the page's owner by
+// then, and both hold the one frame: the fetch copied nothing.
+TEST(DsmSharedFrameTest, FinalCheckFetchesShareTheOwnersFrame) {
+  DsmOptions options;
+  options.num_nodes = 8;
+  options.page_size = 4096;
+  options.max_shared_bytes = 2ull << 20;
+  options.protocol = ProtocolKind::kSingleWriterLrc;
+  SorApp::Params params;
+  params.rows = 66;
+  params.cols = 1024;  // One page per row.
+  params.iters = 2;    // The result is back in sor_grid0.
+  SorApp app(params);
+  DsmSystem system(options);
+  app.Setup(system);
+  system.Run([&app](NodeContext& ctx) { app.Run(ctx); });
+  ASSERT_TRUE(app.Verify());
+
+  const auto& symbols = system.segment().symbols();
+  const auto grid = std::find_if(symbols.begin(), symbols.end(),
+                                 [](const Symbol& s) { return s.name == "sor_grid0"; });
+  ASSERT_NE(grid, symbols.end());
+  const PageId base = system.segment().PageOf(grid->base);
+  const PageTable& checker = system.node(0).page_table();
+  for (int row = 9; row <= 64; ++row) {  // Rows 1-8 are node 0's own.
+    const PageId page = base + row;
+    const NodeId writer = (row - 1) / 8;
+    const PageEntry* fetched = checker.Find(page);
+    const PageEntry* owned = system.node(writer).page_table().Find(page);
+    ASSERT_NE(fetched, nullptr) << "row " << row;
+    ASSERT_NE(owned, nullptr) << "row " << row;
+    EXPECT_EQ(fetched->frame, owned->frame) << "row " << row;
+    EXPECT_TRUE(fetched->shared) << "row " << row;
+    EXPECT_TRUE(owned->shared) << "row " << row;
+  }
+}
+
+// A single-writer owner serves its writable page, then writes it again. The
+// write goes to the owner's own new frame, so the reader keeps seeing the
+// value it was served (weak-memory staleness) until a write notice
+// invalidates its copy and it refetches.
+TEST(DsmSharedFrameTest, OwnerWriteAfterServingLeavesTheReaderStale) {
+  DsmOptions options = Options(2, ProtocolKind::kSingleWriterLrc, 256);
+  DsmSystem system(options);
+  auto x = SharedVar<int32_t>::Alloc(system, "x");  // Node 0's home page.
+  const PageId page = static_cast<PageId>(x.addr() / options.page_size);
+  std::atomic<bool> wrote{false};
+  std::atomic<bool> read_done{false};
+  std::atomic<bool> rewritten{false};
+
+  system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 0) {
+      ctx.Lock(0);
+      x.Set(ctx, 1);
+      wrote = true;
+      ServeUntil(ctx, read_done);  // Serves its writable frame to node 1.
+      EXPECT_TRUE(ctx.page_table().Writable(page));
+      EXPECT_TRUE(ctx.page_table().Find(page)->shared);
+      x.Set(ctx, 2);
+      EXPECT_FALSE(ctx.page_table().Find(page)->shared);
+      EXPECT_EQ(x.Get(ctx), 2);
+      ctx.Unlock(0);
+      rewritten = true;
+    } else {
+      ServeUntil(ctx, wrote);
+      EXPECT_EQ(x.Get(ctx), 1);  // Fetch: the owner's frame, shared.
+      EXPECT_TRUE(ctx.page_table().Find(page)->shared);
+      read_done = true;
+      ServeUntil(ctx, rewritten);
+      EXPECT_EQ(x.Get(ctx), 1);  // Not invalidated yet: still the old frame.
+      ctx.Lock(0);               // The owner's write notice arrives.
+      EXPECT_EQ(x.Get(ctx), 2);
+      ctx.Unlock(0);
+    }
+  });
+}
+
+// Multi-writer: the home serves its page to two readers, and one of them
+// writes it. The writer's twin is the served frame itself, and its diff
+// holds exactly its own write; the home applies it to a private copy, so
+// the other reader's bytes are unchanged until it is invalidated.
+TEST(DsmSharedFrameTest, HomeAppliesADiffWithoutTouchingServedFrames) {
+  DsmOptions options = Options(3, ProtocolKind::kMultiWriterHomeLrc, 256);
+  options.write_detection = WriteDetection::kDiffs;
+  options.postmortem_trace = true;
+  DsmSystem system(options);
+  auto arr = SharedArray<int32_t>::Alloc(system, "arr", 64);  // Node 0's home page.
+  const PageId page = static_cast<PageId>(arr.addr(0) / options.page_size);
+  std::atomic<bool> read_done{false};
+  std::atomic<bool> flushed{false};
+
+  system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 0) {
+      arr.Set(ctx, 0, 10);
+    }
+    ctx.Barrier();
+    if (ctx.id() == 0) {
+      ServeUntil(ctx, flushed);
+      EXPECT_EQ(arr.Get(ctx, 4), 20);  // The home's frame has the diff.
+    } else if (ctx.id() == 1) {
+      ServeUntil(ctx, read_done);
+      ctx.Lock(0);
+      EXPECT_EQ(arr.Get(ctx, 0), 10);
+      arr.Set(ctx, 4, 20);
+      const PageEntry* entry = ctx.page_table().Find(page);
+      EXPECT_TRUE(entry->twin_shared);
+      EXPECT_FALSE(entry->shared);
+      ctx.Unlock(0);  // Flushes the diff and waits for the home's ack.
+      flushed = true;
+    } else {
+      EXPECT_EQ(arr.Get(ctx, 0), 10);
+      EXPECT_TRUE(ctx.page_table().Find(page)->shared);
+      read_done = true;
+      ServeUntil(ctx, flushed);
+      EXPECT_EQ(arr.Get(ctx, 4), 0);  // Its frame is the one served before.
+      ctx.Lock(0);                    // Node 1's write notice arrives.
+      EXPECT_EQ(arr.Get(ctx, 4), 20);
+      ctx.Unlock(0);
+    }
+    ctx.Barrier();
+    EXPECT_EQ(arr.Get(ctx, 0), 10) << "node " << ctx.id();
+    EXPECT_EQ(arr.Get(ctx, 4), 20) << "node " << ctx.id();
+  });
+
+  int writer_pairs = 0;
+  system.trace().ForEachBitmapPair(
+      [&](const IntervalId& interval, PageId pair_page, const PageAccessBitmaps& pair) {
+        if (pair_page != page || interval.node != 1 || pair.write.SetBits().empty()) {
+          return;
+        }
+        EXPECT_EQ(pair.write.SetBits(), std::vector<uint32_t>{4}) << interval.ToString();
+        ++writer_pairs;
+      });
+  EXPECT_EQ(writer_pairs, 1);
+}
+
+// A reply carries a frame handle, but the wire still charges the page.
+TEST(DsmSharedFrameTest, PageReplyStillChargesThePage) {
+  constexpr uint64_t kPageSize = 1024;
+  PageReplyMsg reply;
+  reply.page = 3;
+  reply.data = std::make_shared<std::vector<uint8_t>>(kPageSize, 0);
+  EXPECT_EQ(PayloadByteSize(Payload{reply}), kMessageHeaderBytes + 8 + kPageSize);
+  EXPECT_EQ(PayloadByteSize(reply), kMessageHeaderBytes + 8 + kPageSize);
+
+  DsmOptions options = Options(2, ProtocolKind::kSingleWriterLrc, kPageSize);
+  DsmSystem system(options);
+  auto arr = SharedArray<int32_t>::Alloc(system, "arr", 8);
+  RunResult result = system.Run([&](NodeContext& ctx) {
+    if (ctx.id() == 0) {
+      arr.Set(ctx, 0, 1);
+    }
+    ctx.Barrier();
+    EXPECT_EQ(arr.Get(ctx, 0), 1);
+  });
+  const uint64_t replies = result.net.messages_by_kind.at("PageReply");
+  EXPECT_GT(replies, 0u);
+  EXPECT_EQ(result.net.bytes_by_kind.at("PageReply"),
+            replies * (kMessageHeaderBytes + 8 + kPageSize));
+}
+
+// ---------------- Page cache ----------------
 
 TEST(DsmPageCacheTest, ServedOwnershipTransferForcesTheNextWriteToFault) {
   DsmOptions options = Options(2, ProtocolKind::kSingleWriterLrc, 256);
@@ -253,9 +421,9 @@ TEST(DsmPageCacheTest, ServedOwnershipTransferForcesTheNextWriteToFault) {
 
 class ZeroFrameTest : public ::testing::TestWithParam<ProtocolKind> {};
 
-// A home reads a page nobody wrote through its zero frame, inline hits
-// included, then writes it: the write materializes the frame, and the shared
-// zero page other frames read through stays zero.
+// A home reads a page nobody wrote through the zero frame, inline hits
+// included, then writes it: the write takes a private copy, and the zero
+// frame every other holder reads stays zero.
 TEST_P(ZeroFrameTest, HomeReadsZeroThenWriteMaterializes) {
   DsmOptions options = Options(2, GetParam(), 256);
   DsmSystem system(options);
@@ -273,20 +441,20 @@ TEST_P(ZeroFrameTest, HomeReadsZeroThenWriteMaterializes) {
           EXPECT_EQ(b.Get(ctx, i), 0);
         }
       }
-      EXPECT_TRUE(ctx.page_table().Find(0)->zero);
+      EXPECT_EQ(ctx.page_table().Find(0)->frame, system.zero_frame());
       a.Set(ctx, 5, 55);
-      EXPECT_FALSE(ctx.page_table().Find(0)->zero);
+      EXPECT_NE(ctx.page_table().Find(0)->frame, system.zero_frame());
+      EXPECT_FALSE(ctx.page_table().Find(0)->shared);
       EXPECT_EQ(a.Get(ctx, 5), 55);
       EXPECT_EQ(a.Get(ctx, 6), 0);
-      EXPECT_EQ(b.Get(ctx, 5), 0);  // Still a zero frame, still zero.
-      EXPECT_TRUE(ctx.page_table().Find(2)->zero);
+      EXPECT_EQ(b.Get(ctx, 5), 0);  // Still the zero frame, still zero.
+      EXPECT_EQ(ctx.page_table().Find(2)->frame, system.zero_frame());
     }
     ctx.Barrier();
     EXPECT_EQ(a.Get(ctx, 5), 55) << "node " << ctx.id();
     EXPECT_EQ(b.Get(ctx, 5), 0) << "node " << ctx.id();
   });
-  const std::vector<uint8_t> zeros(options.page_size, 0);
-  EXPECT_TRUE(std::equal(zeros.begin(), zeros.end(), system.zero_page()));
+  EXPECT_EQ(*system.zero_frame(), std::vector<uint8_t>(options.page_size, 0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ZeroFrameTest,

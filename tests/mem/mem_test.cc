@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -11,6 +12,10 @@
 
 namespace cvm {
 namespace {
+
+Frame Bytes(size_t size, uint8_t value) {
+  return std::make_shared<std::vector<uint8_t>>(size, value);
+}
 
 TEST(SharedSegmentTest, AllocatesPageAlignedAndSymbolizes) {
   SharedSegment seg(1024, 64 * 1024);
@@ -77,14 +82,14 @@ TEST(PageTableTest, EntriesExistOnlyForTouchedPages) {
   pt.Invalidate(4000);
   EXPECT_EQ(pt.num_entries(), 0u);
 
-  pt.Install(4000, std::vector<uint8_t>(256, 0), PageState::kReadOnly);
+  pt.Install(4000, Bytes(256, 0), PageState::kReadOnly, /*shared=*/false);
   pt.entry(7).state = PageState::kInvalid;
   EXPECT_EQ(pt.num_entries(), 2u);
   ASSERT_NE(pt.Find(4000), nullptr);
   EXPECT_EQ(pt.Find(4000)->state, PageState::kReadOnly);
   EXPECT_EQ(pt.Find(4001), nullptr);
   ASSERT_NE(pt.Find(7), nullptr);
-  EXPECT_TRUE(pt.Find(7)->data.empty());
+  EXPECT_EQ(pt.Find(7)->frame, nullptr);
 }
 
 TEST(PageTableTest, ForEachEntryVisitsExactlyTheEntriesInOrder) {
@@ -106,7 +111,7 @@ TEST(PageTableTest, ForEachEntryVisitsExactlyTheEntriesInOrder) {
 TEST(PageTableTest, StateMachineAndWordAccess) {
   PageTable pt(4, 256);
   EXPECT_FALSE(pt.Readable(2));
-  pt.Install(2, std::vector<uint8_t>(256, 0), PageState::kReadOnly);
+  pt.Install(2, Bytes(256, 0), PageState::kReadOnly, /*shared=*/false);
   EXPECT_TRUE(pt.Readable(2));
   EXPECT_FALSE(pt.Writable(2));
   pt.entry(2).state = PageState::kReadWrite;
@@ -115,86 +120,128 @@ TEST(PageTableTest, StateMachineAndWordAccess) {
   pt.Invalidate(2);
   EXPECT_FALSE(pt.Readable(2));
   // Data survives invalidation (stale copy), as the weak-memory tests rely on.
-  EXPECT_EQ(pt.entry(2).data.size(), 256u);
+  EXPECT_EQ(pt.entry(2).frame->size(), 256u);
 }
 
 TEST(PageTableTest, TwinIsSnapshot) {
   PageTable pt(1, 64);
-  pt.Install(0, std::vector<uint8_t>(64, 7), PageState::kReadWrite);
+  pt.Install(0, Bytes(64, 7), PageState::kReadWrite, /*shared=*/false);
   pt.MakeTwin(0);
   pt.WriteWord(0, 3, 42);
-  ASSERT_TRUE(pt.entry(0).twin.has_value());
+  ASSERT_NE(pt.entry(0).twin, nullptr);
+  EXPECT_FALSE(pt.entry(0).twin_shared);
   EXPECT_EQ((*pt.entry(0).twin)[3 * 4], 7);
   pt.DropTwin(0);
-  EXPECT_FALSE(pt.entry(0).twin.has_value());
+  EXPECT_EQ(pt.entry(0).twin, nullptr);
 }
 
-TEST(PageTableTest, ZeroFrameReadsZeroWithoutStorage) {
-  const std::vector<uint8_t> zero_page(256, 0);
-  PageTable pt(4, 256, zero_page.data());
-  pt.InstallZero(1, PageState::kReadOnly);
+TEST(PageTableTest, SharedFrameIsReadWithoutACopy) {
+  const Frame zero = Bytes(256, 0);
+  PageTable pt(4, 256);
+  pt.Install(1, zero, PageState::kReadOnly, /*shared=*/true);
   const PageEntry& e = pt.entry(1);
-  EXPECT_TRUE(e.zero);
-  EXPECT_TRUE(e.data.empty());
-  EXPECT_EQ(e.data.capacity(), 0u);
+  EXPECT_TRUE(e.shared);
+  EXPECT_EQ(e.frame, zero);  // The handle, not a copy.
+  EXPECT_EQ(zero.use_count(), 2);
   EXPECT_TRUE(pt.Readable(1));
   EXPECT_EQ(pt.ReadWord(1, 0), 0u);
   EXPECT_EQ(pt.ReadWord(1, 63), 0u);
-  // The page cache reads through this pointer: the shared zero page.
-  EXPECT_EQ(pt.ReadView(e), zero_page.data());
-  EXPECT_EQ(pt.Copy(1), std::vector<uint8_t>(256, 0));
-  // A zero frame survives invalidation, like any retained stale copy.
+  // Serving the page hands out the same frame again.
+  EXPECT_EQ(pt.Share(1), zero);
+  // A shared frame survives invalidation, like any retained stale copy.
   pt.Invalidate(1);
   EXPECT_FALSE(pt.Readable(1));
-  EXPECT_TRUE(pt.entry(1).zero);
-  // A fetched install replaces it with real bytes.
-  pt.Install(1, std::vector<uint8_t>(256, 3), PageState::kReadOnly);
-  EXPECT_FALSE(pt.entry(1).zero);
+  EXPECT_EQ(pt.entry(1).frame, zero);
+  // A fetched install replaces it with the new frame.
+  pt.Install(1, Bytes(256, 3), PageState::kReadOnly, /*shared=*/true);
   EXPECT_EQ(pt.ReadWord(1, 5), 0x03030303u);
+  EXPECT_EQ(zero.use_count(), 1);
 }
 
-TEST(PageTableTest, MaterializeGivesAZeroFrameStorage) {
-  const std::vector<uint8_t> zero_page(256, 0);
-  PageTable pt(4, 256, zero_page.data());
-  pt.InstallZero(2, PageState::kReadOnly);
-  PageEntry& e = pt.Materialize(2);
-  EXPECT_FALSE(e.zero);
-  EXPECT_EQ(e.data, std::vector<uint8_t>(256, 0));
-  EXPECT_EQ(pt.ReadView(e), e.data.data());
+TEST(PageTableTest, ShareMarksTheServersFrameAndTheNextWriteCopiesIt) {
+  PageTable pt(4, 256);
+  pt.Install(2, Bytes(256, 0), PageState::kReadWrite, /*shared=*/false);
+  pt.WriteWord(2, 7, 0xfeedfaceu);
+  const Frame before = pt.entry(2).frame;
+  pt.WriteWord(2, 8, 1);  // A private frame is written in place.
+  EXPECT_EQ(pt.entry(2).frame, before);
+  const Frame served = pt.Share(2);
+  EXPECT_EQ(served, before);
+  EXPECT_TRUE(pt.entry(2).shared);
+  // The owner keeps writing: its write lands in a private copy, and the
+  // served frame keeps the bytes it was served with.
+  pt.WriteWord(2, 7, 0xcafef00du);
+  EXPECT_FALSE(pt.entry(2).shared);
+  EXPECT_NE(pt.entry(2).frame, served);
+  EXPECT_EQ(pt.ReadWord(2, 7), 0xcafef00du);
+  EXPECT_EQ(pt.ReadWord(2, 8), 1u);
+  uint32_t served_word;
+  std::memcpy(&served_word, served->data() + 7 * 4, 4);
+  EXPECT_EQ(served_word, 0xfeedfaceu);
+}
+
+TEST(PageTableTest, MakePrivateCopiesOnlyASharedFrame) {
+  const Frame zero = Bytes(256, 0);
+  PageTable pt(4, 256);
+  pt.Install(2, zero, PageState::kReadOnly, /*shared=*/true);
+  PageEntry& e = pt.MakePrivate(2);
+  EXPECT_FALSE(e.shared);
+  EXPECT_NE(e.frame, zero);
+  EXPECT_EQ(*e.frame, std::vector<uint8_t>(256, 0));
   e.state = PageState::kReadWrite;
   pt.WriteWord(2, 7, 0xfeedfaceu);
   EXPECT_EQ(pt.ReadWord(2, 7), 0xfeedfaceu);
-  // The write went to the frame's own bytes; the shared page stays zero.
-  EXPECT_EQ(zero_page, std::vector<uint8_t>(256, 0));
-  // Materializing a frame that has storage leaves its bytes alone.
-  EXPECT_EQ(pt.Materialize(2).data[7 * 4], 0xce);
+  // The write went to the entry's own frame; the shared one stays zero.
+  EXPECT_EQ(*zero, std::vector<uint8_t>(256, 0));
+  // Making a private frame private leaves it, and its bytes, alone.
+  const Frame own = e.frame;
+  EXPECT_EQ(pt.MakePrivate(2).frame, own);
+  EXPECT_EQ((*own)[7 * 4], 0xce);
 }
 
-TEST(PageTableTest, MakeTwinMaterializesAZeroFrame) {
-  const std::vector<uint8_t> zero_page(64, 0);
-  PageTable pt(1, 64, zero_page.data());
-  pt.InstallZero(0, PageState::kReadOnly);
-  pt.MakeTwin(0);
-  const PageEntry& e = pt.entry(0);
-  EXPECT_FALSE(e.zero);
-  EXPECT_EQ(e.data, std::vector<uint8_t>(64, 0));
-  ASSERT_TRUE(e.twin.has_value());
-  EXPECT_EQ(*e.twin, std::vector<uint8_t>(64, 0));
-  pt.entry(0).state = PageState::kReadWrite;
-  pt.WriteWord(0, 1, 9);
-  EXPECT_EQ((*pt.entry(0).twin)[4], 0);
-  EXPECT_EQ(zero_page, std::vector<uint8_t>(64, 0));
-}
-
-TEST(PageTableDeathTest, ZeroFrameIsNeverInstalledWritable) {
-  const std::vector<uint8_t> zero_page(64, 0);
-  PageTable pt(1, 64, zero_page.data());
-  EXPECT_DEATH(pt.InstallZero(0, PageState::kReadWrite), "installed writable");
-}
-
-TEST(PageTableDeathTest, TableWithoutAZeroPageHoldsNoZeroFrames) {
+TEST(PageTableTest, MakeTwinKeepsASharedFrameAsTheTwin) {
+  const Frame zero = Bytes(64, 0);
   PageTable pt(1, 64);
-  EXPECT_DEATH(pt.InstallZero(0, PageState::kReadOnly), "without a zero page");
+  pt.Install(0, zero, PageState::kReadOnly, /*shared=*/true);
+  pt.MakeTwin(0);
+  PageEntry& e = pt.entry(0);
+  // One copy, for the data; the shared frame is already a snapshot.
+  EXPECT_EQ(e.twin, zero);
+  EXPECT_TRUE(e.twin_shared);
+  EXPECT_FALSE(e.shared);
+  EXPECT_NE(e.frame, zero);
+  EXPECT_EQ(*e.frame, std::vector<uint8_t>(64, 0));
+  e.state = PageState::kReadWrite;
+  pt.WriteWord(0, 1, 9);
+  EXPECT_EQ((*e.twin)[4], 0);
+  EXPECT_EQ(*zero, std::vector<uint8_t>(64, 0));
+  // Writing the twin takes a private copy of it too.
+  pt.PrivateTwin(e)[8] = 5;
+  EXPECT_FALSE(e.twin_shared);
+  EXPECT_NE(e.twin, zero);
+  EXPECT_EQ(*zero, std::vector<uint8_t>(64, 0));
+}
+
+TEST(PageTableTest, SharedFrameInstalledWritableIsNeverWrittenInPlace) {
+  // A single-writer ownership grant installs the served frame writable.
+  const Frame served = Bytes(64, 0);
+  PageTable pt(1, 64);
+  pt.Install(0, served, PageState::kReadWrite, /*shared=*/true);
+  EXPECT_TRUE(pt.Writable(0));
+  pt.WriteWord(0, 2, 77);
+  EXPECT_EQ(pt.ReadWord(0, 2), 77u);
+  EXPECT_EQ(*served, std::vector<uint8_t>(64, 0));
+}
+
+TEST(PageTableDeathTest, InstallNeedsAPageSizeFrame) {
+  PageTable pt(1, 64);
+  EXPECT_DEATH(pt.Install(0, nullptr, PageState::kReadOnly, /*shared=*/true), "page 0");
+  EXPECT_DEATH(pt.Install(0, Bytes(32, 0), PageState::kReadOnly, /*shared=*/false), "page 0");
+}
+
+TEST(PageTableDeathTest, ServingAPageWithoutACopyDies) {
+  PageTable pt(1, 64);
+  EXPECT_DEATH(pt.Share(0), "has no copy");
 }
 
 TEST(DiffTest, CapturesOnlyModifiedWords) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -194,7 +195,7 @@ TEST(NetworkTest, CountsBytesByKind) {
   Network net(2);
   PageReplyMsg reply;
   reply.page = 0;
-  reply.data = std::vector<uint8_t>(4096, 0);
+  reply.data = std::make_shared<std::vector<uint8_t>>(4096, 0);
   net.Send(Make(0, 1, reply));
   const NetworkStats stats = net.stats();
   EXPECT_EQ(stats.messages, 1u);
@@ -228,7 +229,7 @@ TEST(NetworkTest, TotalsEqualSumOfPerKindAccounting) {
   req.page = 1;
   PageReplyMsg reply;
   reply.page = 1;
-  reply.data = std::vector<uint8_t>(512, 0);
+  reply.data = std::make_shared<std::vector<uint8_t>>(512, 0);
   LockRequestMsg lock_req;
   lock_req.requester_vc = VectorClock(3);
   net.Send(Make(0, 1, req));
@@ -279,7 +280,7 @@ TEST(NetworkTest, ObservabilityCountersMirrorStats) {
   net.AttachObservability(&tracer, &metrics);
 
   PageReplyMsg reply;
-  reply.data = std::vector<uint8_t>(256, 0);
+  reply.data = std::make_shared<std::vector<uint8_t>>(256, 0);
   net.Send(Make(0, 1, reply));
   net.Send(Make(1, 0, PageRequestMsg{}));
   (void)net.Recv(1);
@@ -362,7 +363,7 @@ TEST(MessageTest, PayloadSizesAreConsistent) {
   DiffFlushMsg flush;
   flush.diffs = {Diff{2, IntervalId{1, 4}, {DiffWord{}, DiffWord{}}}};
   PageReplyMsg page_reply;
-  page_reply.data.assign(4096, 0);
+  page_reply.data = std::make_shared<std::vector<uint8_t>>(4096, 0);
   BarrierReleaseMsg release;
   release.intervals = {record};
   const std::vector<Payload> filled = {grant, arrive, tree_arrive, flush,
